@@ -18,9 +18,9 @@ import numpy as np
 from . import plant as plant_mod
 from .excitation import (ExcitationConfig, build_corpus, excitation_segment,
                          save_corpus, step_stair_trace)
-from .features import HistorySpec, assemble, merge
+from .features import TARGET_NAMES, HistorySpec, assemble, merge
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
-                    PropellantDepletedError, simulate)
+                    PropellantDepletedError, read_json, simulate)
 from .regression import (BasisSpec, expand, fit_lasso, model_from_json,
                          model_to_json, predict, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
@@ -74,9 +74,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PipelineConfig":
-        p = Path(str(source))
-        text = p.read_text() if p.exists() else str(source)
-        d = json.loads(text)
+        """Load from a JSON file (a Path) or from JSON text (a str)."""
+        d = read_json(source)
         kwargs = {}
         if "plant" in d:
             kwargs["plant"] = PlantConfig(**d["plant"])
@@ -173,8 +172,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
         "n": ds.n,
         "mu": cfg.train_mu,
         "penalty_scale": cfg.penalty_scale,
-        "train_rmse": {k: float(v) for k, v in
-                       zip(["To1", "To2", "To3", "To4", "P", "mf", "mo"], per_output)},
+        "train_rmse": {k: float(v) for k, v in zip(TARGET_NAMES, per_output)},
         "train_rmse_aggregate": aggregate,
         "sparsity": model.sparsity,
         "kkt": model.kkt,

@@ -44,6 +44,11 @@ PROPELLANT_DENSITY = 1200.0
 TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
 
 
+def read_json(source: str | Path):
+    """Parse JSON read from disk when given a Path, or JSON text given as a str."""
+    return json.loads(source.read_text() if isinstance(source, Path) else source)
+
+
 class PropellantDepletedError(RuntimeError):
     """Raised when the module mass floor (zero remaining mass) is reached."""
 
@@ -100,9 +105,8 @@ class PlantConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PlantConfig":
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-        return cls(**json.loads(text))
+        """Load from a JSON file (a Path) or from JSON text (a str)."""
+        return cls(**read_json(source))
 
 
 @dataclass
@@ -362,4 +366,5 @@ __all__ = [
     "PROPELLANT_DENSITY", "TRAJECTORY_CSV_HEADER", "PlantConfig", "PlantState",
     "CommandTrace", "PlantTrajectory", "PropellantDepletedError",
     "initial_state", "step", "simulate", "module_mass", "steady_state_thrust",
+    "read_json",
 ]

@@ -7,7 +7,11 @@ The learning problem is, per output row,
 solved by cyclic coordinate descent with soft-thresholding, operating
 on the Gram moments (Phi^T Phi, Phi^T Y) so sweeps cost O(F^2) rather
 than O(N F). The seven output rows share one matrix Phi and are
-updated together.
+updated together. Each output is then solved exactly on the support
+and sign pattern that descent reached, by one Cholesky solve; an
+output whose support holds duplicate columns keeps its descent
+iterate. An exhausted sweep budget raises ConvergenceError in exact
+mode (obj_rel_tol == 0); stall mode returns the point reached.
 
 By default the solver standardizes features and targets (zero mean,
 unit variance) before penalizing, so a single mu is comparable across
@@ -29,13 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from .features import input_width
+from .plant import read_json
 
 
 class ConvergenceError(RuntimeError):
     """Coordinate descent exhausted its sweep budget in exact mode.
 
-    Stall-mode fits (obj_rel_tol > 0) accept the budget point instead
-    and record the achieved KKT residual on the model.
+    Only exact-mode fits (obj_rel_tol == 0) raise it. Stall-mode fits
+    (obj_rel_tol > 0) return the point reached when the budget runs out
+    and record its KKT residual on the model.
     """
 
     def __init__(self, sweeps: int, kkt_residual: float):
@@ -375,73 +381,34 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     return W, sweeps, converged, history
 
 
-def _active_set_polish(m: _Moments, pen: np.ndarray, W: np.ndarray,
-                       max_pivots: int = 400) -> np.ndarray:
-    """Finish each output's LASSO to exact KKT by active-set pivoting.
+def _support_solve(m: _Moments, pen: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Solve each output exactly on the support of the descent iterate.
 
-    For a fixed sign pattern s the minimizer solves
-    G_AA w_A = c_A - pen_A * s_A; pivots add the worst inactive
-    violator or drop the first coefficient that crosses zero on the
-    way to the equality solution. Descent is monotone, so in exact
-    arithmetic this cannot cycle; a pivot budget guards the
-    floating-point degenerate-duplicate case. Far
-    cheaper than sweeping once the active set is small, and it pins
-    down the zero pattern that stall-based stopping leaves ambiguous.
+    On the support A and sign pattern s of a LASSO minimizer,
+    G_AA w_A = c_A - pen_A * s_A holds exactly; descent only gets there
+    to its stopping tolerance. An output keeps its iterate when G_AA is
+    not positive definite (duplicate columns in the support, where the
+    minimizer is not unique) or when the solved point does not lower
+    that output's objective.
     """
-    G, c = m.G, m.c
-    diag = np.diag(G)
-    solvable = diag > 0.0
+    def objective(w, k):
+        return 0.5 * (w @ (m.G @ w) + m.yty[k]) - w @ m.c[:, k] + pen @ np.abs(w)
+
     W = W.copy()
-    for k in range(c.shape[1]):
+    for k in range(W.shape[1]):
         w = W[:, k]
-        pivots = 0
-        while pivots < max_pivots:
-            pivots += 1
-            active = np.flatnonzero(w != 0.0)
-            g = G @ w - c[:, k]
-            inactive = solvable & (w == 0.0)
-            viol = np.abs(g) - pen
-            viol[~inactive] = -np.inf
-            j = int(np.argmax(viol))
-            if active.size == 0 and viol[j] <= 0.0:
-                break
-            if viol[j] > 1e-12 * max(pen[j], 1.0):
-                # admit the worst violator, signed for descent
-                w_dir = np.zeros_like(w)
-                w_dir[j] = -np.sign(g[j]) * 1e-300
-                w = w + w_dir
-                active = np.flatnonzero(w != 0.0)
-            s = np.sign(w[active])
-            sub = G[np.ix_(active, active)]
-            rhs = c[active, k] - pen[active] * s
-            try:
-                w_star = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                w_star = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-            if not np.all(np.isfinite(w_star)):
-                w_star = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-            crossing = w_star * s <= 0.0
-            if not crossing.any():
-                if np.allclose(w[active], w_star, rtol=0.0, atol=1e-14):
-                    break
-                w = np.zeros_like(w)
-                w[active] = w_star
-                continue
-            # move toward the equality solution until the first sign flip
-            delta = w_star - w[active]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(crossing & (delta != 0.0), -w[active] / delta, np.inf)
-            t = np.where(t <= 0.0, np.inf, t)
-            t_min = float(np.min(t))
-            if not np.isfinite(t_min) or t_min >= 1.0:
-                w = np.zeros_like(w)
-                w[active] = w_star
-                continue
-            w_new = w[active] + t_min * delta
-            w_new[np.argmin(t)] = 0.0
-            w = np.zeros_like(w)
-            w[active] = w_new
-        W[:, k] = w
+        A = np.flatnonzero(w)
+        if A.size == 0:
+            continue
+        try:
+            L = np.linalg.cholesky(m.G[np.ix_(A, A)])
+        except np.linalg.LinAlgError:
+            continue
+        w_new = np.zeros_like(w)
+        rhs = m.c[A, k] - pen[A] * np.sign(w[A])
+        w_new[A] = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        if objective(w_new, k) <= objective(w, k) * (1.0 + 1e-12) + 1e-12:
+            W[:, k] = w_new
     return W
 
 
@@ -520,7 +487,6 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      penalty_mask: np.ndarray | None = None,
                      track_objective: bool = False,
                      obj_rel_tol: float = 0.0,
-                     exact_polish: bool = True,
                      n_inputs: int | None = None) -> CoefficientModel:
     """Solve from precomputed Gram moments (the sweep fast path)."""
     if mu < 0.0:
@@ -532,14 +498,9 @@ def fit_from_moments(m: _Moments, mu: float, *,
         obj_rel_tol=obj_rel_tol)
     pen_vec = np.full(W.shape[0], mu_eff) if penalty_mask is None \
         else np.where(penalty_mask, mu_eff, 0.0)
-    if exact_polish:
-        W_pol = _active_set_polish(m, pen_vec, W)
-        if _objective_value(W_pol, m, mu_eff, pen_vec) <= \
-                _objective_value(W, m, mu_eff, pen_vec) * (1.0 + 1e-12) + 1e-12:
-            W = W_pol
-            converged = True
-            if track_objective:
-                history.append(_objective_value(W, m, mu_eff, pen_vec))
+    W = _support_solve(m, pen_vec, W)
+    if track_objective:
+        history.append(_objective_value(W, m, mu_eff, pen_vec))
     kkt = kkt_residual(W, m, mu_eff, penalty_mask=penalty_mask)
     if not converged and obj_rel_tol <= 0.0:
         raise ConvergenceError(sweeps, kkt)
@@ -585,8 +546,7 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
               max_sweeps: int = 10000, tol: float = 1e-8,
               w0: np.ndarray | None = None,
               track_objective: bool = False,
-              obj_rel_tol: float = 0.0,
-              exact_polish: bool = True) -> CoefficientModel:
+              obj_rel_tol: float = 0.0) -> CoefficientModel:
     """Fit the sparse coefficient matrix by cyclic coordinate descent.
 
     Parameters
@@ -609,8 +569,9 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
     Raises
     ------
     ConvergenceError
-        If max_sweeps is exhausted before the coefficient change drops
-        below tol; carries the final KKT residual.
+        In exact mode (obj_rel_tol == 0) only: max_sweeps ran out before
+        the coefficient change dropped below tol. Carries the final KKT
+        residual. Stall mode returns the point reached instead.
     """
     m = compute_moments(features, targets, standardize=standardize)
     pen_mask = None
@@ -623,7 +584,7 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         m, mu, basis=basis, n_history=n_history, penalty_scale=penalty_scale,
         max_sweeps=max_sweeps, tol=tol, w0=w0, penalty_mask=pen_mask,
         track_objective=track_objective, obj_rel_tol=obj_rel_tol,
-        exact_polish=exact_polish, n_inputs=width)
+        n_inputs=width)
 
 
 def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
@@ -700,9 +661,8 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
 
 
 def model_from_json(source: str | Path) -> CoefficientModel:
-    p = Path(str(source))
-    text = p.read_text() if p.exists() else str(source)
-    d = json.loads(text)
+    """Load a model from a JSON file (a Path) or from JSON text (a str)."""
+    d = read_json(source)
     if d.get("format") != "throttleid-model-v1":
         raise ValueError("not a throttleid model file")
     K = np.zeros((d["n_outputs"], d["n_coefficients"]))

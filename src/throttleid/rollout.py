@@ -26,8 +26,6 @@ from .features import TARGET_NAMES, assemble, build_row, lambda_feature
 from .plant import CommandTrace, PlantConfig, PlantTrajectory
 from .regression import CoefficientModel, predict
 
-TARGET_LABELS = TARGET_NAMES
-
 
 class RolloutDivergenceError(RuntimeError):
     """A rollout produced a non-finite prediction."""
@@ -36,22 +34,6 @@ class RolloutDivergenceError(RuntimeError):
         self.sample = sample
         self.t = t
         super().__init__(f"rollout diverged at sample {sample} (t={t:.2f} s)")
-
-
-@dataclass
-class RolloutState:
-    """Prediction history ring. Window t-1..t-n feeds the next step."""
-
-    thrust: np.ndarray    # (L, 4) predictions so far
-    pressure: np.ndarray  # (L,)
-    m_fuel: np.ndarray    # (L,)
-    m_ox: np.ndarray      # (L,)
-    idx: int              # next sample to predict
-
-    def history(self, n: int):
-        lo, hi = self.idx - n, self.idx
-        return (self.thrust[lo:hi][::-1], self.pressure[lo:hi][::-1],
-                self.m_fuel[lo:hi][::-1], self.m_ox[lo:hi][::-1])
 
 
 @dataclass
@@ -82,12 +64,12 @@ class ValidationReport:
             "n_samples": self.n_samples,
             "n_transient": self.n_transient,
             "n_steady": self.n_steady,
-            "rmse": {k: float(v) for k, v in zip(TARGET_LABELS, self.rmse)},
+            "rmse": {k: float(v) for k, v in zip(TARGET_NAMES, self.rmse)},
             "rmse_aggregate": self.rmse_aggregate,
             "max_err_transient": {k: float(v) for k, v in
-                                  zip(TARGET_LABELS, self.max_err_transient)},
+                                  zip(TARGET_NAMES, self.max_err_transient)},
             "max_err_steady": {k: float(v) for k, v in
-                               zip(TARGET_LABELS, self.max_err_steady)},
+                               zip(TARGET_NAMES, self.max_err_steady)},
             "max_thrust_err": self.max_thrust_err,
             "max_thrust_err_after_settle": self.max_thrust_err_after_settle,
             "max_thrust_err_per_engine": [float(v) for v in self.max_thrust_err_per_engine],
@@ -153,12 +135,11 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     raw = np.zeros((L, 7))
     raw[:n] = np.column_stack([th[:n], pr[:n], mf[:n], mo[:n]])
 
-    state = RolloutState(thrust=th, pressure=pr, m_fuel=mf, m_ox=mo, idx=n)
     for t in range(n, L):
-        to_hist, p_hist, mf_hist, mo_hist = state.history(n)
-        tr_hist = commands[t - n:t][::-1]
-        x = build_row(commands[t], tr_hist, to_hist, pr[t - 1], p_hist,
-                      mf_hist, mo_hist, status[t],
+        # histories run newest first: samples t-1 .. t-n
+        lo = t - n
+        x = build_row(commands[t], commands[lo:t][::-1], th[lo:t][::-1], pr[t - 1],
+                      pr[lo:t][::-1], mf[lo:t][::-1], mo[lo:t][::-1], status[t],
                       lambda_feature(mf[t - 1], mo[t - 1]))
         y = predict(model, x)
         if not np.all(np.isfinite(y)):
@@ -174,7 +155,6 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
             pr[t] = y[4]
             mf[t] = y[5]
             mo[t] = y[6]
-        state.idx = t + 1
 
     traj = PlantTrajectory(dt=trace.dt, commands=commands, status=status,
                            thrusts=th, pressures=pr, m_fuel=mf, m_ox=mo,
@@ -360,7 +340,7 @@ def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
                                 traj_true.m_fuel, traj_true.m_ox])
     pred_mat = np.column_stack([traj_pred.thrusts, traj_pred.pressures,
                                 traj_pred.m_fuel, traj_pred.m_ox])
-    for i, label in enumerate(TARGET_LABELS):
+    for i, label in enumerate(TARGET_NAMES):
         cols[label] = true_mat[:, i]
         cols[f"{label}_pred"] = pred_mat[:, i]
         cols[f"{label}_err"] = pred_mat[:, i] - true_mat[:, i]
@@ -373,8 +353,7 @@ def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
 
 
 __all__ = [
-    "RolloutState", "ValidationReport", "RolloutDivergenceError",
+    "ValidationReport", "RolloutDivergenceError",
     "rollout", "teacher_forced_eval", "error_windows",
     "descent_profile", "descent_profile_eval", "timeseries_csv",
-    "TARGET_LABELS",
 ]

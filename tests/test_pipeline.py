@@ -151,6 +151,10 @@ class TestConfigIO:
         assert again.excitation.m_levels == cfg.excitation.m_levels
         assert again.to_json() == cfg.to_json()
 
+    def test_text_roundtrip(self, tmp_path):
+        cfg = tiny_config(str(tmp_path / "x"), seed=3)
+        assert PipelineConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+
     def test_master_seed_propagates(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "y"), seed=11)
         assert cfg.excitation.seed == 11

@@ -236,6 +236,9 @@ class TestConfigAndIO:
         again = PlantConfig.from_json(path)
         assert again == cfg
 
+    def test_config_json_text_roundtrip(self, cfg):
+        assert PlantConfig.from_json(cfg.to_json()) == cfg
+
     def test_trajectory_csv_roundtrip(self, tmp_path, cfg):
         traj = simulate(constant_trace(450.0, 1.0, cfg), cfg)
         path = tmp_path / "traj.csv"

@@ -132,9 +132,23 @@ class TestFitLasso:
         X[:, 1] = X[:, 0] + 1e-9 * rng.standard_normal(80)  # near-duplicate column
         y = X @ np.ones((12, 1))
         with pytest.raises(ConvergenceError) as exc:
-            fit_lasso(X, y, 0.0, standardize=False, max_sweeps=2, tol=1e-14,
-                      exact_polish=False)
+            fit_lasso(X, y, 0.0, standardize=False, max_sweeps=2, tol=1e-14)
         assert exc.value.kkt_residual >= 0.0
+
+    @pytest.mark.parametrize("obj_rel_tol", [0.0, 1e-6])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 5.0])
+    def test_exact_duplicate_columns(self, mu, obj_rel_tol):
+        # duplicated columns make the support's Gram block singular and
+        # the minimizer non-unique; predictions must not depend on it
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((200, 8))
+        y = X @ gen.standard_normal((8, 2)) + 0.1 * gen.standard_normal((200, 2))
+        X_dup = np.column_stack([X, X[:, :2]])
+        dup = fit_lasso(X_dup, y, mu, obj_rel_tol=obj_rel_tol)
+        ref = fit_lasso(X, y, mu, obj_rel_tol=obj_rel_tol)
+        assert np.all(np.isfinite(dup.K))
+        assert dup.kkt <= 1e-6
+        np.testing.assert_allclose(predict(dup, X_dup), predict(ref, X), rtol=0.0, atol=1e-6)
 
     def test_sparsity_weakly_monotone_in_mu(self):
         X = rng.standard_normal((400, 30))
@@ -264,6 +278,14 @@ class TestPersistence:
         np.testing.assert_array_equal(
             predict(again, X), predict(model, X))
         assert again.mu == model.mu and again.sparsity == model.sparsity
+
+    def test_json_text_roundtrip(self):
+        gen = np.random.default_rng(1)
+        X = gen.standard_normal((100, 6))
+        model = fit_lasso(X, X[:, :2] + 0.1 * gen.standard_normal((100, 2)), 1.0)
+        again = model_from_json(model_to_json(model))
+        assert np.array_equal(again.K, model.K)
+        assert model_to_json(again) == model_to_json(model)
 
     def test_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "other.json"
