@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .plant import PlantTrajectory
+from .plant import PlantTrajectory, write_csv
 
 TARGET_NAMES = ["To1", "To2", "To3", "To4", "P", "mf", "mo"]
 
@@ -161,10 +161,11 @@ def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
 
 def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
               se_cur, lam) -> np.ndarray:
-    """Assemble one input row from its blocks (shared with rollout).
+    """Assemble one input row from its blocks, in the `assemble` layout.
 
     tr_hist / to_hist are (n, 4) arrays ordered lag 1..n; histories are
-    flattened engine-major to match `assemble`.
+    flattened engine-major to match `assemble`. The rollout applies it
+    once to buffer offsets to build its per-step gather index.
     """
     return np.concatenate([
         np.asarray(tr_cur, dtype=float),
@@ -234,11 +235,7 @@ def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
     """CSV of inputs and targets plus a JSON sidecar with n and provenance."""
     path = Path(path)
     header = feature_names(ds.n) + [f"Y_{t}" for t in TARGET_NAMES]
-    data = np.concatenate([ds.inputs, ds.targets], axis=1)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ",".join(header), [ds.inputs, ds.targets])
     sidecar = {
         "n": ds.n,
         "lambda_scale": LAMBDA_SCALE,

@@ -23,6 +23,11 @@ ejected-mass bookkeeping which uses the trapezoid of the thrust at the
 two ends of each step (so recorded mass increments are exactly
 consistent with recorded thrusts).
 
+`simulate` runs one scalar kernel over the whole command trace and
+writes each sample straight into the output arrays; `step` is a
+one-row run of the same kernel, so there is one implementation of the
+physics and a trajectory is bitwise the fold of `step`.
+
 Repo-chosen constants (sampling rate, thrust floor, pressure levels,
 mixture ratio, module mass) are engineering defaults, not values taken
 from any flight system.
@@ -31,6 +36,7 @@ from any flight system.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,12 +47,31 @@ import numpy as np
 # slow p_bottle trend depends on it.
 PROPELLANT_DENSITY = 1200.0
 
+# Rows that the plant kernel and `write_csv` convert at a time. Small
+# blocks bound their memory on long traces and keep their temporaries
+# below glibc's mmap threshold: freeing a larger block raises that
+# threshold, which moves later mid-size temporaries onto the heap (whole
+# trace blocks raised the training peak RSS by ~7%).
+_BLOCK = 256
+
 TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
 
 
 def read_json(source: str | Path):
     """Parse JSON read from disk when given a Path, or JSON text given as a str."""
     return json.loads(source.read_text() if isinstance(source, Path) else source)
+
+
+def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
+    """Numeric CSV: the header line, then one line per row of the
+    column-stacked `columns` (1-D or 2-D arrays of equal length), each
+    value written as repr(float) so that reading it back is exact."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK):
+            block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in block.astype(float, copy=False).tolist())
 
 
 class PropellantDepletedError(RuntimeError):
@@ -166,12 +191,8 @@ class CommandTrace:
 
     def to_csv(self, path: str | Path) -> None:
         """Command-only CSV (the `t,Tr*,Se*` prefix of the plant schema)."""
-        t = np.arange(len(self)) * self.dt
-        with open(path, "w") as fh:
-            fh.write("t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4\n")
-            for i in range(len(self)):
-                row = [t[i], *self.commands[i], *self.status[i]]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4",
+                  [np.arange(len(self)) * self.dt, self.commands, self.status])
 
     @classmethod
     def from_csv(cls, path: str | Path, name: str = "") -> "CommandTrace":
@@ -213,13 +234,8 @@ class PlantTrajectory:
         return np.arange(len(self)) * self.dt
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(TRAJECTORY_CSV_HEADER + "\n")
-            t = self.t
-            for i in range(len(self)):
-                row = [t[i], *self.commands[i], *self.status[i], *self.thrusts[i],
-                       self.pressures[i], self.m_fuel[i], self.m_ox[i]]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, TRAJECTORY_CSV_HEADER, [self.t, self.commands, self.status, self.thrusts,
+                                                self.pressures, self.m_fuel, self.m_ox])
 
     @classmethod
     def from_csv(cls, path: str | Path, name: str = "") -> "PlantTrajectory":
@@ -230,9 +246,93 @@ class PlantTrajectory:
                    m_fuel=data[:, 14], m_ox=data[:, 15], name=name)
 
 
+def _valve_targets(commands: np.ndarray, status: np.ndarray, cfg: PlantConfig):
+    """Per-row valve targets as lists of floats, converted `_BLOCK` rows at
+    a time: off engines track zero, on engines the clipped command."""
+    for lo in range(0, len(commands), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        yield from (np.where(status[block] > 0.0,
+                             np.clip(commands[block], cfg.e_min, cfg.e_max),
+                             0.0) / cfg.e_max).tolist()
+
+
+def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: PlantConfig,
+         thrusts: np.ndarray, pressures: np.ndarray, m_fuel_out: np.ndarray,
+         m_ox_out: np.ndarray) -> PlantState:
+    """The plant physics: one explicit step per row of `commands` / `status`.
+
+    Row i's delivered thrust, feed pressure and cumulative ejected
+    masses are written to thrusts[i], pressures[i], m_fuel_out[i] and
+    m_ox_out[i]; the state after the last row is returned. The loop runs
+    on Python floats, and its operation order is that of the equivalent
+    4-vector numpy step (thrusts summed left to right, e_max * v * s as
+    (e_max * v) * s, clips and floors with numpy's signed-zero results),
+    so it is bitwise that step. A feed pressure below zero makes the
+    thrust NaN, which propagates as it does through numpy's clip.
+
+    Raises ValueError("sample i: ...") at the first non-finite command
+    row and PropellantDepletedError(sample=i) at the first row that
+    exhausts the module mass, whichever comes first.
+    """
+    finite = np.isfinite(commands).all(axis=1)
+    n_ok = len(finite) if finite.all() else int(np.argmin(finite))
+
+    dt, e_max, p_reg, droop = cfg.dt, cfg.e_max, cfg.p_reg, cfg.droop_coeff
+    tau_rise, tau_fall, mr = cfg.tau_rise, cfg.tau_fall, cfg.mixture_ratio
+    exhaust = cfg.exhaust_velocity
+    dmax = cfg.slew_limit * dt
+    t, p_bottle, p_tank = state.t, state.p_bottle, state.p_tank
+    m_fuel, m_ox = state.m_fuel_ejected, state.m_ox_ejected
+    thrust = state.thrust.tolist()
+    valve = state.valve_pos.tolist()
+    for i, target in enumerate(_valve_targets(commands[:n_ok], status[:n_ok], cfg)):
+        # Feed pressure for this interval, from the flow already established.
+        mdot_prev = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
+        p_tank = min(p_reg, p_bottle) - droop * mdot_prev
+        ratio = p_tank / p_reg
+        s = math.sqrt(ratio) if ratio >= 0.0 else math.nan
+        for j in range(4):
+            # Valve lag: opening uses tau_rise, closing tau_fall.
+            v = valve[j]
+            tau = tau_rise if target[j] >= v else tau_fall
+            v = v + (dt / tau) * (target[j] - v)
+            v = v if v > 0.0 else 0.0
+            valve[j] = v if v < 1.0 else 1.0
+            # Pressure-coupled thrust, slew-limited and floored at zero.
+            c = (e_max * valve[j]) * s
+            lo, hi = thrust[j] - dmax, thrust[j] + dmax
+            c = c if c > lo or c != c else lo
+            c = c if c < hi or c != c else hi
+            thrust[j] = c if c >= 0.0 or c != c else 0.0
+
+        # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
+        mdot_new = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
+        dm = 0.5 * (mdot_prev + mdot_new) * dt
+        m_fuel = m_fuel + dm / (1.0 + mr)
+        m_ox = m_ox + dm * mr / (1.0 + mr)
+        t = t + dt
+        if cfg.m_module0 - (m_fuel + m_ox) <= 0.0:
+            raise PropellantDepletedError(t, sample=i)
+
+        # Isothermal blowdown: gas expands into the vacated propellant volume.
+        v_gas = cfg.v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
+        p_bottle = cfg.p_bottle0 * cfg.v_bottle / v_gas
+
+        thrusts[i] = thrust
+        pressures[i] = p_tank
+        m_fuel_out[i] = m_fuel
+        m_ox_out[i] = m_ox
+
+    if n_ok < len(finite):
+        raise ValueError(f"sample {n_ok}: non-finite command at t={t:.3f} s: "
+                         f"{commands[n_ok]}")
+    return PlantState(t=t, p_bottle=p_bottle, p_tank=p_tank, thrust=np.array(thrust),
+                      m_fuel_ejected=m_fuel, m_ox_ejected=m_ox, valve_pos=np.array(valve))
+
+
 def step(state: PlantState, command: np.ndarray, status: np.ndarray,
          cfg: PlantConfig) -> PlantState:
-    """Advance the plant by one cfg.dt.
+    """Advance the plant by one cfg.dt: a one-row run of the `simulate` kernel.
 
     Parameters
     ----------
@@ -255,55 +355,20 @@ def step(state: PlantState, command: np.ndarray, status: np.ndarray,
         On non-finite commands.
     PropellantDepletedError
         When the cumulative ejected mass reaches the module mass.
+    Both name sample 0, the one row stepped.
     """
-    command = np.asarray(command, dtype=float)
-    status = np.asarray(status, dtype=float)
-    if not np.all(np.isfinite(command)):
-        raise ValueError(f"non-finite command at t={state.t:.3f} s: {command}")
-
-    # Feed pressure for this interval, from the flow already established.
-    mdot_prev = float(np.sum(state.thrust)) / cfg.exhaust_velocity
-    p_tank = min(cfg.p_reg, state.p_bottle) - cfg.droop_coeff * mdot_prev
-
-    # Valve lag: opening uses tau_rise, closing tau_fall.
-    target = np.where(status > 0.0, np.clip(command, cfg.e_min, cfg.e_max), 0.0) / cfg.e_max
-    tau = np.where(target >= state.valve_pos, cfg.tau_rise, cfg.tau_fall)
-    valve = state.valve_pos + (cfg.dt / tau) * (target - state.valve_pos)
-    valve = np.clip(valve, 0.0, 1.0)
-
-    # Pressure-coupled thrust, slew-limited and floored at zero.
-    candidate = cfg.e_max * valve * np.sqrt(p_tank / cfg.p_reg)
-    dmax = cfg.slew_limit * cfg.dt
-    thrust = np.clip(candidate, state.thrust - dmax, state.thrust + dmax)
-    thrust = np.maximum(thrust, 0.0)
-
-    # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
-    mdot_new = float(np.sum(thrust)) / cfg.exhaust_velocity
-    dm = 0.5 * (mdot_prev + mdot_new) * cfg.dt
-    m_fuel = state.m_fuel_ejected + dm / (1.0 + cfg.mixture_ratio)
-    m_ox = state.m_ox_ejected + dm * cfg.mixture_ratio / (1.0 + cfg.mixture_ratio)
-    if cfg.m_module0 - (m_fuel + m_ox) <= 0.0:
-        raise PropellantDepletedError(state.t + cfg.dt)
-
-    # Isothermal blowdown: gas expands into the vacated propellant volume.
-    v_gas = cfg.v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
-    p_bottle = cfg.p_bottle0 * cfg.v_bottle / v_gas
-
-    return PlantState(
-        t=state.t + cfg.dt,
-        p_bottle=p_bottle,
-        p_tank=p_tank,
-        thrust=thrust,
-        m_fuel_ejected=m_fuel,
-        m_ox_ejected=m_ox,
-        valve_pos=valve,
-    )
+    commands = np.asarray(command, dtype=float).reshape(1, 4)
+    status = np.asarray(status, dtype=float).reshape(1, 4)
+    out = np.zeros((1, 4)), np.zeros(1), np.zeros(1), np.zeros(1)
+    return _run(state, commands, status, cfg, *out)
 
 
 def simulate(trace: CommandTrace, cfg: PlantConfig) -> PlantTrajectory:
-    """Fold `step` over a command trace from the rest initial state.
+    """Run the plant over a command trace from the rest initial state.
 
     The output has len(trace) + 1 rows; row 0 is the initial sample.
+    Row i + 1 is bitwise the state that i + 1 successive `step` calls
+    reach: both run the same kernel.
     """
     n = len(trace)
     commands = np.zeros((n + 1, 4))
@@ -318,17 +383,8 @@ def simulate(trace: CommandTrace, cfg: PlantConfig) -> PlantTrajectory:
     if n:
         commands[1:] = trace.commands
         status[1:] = trace.status
-    for i in range(n):
-        try:
-            state = step(state, trace.commands[i], trace.status[i], cfg)
-        except PropellantDepletedError as err:
-            raise PropellantDepletedError(err.t, sample=i) from None
-        except ValueError as err:
-            raise ValueError(f"sample {i}: {err}") from None
-        thrusts[i + 1] = state.thrust
-        pressures[i + 1] = state.p_tank
-        m_fuel[i + 1] = state.m_fuel_ejected
-        m_ox[i + 1] = state.m_ox_ejected
+    _run(state, commands[1:], status[1:], cfg,
+         thrusts[1:], pressures[1:], m_fuel[1:], m_ox[1:])
 
     return PlantTrajectory(dt=cfg.dt, commands=commands, status=status,
                            thrusts=thrusts, pressures=pressures,
@@ -366,5 +422,5 @@ __all__ = [
     "PROPELLANT_DENSITY", "TRAJECTORY_CSV_HEADER", "PlantConfig", "PlantState",
     "CommandTrace", "PlantTrajectory", "PropellantDepletedError",
     "initial_state", "step", "simulate", "module_mass", "steady_state_thrust",
-    "read_json",
+    "read_json", "write_csv",
 ]

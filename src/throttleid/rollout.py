@@ -11,20 +11,27 @@ being predicted.
 Predicted thrusts are floored at zero and predicted cumulative masses
 made non-decreasing outside the learned map; the pre-clamp predictions
 are kept so raw model error stays measurable.
+
+The loop keeps every channel in one time-major buffer and gathers each
+step's input row with one index precomputed in the `assemble` layout,
+so a step costs one gather, one basis expansion and one product with
+the coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import plant as plant_mod
-from .features import TARGET_NAMES, assemble, build_row, lambda_feature
-from .plant import CommandTrace, PlantConfig, PlantTrajectory
-from .regression import CoefficientModel, predict
+from .features import (LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, assemble, build_row,
+                       lambda_feature)
+from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv
+from .regression import CoefficientModel, expand, predict
 
 
 class RolloutDivergenceError(RuntimeError):
@@ -84,10 +91,33 @@ class ValidationReport:
         return text
 
 
+# Columns of the rollout's time-major buffer, one row per sample:
+# commanded thrust, delivered thrust, pressure, fuel and oxidizer mass,
+# engine status, and lambda of that row's masses.
+_TR, _TO, _P, _MF, _MO, _SE, _LAM = 0, 4, 8, 9, 10, 11, 15
+_WIDTH = 16
+
+
+def _gather_index(n: int) -> np.ndarray:
+    """Flat offsets into the buffer rows t-n .. t that read sample t's
+    input row in the `assemble` layout (built by `build_row` itself)."""
+    lag = (n - np.arange(1, n + 1)) * _WIDTH      # rows t-1 .. t-n
+    cur = n * _WIDTH                                # row t
+    eng = np.arange(4)
+    return build_row(cur + _TR + eng, lag[:, None] + _TR + eng, lag[:, None] + _TO + eng,
+                     lag[0] + _P, lag + _P, lag + _MF, lag + _MO,
+                     cur + _SE + eng, lag[0] + _LAM).astype(np.intp)
+
+
 def rollout(model: CoefficientModel, trace: CommandTrace,
             warmup: PlantTrajectory, *, clamp: bool = True,
             collect_raw: bool = False):
     """Multi-step prediction of a command trace.
+
+    All channels live in one time-major buffer; each step gathers its
+    input row from the buffer with one precomputed index, applies
+    `expand(row, basis) @ K.T` to it, and writes the (clamped)
+    prediction back as the newest history sample.
 
     Parameters
     ----------
@@ -118,46 +148,49 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         raise ValueError(f"trace too short ({L} rows) for history n={n}")
     if len(warmup) < n:
         raise ValueError(f"warm-up prefix has {len(warmup)} rows, needs {n}")
+    index = _gather_index(n)
+    predict(model, np.zeros((0, index.size)))   # the model's width checks, once
 
     commands = np.zeros((L, 4))
     status = np.zeros((L, 4))
     commands[1:] = trace.commands
     status[1:] = trace.status
 
-    th = np.zeros((L, 4))
-    pr = np.zeros(L)
-    mf = np.zeros(L)
-    mo = np.zeros(L)
-    th[:n] = warmup.thrusts[:n]
-    pr[:n] = warmup.pressures[:n]
-    mf[:n] = warmup.m_fuel[:n]
-    mo[:n] = warmup.m_ox[:n]
+    buf = np.zeros((L, _WIDTH))
+    buf[:, _TR:_TR + 4] = commands
+    buf[:, _SE:_SE + 4] = status
+    buf[:n, _TO:_TO + 4] = warmup.thrusts[:n]
+    buf[:n, _P] = warmup.pressures[:n]
+    buf[:n, _MF] = warmup.m_fuel[:n]
+    buf[:n, _MO] = warmup.m_ox[:n]
+    buf[:n, _LAM] = lambda_feature(buf[:n, _MF], buf[:n, _MO])
     raw = np.zeros((L, 7))
-    raw[:n] = np.column_stack([th[:n], pr[:n], mf[:n], mo[:n]])
+    raw[:n] = buf[:n, _TO:_MO + 1]
 
+    flat = buf.reshape(-1)
+    basis, KT, intercept = model.basis, model.K.T, model.intercept
+    x = np.zeros((1, index.size))   # 2-D, so the product is the same BLAS call as predict's
+    row = x[0]
+    mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
-        # histories run newest first: samples t-1 .. t-n
-        lo = t - n
-        x = build_row(commands[t], commands[lo:t][::-1], th[lo:t][::-1], pr[t - 1],
-                      pr[lo:t][::-1], mf[lo:t][::-1], mo[lo:t][::-1], status[t],
-                      lambda_feature(mf[t - 1], mo[t - 1]))
-        y = predict(model, x)
-        if not np.all(np.isfinite(y)):
+        np.take(flat[(t - n) * _WIDTH:(t + 1) * _WIDTH], index, out=row)
+        y = (expand(x, basis) if basis is not None else x) @ KT
+        if intercept is not None:
+            y = y + intercept
+        ys = y[0].tolist()
+        if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)
-        raw[t] = y
+        raw[t] = ys
         if clamp:
-            th[t] = np.maximum(y[:4], 0.0)
-            pr[t] = y[4]
-            mf[t] = max(y[5], mf[t - 1])
-            mo[t] = max(y[6], mo[t - 1])
-        else:
-            th[t] = y[:4]
-            pr[t] = y[4]
-            mf[t] = y[5]
-            mo[t] = y[6]
+            ys[:4] = [v if v >= 0.0 else 0.0 for v in ys[:4]]
+            ys[5] = mf_prev = max(ys[5], mf_prev)
+            ys[6] = mo_prev = max(ys[6], mo_prev)
+        buf[t, _TO:_MO + 1] = ys
+        buf[t, _LAM] = LAMBDA_SCALE / (ys[5] + ys[6] + LAMBDA_EPS)
 
     traj = PlantTrajectory(dt=trace.dt, commands=commands, status=status,
-                           thrusts=th, pressures=pr, m_fuel=mf, m_ox=mo,
+                           thrusts=buf[:, _TO:_TO + 4].copy(), pressures=buf[:, _P].copy(),
+                           m_fuel=buf[:, _MF].copy(), m_ox=buf[:, _MO].copy(),
                            name=(trace.name + "_pred") if trace.name else "pred")
     return (traj, raw) if collect_raw else traj
 
@@ -344,12 +377,7 @@ def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
         cols[label] = true_mat[:, i]
         cols[f"{label}_pred"] = pred_mat[:, i]
         cols[f"{label}_err"] = pred_mat[:, i] - true_mat[:, i]
-    names = list(cols)
-    data = np.column_stack([cols[k] for k in names])
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ",".join(cols), list(cols.values()))
 
 
 __all__ = [

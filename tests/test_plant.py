@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from throttleid.plant import (CommandTrace, PlantConfig, PlantTrajectory,
-                              PropellantDepletedError, initial_state,
+from throttleid.plant import (PROPELLANT_DENSITY, CommandTrace, PlantConfig, PlantState,
+                              PlantTrajectory, PropellantDepletedError, initial_state,
                               module_mass, simulate, steady_state_thrust, step)
 
 
@@ -38,6 +38,27 @@ def lag_oracle_thrust(command, t_end, cfg):
         dmax = cfg.slew_limit * cfg.dt
         thrust = max(0.0, min(max(cand, thrust - dmax), thrust + dmax))
     return thrust
+
+
+def numpy_reference_step(state, command, status, cfg):
+    """The plant step written with numpy 4-vectors, kept as the reference
+    that the scalar kernel must match bit for bit."""
+    mdot_prev = float(np.sum(state.thrust)) / cfg.exhaust_velocity
+    p_tank = min(cfg.p_reg, state.p_bottle) - cfg.droop_coeff * mdot_prev
+    target = np.where(status > 0.0, np.clip(command, cfg.e_min, cfg.e_max), 0.0) / cfg.e_max
+    tau = np.where(target >= state.valve_pos, cfg.tau_rise, cfg.tau_fall)
+    valve = np.clip(state.valve_pos + (cfg.dt / tau) * (target - state.valve_pos), 0.0, 1.0)
+    candidate = cfg.e_max * valve * np.sqrt(p_tank / cfg.p_reg)
+    dmax = cfg.slew_limit * cfg.dt
+    thrust = np.maximum(np.clip(candidate, state.thrust - dmax, state.thrust + dmax), 0.0)
+    mdot_new = float(np.sum(thrust)) / cfg.exhaust_velocity
+    dm = 0.5 * (mdot_prev + mdot_new) * cfg.dt
+    m_fuel = state.m_fuel_ejected + dm / (1.0 + cfg.mixture_ratio)
+    m_ox = state.m_ox_ejected + dm * cfg.mixture_ratio / (1.0 + cfg.mixture_ratio)
+    v_gas = cfg.v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
+    return PlantState(t=state.t + cfg.dt, p_bottle=cfg.p_bottle0 * cfg.v_bottle / v_gas,
+                      p_tank=p_tank, thrust=thrust, m_fuel_ejected=m_fuel,
+                      m_ox_ejected=m_ox, valve_pos=valve)
 
 
 class TestStep:
@@ -86,6 +107,59 @@ class TestStep:
         trace = constant_trace(800.0, 10.0, small)
         with pytest.raises(PropellantDepletedError):
             simulate(trace, small)
+
+    @pytest.mark.parametrize("step_fn", [step, numpy_reference_step],
+                             ids=["step", "numpy_reference"])
+    def test_simulate_is_fold_of_step(self, step_fn):
+        # Engines 1/3 ramp 300 -> 800 N, engine 2 switches on and off,
+        # engine 4 falls from 800 N to off: every row of simulate is
+        # bitwise the state reached by folding step (or the numpy
+        # reference) over the trace. The small bottle drops below p_reg
+        # within the trace, so the feed pressure also depends on the
+        # carried bottle state.
+        cfg = PlantConfig(p_bottle0=1.85e6)
+        n = 600
+        cmd = np.zeros((n, 4))
+        status = np.zeros((n, 4))
+        cmd[:, 0] = cmd[:, 2] = np.linspace(300.0, 800.0, n)
+        status[:, [0, 2]] = 1.0
+        cmd[100:400, 1] = 500.0
+        status[100:400, 1] = 1.0
+        cmd[:300, 3] = 800.0
+        status[:300, 3] = 1.0
+        traj = simulate(CommandTrace(dt=cfg.dt, commands=cmd, status=status), cfg)
+
+        states = [initial_state(cfg)]
+        for i in range(n):
+            states.append(step_fn(states[-1], cmd[i], status[i], cfg))
+        assert traj.thrusts.tobytes() == np.array([s.thrust for s in states]).tobytes()
+        for column, attr in ((traj.pressures, "p_tank"), (traj.m_fuel, "m_fuel_ejected"),
+                             (traj.m_ox, "m_ox_ejected")):
+            assert column.tobytes() == np.array([getattr(s, attr) for s in states]).tobytes()
+        assert traj.thrusts[300, 3] > 700.0 and traj.thrusts[-1, 3] < 1.0   # the fall
+        assert traj.pressures[-1] < cfg.p_reg - cfg.droop_coeff * traj.thrusts[-2].sum() \
+            / cfg.exhaust_velocity   # bottle-limited by the end
+
+    def test_first_error_in_time_is_raised(self):
+        small = PlantConfig(m_module0=1.0)
+        trace = constant_trace(800.0, 10.0, small)
+        state = initial_state(small)
+        with pytest.raises(PropellantDepletedError):
+            for k in range(len(trace)):
+                state = step(state, trace.commands[k], trace.status[k], small)
+        # k is the sample that depletes the module
+
+        def with_nan_at(i):
+            cmd = trace.commands.copy()
+            cmd[i, 2] = np.nan
+            return CommandTrace(dt=small.dt, commands=cmd, status=trace.status)
+
+        with pytest.raises(PropellantDepletedError) as info:
+            simulate(with_nan_at(k + 1), small)
+        assert info.value.sample == k
+        for i in (k, k - 1):
+            with pytest.raises(ValueError, match=f"sample {i}:"):
+                simulate(with_nan_at(i), small)
 
 
 class TestSimulate:

@@ -10,7 +10,12 @@ from throttleid.regression import (BasisSpec, ConvergenceError, compute_moments,
                                    kkt_residual, model_from_json, model_to_json,
                                    predict, rmse, soft_threshold)
 
-rng = np.random.default_rng(42)
+
+@pytest.fixture
+def rng():
+    """A fresh generator per test, so a test's data does not depend on
+    which tests ran before it."""
+    return np.random.default_rng(42)
 
 
 class TestExpand:
@@ -34,13 +39,13 @@ class TestExpand:
 
     @pytest.mark.parametrize("kind,degree", [("linear", 1), ("elementwise-poly", 2),
                                              ("elementwise-poly", 3), ("full-quadratic", 2)])
-    def test_width_formula(self, kind, degree):
+    def test_width_formula(self, rng, kind, degree):
         basis = BasisSpec(kind, degree)
         for p in (1, 4, 11, 76):
             x = rng.standard_normal(p)
             assert expand(x, basis).shape[0] == basis.width(p)
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, rng):
         basis = BasisSpec("full-quadratic")
         X = rng.standard_normal((6, 5))
         batch = expand(X, basis)
@@ -54,11 +59,11 @@ class TestSoftThreshold:
         assert soft_threshold(-0.5, 1.0) == 0.0
         assert soft_threshold(-3.0, 1.0) == -2.0
 
-    def test_zero_threshold_identity(self):
+    def test_zero_threshold_identity(self, rng):
         z = rng.standard_normal(50)
         np.testing.assert_array_equal(soft_threshold(z, 0.0), z)
 
-    def test_shrinks_toward_zero(self):
+    def test_shrinks_toward_zero(self, rng):
         z = rng.standard_normal(200) * 5
         a = 0.7
         s = soft_threshold(z, a)
@@ -67,7 +72,7 @@ class TestSoftThreshold:
 
 
 class TestFitLasso:
-    def test_ols_limit_matches_normal_equations(self):
+    def test_ols_limit_matches_normal_equations(self, rng):
         X = rng.standard_normal((200, 20))
         Y = rng.standard_normal((200, 7))
         model = fit_lasso(X, Y, 0.0, standardize=False)
@@ -75,14 +80,14 @@ class TestFitLasso:
         rel = np.max(np.abs(model.K - oracle)) / np.max(np.abs(oracle))
         assert rel < 1e-6
 
-    def test_tiny_mu_close_to_ols(self):
+    def test_tiny_mu_close_to_ols(self, rng):
         X = rng.standard_normal((150, 10))
         y = X @ rng.standard_normal((10, 1)) + 0.01 * rng.standard_normal((150, 1))
         ols = np.linalg.solve(X.T @ X, X.T @ y).ravel()
         near = fit_lasso(X, y, 1e-12, standardize=False).K.ravel()
         np.testing.assert_allclose(near, ols, rtol=1e-6, atol=1e-9)
 
-    def test_null_solution_threshold(self):
+    def test_null_solution_threshold(self, rng):
         X = rng.standard_normal((100, 8))
         X -= X.mean(axis=0)
         y = rng.standard_normal((100, 1))
@@ -92,7 +97,7 @@ class TestFitLasso:
         assert np.count_nonzero(model.K) == 0
         assert model.sparsity == 1.0
 
-    def test_univariate_closed_form(self):
+    def test_univariate_closed_form(self, rng):
         for _ in range(25):
             phi = rng.standard_normal((60, 1))
             y = rng.standard_normal((60, 1))
@@ -102,32 +107,32 @@ class TestFitLasso:
                 / float(phi[:, 0] @ phi[:, 0])
             assert abs(model.K[0, 0] - expected) <= 1e-10 * max(1.0, abs(expected))
 
-    def test_kkt_certificate(self):
+    def test_kkt_certificate(self, rng):
         X = rng.standard_normal((300, 25))
         Y = rng.standard_normal((300, 3))
         for mu in (1e-4, 1e-3, 1e-2, 1.0, 10.0):
             model = fit_lasso(X, Y, mu, standardize=False, tol=1e-12)
             assert model.kkt <= 1e-6
 
-    def test_monotone_objective(self):
+    def test_monotone_objective(self, rng):
         X = rng.standard_normal((120, 15))
         Y = rng.standard_normal((120, 2))
         model = fit_lasso(X, Y, 2.0, standardize=False, track_objective=True)
         hist = np.array(model._objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * max(1.0, hist[0]))
 
-    def test_nonfinite_rejected(self):
+    def test_nonfinite_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         Y = np.full((10, 1), np.nan)
         with pytest.raises(ValueError):
             fit_lasso(X, Y, 0.1)
 
-    def test_negative_mu_rejected(self):
+    def test_negative_mu_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         with pytest.raises(ValueError):
             fit_lasso(X, X[:, :1], -1.0)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, rng):
         X = rng.standard_normal((80, 12))
         X[:, 1] = X[:, 0] + 1e-9 * rng.standard_normal(80)  # near-duplicate column
         y = X @ np.ones((12, 1))
@@ -150,7 +155,7 @@ class TestFitLasso:
         assert dup.kkt <= 1e-6
         np.testing.assert_allclose(predict(dup, X_dup), predict(ref, X), rtol=0.0, atol=1e-6)
 
-    def test_sparsity_weakly_monotone_in_mu(self):
+    def test_sparsity_weakly_monotone_in_mu(self, rng):
         X = rng.standard_normal((400, 30))
         K_true = np.zeros((30, 1))
         K_true[:5] = rng.standard_normal((5, 1)) * 3
@@ -161,7 +166,7 @@ class TestFitLasso:
         assert sp[-1] > sp[0]
         assert all(b >= a - 1.0 / 30 for a, b in zip(sp, sp[1:]))
 
-    def test_penalty_scaling_modes(self):
+    def test_penalty_scaling_modes(self, rng):
         X = rng.standard_normal((400, 6))
         y = X @ np.ones((6, 1))
         a = fit_lasso(X, y, 1e-3, penalty_scale="rows")
@@ -175,13 +180,13 @@ class TestFitLasso:
 
 
 class TestPredict:
-    def test_zero_model(self):
+    def test_zero_model(self, rng):
         X = rng.standard_normal((50, 4))
         y = np.zeros((50, 2))
         model = fit_lasso(X, y, 1.0, standardize=False)
         np.testing.assert_array_equal(predict(model, X[0]), [0.0, 0.0])
 
-    def test_linear_system_recovery(self):
+    def test_linear_system_recovery(self, rng):
         # exact linear synthetic data: mu=0 fit reproduces A x
         A = rng.standard_normal((7, 9))
         X = rng.standard_normal((300, 9))
@@ -192,20 +197,20 @@ class TestPredict:
         np.testing.assert_allclose(predict(model, x_new), A @ x_new,
                                    rtol=1e-6, atol=1e-8)
 
-    def test_training_rows_match_interpolating_fit(self):
+    def test_training_rows_match_interpolating_fit(self, rng):
         X = rng.standard_normal((40, 10))
         Y = X @ rng.standard_normal((10, 3))
         model = fit_lasso(X, Y, 0.0, standardize=False, tol=1e-12)
         np.testing.assert_allclose(predict(model, X), Y, atol=1e-8)
 
-    def test_width_mismatch_rejected(self):
+    def test_width_mismatch_rejected(self, rng):
         basis = BasisSpec("linear")
         X = rng.standard_normal((30, 5))
         model = fit_lasso(expand(X, basis), X[:, :2], 0.1, basis=basis)
         with pytest.raises(ValueError):
             predict(model, rng.standard_normal(7))
 
-    def test_scale_equivariance(self):
+    def test_scale_equivariance(self, rng):
         # predicting with the de-standardized K equals predicting in
         # standardized coordinates and mapping back
         basis = BasisSpec("elementwise-poly", 2)
@@ -220,7 +225,7 @@ class TestPredict:
 
 
 class TestWarmStart:
-    def test_warm_equals_cold(self):
+    def test_warm_equals_cold(self, rng):
         X = rng.standard_normal((250, 18))
         y = X @ (rng.standard_normal((18, 2)) * (rng.random((18, 2)) > 0.5))
         y += 0.05 * rng.standard_normal(y.shape)
@@ -235,12 +240,12 @@ class TestWarmStart:
 
 
 class TestRMSE:
-    def test_identity(self):
+    def test_identity(self, rng):
         Y = rng.standard_normal((20, 7))
         per, agg = rmse(Y, Y)
         assert np.all(per == 0.0) and agg == 0.0
 
-    def test_constant_offset(self):
+    def test_constant_offset(self, rng):
         Y = rng.standard_normal((30, 7))
         P = Y.copy()
         P[:, 2] += 2.0
@@ -264,7 +269,7 @@ class TestRMSE:
 
 
 class TestPersistence:
-    def test_json_roundtrip_bit_identical(self, tmp_path):
+    def test_json_roundtrip_bit_identical(self, rng, tmp_path):
         basis = BasisSpec("elementwise-poly", 2)
         X = rng.standard_normal((150, 8)) * 50
         Y = np.column_stack([X @ rng.standard_normal(8) for _ in range(7)])
@@ -295,20 +300,20 @@ class TestPersistence:
 
 
 class TestStandardization:
-    def test_apply_invert_identity(self):
+    def test_apply_invert_identity(self, rng):
         X = rng.standard_normal((100, 12)) * np.logspace(0, 6, 12)
         m = compute_moments(X, rng.standard_normal((100, 2)), standardize=True)
         back = m.std.invert_x(m.std.apply_x(X))
         np.testing.assert_allclose(back, X, rtol=1e-12, atol=1e-9)
 
-    def test_constant_columns_scale_one(self):
+    def test_constant_columns_scale_one(self, rng):
         X = np.column_stack([np.ones(50), np.full(50, 7.0),
                              rng.standard_normal(50)])
         m = compute_moments(X, rng.standard_normal((50, 1)), standardize=True)
         assert m.std.x_scale[0] == 1.0 and m.std.x_scale[1] == 1.0
         assert m.const_cols[0] and m.const_cols[1] and not m.const_cols[2]
 
-    def test_kkt_residual_zero_for_exact_solution(self):
+    def test_kkt_residual_zero_for_exact_solution(self, rng):
         X = rng.standard_normal((100, 5))
         y = X @ np.ones((5, 1))
         m = compute_moments(X, y, standardize=False)

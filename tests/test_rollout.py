@@ -5,9 +5,9 @@ import pytest
 
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
-from throttleid.features import assemble, merge
+from throttleid.features import assemble, build_row, lambda_feature, merge
 from throttleid.plant import CommandTrace, PlantConfig, simulate
-from throttleid.regression import BasisSpec, expand, fit_lasso
+from throttleid.regression import BasisSpec, expand, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport,
                                 descent_profile, descent_profile_eval,
                                 error_windows, rollout, teacher_forced_eval,
@@ -32,6 +32,28 @@ def stair_pair(small_model):
     trace = step_stair_trace([400.0, 650.0, 500.0], 3.0, EX)
     truth = simulate(trace, PC)
     return trace, truth
+
+
+def reference_rollout(model, trace, warmup, clamp):
+    """The rollout written as a per-step build_row + predict loop, kept as
+    the reference the gather-based loop must match bit for bit."""
+    n, L = model.n, len(trace) + 1
+    cmd = np.vstack([np.zeros((1, 4)), trace.commands])
+    st = np.vstack([np.zeros((1, 4)), trace.status])
+    out = np.zeros((L, 7))
+    out[:n] = np.column_stack([warmup.thrusts[:n], warmup.pressures[:n],
+                               warmup.m_fuel[:n], warmup.m_ox[:n]])
+    raw = out.copy()
+    for t in range(n, L):
+        hist = out[t - n:t][::-1]
+        x = build_row(cmd[t], cmd[t - n:t][::-1], hist[:, :4], out[t - 1, 4], hist[:, 4],
+                      hist[:, 5], hist[:, 6], st[t], lambda_feature(out[t - 1, 5], out[t - 1, 6]))
+        raw[t] = y = predict(model, x)
+        out[t] = y
+        if clamp:
+            out[t, :4] = np.maximum(y[:4], 0.0)
+            out[t, 5:] = np.maximum(y[5:], out[t - 1, 5:])
+    return out, raw
 
 
 class TestRollout:
@@ -64,6 +86,21 @@ class TestRollout:
         # clamped thrust never differs from raw except at the floor
         diff = pred.thrusts - raw[:, :4]
         assert np.all(diff[raw[:, :4] >= 0.0] == 0.0)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_step_input_is_assemble_row(self, small_model, stair_pair, clamp):
+        # each step predicts from the row that `assemble` builds out of
+        # the rollout's own output, so the gather index is its layout;
+        # and the loop is bitwise the per-step build_row + predict one
+        trace, truth = stair_pair
+        pred, raw = rollout(small_model, trace, truth, clamp=clamp, collect_raw=True)
+        n = small_model.n
+        np.testing.assert_allclose(predict(small_model, assemble(pred, n).inputs),
+                                   raw[n:], rtol=1e-12)
+        out, ref_raw = reference_rollout(small_model, trace, truth, clamp)
+        assert raw.tobytes() == ref_raw.tobytes()
+        assert np.column_stack([pred.thrusts, pred.pressures, pred.m_fuel,
+                                pred.m_ox]).tobytes() == out.tobytes()
 
     def test_all_off_stays_near_zero(self, small_model):
         trace = CommandTrace(dt=PC.dt, commands=np.zeros((500, 4)),
