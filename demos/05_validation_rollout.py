@@ -40,7 +40,7 @@ print(f"\n{'experiment':>10s} {'TF max':>8s} {'roll max':>9s} {'transient':>10s}
       f"{'steady':>7s} {'mass err':>9s}")
 for name, trace in experiments.items():
     truth = simulate(trace, pc)
-    tf = teacher_forced_eval(model, truth)
+    tf = teacher_forced_eval(model, truth, cfg=pc)
     pred = rollout(model, trace, truth)
     rep = error_windows(truth, pred, experiment=name, cfg=pc)
     print(f"{name:>10s} {tf.max_thrust_err:7.2f}N {rep.max_thrust_err:8.2f}N "

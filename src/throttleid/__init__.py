@@ -10,8 +10,7 @@ sweeps, and autoregressive rollout validation.
 from .excitation import (ExcitationConfig, build_corpus, excitation_basis,
                          excitation_segment, ramp_trace, step_stair_trace,
                          thrust_levels)
-from .features import (Dataset, HistorySpec, assemble, extend_state,
-                       lambda_feature, merge, split_kfold)
+from .features import Dataset, HistorySpec, assemble, lambda_feature, merge
 from .plant import (CommandTrace, PlantConfig, PlantState, PlantTrajectory,
                     PropellantDepletedError, module_mass, simulate, step)
 from .pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep, cmd_train,
@@ -20,8 +19,7 @@ from .regression import (BasisSpec, CoefficientModel, ConvergenceError,
                          Standardization, expand, fit_lasso, model_from_json,
                          model_to_json, predict, rmse, soft_threshold)
 from .rollout import (RolloutDivergenceError, ValidationReport, descent_profile,
-                      descent_profile_eval, error_windows, rollout,
-                      teacher_forced_eval)
+                      error_windows, rollout, teacher_forced_eval)
 from .tuning import SweepConfig, SweepReport, pareto_table, sweep_history, sweep_mu
 
 __version__ = "0.1.0"

@@ -34,10 +34,7 @@ def _load_config(args) -> PipelineConfig:
     if args.out:
         cfg.output_dir = args.out
     if args.seed is not None:
-        cfg = PipelineConfig(plant=cfg.plant, excitation=cfg.excitation,
-                             history=cfg.history, basis=cfg.basis, sweep=cfg.sweep,
-                             train_mu=cfg.train_mu, penalty_scale=cfg.penalty_scale,
-                             output_dir=cfg.output_dir, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)   # __post_init__ propagates the seed
     if getattr(args, "mu", None) is not None:
         cfg.train_mu = args.mu
     if getattr(args, "history", None) is not None:

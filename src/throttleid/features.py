@@ -56,14 +56,6 @@ def input_width(n: int) -> int:
     return 11 * n + 10
 
 
-def extend_state(series: np.ndarray, t: int, n: int) -> np.ndarray:
-    """History vector [x_{t-1}, x_{t-2}, ..., x_{t-n}] of a scalar series."""
-    if t < n:
-        raise ValueError(f"insufficient history: t={t} < n={n}")
-    series = np.asarray(series)
-    return series[t - 1:t - n - 1 if t - n - 1 >= 0 else None:-1][:n].copy()
-
-
 def lambda_feature(m_f, m_o, eps: float = LAMBDA_EPS, scale: float = LAMBDA_SCALE):
     """Regularized inverse of total ejected mass: scale / (m_f + m_o + eps)."""
     m_f = np.asarray(m_f, dtype=float)
@@ -112,10 +104,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def select(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[rows], self.targets[rows], self.n,
-                       list(self.trace_names), self.row_trace[rows])
 
 
 def _history_block(series: np.ndarray, n: int) -> np.ndarray:
@@ -201,7 +189,12 @@ def merge(datasets: list[Dataset]) -> Dataset:
 
 def kfold_indices(n_rows: int, k: int, seed: int,
                   contiguous: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic k-fold row partition as (train, test) index pairs."""
+    """Deterministic k-fold row partition as (train, test) index pairs.
+
+    With contiguous=True the folds are consecutive row blocks (no
+    shuffling), which avoids temporal leakage between adjacent samples
+    of one trace.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n_rows:
@@ -217,18 +210,6 @@ def kfold_indices(n_rows: int, k: int, seed: int,
         train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
         pairs.append((train, test))
     return pairs
-
-
-def split_kfold(ds: Dataset, k: int, seed: int,
-                contiguous: bool = False) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic k-fold partition into (train, test) dataset pairs.
-
-    With contiguous=True the folds are consecutive row blocks (no
-    shuffling), which avoids temporal leakage between adjacent samples
-    of one trace.
-    """
-    return [(ds.select(train), ds.select(test))
-            for train, test in kfold_indices(len(ds), k, seed, contiguous)]
 
 
 def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
@@ -260,7 +241,7 @@ def dataset_from_csv(path: str | Path) -> Dataset:
 
 __all__ = [
     "HistorySpec", "Dataset", "TARGET_NAMES", "LAMBDA_SCALE", "LAMBDA_EPS",
-    "input_width", "extend_state", "lambda_feature", "feature_names",
-    "assemble", "build_row", "merge", "kfold_indices", "split_kfold",
+    "input_width", "lambda_feature", "feature_names",
+    "assemble", "build_row", "merge", "kfold_indices",
     "dataset_to_csv", "dataset_from_csv",
 ]

@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,28 +46,7 @@ class PipelineConfig:
         self.sweep = replace(self.sweep, seed=self.seed)
 
     def to_json(self, path: str | Path | None = None) -> str:
-        payload = {
-            "plant": {k: getattr(self.plant, k) for k in self.plant.__dataclass_fields__},
-            "excitation": {k: getattr(self.excitation, k)
-                           for k in self.excitation.__dataclass_fields__},
-            "history": {"n": self.history.n},
-            "basis": {"kind": self.basis.kind, "degree": self.basis.degree,
-                      "include_bias": self.basis.include_bias},
-            "sweep": {"n_grid": list(self.sweep.n_grid),
-                      "mu_grid": [float(m) for m in self.sweep.mu_grid],
-                      "k": self.sweep.k, "seed": self.sweep.seed,
-                      "select_rel_tol": self.sweep.select_rel_tol,
-                      "history_mu": self.sweep.history_mu,
-                      "history_penalty_scale": self.sweep.history_penalty_scale,
-                      "penalty_scale": self.sweep.penalty_scale,
-                      "max_sweeps": self.sweep.max_sweeps, "tol": self.sweep.tol,
-                      "obj_rel_tol": self.sweep.obj_rel_tol},
-            "train_mu": self.train_mu,
-            "penalty_scale": self.penalty_scale,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(asdict(self), sort_keys=True, indent=2)
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
@@ -229,7 +208,8 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
 
     With oracle_passthrough=True the plant's own response stands in for
     the model (a harness self-check that must report zero error). A
-    diverging experiment is reported and the suite continues.
+    diverging experiment gets the report {"experiment", "diverged_at"}
+    and no time series, and the suite continues.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)

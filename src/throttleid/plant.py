@@ -267,12 +267,13 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
     on Python floats, and its operation order is that of the equivalent
     4-vector numpy step (thrusts summed left to right, e_max * v * s as
     (e_max * v) * s, clips and floors with numpy's signed-zero results),
-    so it is bitwise that step. A feed pressure below zero makes the
-    thrust NaN, which propagates as it does through numpy's clip.
+    so it is bitwise that step.
 
     Raises ValueError("sample i: ...") at the first non-finite command
-    row and PropellantDepletedError(sample=i) at the first row that
-    exhausts the module mass, whichever comes first.
+    row and at the first row whose feed pressure drops below zero (the
+    droop of the established flow exceeds the supply pressure), and
+    PropellantDepletedError(sample=i) at the first row that exhausts the
+    module mass, whichever comes first.
     """
     finite = np.isfinite(commands).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
@@ -290,7 +291,10 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
         mdot_prev = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
         p_tank = min(p_reg, p_bottle) - droop * mdot_prev
         ratio = p_tank / p_reg
-        s = math.sqrt(ratio) if ratio >= 0.0 else math.nan
+        if not ratio >= 0.0:
+            raise ValueError(f"sample {i}: feed pressure {p_tank:.6g} Pa below zero "
+                             f"at t={t:.3f} s")
+        s = math.sqrt(ratio)
         for j in range(4):
             # Valve lag: opening uses tau_rise, closing tau_fall.
             v = valve[j]
@@ -301,9 +305,9 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
             # Pressure-coupled thrust, slew-limited and floored at zero.
             c = (e_max * valve[j]) * s
             lo, hi = thrust[j] - dmax, thrust[j] + dmax
-            c = c if c > lo or c != c else lo
-            c = c if c < hi or c != c else hi
-            thrust[j] = c if c >= 0.0 or c != c else 0.0
+            c = c if c > lo else lo
+            c = c if c < hi else hi
+            thrust[j] = c if c >= 0.0 else 0.0
 
         # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
         mdot_new = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
@@ -352,7 +356,7 @@ def step(state: PlantState, command: np.ndarray, status: np.ndarray,
     Raises
     ------
     ValueError
-        On non-finite commands.
+        On non-finite commands, or when the feed pressure drops below zero.
     PropellantDepletedError
         When the cumulative ejected mass reaches the module mass.
     Both name sample 0, the one row stepped.

@@ -16,6 +16,13 @@ The loop keeps every channel in one time-major buffer and gathers each
 step's input row with one index precomputed in the `assemble` layout,
 so a step costs one gather, one basis expansion and one product with
 the coefficients.
+
+Every `ValidationReport` comes out of one summary of (rows, 7) truth
+and prediction matrices: `error_windows` summarizes a rollout against
+the plant, `teacher_forced_eval` the one-step-ahead predictions on
+`assemble` rows. A rollout that produces a non-finite prediction raises
+`RolloutDivergenceError`; the validation suite records it as an
+`{"experiment", "diverged_at"}` report and goes on.
 """
 
 from __future__ import annotations
@@ -27,11 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import plant as plant_mod
 from .features import (LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, assemble, build_row,
                        lambda_feature)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv
-from .regression import CoefficientModel, expand, predict
+from .regression import CoefficientModel, expand, predict, rmse
 
 
 class RolloutDivergenceError(RuntimeError):
@@ -61,7 +67,7 @@ class ValidationReport:
     max_thrust_err_per_engine: np.ndarray  # (4,)
     module_mass_max_err: float
     sparsity: float | None = None
-    diverged_at: float | None = None
+    diverged_at: float | None = None   # always None: cmd_validate records divergence
     raw_max_thrust_err: float | None = None
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -195,103 +201,97 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     return (traj, raw) if collect_raw else traj
 
 
-def _transient_mask(commands: np.ndarray, dt: float, settle_window: float,
-                    threshold: float = 1.0) -> np.ndarray:
-    """True where a sample falls within settle_window after a command
-    change larger than `threshold` N on any engine."""
+def _outputs(traj: PlantTrajectory) -> np.ndarray:
+    """The (L, 7) output matrix of a trajectory, columns in TARGET_NAMES order."""
+    return np.column_stack([traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox])
+
+
+def _windows(commands: np.ndarray, dt: float,
+             settle_window: float) -> tuple[np.ndarray, int]:
+    """Transient mask and settle sample count of a command record.
+
+    A sample is transient when it falls within `settle_window` seconds
+    (the settle count, at least one sample) after a command change
+    larger than 1 N on any engine; every other sample is steady.
+    """
+    settle_n = max(int(round(settle_window / dt)), 1)
     L = commands.shape[0]
     disc = np.zeros(L, dtype=bool)
     if L > 1:
-        disc[1:] = np.max(np.abs(np.diff(commands, axis=0)), axis=1) > threshold
-    window = max(int(round(settle_window / dt)), 1)
+        disc[1:] = np.max(np.abs(np.diff(commands, axis=0)), axis=1) > 1.0
     mask = np.zeros(L, dtype=bool)
-    hits = np.flatnonzero(disc)
-    for i in hits:
-        mask[i:i + window] = True
-    return mask
+    for i in np.flatnonzero(disc):
+        mask[i:i + settle_n] = True
+    return mask, settle_n
+
+
+def _summarize(true: np.ndarray, pred: np.ndarray, transient: np.ndarray, settle_n: int,
+               m_module0: float, *, experiment: str, mode: str, sparsity: float | None,
+               raw: np.ndarray | None = None) -> ValidationReport:
+    """The error summary of (rows, 7) truth and prediction matrices.
+
+    Per-output RMSE, maximum errors over the transient and the steady
+    rows, the thrust error overall, after the first settle_n rows and per
+    engine, and the module mass error, with the module mass taken as
+    m_module0 - (m_fuel + m_ox) on both sides. `raw` holds pre-clamp
+    predictions, whose maximum thrust error is reported beside.
+    """
+    per_rmse, aggregate = rmse(pred, true)
+    abs_err = np.abs(pred - true)
+    steady = ~transient
+    thrust_abs = abs_err[:, :4]
+    after = thrust_abs[settle_n:] if len(true) > settle_n else thrust_abs
+    mass_err = np.abs((m_module0 - (true[:, 5] + true[:, 6]))
+                      - (m_module0 - (pred[:, 5] + pred[:, 6])))
+    raw_max = None if raw is None else float(np.max(np.abs(raw[:, :4] - true[:, :4])))
+    return ValidationReport(
+        experiment=experiment, mode=mode, n_samples=len(true),
+        n_transient=int(transient.sum()), n_steady=int(steady.sum()),
+        rmse=per_rmse, rmse_aggregate=aggregate,
+        max_err_transient=abs_err[transient].max(axis=0) if transient.any() else np.zeros(7),
+        max_err_steady=abs_err[steady].max(axis=0) if steady.any() else np.zeros(7),
+        max_thrust_err=float(thrust_abs.max()),
+        max_thrust_err_after_settle=float(after.max()),
+        max_thrust_err_per_engine=thrust_abs.max(axis=0),
+        module_mass_max_err=float(np.max(mass_err)), sparsity=sparsity,
+        raw_max_thrust_err=raw_max)
 
 
 def error_windows(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
-                  settle_window: float = 1.0, *, experiment: str = "",
-                  mode: str = "rollout", sparsity: float | None = None,
-                  raw: np.ndarray | None = None,
-                  cfg: PlantConfig | None = None) -> ValidationReport:
-    """Split errors into transient/steady windows and summarize.
+                  settle_window: float = 1.0, *, cfg: PlantConfig, experiment: str = "",
+                  sparsity: float | None = None,
+                  raw: np.ndarray | None = None) -> ValidationReport:
+    """Summarize a rollout against the plant's own response.
 
-    A sample is transient when it lies within `settle_window` seconds
-    after any commanded step larger than 1 N; everything else is
-    steady. Module mass error uses plant.module_mass when a config is
-    given (mathematically it reduces to the ejected-mass difference).
+    Both trajectories are compared sample for sample, warm-up rows
+    included. The transient window covers `settle_window` seconds after
+    every commanded step larger than 1 N; the rest is steady. The module
+    mass is cfg.m_module0 - (m_fuel + m_ox), as `plant.module_mass`
+    defines it. `raw`, the (L, 7) pre-clamp predictions that `rollout`
+    collects, adds the raw maximum thrust error.
     """
     if len(traj_true) != len(traj_pred):
         raise ValueError("trajectories are not aligned")
-    dt = traj_true.dt
-    err = np.column_stack([
-        traj_pred.thrusts - traj_true.thrusts,
-        traj_pred.pressures - traj_true.pressures,
-        traj_pred.m_fuel - traj_true.m_fuel,
-        traj_pred.m_ox - traj_true.m_ox,
-    ])
-    transient = _transient_mask(traj_true.commands, dt, settle_window)
-    steady = ~transient
-
-    abs_err = np.abs(err)
-    per_rmse = np.sqrt(np.mean(err ** 2, axis=0))
-    max_tr = abs_err[transient].max(axis=0) if transient.any() else np.zeros(7)
-    max_st = abs_err[steady].max(axis=0) if steady.any() else np.zeros(7)
-
-    settle_n = max(int(round(settle_window / dt)), 1)
-    thrust_abs = abs_err[:, :4]
-    after = thrust_abs[settle_n:] if len(traj_true) > settle_n else thrust_abs
-    if cfg is not None:
-        mm_err = float(np.max(np.abs(plant_mod.module_mass(traj_true, cfg)
-                                     - (cfg.m_module0 - (traj_pred.m_fuel + traj_pred.m_ox)))))
-    else:
-        mm_err = float(np.max(np.abs((traj_pred.m_fuel + traj_pred.m_ox)
-                                     - (traj_true.m_fuel + traj_true.m_ox))))
-
-    raw_max = None
-    if raw is not None:
-        raw_max = float(np.max(np.abs(raw[:, :4] - traj_true.thrusts)))
-
-    return ValidationReport(
-        experiment=experiment, mode=mode, n_samples=len(traj_true),
-        n_transient=int(transient.sum()), n_steady=int(steady.sum()),
-        rmse=per_rmse, rmse_aggregate=float(np.sqrt(np.mean(per_rmse ** 2))),
-        max_err_transient=max_tr, max_err_steady=max_st,
-        max_thrust_err=float(thrust_abs.max()),
-        max_thrust_err_after_settle=float(after.max()) if after.size else 0.0,
-        max_thrust_err_per_engine=thrust_abs.max(axis=0),
-        module_mass_max_err=mm_err, sparsity=sparsity, raw_max_thrust_err=raw_max)
+    transient, settle_n = _windows(traj_true.commands, traj_true.dt, settle_window)
+    return _summarize(_outputs(traj_true), _outputs(traj_pred), transient, settle_n,
+                      cfg.m_module0, experiment=experiment, mode="rollout",
+                      sparsity=sparsity, raw=raw)
 
 
 def teacher_forced_eval(model: CoefficientModel, traj: PlantTrajectory, *,
-                        experiment: str = "", settle_window: float = 1.0) -> ValidationReport:
-    """One-step-ahead errors with true histories at every step."""
+                        cfg: PlantConfig, experiment: str = "",
+                        settle_window: float = 1.0) -> ValidationReport:
+    """One-step-ahead errors with true histories at every step.
+
+    The model predicts every `assemble` row of the trajectory (samples
+    n onward), and the predictions are summarized against their targets
+    as `error_windows` summarizes a rollout, over those rows only.
+    """
     ds = assemble(traj, model.n)
-    pred = predict(model, ds.inputs)
-    err = pred - ds.targets
-    abs_err = np.abs(err)
-
-    transient = _transient_mask(traj.commands, traj.dt, settle_window)[model.n:]
-    steady = ~transient
-    per_rmse = np.sqrt(np.mean(err ** 2, axis=0))
-    max_tr = abs_err[transient].max(axis=0) if transient.any() else np.zeros(7)
-    max_st = abs_err[steady].max(axis=0) if steady.any() else np.zeros(7)
-    settle_n = max(int(round(settle_window / traj.dt)), 1)
-    thrust_abs = abs_err[:, :4]
-    after = thrust_abs[settle_n:] if thrust_abs.shape[0] > settle_n else thrust_abs
-
-    return ValidationReport(
-        experiment=experiment, mode="teacher_forced", n_samples=len(ds),
-        n_transient=int(transient.sum()), n_steady=int(steady.sum()),
-        rmse=per_rmse, rmse_aggregate=float(np.sqrt(np.mean(per_rmse ** 2))),
-        max_err_transient=max_tr, max_err_steady=max_st,
-        max_thrust_err=float(thrust_abs.max()),
-        max_thrust_err_after_settle=float(after.max()) if after.size else 0.0,
-        max_thrust_err_per_engine=thrust_abs.max(axis=0),
-        module_mass_max_err=float(np.max(np.abs(err[:, 5] + err[:, 6]))),
-        sparsity=model.sparsity)
+    transient, settle_n = _windows(traj.commands, traj.dt, settle_window)
+    return _summarize(ds.targets, predict(model, ds.inputs), transient[model.n:],
+                      settle_n, cfg.m_module0, experiment=experiment,
+                      mode="teacher_forced", sparsity=model.sparsity)
 
 
 def descent_profile(dt: float = 0.01) -> CommandTrace:
@@ -341,38 +341,11 @@ def descent_profile(dt: float = 0.01) -> CommandTrace:
     return CommandTrace(dt=dt, commands=commands, status=status, name="descent")
 
 
-def descent_profile_eval(model: CoefficientModel, profile: CommandTrace,
-                         cfg: PlantConfig, settle_window: float = 1.0) -> ValidationReport:
-    """Full rollout of a descent profile against the plant."""
-    if len(profile) == 0:
-        raise ValueError("empty descent profile")
-    truth = plant_mod.simulate(profile, cfg)
-    try:
-        pred, raw = rollout(model, profile, truth, collect_raw=True)
-    except RolloutDivergenceError as err:
-        report = ValidationReport(
-            experiment=profile.name or "descent", mode="rollout", n_samples=0,
-            n_transient=0, n_steady=0, rmse=np.full(7, np.nan),
-            rmse_aggregate=float("nan"), max_err_transient=np.full(7, np.nan),
-            max_err_steady=np.full(7, np.nan), max_thrust_err=float("nan"),
-            max_thrust_err_after_settle=float("nan"),
-            max_thrust_err_per_engine=np.full(4, np.nan),
-            module_mass_max_err=float("nan"), sparsity=model.sparsity,
-            diverged_at=err.t)
-        return report
-    return error_windows(truth, pred, settle_window,
-                         experiment=profile.name or "descent",
-                         sparsity=model.sparsity, raw=raw, cfg=cfg)
-
-
 def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
                    path: str | Path) -> None:
     """Plot-ready flat CSV: time, truth, prediction and error per output."""
     cols = {"t": traj_true.t}
-    true_mat = np.column_stack([traj_true.thrusts, traj_true.pressures,
-                                traj_true.m_fuel, traj_true.m_ox])
-    pred_mat = np.column_stack([traj_pred.thrusts, traj_pred.pressures,
-                                traj_pred.m_fuel, traj_pred.m_ox])
+    true_mat, pred_mat = _outputs(traj_true), _outputs(traj_pred)
     for i, label in enumerate(TARGET_NAMES):
         cols[label] = true_mat[:, i]
         cols[f"{label}_pred"] = pred_mat[:, i]
@@ -383,5 +356,5 @@ def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
 __all__ = [
     "ValidationReport", "RolloutDivergenceError",
     "rollout", "teacher_forced_eval", "error_windows",
-    "descent_profile", "descent_profile_eval", "timeseries_csv",
+    "descent_profile", "timeseries_csv",
 ]

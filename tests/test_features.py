@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from throttleid.excitation import ExcitationConfig, excitation_segment
-from throttleid.features import (Dataset, HistorySpec, assemble, extend_state,
-                                 dataset_from_csv, dataset_to_csv,
-                                 feature_names, input_width, lambda_feature,
-                                 merge, split_kfold)
-from throttleid.plant import CommandTrace, PlantConfig, simulate
+from throttleid.features import (HistorySpec, assemble, dataset_from_csv,
+                                 dataset_to_csv, feature_names, input_width,
+                                 kfold_indices, lambda_feature, merge)
+from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 
 
 @pytest.fixture(scope="module")
@@ -16,23 +15,6 @@ def traj():
     cfg = PlantConfig()
     seg = excitation_segment(520.0, ExcitationConfig(duration=8.0))
     return simulate(seg, cfg)
-
-
-class TestExtendState:
-    def test_basic(self):
-        np.testing.assert_array_equal(
-            extend_state(np.array([1, 2, 3, 4, 5]), t=4, n=3), [4, 3, 2])
-
-    def test_minimal(self):
-        np.testing.assert_array_equal(extend_state(np.array([7, 9]), t=1, n=1), [7])
-
-    def test_constant_series(self):
-        np.testing.assert_array_equal(
-            extend_state(np.full(10, 3.5), t=8, n=4), [3.5] * 4)
-
-    def test_insufficient_history(self):
-        with pytest.raises(ValueError, match="insufficient history"):
-            extend_state(np.arange(10), t=2, n=3)
 
 
 class TestLambda:
@@ -83,6 +65,24 @@ class TestAssemble:
         assert np.all(ds.targets[:, :4] == 0.0)
         lam_col = ds.inputs[:, -1]
         assert np.all(lam_col == lam_col[0])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_history_lag_order(self, n):
+        # every history block of row t-n reads [x_{t-1}, ..., x_{t-n}]
+        L = 12
+        series = np.arange(L, dtype=float)
+        ramp = np.column_stack([series + 100.0 * j for j in range(4)])
+        traj0 = PlantTrajectory(dt=0.01, commands=ramp, status=np.ones((L, 4)),
+                                thrusts=ramp + 1000.0, pressures=series + 2000.0,
+                                m_fuel=series + 3000.0, m_ox=series + 4000.0)
+        ds = assemble(traj0, HistorySpec(n))
+        lags = np.arange(n, L)[:, None] - np.arange(1, n + 1)   # (rows, n): t-1 .. t-n
+        blocks = [ramp[:, j] for j in range(4)] + [ramp[:, j] + 1000.0 for j in range(4)]
+        starts = [4 + j * n for j in range(8)]
+        blocks += [series + 2000.0, series + 3000.0, series + 4000.0]
+        starts += [4 + 8 * n + 1, 4 + 9 * n + 1, 4 + 10 * n + 1]
+        for col, x in zip(starts, blocks):
+            np.testing.assert_array_equal(ds.inputs[:, col:col + n], x[lags])
 
     def test_alignment_history_vs_previous_target(self, traj):
         n = 6
@@ -152,39 +152,39 @@ class TestMergeAndSplit:
         with pytest.raises(ValueError):
             merge([assemble(traj, HistorySpec(3)), assemble(traj, HistorySpec(4))])
 
-    def test_kfold_partition(self, traj):
-        ds = assemble(traj, HistorySpec(4))
-        pairs = split_kfold(ds, 5, seed=1)
+    def test_kfold_partition(self):
+        pairs = kfold_indices(103, 5, seed=1)
         assert len(pairs) == 5
         sizes = [len(te) for _, te in pairs]
-        assert sum(sizes) == len(ds)
         assert max(sizes) - min(sizes) <= 1
+        # the test folds partition the rows; each train set is the rest
+        np.testing.assert_array_equal(np.sort(np.concatenate([te for _, te in pairs])),
+                                      np.arange(103))
+        for train, test in pairs:
+            np.testing.assert_array_equal(np.sort(np.concatenate([train, test])),
+                                          np.arange(103))
 
     def test_kfold_small_exact(self):
-        ds = Dataset(inputs=np.random.default_rng(0).normal(size=(10, 21)),
-                     targets=np.zeros((10, 7)), n=1,
-                     trace_names=["x"], row_trace=np.zeros(10, dtype=np.intp))
-        pairs = split_kfold(ds, 5, seed=0)
-        assert all(len(te) == 2 for _, te in pairs)
+        pairs = kfold_indices(10, 5, seed=0)
+        assert all(len(te) == 2 and len(tr) == 8 for tr, te in pairs)
 
-    def test_kfold_deterministic(self, traj):
-        ds = assemble(traj, HistorySpec(4))
-        a = split_kfold(ds, 4, seed=3)
-        b = split_kfold(ds, 4, seed=3)
+    def test_kfold_deterministic(self):
+        a = kfold_indices(57, 4, seed=3)
+        b = kfold_indices(57, 4, seed=3)
         for (tra, tea), (trb, teb) in zip(a, b):
-            assert np.array_equal(tea.inputs, teb.inputs)
-            assert np.array_equal(tra.inputs, trb.inputs)
+            assert np.array_equal(tea, teb)
+            assert np.array_equal(tra, trb)
+        assert any(not np.array_equal(tea, teb)
+                   for (_, tea), (_, teb) in zip(a, kfold_indices(57, 4, seed=4)))
 
-    def test_kfold_contiguous(self, traj):
-        ds = assemble(traj, HistorySpec(4))
-        (_, test0), *_ = split_kfold(ds, 4, seed=0, contiguous=True)
-        np.testing.assert_array_equal(test0.inputs, ds.inputs[:len(test0)])
+    def test_kfold_contiguous(self):
+        pairs = kfold_indices(57, 4, seed=0, contiguous=True)
+        np.testing.assert_array_equal(np.concatenate([te for _, te in pairs]),
+                                      np.arange(57))
 
     def test_kfold_too_many_folds(self):
-        ds = Dataset(inputs=np.zeros((3, 21)), targets=np.zeros((3, 7)), n=1,
-                     trace_names=["x"], row_trace=np.zeros(3, dtype=np.intp))
         with pytest.raises(ValueError):
-            split_kfold(ds, 4, seed=0)
+            kfold_indices(3, 4, seed=0)
 
 
 class TestPersistence:

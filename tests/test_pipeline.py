@@ -14,7 +14,7 @@ from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
-from throttleid.regression import model_from_json
+from throttleid.regression import model_from_json, model_to_json
 
 
 def _hash_tree(root: Path) -> dict:
@@ -105,8 +105,28 @@ class TestValidate:
         reports = cmd_validate(cfg)
         assert set(reports) == {"sine600", "stair", "fall", "descent"}
         for name in reports:
-            assert (out / "validation" / f"{name}_report.json").exists()
+            report = json.loads((out / "validation" / f"{name}_report.json").read_text())
+            assert report["diverged_at"] is None
             assert (out / "validation" / f"{name}_timeseries.csv").exists()
+
+    def test_divergence_recorded_and_suite_continues(self, run_dir, tmp_path):
+        # an infinite coefficient makes the first predicted step non-finite
+        out, _ = run_dir
+        model = model_from_json(out / "model.json")
+        model.K[:, 0] = np.inf
+        model_path = tmp_path / "diverging_model.json"
+        model_to_json(model, model_path)
+        cfg = tiny_config(str(tmp_path / "diverged"))
+        reports = cmd_validate(cfg, model_path=model_path)
+        traces = validation_traces(cfg)
+        assert list(reports) == [t.name for t in traces]
+        val_dir = tmp_path / "diverged" / "validation"
+        for trace in traces:
+            record = {"experiment": trace.name, "diverged_at": model.n * trace.dt}
+            assert reports[trace.name] == record
+            assert json.loads((val_dir / f"{trace.name}_report.json").read_text()) == record
+        assert sorted(p.name for p in val_dir.iterdir()) == \
+            sorted(f"{t.name}_report.json" for t in traces)
 
     def test_oracle_passthrough_zero_error(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "oracle"))

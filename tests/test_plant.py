@@ -161,6 +161,22 @@ class TestStep:
             with pytest.raises(ValueError, match=f"sample {i}:"):
                 simulate(with_nan_at(i), small)
 
+    def test_negative_feed_pressure_raises(self):
+        # the droop of four engines at full thrust drives the feed
+        # pressure below zero: the sample where a fold of `step` fails
+        # is the one `simulate` names, and no NaN row is returned
+        droopy = PlantConfig(droop_coeff=1e7)
+        trace = constant_trace(800.0, 3.0, droopy)
+        state = initial_state(droopy)
+        with pytest.raises(ValueError, match="sample 0: feed pressure"):
+            for k in range(len(trace)):
+                state = step(state, trace.commands[k], trace.status[k], droopy)
+        with pytest.raises(ValueError, match=f"sample {k}: feed pressure"):
+            simulate(trace, droopy)
+        prefix = simulate(CommandTrace(dt=droopy.dt, commands=trace.commands[:k],
+                                       status=trace.status[:k]), droopy)
+        assert np.all(np.isfinite(prefix.thrusts)) and np.all(prefix.pressures >= 0.0)
+
 
 class TestSimulate:
     def test_empty_trace_yields_initial_sample(self, cfg):

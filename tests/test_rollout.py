@@ -6,12 +6,11 @@ import pytest
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
 from throttleid.features import assemble, build_row, lambda_feature, merge
-from throttleid.plant import CommandTrace, PlantConfig, simulate
+from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, expand, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport,
-                                descent_profile, descent_profile_eval,
-                                error_windows, rollout, teacher_forced_eval,
-                                timeseries_csv)
+                                descent_profile, error_windows, rollout,
+                                teacher_forced_eval, timeseries_csv)
 
 EX = ExcitationConfig(duration=10.0)
 PC = PlantConfig()
@@ -148,7 +147,7 @@ class TestTeacherForced:
         basis = BasisSpec("linear")
         model = fit_lasso(expand(ds.inputs, basis), ds.targets, 0.0,
                           basis=basis, n_history=2, obj_rel_tol=1e-6)
-        rep = teacher_forced_eval(model, traj)
+        rep = teacher_forced_eval(model, traj, cfg=PC)
         assert rep.max_thrust_err < 1e-6
 
     def test_compounding_direction(self, small_model):
@@ -159,16 +158,39 @@ class TestTeacherForced:
                   step_stair_trace([800, 240], 4.0, EX)]
         for tr in traces:
             truth = simulate(tr, PC)
-            tf = teacher_forced_eval(small_model, truth)
+            tf = teacher_forced_eval(small_model, truth, cfg=PC)
             pred = rollout(small_model, tr, truth)
-            ro = error_windows(truth, pred)
+            ro = error_windows(truth, pred, cfg=PC)
             if ro.max_thrust_err >= tf.max_thrust_err:
                 wins += 1
         assert wins >= 2
 
+    def test_summary_matches_rollout_summary(self, small_model, stair_pair):
+        # both reports come out of one summary: with the one-step
+        # predictions spliced in after the exact warm-up rows, the rollout
+        # summary finds the same maxima and the same module mass error
+        _, truth = stair_pair
+        n = small_model.n
+        tf = teacher_forced_eval(small_model, truth, cfg=PC)
+        y = predict(small_model, assemble(truth, n).inputs)
+        head = lambda col: getattr(truth, col)[:n]
+        spliced = PlantTrajectory(
+            dt=truth.dt, commands=truth.commands, status=truth.status,
+            thrusts=np.vstack([head("thrusts"), y[:, :4]]),
+            pressures=np.concatenate([head("pressures"), y[:, 4]]),
+            m_fuel=np.concatenate([head("m_fuel"), y[:, 5]]),
+            m_ox=np.concatenate([head("m_ox"), y[:, 6]]))
+        ro = error_windows(truth, spliced, cfg=PC)
+        assert (tf.mode, ro.mode) == ("teacher_forced", "rollout")
+        assert tf.n_samples == ro.n_samples - n
+        assert ro.max_thrust_err == tf.max_thrust_err
+        assert ro.module_mass_max_err == tf.module_mass_max_err
+        for field in ("max_err_transient", "max_err_steady", "max_thrust_err_per_engine"):
+            assert getattr(ro, field).tobytes() == getattr(tf, field).tobytes()
+
     def test_report_structure(self, small_model, stair_pair):
         _, truth = stair_pair
-        rep = teacher_forced_eval(small_model, truth)
+        rep = teacher_forced_eval(small_model, truth, cfg=PC)
         assert isinstance(rep, ValidationReport)
         assert rep.n_transient + rep.n_steady == rep.n_samples
         assert np.all(np.isfinite(rep.rmse))
@@ -177,7 +199,7 @@ class TestTeacherForced:
 class TestErrorWindows:
     def test_identical_trajectories_zero(self, stair_pair):
         _, truth = stair_pair
-        rep = error_windows(truth, truth, experiment="self")
+        rep = error_windows(truth, truth, experiment="self", cfg=PC)
         assert np.all(rep.rmse == 0.0)
         assert rep.max_thrust_err == 0.0
         assert rep.module_mass_max_err == 0.0
@@ -186,7 +208,7 @@ class TestErrorWindows:
         trace = CommandTrace(dt=PC.dt, commands=np.full((300, 4), 500.0),
                              status=np.ones((300, 4)))
         truth = simulate(trace, PC)
-        rep = error_windows(truth, truth)
+        rep = error_windows(truth, truth, cfg=PC)
         # only the rest-to-500 startup step marks transient samples
         settle = int(round(1.0 / PC.dt))
         assert rep.n_transient == settle
@@ -195,7 +217,7 @@ class TestErrorWindows:
     def test_steady_leq_transient_on_stair(self, small_model, stair_pair):
         trace, truth = stair_pair
         pred = rollout(small_model, trace, truth)
-        rep = error_windows(truth, pred)
+        rep = error_windows(truth, pred, cfg=PC)
         assert np.max(rep.max_err_steady[:4]) <= np.max(rep.max_err_transient[:4])
 
     def test_misaligned_rejected(self, stair_pair):
@@ -203,16 +225,16 @@ class TestErrorWindows:
         short = simulate(CommandTrace(dt=PC.dt, commands=np.zeros((10, 4)),
                                       status=np.zeros((10, 4))), PC)
         with pytest.raises(ValueError):
-            error_windows(truth, short)
+            error_windows(truth, short, cfg=PC)
 
     def test_windows_partition(self, small_model, stair_pair):
         trace, truth = stair_pair
-        rep = error_windows(truth, rollout(small_model, trace, truth))
+        rep = error_windows(truth, rollout(small_model, trace, truth), cfg=PC)
         assert rep.n_transient + rep.n_steady == rep.n_samples
 
     def test_json_roundtrip(self, tmp_path, stair_pair):
         _, truth = stair_pair
-        rep = error_windows(truth, truth, experiment="id")
+        rep = error_windows(truth, truth, experiment="id", cfg=PC)
         text = rep.to_json(tmp_path / "rep.json")
         assert '"experiment": "id"' in text
 
@@ -240,14 +262,8 @@ class TestDescent:
     def test_oracle_identity(self, stair_pair):
         # plant replayed against itself: zero error
         trace, truth = stair_pair
-        rep = error_windows(truth, truth, experiment="oracle")
+        rep = error_windows(truth, truth, experiment="oracle", cfg=PC)
         assert rep.max_thrust_err == 0.0 and rep.module_mass_max_err == 0.0
-
-    def test_empty_profile_rejected(self, small_model):
-        empty = CommandTrace(dt=PC.dt, commands=np.zeros((0, 4)),
-                             status=np.zeros((0, 4)))
-        with pytest.raises(ValueError):
-            descent_profile_eval(small_model, empty, PC)
 
     def test_timeseries_csv(self, tmp_path, small_model, stair_pair):
         trace, truth = stair_pair

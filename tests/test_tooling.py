@@ -1,0 +1,37 @@
+"""The benchmark's span tracer binds package names by attribute lookup.
+
+`perfbench/spans.py` rebinds public functions of every layer module by
+name, so renaming one of them breaks traced benchmark runs. Installing
+and uninstalling the tracer here catches such a rename in the test suite.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _bindings():
+    return {name: dict(vars(mod)) for name, mod in sorted(sys.modules.items())
+            if mod is not None and name.startswith("throttleid")}
+
+
+def test_span_tracer_installs_and_uninstalls():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _bindings()
+    methods = dict(vars(spans.plant.PlantTrajectory))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for mod, attr in ((spans.rollout, "error_windows"), (spans.rollout, "timeseries_csv"),
+                          (spans.pipeline, "cmd_validate"), (spans.plant, "simulate")):
+            assert getattr(mod, attr) is not before[mod.__name__][attr]
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    for name, attrs in before.items():
+        assert all(after[name][k] is v for k, v in attrs.items()), name
+    assert all(vars(spans.plant.PlantTrajectory)[k] is v for k, v in methods.items())

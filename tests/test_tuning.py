@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ar2_trajectory, datasets_per_n
-from throttleid.features import Dataset, assemble, split_kfold
+from throttleid.features import assemble, kfold_indices
 from throttleid.regression import BasisSpec
 from throttleid.regression import ConvergenceError
 from throttleid.tuning import (SweepConfig, SweepError, pareto_table,
@@ -123,16 +123,16 @@ class TestSweepMu:
         assert report.selected == max(tied)
 
     def test_fold_integrity(self, ds):
+        # sweep folds are the seeded permutation of the rows, split in k
         cfg = small_cfg()
-        pairs = split_kfold(ds, cfg.k, cfg.seed)
-        seen = np.concatenate([te.row_trace * 0 + np.arange(len(te)) for _, te in pairs])
-        total = sum(len(te) for _, te in pairs)
-        assert total == len(ds)
-        # disjoint: rebuild indices explicitly
+        pairs = kfold_indices(len(ds), cfg.k, cfg.seed)
         order = np.random.default_rng(cfg.seed).permutation(len(ds))
-        folds = np.array_split(order, cfg.k)
-        flat = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(flat, np.arange(len(ds)))
+        for (train, test), fold in zip(pairs, np.array_split(order, cfg.k)):
+            np.testing.assert_array_equal(test, np.sort(fold))
+            assert np.intersect1d(train, test).size == 0
+            assert len(train) + len(test) == len(ds)
+        np.testing.assert_array_equal(np.sort(np.concatenate([te for _, te in pairs])),
+                                      np.arange(len(ds)))
 
     def test_deterministic(self, ds):
         cfg = small_cfg(mu_grid=(1e-4, 1e-2))
