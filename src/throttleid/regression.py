@@ -27,6 +27,7 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,9 @@ class ConvergenceError(RuntimeError):
         self.kkt_residual = kkt_residual
         super().__init__(
             f"no convergence after {sweeps} sweeps (KKT residual {kkt_residual:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.sweeps, self.kkt_residual)
 
 
 @dataclass
@@ -252,17 +256,26 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     if track_objective:
         history.append(f_prev)
 
+    # G is symmetric, so row j doubles as (contiguous) column j; G_col[j]
+    # is that column shaped (F, 1) for the broadcast outer product.
+    G_col = G[:, :, None]
+    diag_of, pen_of = diag.tolist(), pen.tolist()
+    q_step = np.empty((F, nout))
+
     def cycle(cols) -> float:
-        # G is symmetric, so row j doubles as (contiguous) column j
+        # soft_threshold and np.outer inlined: the same operations in the
+        # same order, without their per-call overhead
         nonlocal q
         max_delta = 0.0
         for j in cols:
-            rho = c[j] - q[j] + diag[j] * W[j]
-            w_new = soft_threshold(rho, pen[j]) / diag[j]
+            d = diag_of[j]
+            rho = c[j] - q[j] + d * W[j]
+            w_new = np.sign(rho) * np.maximum(np.abs(rho) - pen_of[j], 0.0) / d
             delta = w_new - W[j]
-            step = float(np.max(np.abs(delta)))
+            step = np.abs(delta).max()
             if step > 0.0:
-                q += np.outer(G[j], delta)
+                np.multiply(G_col[j], delta, out=q_step)
+                q += q_step
                 W[j] = w_new
                 if step > max_delta:
                     max_delta = step
@@ -306,15 +319,30 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
             L = max(L, float(v @ gv))
             v = gv / nrm
         L = 1.02 * max(L, float(v @ (G @ v)))
-        pen_L = pen[:, None] / L
+        pen_L = np.broadcast_to(pen[:, None] / L, W.shape).copy()
         V = W.copy()
+        # Iterates live in preallocated buffers; each step is the same
+        # sequence of operations as
+        #   W_new = soft_threshold(V - (G @ V - c) / L, pen_L)
+        #   V = W_new + ((tk - 1) / tk_new) * (W_new - W)
+        W_new, grad, shrink, diff = (np.empty_like(W) for _ in range(4))
         tk = 1.0
         check, f_last = 200, None
         for it in range(1, max_iters + 1):
-            W_new = soft_threshold(V - (G @ V - c) / L, pen_L)
-            tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            V = W_new + ((tk - 1.0) / tk_new) * (W_new - W)
-            W, tk = W_new, tk_new
+            np.matmul(G, V, out=grad)
+            grad -= c
+            grad /= L
+            np.subtract(V, grad, out=W_new)
+            np.abs(W_new, out=shrink)
+            shrink -= pen_L
+            np.maximum(shrink, 0.0, out=shrink)
+            np.sign(W_new, out=W_new)
+            W_new *= shrink
+            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+            np.subtract(W_new, W, out=diff)
+            diff *= (tk - 1.0) / tk_new
+            np.add(W_new, diff, out=V)
+            W, W_new, tk = W_new, W, tk_new
             if it % check == 0:
                 f_now = 0.5 * (np.sum(W * (G @ W)) - 2.0 * np.sum(W * c)
                                + np.sum(m.yty))

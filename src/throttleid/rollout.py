@@ -285,12 +285,13 @@ def teacher_forced_eval(model: CoefficientModel, traj: PlantTrajectory, *,
 
     The model predicts every `assemble` row of the trajectory (samples
     n onward), and the predictions are summarized against their targets
-    as `error_windows` summarizes a rollout, over those rows only.
+    as `error_windows` summarizes a rollout, over those rows only. The
+    after-settle error starts at the same sample as in `error_windows`.
     """
     ds = assemble(traj, model.n)
     transient, settle_n = _windows(traj.commands, traj.dt, settle_window)
     return _summarize(ds.targets, predict(model, ds.inputs), transient[model.n:],
-                      settle_n, cfg.m_module0, experiment=experiment,
+                      max(settle_n - model.n, 0), cfg.m_module0, experiment=experiment,
                       mode="teacher_forced", sparsity=model.sparsity)
 
 

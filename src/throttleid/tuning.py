@@ -8,11 +8,23 @@ would otherwise be incomparable (newtons vs pascals vs kilograms).
 Selection treats grid points whose mean test RMSE lies within a small
 relative tolerance of the minimum as tied, then prefers the cheaper
 model: the smallest history length, or the largest (sparsest) mu.
+
+Both sweeps run their independent units of work on every usable CPU
+(the affinity set of the process): `sweep_history` one history length
+per unit, `sweep_mu` one fold per unit, each fold's warm-started mu
+path staying sequential. Units are dealt round-robin to the calling
+process and to children forked for the call, which read the caller's
+feature matrix and moments in place and send back only their scores.
+A unit is computed by the same code, on the same data, wherever it
+runs, and results are collected in unit order, so a report is
+byte-identical whatever the number of workers; the error raised is
+that of the first failing (grid point, fold) in serial order.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +36,21 @@ from .regression import (BasisSpec, expand, fit_from_moments, raw_moments,
 
 
 class SweepError(RuntimeError):
-    """A fold fit failed; carries the offending grid point and fold."""
+    """A fold fit failed; carries the offending grid point and fold.
 
-    def __init__(self, grid_value, fold: int, cause: Exception):
+    `cause` is the fit's exception, or its text once the error has
+    crossed back from a worker process.
+    """
+
+    def __init__(self, grid_value, fold: int, cause: Exception | str):
         self.grid_value = grid_value
         self.fold = fold
+        self.cause = cause
         super().__init__(f"fit failed at grid point {grid_value}, fold {fold}: {cause}")
+
+    def __reduce__(self):
+        # the cause travels as text: its type need not be picklable
+        return type(self), (self.grid_value, self.fold, str(self.cause))
 
 
 def _default_mu_grid() -> tuple:
@@ -137,17 +158,104 @@ class SweepReport:
         return text
 
 
-def _scaled_rmse(model, phi: np.ndarray, targets: np.ndarray) -> float:
-    """Aggregate RMSE with each output scaled by the train-fold target std.
+def _scaled_rmse(err: np.ndarray) -> float:
+    """Root mean square over outputs of the per-output RMSE of `err`."""
+    per_output = np.sqrt(np.mean(err ** 2, axis=0))
+    return float(np.sqrt(np.mean(per_output ** 2)))
 
-    Takes pre-expanded features so folds reuse one expansion.
+
+def _fold_scores(model, phi: np.ndarray, targets: np.ndarray,
+                 train: np.ndarray, test: np.ndarray) -> tuple[float, float, float]:
+    """(train RMSE, test RMSE, sparsity) of one fold's fit, each output's
+    error scaled by the train-fold target std.
+
+    One product over all rows of the pre-expanded features serves both
+    folds; each row of it equals the same row of a product over the
+    fold's rows alone.
     """
     pred = phi @ model.K.T
     if model.intercept is not None:
         pred = pred + model.intercept
     err = (pred - targets) / model.standardization.y_scale
-    per_output = np.sqrt(np.mean(err ** 2, axis=0))
-    return float(np.sqrt(np.mean(per_output ** 2)))
+    return _scaled_rmse(err[train]), _scaled_rmse(err[test]), model.sparsity
+
+
+def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
+    """A grid point from its per-fold (train RMSE, test RMSE, sparsity)."""
+    tr, te, sp = (list(col) for col in zip(*scores))
+    return GridPoint(value=value, train_rmse=tr, test_rmse=te, sparsity=sp)
+
+
+def _run_share(fn, tasks: list, first: int, stride: int) -> list[tuple[bool, object]]:
+    """(ok, result or exception) of tasks first, first + stride, ...,
+    ending at the first task that raises."""
+    share = []
+    for task in tasks[first::stride]:
+        try:
+            share.append((True, fn(task)))
+        except Exception as err:
+            share.append((False, err))
+            break
+    return share
+
+
+def _send_share(fn, tasks: list, first: int, stride: int, conn) -> None:
+    conn.send(_run_share(fn, tasks, first, stride))
+    conn.close()
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """[fn(task) for task in tasks], spread over the usable CPUs.
+
+    With W = min(len(tasks), usable CPUs) workers, worker w runs tasks
+    w, w + W, w + 2W, ...: the calling process is worker 0, and
+    workers 1..W-1 are children forked for this call, which see the
+    caller's arrays and module state without pickling and send back
+    only their results. Each task is computed by the same code whatever
+    W is, so the results do not depend on it. Errors are raised in task
+    order: the exception of the earliest failing task, which is the
+    first failure a serial run would meet. With one worker, or where
+    fork is unavailable, every task runs in the calling process.
+    """
+    import multiprocessing  # here, so importing the package does not pay for it
+
+    workers = 1
+    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
+        workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    procs = []
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context("fork")
+            for w in range(1, workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_send_share, args=(fn, tasks, w, workers, send),
+                                   name=f"sweep-{w}", daemon=True)
+                proc.start()
+                send.close()
+                procs.append((proc, recv))
+        shares = [_run_share(fn, tasks, 0, workers)]
+        for proc, recv in procs:
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"sweep worker {proc.name} exited with code "
+                                   f"{proc.exitcode} before sending its results") from None
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            recv.close()
+            proc.join()
+    results = []
+    for i in range(len(tasks)):
+        ok, value = shares[i % workers][i // workers]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def _select(values, mean_tests, rel_tol: float, prefer_small: bool):
@@ -163,17 +271,19 @@ def sweep_history(datasets: dict[int, Dataset], mu: float, cfg: SweepConfig,
     """k-fold CV over history lengths at a fixed (per-sample) mu.
 
     `datasets` maps each n in cfg.n_grid to a dataset assembled at that
-    history length from the same trajectories.
+    history length from the same trajectories. The history lengths are
+    the units of work split across processes.
     """
     basis = basis or BasisSpec()
-    points = []
     for n in cfg.n_grid:
         if n not in datasets:
             raise ValueError(f"no dataset provided for history length {n}")
+
+    def history_point(n) -> GridPoint:
         ds = datasets[n]
         phi = expand(ds.inputs, basis)
         full = raw_moments(phi, ds.targets)
-        tr, te, sp = [], [], []
+        scores = []
         for fold, (train, test) in enumerate(kfold_indices(len(ds), cfg.k, cfg.seed)):
             try:
                 m_train = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
@@ -184,10 +294,10 @@ def sweep_history(datasets: dict[int, Dataset], mu: float, cfg: SweepConfig,
                     tol=cfg.tol, obj_rel_tol=cfg.obj_rel_tol)
             except Exception as err:
                 raise SweepError(n, fold, err) from err
-            tr.append(_scaled_rmse(model, phi[train], ds.targets[train]))
-            te.append(_scaled_rmse(model, phi[test], ds.targets[test]))
-            sp.append(model.sparsity)
-        points.append(GridPoint(value=int(n), train_rmse=tr, test_rmse=te, sparsity=sp))
+            scores.append(_fold_scores(model, phi, ds.targets, train, test))
+        return _grid_point(int(n), scores)
+
+    points = _fork_map(history_point, list(cfg.n_grid))
     selected = _select([pt.value for pt in points],
                        [pt.mean_test for pt in points],
                        cfg.select_rel_tol, prefer_small=True)
@@ -200,18 +310,21 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     """Warm-started k-fold CV along the mu grid at a fixed history length.
 
     Fits run from the largest mu down, warm-starting each from the
-    previous solution; results are reported in grid order.
+    previous solution; results are reported in grid order. The folds
+    are the units of work split across processes; each fold's path
+    stays sequential.
     """
     basis = basis or BasisSpec()
     phi = expand(dataset.inputs, basis)
     full = raw_moments(phi, dataset.targets)
     mu_desc = sorted(cfg.mu_grid, reverse=True)
-    per_mu: dict[float, dict[str, list[float]]] = {
-        mu: {"train": [], "test": [], "sparsity": []} for mu in cfg.mu_grid}
+    folds = kfold_indices(len(dataset), cfg.k, cfg.seed)
 
-    for fold, (train, test) in enumerate(kfold_indices(len(dataset), cfg.k, cfg.seed)):
+    def fold_path(fold: int) -> list[tuple[float, float, float]]:
+        train, test = folds[fold]
         moments = standardize_moments(full - raw_moments(phi[test], dataset.targets[test]))
         w0 = None
+        path = []
         for mu in mu_desc:
             try:
                 model = fit_from_moments(
@@ -221,13 +334,12 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
             except Exception as err:
                 raise SweepError(mu, fold, err) from err
             w0 = model.W_std
-            per_mu[mu]["train"].append(_scaled_rmse(model, phi[train], dataset.targets[train]))
-            per_mu[mu]["test"].append(_scaled_rmse(model, phi[test], dataset.targets[test]))
-            per_mu[mu]["sparsity"].append(model.sparsity)
+            path.append(_fold_scores(model, phi, dataset.targets, train, test))
+        return path
 
-    points = [GridPoint(value=float(mu), train_rmse=rec["train"],
-                        test_rmse=rec["test"], sparsity=rec["sparsity"])
-              for mu, rec in per_mu.items()]
+    paths = _fork_map(fold_path, list(range(len(folds))))
+    points = [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
+              for mu in cfg.mu_grid]
     selected = _select([pt.value for pt in points],
                        [pt.mean_test for pt in points],
                        cfg.select_rel_tol, prefer_small=False)

@@ -171,7 +171,6 @@ class TestTeacherForced:
         # summary finds the same maxima and the same module mass error
         _, truth = stair_pair
         n = small_model.n
-        tf = teacher_forced_eval(small_model, truth, cfg=PC)
         y = predict(small_model, assemble(truth, n).inputs)
         head = lambda col: getattr(truth, col)[:n]
         spliced = PlantTrajectory(
@@ -180,13 +179,21 @@ class TestTeacherForced:
             pressures=np.concatenate([head("pressures"), y[:, 4]]),
             m_fuel=np.concatenate([head("m_fuel"), y[:, 5]]),
             m_ox=np.concatenate([head("m_ox"), y[:, 6]]))
-        ro = error_windows(truth, spliced, cfg=PC)
-        assert (tf.mode, ro.mode) == ("teacher_forced", "rollout")
-        assert tf.n_samples == ro.n_samples - n
-        assert ro.max_thrust_err == tf.max_thrust_err
-        assert ro.module_mass_max_err == tf.module_mass_max_err
-        for field in ("max_err_transient", "max_err_steady", "max_thrust_err_per_engine"):
-            assert getattr(ro, field).tobytes() == getattr(tf, field).tobytes()
+        # the second window starts the after-settle error one sample
+        # before the largest thrust error, so both modes must start it at
+        # the same sample to report the same value
+        peak = int(np.argmax(np.abs(spliced.thrusts - truth.thrusts).max(axis=1)))
+        for window in (1.0, (peak - 1) * truth.dt):
+            tf = teacher_forced_eval(small_model, truth, cfg=PC, settle_window=window)
+            ro = error_windows(truth, spliced, window, cfg=PC)
+            assert (tf.mode, ro.mode) == ("teacher_forced", "rollout")
+            assert tf.n_samples == ro.n_samples - n
+            assert ro.max_thrust_err == tf.max_thrust_err
+            assert ro.max_thrust_err_after_settle == tf.max_thrust_err_after_settle
+            assert ro.module_mass_max_err == tf.module_mass_max_err
+            for field in ("max_err_transient", "max_err_steady",
+                          "max_thrust_err_per_engine"):
+                assert getattr(ro, field).tobytes() == getattr(tf, field).tobytes()
 
     def test_report_structure(self, small_model, stair_pair):
         _, truth = stair_pair

@@ -1,9 +1,16 @@
 """Hyperparameter sweeps: CV mechanics, selection rules, Pareto table."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import ar2_trajectory, datasets_per_n
+import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import BasisSpec
 from throttleid.regression import ConvergenceError
@@ -14,6 +21,11 @@ from throttleid.tuning import (SweepConfig, SweepError, pareto_table,
 @pytest.fixture(scope="module")
 def ar2_traj():
     return ar2_trajectory()
+
+
+def usable_cpus(monkeypatch, count):
+    """Make the sweeps' affinity lookup report `count` usable CPUs."""
+    monkeypatch.setattr(tuning_mod.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def small_cfg(**kw):
@@ -137,6 +149,97 @@ class TestSweepMu:
     def test_deterministic(self, ds):
         cfg = small_cfg(mu_grid=(1e-4, 1e-2))
         assert sweep_mu(ds, cfg).to_json() == sweep_mu(ds, cfg).to_json()
+
+
+class TestWorkers:
+    def test_errors_pickle(self):
+        # a worker's error crosses back to the caller by pickle
+        conv = pickle.loads(pickle.dumps(ConvergenceError(17, 0.25)))
+        assert type(conv) is ConvergenceError
+        assert (conv.sweeps, conv.kkt_residual) == (17, 0.25)
+        err = SweepError(0.01, 3, ConvergenceError(17, 0.25))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SweepError
+        assert (back.grid_value, back.fold) == (0.01, 3)
+        assert str(back) == str(err)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_earliest_fold_failure_raised(self, ds, monkeypatch, cpus):
+        # fold 1 fails at the third mu of its path; fold 2 fails earlier
+        # in its own path, and with two workers it runs in the caller
+        # before fold 1's error comes back from the child
+        usable_cpus(monkeypatch, cpus)
+        cfg = small_cfg(k=3)
+        mu_desc = sorted(cfg.mu_grid, reverse=True)
+        train_means = [ds.targets[train].mean(axis=0)
+                       for train, _ in kfold_indices(len(ds), cfg.k, cfg.seed)]
+        real_fit = tuning_mod.fit_from_moments
+
+        def flaky(m, mu, **kw):
+            fold = next(f for f, mean in enumerate(train_means)
+                        if np.allclose(m.std.y_mean, mean, rtol=1e-9, atol=0.0))
+            if (fold, mu) in {(1, mu_desc[2]), (2, mu_desc[0])}:
+                raise ConvergenceError(fold, 1.0)
+            return real_fit(m, mu, **kw)
+
+        monkeypatch.setattr(tuning_mod, "fit_from_moments", flaky)
+        with pytest.raises(SweepError) as exc:
+            sweep_mu(ds, cfg)
+        assert exc.value.fold == 1
+        assert exc.value.grid_value == mu_desc[2]
+        assert "no convergence after 1 sweeps" in str(exc.value)
+
+    def test_dead_worker_reported(self, ds, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        caller, real_fit = os.getpid(), tuning_mod.fit_from_moments
+
+        def exit_in_child(*a, **kw):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real_fit(*a, **kw)
+
+        monkeypatch.setattr(tuning_mod, "fit_from_moments", exit_in_child)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            sweep_mu(ds, small_cfg(k=2, mu_grid=(1e-2,)))
+
+    def test_reports_independent_of_worker_count(self, ar2_traj, ds, monkeypatch):
+        cfg = small_cfg(k=3)
+        datasets = datasets_per_n(ar2_traj, cfg.n_grid)
+        texts = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            texts.append((sweep_mu(ds, cfg).to_json(),
+                          sweep_history(datasets, cfg.history_mu, cfg).to_json()))
+        assert texts[0] == texts[1]
+
+    def test_fork_with_live_blas_threads(self, monkeypatch):
+        # The child forks while OpenBLAS's default thread pool is running;
+        # a deadlock shows as a timeout, a corrupted result as a mismatch.
+        script = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from conftest import ar2_trajectory
+from throttleid.features import assemble
+from throttleid.tuning import SweepConfig, sweep_mu
+a = np.ones((400, 400))
+a @ a
+os.sched_getaffinity = lambda pid: {0, 1}
+cfg = SweepConfig(mu_grid=(1e-4, 1e-2), k=3)
+print(sweep_mu(assemble(ar2_trajectory(3000), 2), cfg).to_json())
+"""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        tests_dir = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(tests_dir.parent / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, str(tests_dir)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        usable_cpus(monkeypatch, 1)
+        expected = sweep_mu(assemble(ar2_trajectory(3000), 2),
+                            SweepConfig(mu_grid=(1e-4, 1e-2), k=3)).to_json()
+        assert done.stdout == expected + "\n"
 
 
 class TestPareto:
