@@ -11,7 +11,7 @@ import numpy as np
 
 from throttleid import ExcitationConfig, PlantConfig, SweepConfig, simulate
 from throttleid import assemble, build_corpus, merge, pareto_table, sweep_history, sweep_mu
-from throttleid.tuning import pareto_to_csv
+from throttleid.tuning import HISTORY_MU, pareto_to_csv
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -24,8 +24,8 @@ trajs = [simulate(t, pc) for t in build_corpus(ex)]
 cfg = SweepConfig(n_grid=(2, 4, 6, 8), mu_grid=tuple(np.logspace(-5, 0, 6)), k=3)
 datasets = {n: merge([assemble(t, n) for t in trajs]) for n in cfg.n_grid}
 
-print("\nhistory sweep (fixed mu, unit-free CV RMSE):")
-hist = sweep_history(datasets, cfg.history_mu, cfg)
+print(f"\nhistory sweep (fixed mu {HISTORY_MU:g} per sample, unit-free CV RMSE):")
+hist = sweep_history(datasets, cfg)
 for pt in hist.points:
     marker = " <- selected" if pt.value == hist.selected else ""
     print(f"  n={pt.value}: test {pt.mean_test:.5f}  train {pt.mean_train:.5f}{marker}")

@@ -27,13 +27,11 @@ inputs known ahead of time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .plant import PlantTrajectory, write_csv
+from .plant import PlantTrajectory
 
 TARGET_NAMES = ["To1", "To2", "To3", "To4", "P", "mf", "mo"]
 
@@ -56,15 +54,14 @@ def input_width(n: int) -> int:
     return 11 * n + 10
 
 
-def lambda_feature(m_f, m_o, eps: float = LAMBDA_EPS, scale: float = LAMBDA_SCALE):
-    """Regularized inverse of total ejected mass: scale / (m_f + m_o + eps)."""
+def lambda_feature(m_f, m_o):
+    """Regularized inverse of total ejected mass:
+    LAMBDA_SCALE / (m_f + m_o + LAMBDA_EPS)."""
     m_f = np.asarray(m_f, dtype=float)
     m_o = np.asarray(m_o, dtype=float)
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
     if np.any(m_f < 0.0) or np.any(m_o < 0.0):
         raise ValueError("ejected masses must be non-negative")
-    return scale / (m_f + m_o + eps)
+    return LAMBDA_SCALE / (m_f + m_o + LAMBDA_EPS)
 
 
 def feature_names(n: int) -> list[str]:
@@ -187,22 +184,17 @@ def merge(datasets: list[Dataset]) -> Dataset:
         n=n, trace_names=names, row_trace=np.concatenate(rows))
 
 
-def kfold_indices(n_rows: int, k: int, seed: int,
-                  contiguous: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold_indices(n_rows: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic k-fold row partition as (train, test) index pairs.
 
-    With contiguous=True the folds are consecutive row blocks (no
-    shuffling), which avoids temporal leakage between adjacent samples
-    of one trace.
+    The folds split a seeded permutation of the rows, so adjacent
+    samples of one trace can land in both train and test.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n_rows:
         raise ValueError(f"k={k} exceeds dataset size {n_rows}")
-    if contiguous:
-        order = np.arange(n_rows)
-    else:
-        order = np.random.default_rng(seed).permutation(n_rows)
+    order = np.random.default_rng(seed).permutation(n_rows)
     folds = np.array_split(order, k)
     pairs = []
     for i in range(k):
@@ -212,36 +204,8 @@ def kfold_indices(n_rows: int, k: int, seed: int,
     return pairs
 
 
-def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
-    """CSV of inputs and targets plus a JSON sidecar with n and provenance."""
-    path = Path(path)
-    header = feature_names(ds.n) + [f"Y_{t}" for t in TARGET_NAMES]
-    write_csv(path, ",".join(header), [ds.inputs, ds.targets])
-    sidecar = {
-        "n": ds.n,
-        "lambda_scale": LAMBDA_SCALE,
-        "lambda_eps": LAMBDA_EPS,
-        "trace_names": ds.trace_names,
-        "rows_per_trace": np.bincount(ds.row_trace, minlength=len(ds.trace_names)).tolist(),
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-
-
-def dataset_from_csv(path: str | Path) -> Dataset:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = int(sidecar["n"])
-    width = input_width(n)
-    counts = sidecar["rows_per_trace"]
-    row_trace = np.repeat(np.arange(len(counts)), counts)
-    return Dataset(inputs=data[:, :width], targets=data[:, width:], n=n,
-                   trace_names=list(sidecar["trace_names"]), row_trace=row_trace)
-
-
 __all__ = [
     "HistorySpec", "Dataset", "TARGET_NAMES", "LAMBDA_SCALE", "LAMBDA_EPS",
     "input_width", "lambda_feature", "feature_names",
     "assemble", "build_row", "merge", "kfold_indices",
-    "dataset_to_csv", "dataset_from_csv",
 ]

@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from .regression import (BasisSpec, expand, fit_lasso, model_from_json,
                          model_to_json, predict, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
-from .tuning import SweepConfig, pareto_table, pareto_to_csv, sweep_history, sweep_mu
+from .tuning import (OBJ_REL_TOL, PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
+                     sweep_history, sweep_mu)
 
 
 @dataclass
@@ -35,14 +36,14 @@ class PipelineConfig:
     history: HistorySpec = field(default_factory=HistorySpec)
     basis: BasisSpec = field(default_factory=BasisSpec)
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    train_mu: float = 3e-5       # L1 weight for cmd_train (sqrt-rows scaled)
-    penalty_scale: str = "sqrt-rows"
+    train_mu: float = 3e-5       # L1 weight for cmd_train (PENALTY_SCALE scaled)
     output_dir: str = "runs/default"
     seed: int = 0
 
     def __post_init__(self):
-        # The pipeline seed is the master seed for all stages.
-        self.excitation.seed = self.seed
+        # The pipeline seed is the master seed for all stages. The stage
+        # configs are copied, so a config passed in is never changed.
+        self.excitation = replace(self.excitation, seed=self.seed)
         self.sweep = replace(self.sweep, seed=self.seed)
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -53,8 +54,15 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PipelineConfig":
-        """Load from a JSON file (a Path) or from JSON text (a str)."""
+        """Load from a JSON file (a Path) or from JSON text (a str).
+
+        Unknown keys are rejected, so a setting that is no longer
+        configurable is not silently dropped.
+        """
         d = read_json(source)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = {}
         if "plant" in d:
             kwargs["plant"] = PlantConfig(**d["plant"])
@@ -66,10 +74,11 @@ class PipelineConfig:
             kwargs["basis"] = BasisSpec(**d["basis"])
         if "sweep" in d:
             sw = dict(d["sweep"])
-            sw["n_grid"] = tuple(sw.get("n_grid", range(1, 11)))
-            sw["mu_grid"] = tuple(sw.get("mu_grid", np.logspace(-5, 0, 11)))
+            for key in ("n_grid", "mu_grid"):
+                if key in sw:
+                    sw[key] = tuple(sw[key])
             kwargs["sweep"] = SweepConfig(**sw)
-        for key in ("train_mu", "penalty_scale", "output_dir", "seed"):
+        for key in ("train_mu", "output_dir", "seed"):
             if key in d:
                 kwargs[key] = d[key]
         return cls(**kwargs)
@@ -135,22 +144,22 @@ def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
 
 def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     """Assemble the corpus dataset at the configured history length and
-    fit the coefficient model at the configured mu."""
+    fit the coefficient model at the configured mu, scaled as the mu
+    sweep scales it (PENALTY_SCALE)."""
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
     trajs = load_trajectories(data_dir or out)
     ds = merge([assemble(tr, cfg.history) for tr in trajs])
     model = fit_lasso(expand(ds.inputs, cfg.basis), ds.targets, cfg.train_mu,
                       basis=cfg.basis, n_history=ds.n,
-                      penalty_scale=cfg.penalty_scale,
-                      obj_rel_tol=cfg.sweep.obj_rel_tol)
+                      penalty_scale=PENALTY_SCALE, obj_rel_tol=OBJ_REL_TOL)
     model_to_json(model, out / "model.json")
     per_output, aggregate = rmse(predict(model, ds.inputs), ds.targets)
     report = {
         "rows": len(ds),
         "n": ds.n,
         "mu": cfg.train_mu,
-        "penalty_scale": cfg.penalty_scale,
+        "penalty_scale": PENALTY_SCALE,
         "train_rmse": {k: float(v) for k, v in zip(TARGET_NAMES, per_output)},
         "train_rmse_aggregate": aggregate,
         "sparsity": model.sparsity,
@@ -170,7 +179,7 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
     _snapshot(cfg, out)
     trajs = load_trajectories(data_dir or out)
     datasets = {n: merge([assemble(tr, n) for tr in trajs]) for n in cfg.sweep.n_grid}
-    hist = sweep_history(datasets, cfg.sweep.history_mu, cfg.sweep, cfg.basis)
+    hist = sweep_history(datasets, cfg.sweep, cfg.basis)
     hist.to_csv(out / "sweep_history.csv")
     hist.to_json(out / "sweep_history.json")
 

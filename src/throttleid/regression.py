@@ -137,12 +137,6 @@ class Standardization:
     y_mean: np.ndarray
     y_scale: np.ndarray
 
-    def apply_x(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.x_mean) / self.x_scale
-
-    def invert_x(self, Xs: np.ndarray) -> np.ndarray:
-        return Xs * self.x_scale + self.x_mean
-
     @classmethod
     def identity(cls, F: int, m: int) -> "Standardization":
         return cls(np.zeros(F), np.ones(F), np.zeros(m), np.ones(m))
@@ -227,7 +221,6 @@ def compute_moments(features: np.ndarray, targets: np.ndarray,
 
 def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
               max_sweeps: int = 10000, tol: float = 1e-8,
-              penalty_mask: np.ndarray | None = None,
               track_objective: bool = False,
               obj_rel_tol: float = 0.0):
     """Cyclic coordinate descent on the moment form.
@@ -249,7 +242,7 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     solvable = np.flatnonzero(diag > 0.0)
     W = np.zeros((F, nout)) if w0 is None else np.array(w0, dtype=float)
     q = G @ W
-    pen = np.full(F, mu) if penalty_mask is None else np.where(penalty_mask, mu, 0.0)
+    pen = np.full(F, mu)
     need_obj = track_objective or obj_rel_tol > 0.0
     history = []
     f_prev = _objective_value(W, m, mu, pen) if need_obj else None
@@ -451,21 +444,17 @@ def _objective_value(W: np.ndarray, m: _Moments, mu: float,
     return float(quad + l1)
 
 
-def kkt_residual(W: np.ndarray, m: _Moments, mu: float,
-                 penalty_mask: np.ndarray | None = None) -> float:
+def kkt_residual(W: np.ndarray, m: _Moments, mu: float) -> float:
     """Max violation of the LASSO subgradient conditions (solver coords)."""
     g = m.G @ W - m.c
-    F = W.shape[0]
-    pen = np.full(F, mu) if penalty_mask is None else np.where(penalty_mask, mu, 0.0)
-    pen = np.broadcast_to(pen[:, None], W.shape)
-    active = np.broadcast_to((np.diag(m.G) > 0.0)[:, None], W.shape)
+    active = (np.diag(m.G) > 0.0)[:, None]
     res = 0.0
     zero = (W == 0.0) & active
     if zero.any():
-        res = max(res, float(np.max(np.abs(g[zero]) - pen[zero])))
+        res = max(res, float(np.max(np.abs(g[zero]) - mu)))
     nonzero = (W != 0.0) & active
     if nonzero.any():
-        res = max(res, float(np.max(np.abs(g[nonzero] + pen[nonzero] * np.sign(W[nonzero])))))
+        res = max(res, float(np.max(np.abs(g[nonzero] + mu * np.sign(W[nonzero])))))
     return max(res, 0.0)
 
 
@@ -512,7 +501,6 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      penalty_scale: str = "none",
                      max_sweeps: int = 10000, tol: float = 1e-8,
                      w0: np.ndarray | None = None,
-                     penalty_mask: np.ndarray | None = None,
                      track_objective: bool = False,
                      obj_rel_tol: float = 0.0,
                      n_inputs: int | None = None) -> CoefficientModel:
@@ -522,14 +510,12 @@ def fit_from_moments(m: _Moments, mu: float, *,
     mu_eff = _scale_mu(mu, m.n_rows, penalty_scale)
     W, sweeps, converged, history = _cd_solve(
         m, mu_eff, w0=w0, max_sweeps=max_sweeps, tol=tol,
-        penalty_mask=penalty_mask, track_objective=track_objective,
-        obj_rel_tol=obj_rel_tol)
-    pen_vec = np.full(W.shape[0], mu_eff) if penalty_mask is None \
-        else np.where(penalty_mask, mu_eff, 0.0)
+        track_objective=track_objective, obj_rel_tol=obj_rel_tol)
+    pen_vec = np.full(W.shape[0], mu_eff)
     W = _support_solve(m, pen_vec, W)
     if track_objective:
         history.append(_objective_value(W, m, mu_eff, pen_vec))
-    kkt = kkt_residual(W, m, mu_eff, penalty_mask=penalty_mask)
+    kkt = kkt_residual(W, m, mu_eff)
     if not converged and obj_rel_tol <= 0.0:
         raise ConvergenceError(sweeps, kkt)
 
@@ -560,9 +546,7 @@ def fit_from_moments(m: _Moments, mu: float, *,
         n_inputs=input_width(n_history) if n_history is not None
         else (n_inputs if n_inputs is not None else K.shape[1]),
         sparsity=sparsity, kkt=kkt, sweeps=sweeps,
-        objective=history[-1] if history else _objective_value(
-            W, m, mu_eff, None if penalty_mask is None
-            else np.where(penalty_mask, mu_eff, 0.0)),
+        objective=history[-1] if history else _objective_value(W, m, mu_eff),
         intercept=intercept, W_std=W)
     model._objective_history = history  # kept for diagnostics/tests
     return model
@@ -572,7 +556,6 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
               basis: BasisSpec | None = None, n_history: int | None = None,
               standardize: bool = True, penalty_scale: str = "none",
               max_sweeps: int = 10000, tol: float = 1e-8,
-              w0: np.ndarray | None = None,
               track_objective: bool = False,
               obj_rel_tol: float = 0.0) -> CoefficientModel:
     """Fit the sparse coefficient matrix by cyclic coordinate descent.
@@ -587,12 +570,12 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         penalty_scale ("none" | "sqrt-rows" | "rows").
     basis : BasisSpec, optional
         Recorded in the model so `predict` can expand raw inputs; also
-        identifies the bias column, which is never penalized.
+        identifies the bias column that takes the centering intercept.
     standardize : bool
         Solve in zero-mean/unit-variance coordinates (the production
-        path). Disable to solve the raw objective exactly as written.
-    w0 : (F, m) array, optional
-        Warm start in solver coordinates.
+        path), where constant columns such as the bias carry no penalty.
+        Disable to solve the raw objective exactly as written, every
+        column penalized.
 
     Raises
     ------
@@ -602,17 +585,12 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         residual. Stall mode returns the point reached instead.
     """
     m = compute_moments(features, targets, standardize=standardize)
-    pen_mask = None
-    if basis is not None and basis.include_bias and not standardize:
-        pen_mask = np.ones(features.shape[1], dtype=bool)
-        pen_mask[0] = False
     width = basis.unexpanded_width(features.shape[1]) if basis is not None \
         else features.shape[1]
     return fit_from_moments(
         m, mu, basis=basis, n_history=n_history, penalty_scale=penalty_scale,
-        max_sweeps=max_sweeps, tol=tol, w0=w0, penalty_mask=pen_mask,
-        track_objective=track_objective, obj_rel_tol=obj_rel_tol,
-        n_inputs=width)
+        max_sweeps=max_sweeps, tol=tol, track_objective=track_objective,
+        obj_rel_tol=obj_rel_tol, n_inputs=width)
 
 
 def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:

@@ -116,14 +116,14 @@ def _gather_index(n: int) -> np.ndarray:
 
 
 def rollout(model: CoefficientModel, trace: CommandTrace,
-            warmup: PlantTrajectory, *, clamp: bool = True,
-            collect_raw: bool = False):
+            warmup: PlantTrajectory, *, collect_raw: bool = False):
     """Multi-step prediction of a command trace.
 
     All channels live in one time-major buffer; each step gathers its
     input row from the buffer with one precomputed index, applies
-    `expand(row, basis) @ K.T` to it, and writes the (clamped)
-    prediction back as the newest history sample.
+    `expand(row, basis) @ K.T` to it, and writes the clamped prediction
+    (thrust >= 0, masses non-decreasing) back as the newest history
+    sample.
 
     Parameters
     ----------
@@ -135,9 +135,6 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         True prefix of at least n samples (normally the plant's own
         response to the same trace); seeds the history buffers and is
         copied verbatim into the first n output samples.
-    clamp : bool
-        Apply the documented post-processing (thrust >= 0, masses
-        non-decreasing) to fed-back and reported values.
     collect_raw : bool
         Also return the (L, 7) pre-clamp predictions (warm-up rows are
         copied truth).
@@ -187,10 +184,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)
         raw[t] = ys
-        if clamp:
-            ys[:4] = [v if v >= 0.0 else 0.0 for v in ys[:4]]
-            ys[5] = mf_prev = max(ys[5], mf_prev)
-            ys[6] = mo_prev = max(ys[6], mo_prev)
+        ys[:4] = [v if v >= 0.0 else 0.0 for v in ys[:4]]
+        ys[5] = mf_prev = max(ys[5], mf_prev)
+        ys[6] = mo_prev = max(ys[6], mo_prev)
         buf[t, _TO:_MO + 1] = ys
         buf[t, _LAM] = LAMBDA_SCALE / (ys[5] + ys[6] + LAMBDA_EPS)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,34 +53,36 @@ class SweepError(RuntimeError):
         return type(self), (self.grid_value, self.fold, str(self.cause))
 
 
-def _default_mu_grid() -> tuple:
-    return tuple(np.logspace(-5.0, 0.0, 11))
+# Relative tie window around the best mean test RMSE: grid points
+# within 5% count as ties and the cheaper model wins. The CV curves
+# here have long flat tails (each extra lag keeps buying a percent
+# or so), so a strict argmin would always pick the largest model.
+SELECT_REL_TOL = 0.05
+# Fixed mu for the history sweep, applied per sample ("rows"): a
+# moderate penalty keeps lag selection from being confounded by
+# either heavy sparsification or unregularized fit noise.
+HISTORY_MU = 1e-3
+HISTORY_PENALTY_SCALE = "rows"
+# The mu grid, and the pipeline's training mu, use the sqrt(N)-calibrated
+# convention so the printed 1e-5..1e0 range traverses dense to
+# heavily-pruned fits regardless of corpus size; a mu selected by
+# `sweep_mu` means the same to `cmd_train`.
+PENALTY_SCALE = "sqrt-rows"
+MAX_SWEEPS = 3000
+TOL = 1e-8
+# residual-stall stopping for near-collinear corpus designs
+OBJ_REL_TOL = 1e-6
 
 
 @dataclass
 class SweepConfig:
+    """What a sweep varies: the grids, the fold count and the fold seed.
+    Every other sweep setting is one of the constants above."""
+
     n_grid: tuple = tuple(range(1, 11))
-    mu_grid: tuple = field(default_factory=_default_mu_grid)
+    mu_grid: tuple = tuple(np.logspace(-5.0, 0.0, 11))
     k: int = 5
     seed: int = 0
-    # Relative tie window around the best mean test RMSE: grid points
-    # within 5% count as ties and the cheaper model wins. The CV curves
-    # here have long flat tails (each extra lag keeps buying a percent
-    # or so), so a strict argmin would always pick the largest model.
-    select_rel_tol: float = 0.05
-    # Fixed mu for the history sweep, applied per sample ("rows"): a
-    # moderate penalty keeps lag selection from being confounded by
-    # either heavy sparsification or unregularized fit noise.
-    history_mu: float = 1e-3
-    history_penalty_scale: str = "rows"
-    # The mu grid itself uses the sqrt(N)-calibrated convention so the
-    # printed 1e-5..1e0 range traverses dense to heavily-pruned fits
-    # regardless of corpus size.
-    penalty_scale: str = "sqrt-rows"
-    max_sweeps: int = 3000
-    tol: float = 1e-8
-    # residual-stall stopping for near-collinear corpus designs
-    obj_rel_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.n_grid or not len(self.mu_grid):
@@ -258,17 +260,17 @@ def _fork_map(fn, tasks: list) -> list:
     return results
 
 
-def _select(values, mean_tests, rel_tol: float, prefer_small: bool):
-    """Smallest (or largest) grid value within (1+rel_tol) of the best RMSE."""
-    mean_tests = np.asarray(mean_tests, dtype=float)
-    cutoff = mean_tests.min() * (1.0 + rel_tol)
-    tied = [v for v, r in zip(values, mean_tests) if r <= cutoff]
+def _select(points: list[GridPoint], prefer_small: bool):
+    """Smallest (or largest) grid value whose mean test RMSE is within
+    (1 + SELECT_REL_TOL) of the best."""
+    cutoff = min(pt.mean_test for pt in points) * (1.0 + SELECT_REL_TOL)
+    tied = [pt.value for pt in points if pt.mean_test <= cutoff]
     return min(tied) if prefer_small else max(tied)
 
 
-def sweep_history(datasets: dict[int, Dataset], mu: float, cfg: SweepConfig,
+def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
                   basis: BasisSpec | None = None) -> SweepReport:
-    """k-fold CV over history lengths at a fixed (per-sample) mu.
+    """k-fold CV over history lengths at the fixed per-sample HISTORY_MU.
 
     `datasets` maps each n in cfg.n_grid to a dataset assembled at that
     history length from the same trajectories. The history lengths are
@@ -288,19 +290,16 @@ def sweep_history(datasets: dict[int, Dataset], mu: float, cfg: SweepConfig,
             try:
                 m_train = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
                 model = fit_from_moments(
-                    m_train, mu, basis=basis, n_history=n,
-                    penalty_scale=cfg.history_penalty_scale,
-                    max_sweeps=cfg.max_sweeps,
-                    tol=cfg.tol, obj_rel_tol=cfg.obj_rel_tol)
+                    m_train, HISTORY_MU, basis=basis, n_history=n,
+                    penalty_scale=HISTORY_PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
+                    tol=TOL, obj_rel_tol=OBJ_REL_TOL)
             except Exception as err:
                 raise SweepError(n, fold, err) from err
             scores.append(_fold_scores(model, phi, ds.targets, train, test))
         return _grid_point(int(n), scores)
 
     points = _fork_map(history_point, list(cfg.n_grid))
-    selected = _select([pt.value for pt in points],
-                       [pt.mean_test for pt in points],
-                       cfg.select_rel_tol, prefer_small=True)
+    selected = _select(points, prefer_small=True)
     return SweepReport(kind="history", points=points, selected=selected,
                        k=cfg.k, seed=cfg.seed)
 
@@ -329,8 +328,8 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
             try:
                 model = fit_from_moments(
                     moments, mu, basis=basis, n_history=dataset.n,
-                    penalty_scale=cfg.penalty_scale, max_sweeps=cfg.max_sweeps,
-                    tol=cfg.tol, obj_rel_tol=cfg.obj_rel_tol, w0=w0)
+                    penalty_scale=PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
+                    tol=TOL, obj_rel_tol=OBJ_REL_TOL, w0=w0)
             except Exception as err:
                 raise SweepError(mu, fold, err) from err
             w0 = model.W_std
@@ -340,9 +339,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     paths = _fork_map(fold_path, list(range(len(folds))))
     points = [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
               for mu in cfg.mu_grid]
-    selected = _select([pt.value for pt in points],
-                       [pt.mean_test for pt in points],
-                       cfg.select_rel_tol, prefer_small=False)
+    selected = _select(points, prefer_small=False)
     return SweepReport(kind="mu", points=points, selected=selected,
                        k=cfg.k, seed=cfg.seed)
 
@@ -372,6 +369,8 @@ def pareto_to_csv(rows: list[dict], path: str | Path) -> None:
 
 
 __all__ = [
+    "SELECT_REL_TOL", "HISTORY_MU", "HISTORY_PENALTY_SCALE", "PENALTY_SCALE",
+    "MAX_SWEEPS", "TOL", "OBJ_REL_TOL",
     "SweepConfig", "SweepReport", "GridPoint", "SweepError",
     "sweep_history", "sweep_mu", "pareto_table", "pareto_to_csv",
 ]

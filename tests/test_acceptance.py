@@ -59,7 +59,7 @@ def default_model(datasets):
 @pytest.fixture(scope="module")
 def history_report(datasets):
     cfg = SweepConfig()
-    return sweep_history(datasets, cfg.history_mu, cfg)
+    return sweep_history(datasets, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +146,7 @@ class TestCriterion06:
     def test_ar2_control_selects_two(self):
         traj = ar2_trajectory()
         cfg = SweepConfig(n_grid=(1, 2, 3, 4), k=5, seed=0)
-        report = sweep_history(datasets_per_n(traj, cfg.n_grid),
-                               cfg.history_mu, cfg)
+        report = sweep_history(datasets_per_n(traj, cfg.n_grid), cfg)
         assert report.selected == 2
         ok("C6b PASS synthetic order-2 control selects n=2 exactly")
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from throttleid.excitation import ExcitationConfig, excitation_segment
-from throttleid.features import (HistorySpec, assemble, dataset_from_csv,
-                                 dataset_to_csv, feature_names, input_width,
+from throttleid.features import (HistorySpec, assemble, feature_names, input_width,
                                  kfold_indices, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 
@@ -177,23 +176,6 @@ class TestMergeAndSplit:
         assert any(not np.array_equal(tea, teb)
                    for (_, tea), (_, teb) in zip(a, kfold_indices(57, 4, seed=4)))
 
-    def test_kfold_contiguous(self):
-        pairs = kfold_indices(57, 4, seed=0, contiguous=True)
-        np.testing.assert_array_equal(np.concatenate([te for _, te in pairs]),
-                                      np.arange(57))
-
     def test_kfold_too_many_folds(self):
         with pytest.raises(ValueError):
             kfold_indices(3, 4, seed=0)
-
-
-class TestPersistence:
-    def test_csv_roundtrip(self, tmp_path, traj):
-        ds = assemble(traj, HistorySpec(2))
-        path = tmp_path / "dataset.csv"
-        dataset_to_csv(ds, path)
-        again = dataset_from_csv(path)
-        assert np.array_equal(again.inputs, ds.inputs)
-        assert np.array_equal(again.targets, ds.targets)
-        assert again.n == ds.n
-        assert again.trace_names == ds.trace_names

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
 from throttleid.regression import model_from_json, model_to_json
+from throttleid.tuning import SweepConfig
 
 
 def _hash_tree(root: Path) -> dict:
@@ -179,6 +181,27 @@ class TestConfigIO:
         cfg = tiny_config(str(tmp_path / "y"), seed=11)
         assert cfg.excitation.seed == 11
         assert cfg.sweep.seed == 11
+
+    def test_seed_leaves_passed_configs_alone(self):
+        c = PipelineConfig(seed=5)
+        d = replace(c, seed=9)
+        assert (c.excitation.seed, c.sweep.seed) == (5, 5)
+        assert (d.excitation.seed, d.sweep.seed) == (9, 9)
+        shared = ExcitationConfig()
+        a = PipelineConfig(excitation=shared, seed=1)
+        b = PipelineConfig(excitation=shared, seed=2)
+        assert (a.excitation.seed, b.excitation.seed, shared.seed) == (1, 2, 0)
+
+    def test_sweep_grids_default_when_absent(self):
+        assert PipelineConfig.from_json('{"sweep": {}}').sweep == SweepConfig()
+        assert PipelineConfig.from_json('{"sweep": {"k": 3}}').sweep == SweepConfig(k=3)
+
+    def test_removed_settings_rejected(self):
+        # a config written before these settings became constants
+        with pytest.raises(ValueError, match="penalty_scale"):
+            PipelineConfig.from_json('{"penalty_scale": "none"}')
+        with pytest.raises(TypeError, match="history_mu"):
+            PipelineConfig.from_json('{"sweep": {"history_mu": 0.01}}')
 
 
 class TestCLI:

@@ -33,7 +33,7 @@ def stair_pair(small_model):
     return trace, truth
 
 
-def reference_rollout(model, trace, warmup, clamp):
+def reference_rollout(model, trace, warmup):
     """The rollout written as a per-step build_row + predict loop, kept as
     the reference the gather-based loop must match bit for bit."""
     n, L = model.n, len(trace) + 1
@@ -49,9 +49,8 @@ def reference_rollout(model, trace, warmup, clamp):
                       hist[:, 5], hist[:, 6], st[t], lambda_feature(out[t - 1, 5], out[t - 1, 6]))
         raw[t] = y = predict(model, x)
         out[t] = y
-        if clamp:
-            out[t, :4] = np.maximum(y[:4], 0.0)
-            out[t, 5:] = np.maximum(y[5:], out[t - 1, 5:])
+        out[t, :4] = np.maximum(y[:4], 0.0)
+        out[t, 5:] = np.maximum(y[5:], out[t - 1, 5:])
     return out, raw
 
 
@@ -86,17 +85,16 @@ class TestRollout:
         diff = pred.thrusts - raw[:, :4]
         assert np.all(diff[raw[:, :4] >= 0.0] == 0.0)
 
-    @pytest.mark.parametrize("clamp", [True, False])
-    def test_step_input_is_assemble_row(self, small_model, stair_pair, clamp):
+    def test_step_input_is_assemble_row(self, small_model, stair_pair):
         # each step predicts from the row that `assemble` builds out of
         # the rollout's own output, so the gather index is its layout;
         # and the loop is bitwise the per-step build_row + predict one
         trace, truth = stair_pair
-        pred, raw = rollout(small_model, trace, truth, clamp=clamp, collect_raw=True)
+        pred, raw = rollout(small_model, trace, truth, collect_raw=True)
         n = small_model.n
         np.testing.assert_allclose(predict(small_model, assemble(pred, n).inputs),
                                    raw[n:], rtol=1e-12)
-        out, ref_raw = reference_rollout(small_model, trace, truth, clamp)
+        out, ref_raw = reference_rollout(small_model, trace, truth)
         assert raw.tobytes() == ref_raw.tobytes()
         assert np.column_stack([pred.thrusts, pred.pressures, pred.m_fuel,
                                 pred.m_ox]).tobytes() == out.tobytes()

@@ -1,13 +1,20 @@
-"""The benchmark's span tracer binds package names by attribute lookup.
+"""Names that other code looks up in the package must exist.
 
 `perfbench/spans.py` rebinds public functions of every layer module by
 name, so renaming one of them breaks traced benchmark runs. Installing
 and uninstalling the tracer here catches such a rename in the test suite.
+Each module's `__all__` and the package's re-exports are checked the
+same way, so deleting a function cannot leave a stale export behind.
 """
 
+import ast
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
+
+import throttleid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +42,18 @@ def test_span_tracer_installs_and_uninstalls():
     for name, attrs in before.items():
         assert all(after[name][k] is v for k, v in attrs.items()), name
     assert all(vars(spans.plant.PlantTrajectory)[k] is v for k, v in methods.items())
+
+
+def test_exports_resolve():
+    modules = {info.name: importlib.import_module(f"throttleid.{info.name}")
+               for info in pkgutil.iter_modules(throttleid.__path__)}
+    for name, mod in modules.items():
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert not missing, (name, missing)
+    # every name the package re-exports is public in its module
+    tree = ast.parse(Path(throttleid.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                assert alias.name in modules[node.module].__all__, (node.module, alias.name)
+                assert hasattr(throttleid, alias.name)

@@ -58,13 +58,12 @@ class TestSweepConfig:
 class TestSweepHistory:
     def test_singleton_grid(self, ar2_traj):
         cfg = small_cfg(n_grid=(3,))
-        report = sweep_history(datasets_per_n(ar2_traj, (3,)), 1e-3, cfg)
+        report = sweep_history(datasets_per_n(ar2_traj, (3,)), cfg)
         assert report.selected == 3
 
     def test_ar2_selects_two(self, ar2_traj):
         cfg = small_cfg()
-        report = sweep_history(datasets_per_n(ar2_traj, cfg.n_grid),
-                               cfg.history_mu, cfg)
+        report = sweep_history(datasets_per_n(ar2_traj, cfg.n_grid), cfg)
         assert report.selected == 2
         # order-1 misses the second lag badly; order >= 2 are ties
         assert report.point(1).mean_test > 2.0 * report.point(2).mean_test
@@ -72,7 +71,7 @@ class TestSweepHistory:
     def test_missing_dataset_rejected(self, ar2_traj):
         cfg = small_cfg()
         with pytest.raises(ValueError, match="history length"):
-            sweep_history(datasets_per_n(ar2_traj, (1, 2)), 1e-3, cfg)
+            sweep_history(datasets_per_n(ar2_traj, (1, 2)), cfg)
 
     def test_fold_failure_wrapped(self, ar2_traj, monkeypatch):
         # force a solver failure to confirm the (grid point, fold) wrap
@@ -84,15 +83,15 @@ class TestSweepHistory:
         monkeypatch.setattr(tuning_mod, "fit_from_moments", boom)
         cfg = small_cfg(n_grid=(2,))
         with pytest.raises(SweepError) as exc:
-            sweep_history(datasets_per_n(ar2_traj, (2,)), 1e-3, cfg)
+            sweep_history(datasets_per_n(ar2_traj, (2,)), cfg)
         assert exc.value.grid_value == 2
         assert exc.value.fold == 0
 
     def test_deterministic(self, ar2_traj):
         cfg = small_cfg(n_grid=(1, 2))
         ds = datasets_per_n(ar2_traj, (1, 2))
-        a = sweep_history(ds, 1e-3, cfg)
-        b = sweep_history(ds, 1e-3, cfg)
+        a = sweep_history(ds, cfg)
+        b = sweep_history(ds, cfg)
         assert a.to_json() == b.to_json()
 
 
@@ -130,7 +129,7 @@ class TestSweepMu:
         cfg = small_cfg()
         report = sweep_mu(ds, cfg)
         tests = {pt.value: pt.mean_test for pt in report.points}
-        cutoff = min(tests.values()) * (1 + cfg.select_rel_tol)
+        cutoff = min(tests.values()) * (1 + tuning_mod.SELECT_REL_TOL)
         tied = [mu for mu, t in tests.items() if t <= cutoff]
         assert report.selected == max(tied)
 
@@ -209,7 +208,7 @@ class TestWorkers:
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             texts.append((sweep_mu(ds, cfg).to_json(),
-                          sweep_history(datasets, cfg.history_mu, cfg).to_json()))
+                          sweep_history(datasets, cfg).to_json()))
         assert texts[0] == texts[1]
 
     def test_fork_with_live_blas_threads(self, monkeypatch):
@@ -275,7 +274,7 @@ class TestPareto:
 class TestReportIO:
     def test_csv_and_json(self, tmp_path, ar2_traj):
         ds = datasets_per_n(ar2_traj, (1, 2))
-        report = sweep_history(ds, 1e-3, small_cfg(n_grid=(1, 2)))
+        report = sweep_history(ds, small_cfg(n_grid=(1, 2)))
         report.to_csv(tmp_path / "hist.csv")
         report.to_json(tmp_path / "hist.json")
         lines = (tmp_path / "hist.csv").read_text().splitlines()
