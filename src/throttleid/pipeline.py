@@ -22,7 +22,7 @@ from .features import TARGET_NAMES, HistorySpec, assemble, merge
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
                     PropellantDepletedError, read_json, simulate)
 from .regression import (BasisSpec, expand, fit_lasso, model_from_json,
-                         model_to_json, predict, rmse)
+                         model_to_json, predict_expanded, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
 from .tuning import (OBJ_REL_TOL, PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
@@ -150,11 +150,11 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     _snapshot(cfg, out)
     trajs = load_trajectories(data_dir or out)
     ds = merge([assemble(tr, cfg.history) for tr in trajs])
-    model = fit_lasso(expand(ds.inputs, cfg.basis), ds.targets, cfg.train_mu,
-                      basis=cfg.basis, n_history=ds.n,
+    phi = expand(ds.inputs, cfg.basis)
+    model = fit_lasso(phi, ds.targets, cfg.train_mu, basis=cfg.basis, n_history=ds.n,
                       penalty_scale=PENALTY_SCALE, obj_rel_tol=OBJ_REL_TOL)
     model_to_json(model, out / "model.json")
-    per_output, aggregate = rmse(predict(model, ds.inputs), ds.targets)
+    per_output, aggregate = rmse(predict_expanded(model, phi), ds.targets)
     report = {
         "rows": len(ds),
         "n": ds.n,

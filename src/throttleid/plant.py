@@ -38,20 +38,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import fork_map
 
 # Effective liquid propellant density used for the bottle blowdown
 # volume bookkeeping [kg/m^3]. Mass-weighted MMH/NTO estimate; only the
 # slow p_bottle trend depends on it.
 PROPELLANT_DENSITY = 1200.0
 
-# Rows that the plant kernel and `write_csv` convert at a time. Small
-# blocks bound their memory on long traces and keep their temporaries
-# below glibc's mmap threshold: freeing a larger block raises that
-# threshold, which moves later mid-size temporaries onto the heap (whole
-# trace blocks raised the training peak RSS by ~7%).
+# Rows that the plant kernel and `write_csv` convert at a time. A block
+# is also `write_csv`'s unit of parallel work and of each message a
+# worker sends back. Small blocks bound memory on long traces and keep
+# each temporary and each message (12-100 KiB of text) below glibc's
+# mmap threshold: freeing a larger buffer raises that threshold, which
+# moves later mid-size temporaries onto the heap (converting whole
+# traces at once raised the training peak RSS by ~7%, and sending each
+# worker's whole share as one message raised it by ~7% too). Many small
+# tasks also keep the workers busy while the caller writes.
 _BLOCK = 256
 
 TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
@@ -62,16 +69,26 @@ def read_json(source: str | Path):
     return json.loads(source.read_text() if isinstance(source, Path) else source)
 
 
+def _csv_lines(columns: list[np.ndarray], lo: int) -> str:
+    """The CSV lines of rows lo .. lo + _BLOCK - 1 of `columns`."""
+    block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
+    return "".join([",".join(map(repr, row)) + "\n"
+                    for row in block.astype(float, copy=False).tolist()])
+
+
 def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     """Numeric CSV: the header line, then one line per row of the
     column-stacked `columns` (1-D or 2-D arrays of equal length), each
-    value written as repr(float) so that reading it back is exact."""
+    value written as repr(float) so that reading it back is exact.
+
+    Blocks of `_BLOCK` rows are formatted on every usable CPU
+    (`parallel.fork_map`) and written in order, so the file does not
+    depend on the CPU count.
+    """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK):
-            block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in block.astype(float, copy=False).tolist())
+        for text in fork_map(partial(_csv_lines, columns), range(0, len(columns[0]), _BLOCK)):
+            fh.write(text)
 
 
 class PropellantDepletedError(RuntimeError):

@@ -100,26 +100,38 @@ class BasisSpec:
         return p
 
 
-def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
-    """Deterministic ordered monomial expansion; bias first when enabled."""
+def expand(x: np.ndarray, basis: BasisSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic ordered monomial expansion; bias first when enabled.
+
+    `x` is one row (p,) or a batch (N, p). The columns are written into
+    `out`, which must have the shape of the result, (width,) or
+    (N, width) with width = basis.width(p), and which is returned; a new
+    array is allocated when it is not given.
+    """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    cols = []
+    p = x.shape[-1]
+    shape = x.shape[:-1] + (basis.width(p),)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    X = x if x.ndim == 2 else x[None, :]
+    O = out if out.ndim == 2 else out[None, :]
+    col = 0
     if basis.include_bias:
-        cols.append(np.ones((X.shape[0], 1)))
-    if basis.kind == "linear":
-        cols.append(X)
-    elif basis.kind == "elementwise-poly":
-        for d in range(1, basis.degree + 1):
-            cols.append(X ** d)
-    else:  # full-quadratic, lexicographic i <= j
-        cols.append(X)
-        p = X.shape[1]
+        O[:, 0] = 1.0
+        col = 1
+    O[:, col:col + p] = X
+    col += p
+    if basis.kind == "elementwise-poly":
+        for d in range(2, basis.degree + 1):
+            np.power(X, d, out=O[:, col:col + p])
+            col += p
+    elif basis.kind == "full-quadratic":  # lexicographic i <= j
         for i in range(p):
-            cols.append(X[:, i:i + 1] * X[:, i:])
-    out = np.concatenate(cols, axis=1)
-    return out[0] if single else out
+            np.multiply(X[:, i:i + 1], X[:, i:], out=O[:, col:col + p - i])
+            col += p - i
+    return out
 
 
 def soft_threshold(z, a):
@@ -242,17 +254,13 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     solvable = np.flatnonzero(diag > 0.0)
     W = np.zeros((F, nout)) if w0 is None else np.array(w0, dtype=float)
     q = G @ W
-    pen = np.full(F, mu)
     need_obj = track_objective or obj_rel_tol > 0.0
-    history = []
-    f_prev = _objective_value(W, m, mu, pen) if need_obj else None
-    if track_objective:
-        history.append(f_prev)
+    history = [_objective_value(W, m, mu)] if track_objective else []
 
     # G is symmetric, so row j doubles as (contiguous) column j; G_col[j]
     # is that column shaped (F, 1) for the broadcast outer product.
     G_col = G[:, :, None]
-    diag_of, pen_of = diag.tolist(), pen.tolist()
+    diag_of = diag.tolist()
     q_step = np.empty((F, nout))
 
     def cycle(cols) -> float:
@@ -263,7 +271,7 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
         for j in cols:
             d = diag_of[j]
             rho = c[j] - q[j] + d * W[j]
-            w_new = np.sign(rho) * np.maximum(np.abs(rho) - pen_of[j], 0.0) / d
+            w_new = np.sign(rho) * np.maximum(np.abs(rho) - mu, 0.0) / d
             delta = w_new - W[j]
             step = np.abs(delta).max()
             if step > 0.0:
@@ -278,13 +286,12 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     stall_run = 0
 
     def stalled() -> bool:
-        nonlocal f_prev, smooth_prev, stall_run
+        nonlocal smooth_prev, stall_run
         if not need_obj:
             return False
         quad = 0.5 * (np.sum(W * (G @ W)) - 2.0 * np.sum(W * m.c) + np.sum(m.yty))
         if track_objective:
-            f_prev = quad + np.sum(pen[:, None] * np.abs(W))
-            history.append(f_prev)
+            history.append(float(quad + mu * np.sum(np.abs(W))))  # as _objective_value
         if obj_rel_tol <= 0.0:
             return False
         if smooth_prev is not None and \
@@ -312,11 +319,11 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
             L = max(L, float(v @ gv))
             v = gv / nrm
         L = 1.02 * max(L, float(v @ (G @ v)))
-        pen_L = np.broadcast_to(pen[:, None] / L, W.shape).copy()
+        mu_L = mu / L
         V = W.copy()
         # Iterates live in preallocated buffers; each step is the same
         # sequence of operations as
-        #   W_new = soft_threshold(V - (G @ V - c) / L, pen_L)
+        #   W_new = soft_threshold(V - (G @ V - c) / L, mu_L)
         #   V = W_new + ((tk - 1) / tk_new) * (W_new - W)
         W_new, grad, shrink, diff = (np.empty_like(W) for _ in range(4))
         tk = 1.0
@@ -327,7 +334,7 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
             grad /= L
             np.subtract(V, grad, out=W_new)
             np.abs(W_new, out=shrink)
-            shrink -= pen_L
+            shrink -= mu_L
             np.maximum(shrink, 0.0, out=shrink)
             np.sign(W_new, out=W_new)
             W_new *= shrink
@@ -346,15 +353,15 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
         q = G @ W
 
     # Screening slack: admitting a zero coordinate whose gradient sits
-    # within pen*(1+slack) improves the objective by at most
-    # (pen*slack)^2 / (2*diag); with the stall rule active this is far
+    # within mu*(1+slack) improves the objective by at most
+    # (mu*slack)^2 / (2*diag); with the stall rule active this is far
     # below the stall resolution, and without it the screen is exact.
     screen_slack = 1e-3 if obj_rel_tol > 0.0 else 0.0
 
     def kkt_violators() -> np.ndarray:
         rho_all = c[solvable] - q[solvable]
         zero_rows = ~np.any(W[solvable] != 0.0, axis=1)
-        bound = pen[solvable] * (1.0 + screen_slack)
+        bound = mu * (1.0 + screen_slack)
         return solvable[zero_rows & (np.max(np.abs(rho_all), axis=1) > bound)]
 
     sweeps = 0
@@ -363,13 +370,12 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
         fista_phase()
         if track_objective:
             # the warm start may have passed the recorded initial value
-            history[:] = [_objective_value(W, m, mu, pen)]
-        f_prev = _objective_value(W, m, mu, pen) if need_obj else None
+            history[:] = [_objective_value(W, m, mu)]
     if np.any(W != 0.0):
         active = solvable[np.any(W[solvable] != 0.0, axis=1)]
     else:
         # strong-rule style start; later screens admit anything missed
-        active = solvable[np.max(np.abs(c[solvable]), axis=1) > pen[solvable]]
+        active = solvable[np.max(np.abs(c[solvable]), axis=1) > mu]
     smooth_at_screen = None
     while sweeps < max_sweeps:
         # cycle the working set until it stops moving
@@ -402,18 +408,18 @@ def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
     return W, sweeps, converged, history
 
 
-def _support_solve(m: _Moments, pen: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _support_solve(m: _Moments, mu: float, W: np.ndarray) -> np.ndarray:
     """Solve each output exactly on the support of the descent iterate.
 
     On the support A and sign pattern s of a LASSO minimizer,
-    G_AA w_A = c_A - pen_A * s_A holds exactly; descent only gets there
+    G_AA w_A = c_A - mu * s_A holds exactly; descent only gets there
     to its stopping tolerance. An output keeps its iterate when G_AA is
     not positive definite (duplicate columns in the support, where the
     minimizer is not unique) or when the solved point does not lower
     that output's objective.
     """
     def objective(w, k):
-        return 0.5 * (w @ (m.G @ w) + m.yty[k]) - w @ m.c[:, k] + pen @ np.abs(w)
+        return 0.5 * (w @ (m.G @ w) + m.yty[k]) - w @ m.c[:, k] + mu * np.sum(np.abs(w))
 
     W = W.copy()
     for k in range(W.shape[1]):
@@ -426,22 +432,17 @@ def _support_solve(m: _Moments, pen: np.ndarray, W: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
         w_new = np.zeros_like(w)
-        rhs = m.c[A, k] - pen[A] * np.sign(w[A])
+        rhs = m.c[A, k] - mu * np.sign(w[A])
         w_new[A] = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         if objective(w_new, k) <= objective(w, k) * (1.0 + 1e-12) + 1e-12:
             W[:, k] = w_new
     return W
 
 
-def _objective_value(W: np.ndarray, m: _Moments, mu: float,
-                     pen: np.ndarray | None = None) -> float:
+def _objective_value(W: np.ndarray, m: _Moments, mu: float) -> float:
     """1/2 ||Y - Phi W||_F^2 + mu ||W||_1 in solver coordinates."""
     quad = 0.5 * (np.sum(W * (m.G @ W)) - 2.0 * np.sum(W * m.c) + np.sum(m.yty))
-    if pen is None:
-        l1 = mu * np.sum(np.abs(W))
-    else:
-        l1 = np.sum(pen[:, None] * np.abs(W))
-    return float(quad + l1)
+    return float(quad + mu * np.sum(np.abs(W)))
 
 
 def kkt_residual(W: np.ndarray, m: _Moments, mu: float) -> float:
@@ -511,10 +512,10 @@ def fit_from_moments(m: _Moments, mu: float, *,
     W, sweeps, converged, history = _cd_solve(
         m, mu_eff, w0=w0, max_sweeps=max_sweeps, tol=tol,
         track_objective=track_objective, obj_rel_tol=obj_rel_tol)
-    pen_vec = np.full(W.shape[0], mu_eff)
-    W = _support_solve(m, pen_vec, W)
+    W = _support_solve(m, mu_eff, W)
+    objective = _objective_value(W, m, mu_eff)
     if track_objective:
-        history.append(_objective_value(W, m, mu_eff, pen_vec))
+        history.append(objective)
     kkt = kkt_residual(W, m, mu_eff)
     if not converged and obj_rel_tol <= 0.0:
         raise ConvergenceError(sweeps, kkt)
@@ -546,7 +547,7 @@ def fit_from_moments(m: _Moments, mu: float, *,
         n_inputs=input_width(n_history) if n_history is not None
         else (n_inputs if n_inputs is not None else K.shape[1]),
         sparsity=sparsity, kkt=kkt, sweeps=sweeps,
-        objective=history[-1] if history else _objective_value(W, m, mu_eff),
+        objective=objective,
         intercept=intercept, W_std=W)
     model._objective_history = history  # kept for diagnostics/tests
     return model
@@ -611,10 +612,17 @@ def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
     if Phi.shape[1] != model.K.shape[1]:
         raise ValueError(
             f"expanded width {Phi.shape[1]} does not match coefficient width {model.K.shape[1]}")
-    Y = Phi @ model.K.T
+    Y = predict_expanded(model, Phi)
+    return Y[0] if single else Y
+
+
+def predict_expanded(model: CoefficientModel, phi: np.ndarray) -> np.ndarray:
+    """`predict` on a batch already expanded by the model's basis:
+    phi @ K.T (+ intercept when separate)."""
+    Y = phi @ model.K.T
     if model.intercept is not None:
         Y = Y + model.intercept
-    return Y[0] if single else Y
+    return Y
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
@@ -693,6 +701,6 @@ def model_from_json(source: str | Path) -> CoefficientModel:
 __all__ = [
     "BasisSpec", "Standardization", "CoefficientModel", "ConvergenceError",
     "expand", "soft_threshold", "compute_moments", "kkt_residual",
-    "fit_from_moments", "fit_lasso", "predict", "rmse",
+    "fit_from_moments", "fit_lasso", "predict", "predict_expanded", "rmse",
     "model_to_json", "model_from_json",
 ]

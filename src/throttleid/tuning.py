@@ -9,30 +9,25 @@ Selection treats grid points whose mean test RMSE lies within a small
 relative tolerance of the minimum as tied, then prefers the cheaper
 model: the smallest history length, or the largest (sparsest) mu.
 
-Both sweeps run their independent units of work on every usable CPU
-(the affinity set of the process): `sweep_history` one history length
-per unit, `sweep_mu` one fold per unit, each fold's warm-started mu
-path staying sequential. Units are dealt round-robin to the calling
-process and to children forked for the call, which read the caller's
-feature matrix and moments in place and send back only their scores.
-A unit is computed by the same code, on the same data, wherever it
-runs, and results are collected in unit order, so a report is
-byte-identical whatever the number of workers; the error raised is
-that of the first failing (grid point, fold) in serial order.
+Both sweeps run on `parallel.fork_map`, `sweep_history` one history
+length per task and `sweep_mu` one fold per task (each fold's
+warm-started mu path stays sequential), so a report does not depend on
+the number of usable CPUs and the error raised is that of the first
+failing (grid point, fold) in serial order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .features import Dataset, kfold_indices
-from .regression import (BasisSpec, expand, fit_from_moments, raw_moments,
-                         standardize_moments)
+from .parallel import fork_map
+from .regression import (BasisSpec, expand, fit_from_moments, predict_expanded,
+                         raw_moments, standardize_moments)
 
 
 class SweepError(RuntimeError):
@@ -175,10 +170,7 @@ def _fold_scores(model, phi: np.ndarray, targets: np.ndarray,
     folds; each row of it equals the same row of a product over the
     fold's rows alone.
     """
-    pred = phi @ model.K.T
-    if model.intercept is not None:
-        pred = pred + model.intercept
-    err = (pred - targets) / model.standardization.y_scale
+    err = (predict_expanded(model, phi) - targets) / model.standardization.y_scale
     return _scaled_rmse(err[train]), _scaled_rmse(err[test]), model.sparsity
 
 
@@ -186,78 +178,6 @@ def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
     """A grid point from its per-fold (train RMSE, test RMSE, sparsity)."""
     tr, te, sp = (list(col) for col in zip(*scores))
     return GridPoint(value=value, train_rmse=tr, test_rmse=te, sparsity=sp)
-
-
-def _run_share(fn, tasks: list, first: int, stride: int) -> list[tuple[bool, object]]:
-    """(ok, result or exception) of tasks first, first + stride, ...,
-    ending at the first task that raises."""
-    share = []
-    for task in tasks[first::stride]:
-        try:
-            share.append((True, fn(task)))
-        except Exception as err:
-            share.append((False, err))
-            break
-    return share
-
-
-def _send_share(fn, tasks: list, first: int, stride: int, conn) -> None:
-    conn.send(_run_share(fn, tasks, first, stride))
-    conn.close()
-
-
-def _fork_map(fn, tasks: list) -> list:
-    """[fn(task) for task in tasks], spread over the usable CPUs.
-
-    With W = min(len(tasks), usable CPUs) workers, worker w runs tasks
-    w, w + W, w + 2W, ...: the calling process is worker 0, and
-    workers 1..W-1 are children forked for this call, which see the
-    caller's arrays and module state without pickling and send back
-    only their results. Each task is computed by the same code whatever
-    W is, so the results do not depend on it. Errors are raised in task
-    order: the exception of the earliest failing task, which is the
-    first failure a serial run would meet. With one worker, or where
-    fork is unavailable, every task runs in the calling process.
-    """
-    import multiprocessing  # here, so importing the package does not pay for it
-
-    workers = 1
-    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
-        workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    procs = []
-    try:
-        if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            for w in range(1, workers):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_send_share, args=(fn, tasks, w, workers, send),
-                                   name=f"sweep-{w}", daemon=True)
-                proc.start()
-                send.close()
-                procs.append((proc, recv))
-        shares = [_run_share(fn, tasks, 0, workers)]
-        for proc, recv in procs:
-            try:
-                shares.append(recv.recv())
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"sweep worker {proc.name} exited with code "
-                                   f"{proc.exitcode} before sending its results") from None
-    except BaseException:
-        for proc, _ in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in procs:
-            recv.close()
-            proc.join()
-    results = []
-    for i in range(len(tasks)):
-        ok, value = shares[i % workers][i // workers]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
 
 
 def _select(points: list[GridPoint], prefer_small: bool):
@@ -298,7 +218,7 @@ def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
             scores.append(_fold_scores(model, phi, ds.targets, train, test))
         return _grid_point(int(n), scores)
 
-    points = _fork_map(history_point, list(cfg.n_grid))
+    points = list(fork_map(history_point, cfg.n_grid))
     selected = _select(points, prefer_small=True)
     return SweepReport(kind="history", points=points, selected=selected,
                        k=cfg.k, seed=cfg.seed)
@@ -336,7 +256,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
             path.append(_fold_scores(model, phi, dataset.targets, train, test))
         return path
 
-    paths = _fork_map(fold_path, list(range(len(folds))))
+    paths = list(fork_map(fold_path, range(len(folds))))
     points = [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
               for mu in cfg.mu_grid]
     selected = _select(points, prefer_small=False)

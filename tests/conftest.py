@@ -1,14 +1,22 @@
-"""Shared builders for synthetic and surrogate-plant test data."""
+"""Shared test helpers: builders for synthetic and surrogate-plant data,
+and a patch of the usable CPU count."""
 
 import numpy as np
 import pytest
 
+import throttleid.parallel
 from throttleid.excitation import ExcitationConfig
 from throttleid.features import HistorySpec, assemble, merge
 from throttleid.pipeline import PipelineConfig
 from throttleid.plant import PlantConfig, PlantTrajectory
 from throttleid.regression import BasisSpec
 from throttleid.tuning import SweepConfig
+
+
+def usable_cpus(monkeypatch, count):
+    """Make the fork map's affinity lookup report `count` usable CPUs."""
+    monkeypatch.setattr(throttleid.parallel.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def reduced_pipeline_config(out_dir: str, seed: int = 0) -> PipelineConfig:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -206,8 +207,12 @@ class TestConfigIO:
 
 class TestCLI:
     def run_cli(self, *args):
+        # the package's sources come first, so an uninstalled checkout runs too
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "throttleid.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     def test_gen_train_validate_chain(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "cli"))

@@ -1,11 +1,15 @@
 """Plant surrogate: documented examples, invariants, and persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
+import throttleid.plant as plant_mod
+from conftest import usable_cpus
 from throttleid.plant import (PROPELLANT_DENSITY, CommandTrace, PlantConfig, PlantState,
                               PlantTrajectory, PropellantDepletedError, initial_state,
-                              module_mass, simulate, steady_state_thrust, step)
+                              module_mass, simulate, steady_state_thrust, step, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -340,3 +344,34 @@ class TestConfigAndIO:
         assert np.array_equal(again.pressures, traj.pressures)
         assert np.array_equal(again.m_fuel, traj.m_fuel)
         assert again.dt == traj.dt
+
+    @pytest.mark.parametrize("rows", [0, 1, plant_mod._BLOCK, plant_mod._BLOCK + 1,
+                                      5 * plant_mod._BLOCK + 3])
+    def test_csv_bytes_independent_of_cpu_count(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        mat = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        vec = rng.standard_normal(rows)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+        mat.flat[:len(specials)] = specials[:mat.size]
+        texts = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            write_csv(tmp_path / f"{cpus}.csv", "a,b,c,d", [mat, vec])
+            texts.append((tmp_path / f"{cpus}.csv").read_bytes())
+        assert texts[0] == texts[1]
+        lines = texts[0].decode().splitlines()
+        assert lines == ["a,b,c,d"] + [",".join(map(repr, [*mat[i].tolist(), float(vec[i])]))
+                                       for i in range(rows)]
+
+    def test_dead_csv_worker_reported(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        caller, real_lines = os.getpid(), plant_mod._csv_lines
+
+        def exit_in_child(columns, lo):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real_lines(columns, lo)
+
+        monkeypatch.setattr(plant_mod, "_csv_lines", exit_in_child)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            write_csv(tmp_path / "dead.csv", "x", [np.zeros(3 * plant_mod._BLOCK)])

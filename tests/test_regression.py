@@ -52,6 +52,34 @@ class TestExpand:
         for i in range(6):
             np.testing.assert_array_equal(batch[i], expand(X[i], basis))
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["linear", "elementwise-poly", "full-quadratic"])
+    def test_out_bitwise(self, rng, kind, degree, bias):
+        basis = BasisSpec(kind, degree, bias)
+        X = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-5, 6, (40, 7))
+        X[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the columns built one by one and concatenated
+            cols = [np.ones((40, 1))] if bias else []
+            if kind == "elementwise-poly":
+                cols += [X ** d for d in range(1, degree + 1)]
+            else:
+                cols.append(X)
+                if kind == "full-quadratic":
+                    cols += [X[:, i:i + 1] * X[:, i:] for i in range(7)]
+            ref = np.concatenate(cols, axis=1)
+            out = np.full_like(ref, 7.0)
+            assert expand(X, basis, out=out) is out
+            assert out.tobytes() == expand(X, basis).tobytes() == ref.tobytes()
+            row = np.full(ref.shape[1], 7.0)
+            assert expand(X[3], basis, out=row) is row
+        assert row.tobytes() == ref[3].tobytes()
+
+    def test_out_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            expand(np.zeros((2, 3)), BasisSpec(), out=np.zeros((2, 6)))
+
 
 class TestSoftThreshold:
     def test_cases(self):
@@ -113,6 +141,16 @@ class TestFitLasso:
         for mu in (1e-4, 1e-3, 1e-2, 1.0, 10.0):
             model = fit_lasso(X, Y, mu, standardize=False, tol=1e-12)
             assert model.kkt <= 1e-6
+
+    @pytest.mark.parametrize("mu,scale", [(0.01, "sqrt-rows"), (0.1, "rows"),
+                                          (1.0, "sqrt-rows")])
+    def test_objective_independent_of_tracking(self, rng, mu, scale):
+        X = rng.standard_normal((200, 12))
+        Y = X @ rng.standard_normal((12, 3)) + 0.1 * rng.standard_normal((200, 3))
+        plain = fit_lasso(X, Y, mu, penalty_scale=scale)
+        tracked = fit_lasso(X, Y, mu, penalty_scale=scale, track_objective=True)
+        assert np.array_equal(plain.K, tracked.K)
+        assert plain.objective == tracked.objective == tracked._objective_history[-1]
 
     def test_monotone_objective(self, rng):
         X = rng.standard_normal((120, 15))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, datasets_per_n
+from conftest import ar2_trajectory, datasets_per_n, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import BasisSpec
@@ -21,11 +21,6 @@ from throttleid.tuning import (SweepConfig, SweepError, pareto_table,
 @pytest.fixture(scope="module")
 def ar2_traj():
     return ar2_trajectory()
-
-
-def usable_cpus(monkeypatch, count):
-    """Make the sweeps' affinity lookup report `count` usable CPUs."""
-    monkeypatch.setattr(tuning_mod.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def small_cfg(**kw):
