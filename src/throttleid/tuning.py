@@ -13,7 +13,9 @@ Both sweeps run on `parallel.fork_map`, `sweep_history` one history
 length per task and `sweep_mu` one fold per task (each fold's
 warm-started mu path stays sequential), so a report does not depend on
 the number of usable CPUs and the error raised is that of the first
-failing (grid point, fold) in serial order.
+failing (grid point, fold) in serial order. A task scores all of its
+fits with one product of the expanded features (`_fold_scores`): a
+history length its k folds, a fold its whole mu path.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .features import Dataset, kfold_indices
 from .parallel import fork_map
-from .regression import (BasisSpec, expand, fit_from_moments, predict_expanded,
-                         raw_moments, standardize_moments)
+from .regression import (BasisSpec, expand, fit_from_moments, raw_moments,
+                         standardize_moments)
 
 
 class SweepError(RuntimeError):
@@ -161,17 +163,30 @@ def _scaled_rmse(err: np.ndarray) -> float:
     return float(np.sqrt(np.mean(per_output ** 2)))
 
 
-def _fold_scores(model, phi: np.ndarray, targets: np.ndarray,
-                 train: np.ndarray, test: np.ndarray) -> tuple[float, float, float]:
-    """(train RMSE, test RMSE, sparsity) of one fold's fit, each output's
-    error scaled by the train-fold target std.
+def _fold_scores(models: list, phi: np.ndarray, targets: np.ndarray,
+                 folds: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> list[tuple[float, float, float]]:
+    """(train RMSE, test RMSE, sparsity) of each model on its own
+    (train, test) rows, each output's error scaled by the model's
+    train-fold target std.
 
-    One product over all rows of the pre-expanded features serves both
-    folds; each row of it equals the same row of a product over the
-    fold's rows alone.
+    One product of the pre-expanded features with every model's K.T
+    side by side serves all models and both folds of each: one pass
+    over phi (145,704 x 153 on the default corpus: ~0.12 s for six
+    models, against ~0.4 s for six products) instead of one per model.
+    Each model's column block, and each row of it, equals the product
+    of that model alone over those rows.
     """
-    err = (predict_expanded(model, phi) - targets) / model.standardization.y_scale
-    return _scaled_rmse(err[train]), _scaled_rmse(err[test]), model.sparsity
+    preds = phi @ np.concatenate([model.K.T for model in models], axis=1)
+    width = targets.shape[1]
+    scores = []
+    for i, (model, (train, test)) in enumerate(zip(models, folds)):
+        pred = preds[:, i * width:(i + 1) * width]
+        if model.intercept is not None:
+            pred = pred + model.intercept
+        err = (pred - targets) / model.standardization.y_scale
+        scores.append((_scaled_rmse(err[train]), _scaled_rmse(err[test]), model.sparsity))
+    return scores
 
 
 def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
@@ -205,18 +220,18 @@ def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
         ds = datasets[n]
         phi = expand(ds.inputs, basis)
         full = raw_moments(phi, ds.targets)
-        scores = []
-        for fold, (train, test) in enumerate(kfold_indices(len(ds), cfg.k, cfg.seed)):
+        folds = kfold_indices(len(ds), cfg.k, cfg.seed)
+        models = []
+        for fold, (train, test) in enumerate(folds):
             try:
                 m_train = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
-                model = fit_from_moments(
+                models.append(fit_from_moments(
                     m_train, HISTORY_MU, basis=basis, n_history=n,
                     penalty_scale=HISTORY_PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
-                    tol=TOL, obj_rel_tol=OBJ_REL_TOL)
+                    tol=TOL, obj_rel_tol=OBJ_REL_TOL))
             except Exception as err:
                 raise SweepError(n, fold, err) from err
-            scores.append(_fold_scores(model, phi, ds.targets, train, test))
-        return _grid_point(int(n), scores)
+        return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
 
     points = list(fork_map(history_point, cfg.n_grid))
     selected = _select(points, prefer_small=True)
@@ -240,10 +255,10 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     folds = kfold_indices(len(dataset), cfg.k, cfg.seed)
 
     def fold_path(fold: int) -> list[tuple[float, float, float]]:
-        train, test = folds[fold]
+        test = folds[fold][1]
         moments = standardize_moments(full - raw_moments(phi[test], dataset.targets[test]))
         w0 = None
-        path = []
+        models = []
         for mu in mu_desc:
             try:
                 model = fit_from_moments(
@@ -253,8 +268,8 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
             except Exception as err:
                 raise SweepError(mu, fold, err) from err
             w0 = model.W_std
-            path.append(_fold_scores(model, phi, dataset.targets, train, test))
-        return path
+            models.append(model)
+        return _fold_scores(models, phi, dataset.targets, [folds[fold]] * len(models))
 
     paths = list(fork_map(fold_path, range(len(folds))))
     points = [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])

@@ -1,10 +1,12 @@
 """Regression core: expansion, soft-thresholding, LASSO oracles, KKT."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import throttleid.regression as regression_mod
 from throttleid.regression import (BasisSpec, ConvergenceError, compute_moments,
                                    expand, fit_from_moments, fit_lasso,
                                    kkt_residual, model_from_json, model_to_json,
@@ -275,6 +277,188 @@ class TestWarmStart:
         f_cold = cold._objective_history[-1]
         f_warm = warm._objective_history[-1]
         assert abs(f_cold - f_warm) <= 1e-8 * max(1.0, abs(f_cold))
+
+
+def reference_cd_solve(m, mu, *, w0=None, max_sweeps=10000, tol=1e-8,
+                       track_objective=False, obj_rel_tol=0.0):
+    """`regression._cd_solve` with its kernels in plain numpy form: the CD
+    coordinate update on whole 7-element rows and the allocating FISTA
+    step. The control flow (strong-rule start, screening slack, stall
+    rule, FISTA stop) is the solver's; objective tracking is left out."""
+    assert not track_objective
+    G, c = m.G, m.c
+    F, nout = c.shape
+    diag = np.diag(G).copy()
+    solvable = np.flatnonzero(diag > 0.0)
+    W = np.zeros((F, nout)) if w0 is None else np.array(w0, dtype=float)
+    q = G @ W
+
+    def smooth():
+        return 0.5 * (np.sum(W * (G @ W)) - 2.0 * np.sum(W * c) + np.sum(m.yty))
+
+    def cycle(cols):
+        nonlocal q
+        max_delta = 0.0
+        for j in cols:
+            d = diag[j]
+            rho = c[j] - q[j] + d * W[j]
+            w_new = np.sign(rho) * np.maximum(np.abs(rho) - mu, 0.0) / d
+            delta = w_new - W[j]
+            step = float(np.max(np.abs(delta)))
+            if step > 0.0:
+                q = q + np.outer(G[:, j], delta)
+                W[j] = w_new
+                max_delta = max(max_delta, step)
+        return max_delta
+
+    smooth_prev, stall_run = None, 0
+
+    def stalled():
+        nonlocal smooth_prev, stall_run
+        if obj_rel_tol <= 0.0:
+            return False
+        quad = smooth()
+        if smooth_prev is not None and \
+                abs(smooth_prev - quad) <= obj_rel_tol * max(abs(quad), 1e-300):
+            stall_run += 1
+        else:
+            stall_run = 0
+        smooth_prev = quad
+        return stall_run >= 3
+
+    def fista_phase():
+        nonlocal q, W
+        v = np.full(F, 1.0 / np.sqrt(F))
+        L = 0.0
+        for _ in range(60):
+            gv = G @ v
+            nrm = float(np.linalg.norm(gv))
+            if nrm <= 0.0:
+                return
+            L = max(L, float(v @ gv))
+            v = gv / nrm
+        L = 1.02 * max(L, float(v @ (G @ v)))
+        mu_L = mu / L
+        V = W.copy()
+        tk, f_last = 1.0, None
+        for it in range(1, 100001):
+            z = V - (G @ V - c) / L
+            W_new = np.sign(z) * np.maximum(np.abs(z) - mu_L, 0.0)
+            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+            V = W_new + ((tk - 1.0) / tk_new) * (W_new - W)
+            W, tk = W_new, tk_new
+            if it % 200 == 0:
+                f_now = smooth()
+                if f_last is not None and \
+                        abs(f_last - f_now) <= 50.0 * obj_rel_tol * max(abs(f_now), 1e-300):
+                    break
+                f_last = f_now
+        q = G @ W
+
+    screen_slack = 1e-3 if obj_rel_tol > 0.0 else 0.0
+    sweeps, converged = 0, False
+    if obj_rel_tol > 0.0 and solvable.size:
+        fista_phase()
+    if np.any(W != 0.0):
+        active = solvable[np.any(W[solvable] != 0.0, axis=1)]
+    else:
+        active = solvable[np.max(np.abs(c[solvable]), axis=1) > mu]
+    smooth_at_screen = None
+    while sweeps < max_sweeps:
+        settled = False
+        while sweeps < max_sweeps:
+            delta = cycle(active) if active.size else 0.0
+            sweeps += 1
+            if stalled() or delta < tol:
+                settled = True
+                break
+        if not settled:
+            break
+        zero_rows = ~np.any(W[solvable] != 0.0, axis=1)
+        big = np.max(np.abs(c[solvable] - q[solvable]), axis=1) > mu * (1.0 + screen_slack)
+        viol = solvable[zero_rows & big]
+        if viol.size == 0:
+            converged = True
+            break
+        if obj_rel_tol > 0.0 and smooth_prev is not None:
+            if smooth_at_screen is not None and \
+                    abs(smooth_at_screen - smooth_prev) <= 10.0 * obj_rel_tol * abs(smooth_prev):
+                converged = True
+                break
+            smooth_at_screen = smooth_prev
+        active = np.union1d(solvable[np.any(W[solvable] != 0.0, axis=1)], viol)
+    return W, sweeps, converged, []
+
+
+def _collinear_lags(gen, rows=400, lags=6):
+    """Stair-hold lag columns: adjacent columns nearly identical."""
+    u = np.repeat(gen.standard_normal(rows // 50 + lags + 1), 50)
+    X = np.column_stack([u[lags - i:lags - i + rows] for i in range(lags)])
+    X = np.column_stack([X, X ** 2, gen.standard_normal((rows, 3))])
+    Y = X[:, :3] @ gen.standard_normal((3, 4)) + 0.01 * gen.standard_normal((rows, 4))
+    return X, Y
+
+
+class TestSolverReference:
+    """The solver is bitwise the solver with the numpy-form reference
+    kernels: its descent iterate, and the fit built from it."""
+
+    @staticmethod
+    def both(monkeypatch, m, mu, **kw):
+        mu_eff = regression_mod._scale_mu(mu, m.n_rows, kw.get("penalty_scale", "none"))
+        solve_kw = {k: v for k, v in kw.items() if k in ("w0", "max_sweeps", "tol", "obj_rel_tol")}
+        W, sweeps, converged, _ = regression_mod._cd_solve(m, mu_eff, **solve_kw)
+        W_ref, sweeps_ref, converged_ref, _ = reference_cd_solve(m, mu_eff, **solve_kw)
+        assert (sweeps, converged) == (sweeps_ref, converged_ref)
+        assert np.array_equal(W, W_ref)
+        fit = fit_from_moments(m, mu, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(regression_mod, "_cd_solve", reference_cd_solve)
+            ref = fit_from_moments(m, mu, **kw)
+        assert np.array_equal(fit.W_std, ref.W_std)
+        assert np.array_equal(fit.K, ref.K)
+        assert (fit.sweeps, fit.objective, fit.kkt) == (ref.sweeps, ref.objective, ref.kkt)
+        return W, W_ref, fit
+
+    @pytest.mark.parametrize("scale", ["none", "sqrt-rows"])
+    def test_random_problem(self, monkeypatch, scale):
+        gen = np.random.default_rng(3)
+        X = gen.standard_normal((300, 25)) * gen.uniform(0.1, 10.0, 25)
+        Y = X @ (gen.standard_normal((25, 7)) * (gen.random((25, 7)) > 0.6))
+        Y += 0.3 * gen.standard_normal(Y.shape)
+        m = compute_moments(X, Y)
+        mu = 3.0 if scale == "none" else 0.2
+        W, W_ref, fit = self.both(monkeypatch, m, mu, penalty_scale=scale, tol=1e-12)
+        # the CD update reproduces signed zeros too; FISTA does not run here
+        assert W.tobytes() == W_ref.tobytes()
+        assert 0.0 < fit.sparsity < 1.0
+
+    @pytest.mark.parametrize("obj_rel_tol", [0.0, 1e-6])
+    def test_exact_duplicate_columns(self, monkeypatch, obj_rel_tol):
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((200, 8))
+        y = X @ gen.standard_normal((8, 2)) + 0.1 * gen.standard_normal((200, 2))
+        m = compute_moments(np.column_stack([X, X[:, :2]]), y)
+        _, _, fit = self.both(monkeypatch, m, 5.0, obj_rel_tol=obj_rel_tol)
+        assert 0.0 < fit.sparsity < 1.0
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3000])
+    def test_stall_mode(self, monkeypatch, max_sweeps):
+        # one sweep leaves FISTA's iterate nearly as it was
+        X, Y = _collinear_lags(np.random.default_rng(5))
+        m = compute_moments(X, Y)
+        _, _, fit = self.both(monkeypatch, m, 1e-3, penalty_scale="rows",
+                              max_sweeps=max_sweeps, obj_rel_tol=1e-6)
+        assert 0.0 < fit.sparsity < 1.0
+
+    def test_warm_started_path(self, monkeypatch):
+        X, Y = _collinear_lags(np.random.default_rng(6))
+        m = compute_moments(X, Y)
+        w0 = None
+        for mu in (1e-1, 1e-2, 1e-3):
+            _, _, fit = self.both(monkeypatch, m, mu, penalty_scale="sqrt-rows",
+                                  max_sweeps=3000, obj_rel_tol=1e-6, w0=w0)
+            w0 = fit.W_std
 
 
 class TestRMSE:

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from conftest import ar2_trajectory, datasets_per_n, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
-from throttleid.regression import BasisSpec
-from throttleid.regression import ConvergenceError
+from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
+                                   predict_expanded)
 from throttleid.tuning import (SweepConfig, SweepError, pareto_table,
                                pareto_to_csv, sweep_history, sweep_mu)
 
@@ -206,9 +207,11 @@ class TestWorkers:
                           sweep_history(datasets, cfg).to_json()))
         assert texts[0] == texts[1]
 
-    def test_fork_with_live_blas_threads(self, monkeypatch):
+    def test_fork_with_live_blas_threads(self):
         # The child forks while OpenBLAS's default thread pool is running;
-        # a deadlock shows as a timeout, a corrupted result as a mismatch.
+        # a deadlock shows as a timeout, a corrupted result as a mismatch
+        # with the serial run. Both runs share the subprocess's BLAS
+        # settings, whatever the caller's.
         script = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
@@ -218,9 +221,11 @@ from throttleid.features import assemble
 from throttleid.tuning import SweepConfig, sweep_mu
 a = np.ones((400, 400))
 a @ a
-os.sched_getaffinity = lambda pid: {0, 1}
-cfg = SweepConfig(mu_grid=(1e-4, 1e-2), k=3)
-print(sweep_mu(assemble(ar2_trajectory(3000), 2), cfg).to_json())
+ds, cfg = assemble(ar2_trajectory(3000), 2), SweepConfig(mu_grid=(1e-4, 1e-2), k=3)
+for cpus in (2, 1):
+    os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
+    print(sweep_mu(ds, cfg).to_json())
+    print("--")
 """
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -230,10 +235,35 @@ print(sweep_mu(assemble(ar2_trajectory(3000), 2), cfg).to_json())
         done = subprocess.run([sys.executable, "-c", script, str(tests_dir)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        usable_cpus(monkeypatch, 1)
-        expected = sweep_mu(assemble(ar2_trajectory(3000), 2),
-                            SweepConfig(mu_grid=(1e-4, 1e-2), k=3)).to_json()
-        assert done.stdout == expected + "\n"
+        forked, serial, rest = done.stdout.split("--\n")
+        assert rest == "" and '"kind": "mu"' in forked
+        assert forked == serial
+
+
+class TestFoldScores:
+    def test_stacked_equals_one_at_a_time(self, ds):
+        # models of several fits side by side, one with a separate
+        # intercept, each scored on its own folds
+        basis = BasisSpec()
+        phi = expand(ds.inputs, basis)
+        folds = kfold_indices(len(ds), 3, 0)
+        models = [fit_lasso(phi[train], ds.targets[train], mu, basis=basis,
+                            penalty_scale="sqrt-rows", obj_rel_tol=1e-6)
+                  for (train, _), mu in zip(folds, (1e-4, 1e-3, 1e-2))]
+        K = models[0].K.copy()
+        models.append(replace(models[0], K=np.column_stack([np.zeros(len(K)), K[:, 1:]]),
+                              intercept=K[:, 0] + 0.5))
+        folds.append(folds[1])
+        assert models[-1].intercept is not None and models[0].intercept is None
+
+        def one_at_a_time(model, train, test):
+            err = (predict_expanded(model, phi) - ds.targets) / model.standardization.y_scale
+            return (tuning_mod._scaled_rmse(err[train]), tuning_mod._scaled_rmse(err[test]),
+                    model.sparsity)
+
+        stacked = tuning_mod._fold_scores(models, phi, ds.targets, folds)
+        assert stacked == [one_at_a_time(m, *f) for m, f in zip(models, folds)]
+        assert tuning_mod._fold_scores(models[1:2], phi, ds.targets, folds[1:2]) == stacked[1:2]
 
 
 class TestPareto:
