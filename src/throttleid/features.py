@@ -23,6 +23,13 @@ the pressure/mass targets that is exact in training yet one step stale
 in deployment, which wrecks multi-step prediction. Only the commanded
 thrust and engine status slots are truly current; those are exogenous
 inputs known ahead of time.
+
+The layout is written once. `build_row` gives the order of the slots,
+and `_gather_index` applies it to flat offsets into a time-major buffer
+holding every channel of a trajectory, one row per sample. `assemble`
+reads every row of a trajectory's buffer through that index, and the
+rollout reads each step's row from its own buffer through the same
+index, so training and rollout use the same offsets by construction.
 """
 
 from __future__ import annotations
@@ -103,54 +110,38 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _history_block(series: np.ndarray, n: int) -> np.ndarray:
-    """(L-n, n) matrix whose row (t-n) is [x_{t-1}, ..., x_{t-n}]."""
-    L = series.shape[0]
-    return np.stack([series[n - h:L - h] for h in range(1, n + 1)], axis=1)
+# Columns of the time-major buffer that every input row is gathered
+# from, one row per sample: commanded thrust, the seven outputs
+# (delivered thrust, pressure, fuel and oxidizer mass), engine status,
+# and lambda of that row's masses.
+_TR, _TO, _P, _MF, _MO, _SE, _LAM = 0, 4, 8, 9, 10, 11, 15
+_WIDTH = 16
 
 
-def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
-    """Build the supervised dataset of a single trajectory.
+def _output_columns(traj: PlantTrajectory) -> list[np.ndarray]:
+    """A trajectory's outputs, in TARGET_NAMES order. `_buffer` stacks
+    them without first copying them into an (L, 7) matrix."""
+    return [traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox]
 
-    One row per sample t in [n, len); raises if the trajectory is too
-    short to provide even one row.
-    """
-    n = spec.n if isinstance(spec, HistorySpec) else int(spec)
-    if n < 1:
-        raise ValueError("history length must be >= 1")
-    L = len(traj)
-    if L <= n:
-        raise ValueError(f"trajectory of length {L} too short for history n={n}")
 
-    blocks = [traj.commands[n:]]
-    blocks += [_history_block(traj.commands[:, j], n) for j in range(4)]
-    blocks += [_history_block(traj.thrusts[:, j], n) for j in range(4)]
-    blocks += [traj.pressures[n - 1:L - 1, None]]   # latest available = t-1
-    blocks += [_history_block(traj.pressures, n)]
-    blocks += [_history_block(traj.m_fuel, n)]
-    blocks += [_history_block(traj.m_ox, n)]
-    blocks += [traj.status[n:]]
-    blocks += [lambda_feature(traj.m_fuel[n - 1:L - 1],
-                              traj.m_ox[n - 1:L - 1])[:, None]]
-    inputs = np.concatenate(blocks, axis=1)
+def _outputs(traj: PlantTrajectory) -> np.ndarray:
+    """The (L, 7) output matrix of a trajectory."""
+    return np.column_stack(_output_columns(traj))
 
-    targets = np.concatenate(
-        [traj.thrusts[n:], traj.pressures[n:, None],
-         traj.m_fuel[n:, None], traj.m_ox[n:, None]], axis=1)
 
-    name = traj.name or "trace"
-    return Dataset(inputs=inputs, targets=targets, n=n,
-                   trace_names=[name],
-                   row_trace=np.zeros(L - n, dtype=np.intp))
+def _buffer(traj: PlantTrajectory) -> np.ndarray:
+    """The (L, _WIDTH) time-major buffer of a trajectory."""
+    return np.column_stack([traj.commands, *_output_columns(traj), traj.status,
+                            lambda_feature(traj.m_fuel, traj.m_ox)])
 
 
 def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
               se_cur, lam) -> np.ndarray:
-    """Assemble one input row from its blocks, in the `assemble` layout.
+    """Assemble one input row from its blocks, in the input layout.
 
     tr_hist / to_hist are (n, 4) arrays ordered lag 1..n; histories are
-    flattened engine-major to match `assemble`. The rollout applies it
-    once to buffer offsets to build its per-step gather index.
+    flattened engine-major. `_gather_index` applies it to buffer
+    offsets, so this is the one place the slot order is written.
     """
     return np.concatenate([
         np.asarray(tr_cur, dtype=float),
@@ -163,6 +154,52 @@ def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
         np.asarray(se_cur, dtype=float),
         [float(lam)],
     ])
+
+
+def _gather_index(n: int) -> np.ndarray:
+    """Flat offsets into the buffer rows t-n .. t that read sample t's
+    input row, built by `build_row` itself. Pressure and lambda are read
+    from row t-1, the latest sample available at prediction time."""
+    lag = (n - np.arange(1, n + 1)) * _WIDTH      # rows t-1 .. t-n
+    cur = n * _WIDTH                                # row t
+    eng = np.arange(4)
+    return build_row(cur + _TR + eng, lag[:, None] + _TR + eng, lag[:, None] + _TO + eng,
+                     lag[0] + _P, lag + _P, lag + _MF, lag + _MO,
+                     cur + _SE + eng, lag[0] + _LAM).astype(np.intp)
+
+
+def _input_windows(buf: np.ndarray, n: int) -> np.ndarray:
+    """(L-n, (n+1)*_WIDTH) read-only view of a buffer whose row t-n
+    spans its rows t-n .. t: the window `_gather_index` reads from."""
+    return np.lib.stride_tricks.sliding_window_view(
+        buf.reshape(-1), (n + 1) * _WIDTH)[::_WIDTH]
+
+
+def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
+    """Build the supervised dataset of a single trajectory.
+
+    One row per sample t in [n, len); raises if the trajectory is too
+    short to provide even one row, or if any of its ejected masses is
+    negative. Row t's inputs are the gather index applied to the buffer
+    rows t-n .. t, and its targets are row t's outputs.
+    """
+    n = spec.n if isinstance(spec, HistorySpec) else int(spec)
+    if n < 1:
+        raise ValueError("history length must be >= 1")
+    L = len(traj)
+    if L <= n:
+        raise ValueError(f"trajectory of length {L} too short for history n={n}")
+
+    buf = _buffer(traj)
+    # A row index broadcast against the column index gathers straight
+    # into a C-ordered array; `windows[:, index]` would come out
+    # Fortran-ordered and `np.take` would first copy every window.
+    rows = np.arange(L - n)[:, None]
+    name = traj.name or "trace"
+    return Dataset(inputs=_input_windows(buf, n)[rows, _gather_index(n)],
+                   targets=buf[n:, _TO:_MO + 1].copy(), n=n,
+                   trace_names=[name],
+                   row_trace=np.zeros(L - n, dtype=np.intp))
 
 
 def merge(datasets: list[Dataset]) -> Dataset:

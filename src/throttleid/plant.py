@@ -137,19 +137,6 @@ class PlantConfig:
         """isp * g0 [m/s]; total mass flow is thrust / exhaust_velocity."""
         return self.isp * self.g0
 
-    def to_json(self, path: str | Path | None = None) -> str:
-        """Serialize as a flat JSON object keyed by the field names."""
-        text = json.dumps({k: getattr(self, k) for k in self.__dataclass_fields__},
-                          sort_keys=True, indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
-
-    @classmethod
-    def from_json(cls, source: str | Path) -> "PlantConfig":
-        """Load from a JSON file (a Path) or from JSON text (a str)."""
-        return cls(**read_json(source))
-
 
 @dataclass
 class PlantState:
@@ -210,12 +197,6 @@ class CommandTrace:
         """Command-only CSV (the `t,Tr*,Se*` prefix of the plant schema)."""
         write_csv(path, "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4",
                   [np.arange(len(self)) * self.dt, self.commands, self.status])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, name: str = "") -> "CommandTrace":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        dt = float(data[1, 0] - data[0, 0]) if data.shape[0] > 1 else 0.01
-        return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9], name=name)
 
 
 @dataclass

@@ -507,9 +507,6 @@ class CoefficientModel:
         return self.K.shape[0]
 
 
-PENALTY_SCALES = ("none", "sqrt-rows", "rows")
-
-
 def _scale_mu(mu: float, n_rows: int, penalty_scale: str) -> float:
     if penalty_scale == "none":
         return mu

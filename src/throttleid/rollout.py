@@ -3,20 +3,20 @@
 `rollout` replays a command trace through a learned model, feeding the
 model's own thrust/pressure/mass predictions back into the history
 features. Histories are seeded from a true plant prefix (the first n
-samples); the current-pressure and inverse-mass inputs, which use the
-current sample during training, use the latest available prediction
-(one step stale) during rollout since the current outputs are what is
+samples). The standalone pressure and inverse-mass inputs hold the
+previous sample, in training and rollout alike; in rollout that is the
+model's own previous prediction, since the current outputs are what is
 being predicted.
 
 Predicted thrusts are floored at zero and predicted cumulative masses
 made non-decreasing outside the learned map; the pre-clamp predictions
 are kept so raw model error stays measurable.
 
-The loop keeps every channel in one time-major buffer and gathers each
-step's input row with one index precomputed in the `assemble` layout,
-so a step costs one gather, one basis expansion and one product with
-the coefficients, each written into a preallocated row (see `rollout`
-for what that takes per step).
+The input layout is written once, in `features`: the loop keeps every
+channel in a time-major buffer and reads each step's input row through
+the gather index `assemble` uses. A step costs one gather, one basis
+expansion and one product with the coefficients, each written into a
+preallocated row (see `rollout` for what that takes per step).
 
 Every `ValidationReport` comes out of one summary of (rows, 7) truth
 and prediction matrices: `error_windows` summarizes a rollout against
@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import (LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, assemble, build_row,
+from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE,
+                       TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
                        lambda_feature)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv
 from .regression import CoefficientModel, expand, predict, rmse
@@ -98,24 +99,6 @@ class ValidationReport:
         return text
 
 
-# Columns of the rollout's time-major buffer, one row per sample:
-# commanded thrust, delivered thrust, pressure, fuel and oxidizer mass,
-# engine status, and lambda of that row's masses.
-_TR, _TO, _P, _MF, _MO, _SE, _LAM = 0, 4, 8, 9, 10, 11, 15
-_WIDTH = 16
-
-
-def _gather_index(n: int) -> np.ndarray:
-    """Flat offsets into the buffer rows t-n .. t that read sample t's
-    input row in the `assemble` layout (built by `build_row` itself)."""
-    lag = (n - np.arange(1, n + 1)) * _WIDTH      # rows t-1 .. t-n
-    cur = n * _WIDTH                                # row t
-    eng = np.arange(4)
-    return build_row(cur + _TR + eng, lag[:, None] + _TR + eng, lag[:, None] + _TO + eng,
-                     lag[0] + _P, lag + _P, lag + _MF, lag + _MO,
-                     cur + _SE + eng, lag[0] + _LAM).astype(np.intp)
-
-
 def rollout(model: CoefficientModel, trace: CommandTrace,
             warmup: PlantTrajectory, *, collect_raw: bool = False):
     """Multi-step prediction of a command trace.
@@ -161,14 +144,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     index = _gather_index(n)
     predict(model, np.zeros((0, index.size)))   # the model's width checks, once
 
-    commands = np.zeros((L, 4))
-    status = np.zeros((L, 4))
-    commands[1:] = trace.commands
-    status[1:] = trace.status
-
     buf = np.zeros((L, _WIDTH))
-    buf[:, _TR:_TR + 4] = commands
-    buf[:, _SE:_SE + 4] = status
+    buf[1:, _TR:_TR + 4] = trace.commands
+    buf[1:, _SE:_SE + 4] = trace.status
     buf[:n, _TO:_TO + 4] = warmup.thrusts[:n]
     buf[:n, _P] = warmup.pressures[:n]
     buf[:n, _MF] = warmup.m_fuel[:n]
@@ -177,7 +155,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     raw = np.zeros((L, 7))
     raw[:n] = buf[:n, _TO:_MO + 1]
 
-    flat = buf.reshape(-1)
+    windows = _input_windows(buf, n)
     basis, KT, intercept = model.basis, model.K.T, model.intercept
     # One preallocated 2-D row each for the input, its expansion and the
     # prediction, so every product is the same BLAS call as predict's.
@@ -187,7 +165,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     y = np.empty((1, KT.shape[1]))
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
-        np.take(flat[(t - n) * _WIDTH:(t + 1) * _WIDTH], index, out=row)
+        np.take(windows[t - n], index, out=row)
         if basis is not None:
             expand(x, basis, out=phi)
         np.matmul(phi, KT, out=y)
@@ -203,16 +181,12 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         buf[t, _TO:_MO + 1] = ys
         buf[t, _LAM] = LAMBDA_SCALE / (ys[5] + ys[6] + LAMBDA_EPS)
 
-    traj = PlantTrajectory(dt=trace.dt, commands=commands, status=status,
+    traj = PlantTrajectory(dt=trace.dt, commands=buf[:, _TR:_TR + 4].copy(),
+                           status=buf[:, _SE:_SE + 4].copy(),
                            thrusts=buf[:, _TO:_TO + 4].copy(), pressures=buf[:, _P].copy(),
                            m_fuel=buf[:, _MF].copy(), m_ox=buf[:, _MO].copy(),
                            name=(trace.name + "_pred") if trace.name else "pred")
     return (traj, raw) if collect_raw else traj
-
-
-def _outputs(traj: PlantTrajectory) -> np.ndarray:
-    """The (L, 7) output matrix of a trajectory, columns in TARGET_NAMES order."""
-    return np.column_stack([traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox])
 
 
 def _windows(commands: np.ndarray, dt: float,

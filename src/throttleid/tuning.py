@@ -66,7 +66,6 @@ HISTORY_PENALTY_SCALE = "rows"
 # `sweep_mu` means the same to `cmd_train`.
 PENALTY_SCALE = "sqrt-rows"
 MAX_SWEEPS = 3000
-TOL = 1e-8
 # residual-stall stopping for near-collinear corpus designs
 OBJ_REL_TOL = 1e-6
 
@@ -228,7 +227,7 @@ def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
                 models.append(fit_from_moments(
                     m_train, HISTORY_MU, basis=basis, n_history=n,
                     penalty_scale=HISTORY_PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
-                    tol=TOL, obj_rel_tol=OBJ_REL_TOL))
+                    obj_rel_tol=OBJ_REL_TOL))
             except Exception as err:
                 raise SweepError(n, fold, err) from err
         return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
@@ -264,7 +263,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
                 model = fit_from_moments(
                     moments, mu, basis=basis, n_history=dataset.n,
                     penalty_scale=PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
-                    tol=TOL, obj_rel_tol=OBJ_REL_TOL, w0=w0)
+                    obj_rel_tol=OBJ_REL_TOL, w0=w0)
             except Exception as err:
                 raise SweepError(mu, fold, err) from err
             w0 = model.W_std
@@ -305,7 +304,7 @@ def pareto_to_csv(rows: list[dict], path: str | Path) -> None:
 
 __all__ = [
     "SELECT_REL_TOL", "HISTORY_MU", "HISTORY_PENALTY_SCALE", "PENALTY_SCALE",
-    "MAX_SWEEPS", "TOL", "OBJ_REL_TOL",
+    "MAX_SWEEPS", "OBJ_REL_TOL",
     "SweepConfig", "SweepReport", "GridPoint", "SweepError",
     "sweep_history", "sweep_mu", "pareto_table", "pareto_to_csv",
 ]

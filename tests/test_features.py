@@ -1,11 +1,15 @@
 """Dataset assembly: width law, alignment, leakage, folds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from throttleid.excitation import ExcitationConfig, excitation_segment
+from conftest import ar2_trajectory, reduced_pipeline_config
+from throttleid.excitation import ExcitationConfig, build_corpus, excitation_segment
 from throttleid.features import (HistorySpec, assemble, feature_names, input_width,
                                  kfold_indices, lambda_feature, merge)
+from throttleid.pipeline import validation_traces
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 
 
@@ -14,6 +18,41 @@ def traj():
     cfg = PlantConfig()
     seg = excitation_segment(520.0, ExcitationConfig(duration=8.0))
     return simulate(seg, cfg)
+
+
+def _history_block(series, n):
+    """(L-n, n) matrix whose row (t-n) is [x_{t-1}, ..., x_{t-n}]."""
+    L = series.shape[0]
+    return np.stack([series[n - h:L - h] for h in range(1, n + 1)], axis=1)
+
+
+def reference_assemble(traj, n):
+    """(inputs, targets) of `assemble` built block by block from the
+    trajectory's columns, in the layout the module docstring lists."""
+    L = len(traj)
+    blocks = [traj.commands[n:]]
+    blocks += [_history_block(traj.commands[:, j], n) for j in range(4)]
+    blocks += [_history_block(traj.thrusts[:, j], n) for j in range(4)]
+    blocks += [traj.pressures[n - 1:L - 1, None]]   # latest available = t-1
+    blocks += [_history_block(traj.pressures, n)]
+    blocks += [_history_block(traj.m_fuel, n)]
+    blocks += [_history_block(traj.m_ox, n)]
+    blocks += [traj.status[n:]]
+    blocks += [lambda_feature(traj.m_fuel[n - 1:L - 1],
+                              traj.m_ox[n - 1:L - 1])[:, None]]
+    targets = np.concatenate(
+        [traj.thrusts[n:], traj.pressures[n:, None],
+         traj.m_fuel[n:, None], traj.m_ox[n:, None]], axis=1)
+    return np.concatenate(blocks, axis=1), targets
+
+
+@pytest.fixture(scope="module")
+def layout_trajs():
+    """A reduced simulated corpus, the four validation traces and the
+    AR(2) control."""
+    cfg = reduced_pipeline_config("unused")
+    traces = build_corpus(cfg.excitation) + validation_traces(cfg)
+    return [simulate(tr, cfg.plant) for tr in traces] + [ar2_trajectory()]
 
 
 class TestLambda:
@@ -128,6 +167,23 @@ class TestAssemble:
         mf_h1 = ds.inputs[:, 4 + 8 * n + 1 + n]
         mo_h1 = ds.inputs[:, 4 + 8 * n + 1 + 2 * n]
         np.testing.assert_allclose(lam, lambda_feature(mf_h1, mo_h1), rtol=1e-15)
+
+
+class TestGather:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_reference_assemble(self, layout_trajs, n):
+        for tr in layout_trajs:
+            ds = assemble(tr, HistorySpec(n))
+            inputs, targets = reference_assemble(tr, n)
+            assert ds.inputs.shape == inputs.shape and ds.targets.shape == targets.shape
+            assert ds.inputs.tobytes() == inputs.tobytes(), (tr.name, n)
+            assert ds.targets.tobytes() == targets.tobytes(), (tr.name, n)
+
+    def test_negative_mass_in_last_row_rejected(self, traj):
+        m_ox = traj.m_ox.copy()
+        m_ox[-1] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            assemble(dataclasses.replace(traj, m_ox=m_ox), HistorySpec(3))
 
 
 class TestMergeAndSplit:

@@ -324,15 +324,6 @@ class TestConfigAndIO:
         with pytest.raises(ValueError):
             PlantConfig(dt=0.0)
 
-    def test_config_json_roundtrip(self, tmp_path, cfg):
-        path = tmp_path / "plant.json"
-        cfg.to_json(path)
-        again = PlantConfig.from_json(path)
-        assert again == cfg
-
-    def test_config_json_text_roundtrip(self, cfg):
-        assert PlantConfig.from_json(cfg.to_json()) == cfg
-
     def test_trajectory_csv_roundtrip(self, tmp_path, cfg):
         traj = simulate(constant_trace(450.0, 1.0, cfg), cfg)
         path = tmp_path / "traj.csv"
