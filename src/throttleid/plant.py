@@ -70,16 +70,26 @@ def read_json(source: str | Path):
 
 
 def _csv_lines(columns: list[np.ndarray], lo: int) -> str:
-    """The CSV lines of rows lo .. lo + _BLOCK - 1 of `columns`."""
-    block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
-    return "".join([",".join(map(repr, row)) + "\n"
-                    for row in block.astype(float, copy=False).tolist()])
+    """The CSV lines of rows lo .. lo + _BLOCK - 1 of `columns`.
+
+    Each distinct value of the block is formatted once. Values are keyed
+    by their bit pattern, so -0.0 and 0.0 stay apart. The patterns are
+    passed flat, whose inverse index is 1-D on every numpy version (for
+    a 2-D input its shape differs between versions), and the inverse is
+    reshaped to the block.
+    """
+    block = np.column_stack([c[lo:lo + _BLOCK] for c in columns]).astype(float, copy=False)
+    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return "".join([",".join(row) + "\n"
+                    for row in text[inverse.reshape(block.shape)].tolist()])
 
 
 def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     """Numeric CSV: the header line, then one line per row of the
     column-stacked `columns` (1-D or 2-D arrays of equal length), each
-    value written as repr(float) so that reading it back is exact.
+    value written as repr(float) so that reading it back is exact. Each
+    distinct bit pattern is formatted once per block.
 
     Blocks of `_BLOCK` rows are formatted on every usable CPU
     (`parallel.fork_map`) and written in order, so the file does not

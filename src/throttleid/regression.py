@@ -115,13 +115,20 @@ def expand(x: np.ndarray, basis: BasisSpec, out: np.ndarray | None = None) -> np
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    X = x if x.ndim == 2 else x[None, :]
     O = out if out.ndim == 2 else out[None, :]
-    col = 0
-    if basis.include_bias:
+    col = int(basis.include_bias)
+    if col:
         O[:, 0] = 1.0
-        col = 1
-    O[:, col:col + p] = X
+    O[:, col:col + p] = x
+    _expand_linear(O, p, basis)
+    return out
+
+
+def _expand_linear(O: np.ndarray, p: int, basis: BasisSpec) -> None:
+    """Write the nonlinear columns of the (N, width) expansion `O` from
+    its linear slot, the p columns after the bias, which must be filled."""
+    col = int(basis.include_bias)
+    X = O[:, col:col + p]
     col += p
     if basis.kind == "elementwise-poly":
         for d in range(2, basis.degree + 1):
@@ -131,7 +138,6 @@ def expand(x: np.ndarray, basis: BasisSpec, out: np.ndarray | None = None) -> np
         for i in range(p):
             np.multiply(X[:, i:i + 1], X[:, i:], out=O[:, col:col + p - i])
             col += p - i
-    return out
 
 
 def soft_threshold(z, a):

@@ -39,7 +39,7 @@ from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LA
                        TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
                        lambda_feature)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv
-from .regression import CoefficientModel, expand, predict, rmse
+from .regression import CoefficientModel, _expand_linear, predict, rmse
 
 
 class RolloutDivergenceError(RuntimeError):
@@ -104,16 +104,18 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     """Multi-step prediction of a command trace.
 
     All channels live in one time-major buffer; each step gathers its
-    input row from the buffer with one precomputed index, applies
-    `expand(row, basis) @ K.T` to it, and writes the clamped prediction
-    (thrust >= 0, masses non-decreasing) back as the newest history
-    sample. The row, its expansion and the prediction live in arrays
-    allocated once per rollout, so a step allocates no array data. At
-    the default n = 6 and degree-2 basis (76 inputs, 153 columns) a step
-    takes ~15 us on a 2-core x86_64 box with numpy 2.4: ~1 us gather,
-    ~5.5 us expansion, ~2 us product, the rest Python-level checks,
-    clamps and write-back, nearly all of it per-call overhead rather
-    than arithmetic.
+    input row from the buffer with one precomputed index straight into
+    the linear slot of the expansion row, fills the row's nonlinear
+    columns from that slot, applies `@ K.T` to it, and writes the
+    clamped prediction (thrust >= 0, masses non-decreasing) back as the
+    newest history sample. The expansion row and the prediction live in
+    arrays allocated once per rollout, so a step allocates no array
+    data. At the default n = 6 and degree-2 basis (76 inputs, 153
+    columns) a step takes ~5.6 us on a 2-core x86_64 box with numpy 2.4
+    and OpenBLAS on one thread: ~1.1 us gather, ~1.2 us expansion,
+    ~0.8 us product, the rest Python-level checks, clamps and
+    write-back, nearly all of it per-call overhead rather than
+    arithmetic.
 
     Parameters
     ----------
@@ -157,17 +159,23 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
 
     windows = _input_windows(buf, n)
     basis, KT, intercept = model.basis, model.K.T, model.intercept
-    # One preallocated 2-D row each for the input, its expansion and the
-    # prediction, so every product is the same BLAS call as predict's.
-    x = np.zeros((1, index.size))
-    row = x[0]
-    phi = x if basis is None else np.empty((1, basis.width(index.size)))
+    # One preallocated 2-D row each for the expansion and the prediction,
+    # so every product is the same BLAS call as predict's. Each step
+    # gathers its input straight into the expansion's linear slot (the
+    # whole row without a basis); the bias column is written once.
+    p = index.size
+    if basis is None:
+        phi, lo = np.empty((1, p)), 0
+    else:
+        phi, lo = np.empty((1, basis.width(p))), int(basis.include_bias)
+        phi[:, :lo] = 1.0
+    row = phi[0, lo:lo + p]
     y = np.empty((1, KT.shape[1]))
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
         np.take(windows[t - n], index, out=row)
         if basis is not None:
-            expand(x, basis, out=phi)
+            _expand_linear(phi, p, basis)
         np.matmul(phi, KT, out=y)
         if intercept is not None:
             y += intercept

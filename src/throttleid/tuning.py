@@ -125,14 +125,13 @@ class SweepReport:
         raise KeyError(value)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("kind,value,fold,train_rmse,test_rmse,sparsity\n")
-            for pt in self.points:
-                for i in range(len(pt.test_rmse)):
-                    fh.write(f"{self.kind},{pt.value!r},{i},{pt.train_rmse[i]!r},"
-                             f"{pt.test_rmse[i]!r},{pt.sparsity[i]!r}\n")
-                fh.write(f"{self.kind},{pt.value!r},mean,{pt.mean_train!r},"
-                         f"{pt.mean_test!r},{pt.mean_sparsity!r}\n")
+        rows = []
+        for pt in self.points:
+            rows += [(self.kind, pt.value, i, *fold) for i, fold in
+                     enumerate(zip(pt.train_rmse, pt.test_rmse, pt.sparsity))]
+            rows.append((self.kind, pt.value, "mean", pt.mean_train, pt.mean_test,
+                         pt.mean_sparsity))
+        _write_rows(path, "kind,value,fold,train_rmse,test_rmse,sparsity", rows)
 
     def to_json(self, path: str | Path | None = None) -> str:
         payload = {
@@ -296,10 +295,17 @@ def pareto_table(report: SweepReport) -> list[dict]:
 
 
 def pareto_to_csv(rows: list[dict], path: str | Path) -> None:
+    _write_rows(path, "mu,sparsity,test_rmse,pareto",
+                [(r["mu"], r["sparsity"], r["test_rmse"], int(r["pareto"])) for r in rows])
+
+
+def _write_rows(path: str | Path, header: str, rows: list[tuple]) -> None:
+    """Mixed-type CSV: the header line, then one line per row, strings as
+    they are and every other value as its repr."""
     with open(path, "w") as fh:
-        fh.write("mu,sparsity,test_rmse,pareto\n")
-        for r in rows:
-            fh.write(f"{r['mu']!r},{r['sparsity']!r},{r['test_rmse']!r},{int(r['pareto'])}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
 
 __all__ = [

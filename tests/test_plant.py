@@ -27,6 +27,13 @@ def constant_trace(level, duration, cfg, engines=(0, 1, 2, 3)):
     return CommandTrace(dt=cfg.dt, commands=cmd, status=status)
 
 
+def reference_csv_lines(header, columns):
+    """The CSV text written one repr per value, kept as the reference that
+    `write_csv`'s once-per-distinct-value formatter must match byte for byte."""
+    rows = np.column_stack(columns).astype(float).tolist()
+    return "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows])
+
+
 def lag_oracle_thrust(command, t_end, cfg):
     """Scalar re-integration of the single-engine lag + coupling, used
     as an independent check on step()."""
@@ -353,6 +360,25 @@ class TestConfigAndIO:
         lines = texts[0].decode().splitlines()
         assert lines == ["a,b,c,d"] + [",".join(map(repr, [*mat[i].tolist(), float(vec[i])]))
                                        for i in range(rows)]
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
+    def test_csv_equals_reference_formatter(self, tmp_path, rows):
+        # values drawn from a small pool repeat within and across rows;
+        # the pool holds both signed zeros, NaNs with different payloads,
+        # both infinities, the smallest subnormal and repr's exponent
+        # switch points, and a normal column and np.arange add distinct ones
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        pool = np.array([-0.0, 0.0, np.nan, -np.nan, nan_payload, np.inf, -np.inf,
+                         5e-324, 1e16, 1e-05, 0.1, -2.5])
+        rng = np.random.default_rng(rows)
+        mat = pool[rng.integers(0, pool.size, (rows, 4))]
+        mat[::7] = -0.0    # one value repeated along a row
+        mat[3::7] = 0.0
+        columns = [mat, pool[rng.integers(0, pool.size, rows)], np.arange(rows),
+                   rng.standard_normal((rows, 2))]
+        write_csv(tmp_path / "x.csv", "a,b,c,d,e,f,g,h", columns)
+        assert (tmp_path / "x.csv").read_bytes() == \
+            reference_csv_lines("a,b,c,d,e,f,g,h", columns).encode()
 
     def test_dead_csv_worker_reported(self, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, 2)

@@ -16,14 +16,39 @@ EX = ExcitationConfig(duration=10.0)
 PC = PlantConfig()
 
 
+# Bases the rollout must expand exactly as `predict` does, each with the
+# history length of its small model: the separate-intercept path
+# (include_bias=False, or no basis at all) and the wide full-quadratic
+# expansion (at n = 1: 21 inputs, 253 columns) included.
+BASES = {
+    "linear": (BasisSpec(kind="linear"), 4),
+    "poly3": (BasisSpec(degree=3), 4),
+    "full-quadratic": (BasisSpec(kind="full-quadratic"), 1),
+    "no-bias": (BasisSpec(include_bias=False), 4),
+    "none": (None, 4),
+}
+
+
 @pytest.fixture(scope="module")
-def small_model():
-    trajs = [simulate(t, PC) for t in build_corpus(EX)]
-    ds = merge([assemble(t, 4) for t in trajs])
-    basis = BasisSpec()
-    return fit_lasso(expand(ds.inputs, basis), ds.targets, 3e-5, basis=basis,
-                     n_history=4, penalty_scale="sqrt-rows", obj_rel_tol=1e-6,
-                     max_sweeps=3000)
+def corpus():
+    return [simulate(t, PC) for t in build_corpus(EX)]
+
+
+def fit_small(corpus, basis, n):
+    ds = merge([assemble(t, n) for t in corpus])
+    features = ds.inputs if basis is None else expand(ds.inputs, basis)
+    return fit_lasso(features, ds.targets, 3e-5, basis=basis, n_history=n,
+                     penalty_scale="sqrt-rows", obj_rel_tol=1e-6, max_sweeps=3000)
+
+
+@pytest.fixture(scope="module")
+def small_model(corpus):
+    return fit_small(corpus, BasisSpec(), 4)
+
+
+@pytest.fixture(scope="module", params=list(BASES))
+def basis_model(request, corpus):
+    return fit_small(corpus, *BASES[request.param])
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +77,19 @@ def reference_rollout(model, trace, warmup):
         out[t, :4] = np.maximum(y[:4], 0.0)
         out[t, 5:] = np.maximum(y[5:], out[t - 1, 5:])
     return out, raw
+
+
+def check_matches_reference(model, trace, truth):
+    """Each rollout step predicts from the row that `assemble` builds out
+    of the rollout's own output, so the gather index is its layout; and
+    the loop is bitwise the per-step build_row + predict one."""
+    pred, raw = rollout(model, trace, truth, collect_raw=True)
+    n = model.n
+    np.testing.assert_allclose(predict(model, assemble(pred, n).inputs), raw[n:], rtol=1e-12)
+    out, ref_raw = reference_rollout(model, trace, truth)
+    assert raw.tobytes() == ref_raw.tobytes()
+    assert np.column_stack([pred.thrusts, pred.pressures, pred.m_fuel,
+                            pred.m_ox]).tobytes() == out.tobytes()
 
 
 class TestRollout:
@@ -86,18 +124,10 @@ class TestRollout:
         assert np.all(diff[raw[:, :4] >= 0.0] == 0.0)
 
     def test_step_input_is_assemble_row(self, small_model, stair_pair):
-        # each step predicts from the row that `assemble` builds out of
-        # the rollout's own output, so the gather index is its layout;
-        # and the loop is bitwise the per-step build_row + predict one
-        trace, truth = stair_pair
-        pred, raw = rollout(small_model, trace, truth, collect_raw=True)
-        n = small_model.n
-        np.testing.assert_allclose(predict(small_model, assemble(pred, n).inputs),
-                                   raw[n:], rtol=1e-12)
-        out, ref_raw = reference_rollout(small_model, trace, truth)
-        assert raw.tobytes() == ref_raw.tobytes()
-        assert np.column_stack([pred.thrusts, pred.pressures, pred.m_fuel,
-                                pred.m_ox]).tobytes() == out.tobytes()
+        check_matches_reference(small_model, *stair_pair)
+
+    def test_step_input_is_assemble_row_across_bases(self, basis_model, stair_pair):
+        check_matches_reference(basis_model, *stair_pair)
 
     def test_all_off_stays_near_zero(self, small_model):
         trace = CommandTrace(dt=PC.dt, commands=np.zeros((500, 4)),

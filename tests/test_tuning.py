@@ -15,8 +15,8 @@ import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
                                    predict_expanded)
-from throttleid.tuning import (SweepConfig, SweepError, pareto_table,
-                               pareto_to_csv, sweep_history, sweep_mu)
+from throttleid.tuning import (GridPoint, SweepConfig, SweepError, SweepReport,
+                               pareto_table, pareto_to_csv, sweep_history, sweep_mu)
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +306,26 @@ class TestReportIO:
         # header + (k folds + 1 mean line) per grid point
         assert len(lines) == 1 + 2 * (report.k + 1)
         assert "selected" in (tmp_path / "hist.json").read_text()
+
+    def test_csv_text(self, tmp_path):
+        # both mixed-type writers: strings as they are, ints and floats
+        # as their repr, the Pareto flag as 0/1
+        mu = SweepReport(kind="mu", k=2, seed=0, selected=0.1, points=[
+            GridPoint(0.1, [0.5, 0.25], [1e-05, 1e-05], [0.0, 1.0])])
+        hist = SweepReport(kind="history", k=1, seed=0, selected=2, points=[
+            GridPoint(2, [1e16], [3.0], [0.5])])
+        mu.to_csv(tmp_path / "mu.csv")
+        hist.to_csv(tmp_path / "hist.csv")
+        pareto_to_csv(pareto_table(mu), tmp_path / "pareto.csv")
+        assert (tmp_path / "mu.csv").read_text() == (
+            "kind,value,fold,train_rmse,test_rmse,sparsity\n"
+            "mu,0.1,0,0.5,1e-05,0.0\n"
+            "mu,0.1,1,0.25,1e-05,1.0\n"
+            "mu,0.1,mean,0.375,1e-05,0.5\n")
+        assert (tmp_path / "hist.csv").read_text() == (
+            "kind,value,fold,train_rmse,test_rmse,sparsity\n"
+            "history,2,0,1e+16,3.0,0.5\n"
+            "history,2,mean,1e+16,3.0,0.5\n")
+        assert (tmp_path / "pareto.csv").read_text() == (
+            "mu,sparsity,test_rmse,pareto\n"
+            "0.1,0.5,1e-05,1\n")
