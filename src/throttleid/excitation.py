@@ -227,18 +227,21 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
 
 
 def corpus_manifest(corpus: list[CommandTrace], cfg: ExcitationConfig) -> dict:
-    """JSON-ready manifest describing a corpus (segment kind, bias, duration)."""
+    """JSON-ready manifest describing a corpus (segment kind, bias,
+    duration, and the name of the trace's command CSV)."""
     entries = []
     for i, trace in enumerate(corpus):
         kind = "excitation" if trace.name.startswith("excite") else trace.name
         e_bias = float(trace.name.split("_b")[1]) if trace.name.startswith("excite_b") else None
+        name = trace.name or f"segment_{i:03d}"
         entries.append({
             "index": i,
-            "name": trace.name or f"segment_{i:03d}",
+            "name": name,
             "kind": kind,
             "e_bias": e_bias,
             "duration": trace.duration,
             "samples": len(trace),
+            "file": f"{i:03d}_{name}.csv",
         })
     return {"dt": cfg.dt, "segments": entries}
 
@@ -250,9 +253,7 @@ def save_corpus(corpus: list[CommandTrace], cfg: ExcitationConfig,
     out.mkdir(parents=True, exist_ok=True)
     manifest = corpus_manifest(corpus, cfg)
     for entry, trace in zip(manifest["segments"], corpus):
-        fname = f"{entry['index']:03d}_{entry['name']}.csv"
-        entry["file"] = fname
-        trace.to_csv(out / fname)
+        trace.to_csv(out / entry["file"])
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

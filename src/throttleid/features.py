@@ -112,9 +112,10 @@ class Dataset:
 
 # Columns of the time-major buffer that every input row is gathered
 # from, one row per sample: commanded thrust, the seven outputs
-# (delivered thrust, pressure, fuel and oxidizer mass), engine status,
-# and lambda of that row's masses.
-_TR, _TO, _P, _MF, _MO, _SE, _LAM = 0, 4, 8, 9, 10, 11, 15
+# (delivered thrust, pressure, fuel and oxidizer mass), lambda of that
+# row's masses, and engine status. The outputs and lambda are adjacent,
+# so a rollout step writes its sample with one row assignment.
+_TR, _TO, _P, _MF, _MO, _LAM, _SE = 0, 4, 8, 9, 10, 11, 12
 _WIDTH = 16
 
 
@@ -131,8 +132,8 @@ def _outputs(traj: PlantTrajectory) -> np.ndarray:
 
 def _buffer(traj: PlantTrajectory) -> np.ndarray:
     """The (L, _WIDTH) time-major buffer of a trajectory."""
-    return np.column_stack([traj.commands, *_output_columns(traj), traj.status,
-                            lambda_feature(traj.m_fuel, traj.m_ox)])
+    return np.column_stack([traj.commands, *_output_columns(traj),
+                            lambda_feature(traj.m_fuel, traj.m_ox), traj.status])
 
 
 def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,

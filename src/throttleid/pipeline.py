@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import plant as plant_mod
-from .excitation import (ExcitationConfig, build_corpus, excitation_segment,
-                         save_corpus, step_stair_trace)
+from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
+                         excitation_segment, step_stair_trace)
 from .features import TARGET_NAMES, HistorySpec, assemble, merge
+from .parallel import fork_map
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
                     PropellantDepletedError, read_json, simulate)
-from .regression import (BasisSpec, expand, fit_lasso, model_from_json,
+from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_from_json,
                          model_to_json, predict_expanded, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
@@ -89,6 +90,28 @@ def _snapshot(cfg: PipelineConfig, out: Path) -> None:
     cfg.to_json(out / "config.json")
 
 
+def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace]):
+    """One corpus trace: write its command CSV, simulate it and write the
+    response's CSV, both under the file name given.
+
+    Returns (rows, span, depleted_at): the response's row count, the
+    (min, max) command of the engines that are on (None when none is)
+    and None; or (0, None, t) when the plant ran dry at time t, in which
+    case no trajectory is written.
+    """
+    fname, trace = job
+    trace.to_csv(out / "corpus" / fname)
+    try:
+        traj = simulate(trace, plant_cfg)
+    except PropellantDepletedError as err:
+        return 0, None, err.t
+    traj.to_csv(out / "trajectories" / fname)
+    on = trace.status > 0
+    span = (float(trace.commands[on].min()), float(trace.commands[on].max())) \
+        if on.any() else None
+    return len(traj), span, None
+
+
 def cmd_gen_data(cfg: PipelineConfig) -> dict:
     """Build the excitation corpus, simulate every trace, write artifacts.
 
@@ -96,31 +119,33 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     responses under trajectories/, and prints a corpus summary. A trace
     that depletes the plant mid-run is recorded in the manifest and
     excluded from the trajectory set.
+
+    Each trace is one `fork_map` task, which writes its command CSV,
+    simulates it and writes its response, formatting both files itself;
+    only the row count, the command range and the depletion time come
+    back. The manifest and the summary are written in corpus order, so
+    every file is the same whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
     corpus = build_corpus(cfg.excitation)
-    manifest = save_corpus(corpus, cfg.excitation, out / "corpus")
-
-    traj_dir = out / "trajectories"
-    traj_dir.mkdir(parents=True, exist_ok=True)
+    manifest = corpus_manifest(corpus, cfg.excitation)
+    entries = manifest["segments"]
+    for sub in ("corpus", "trajectories"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    jobs = [(entry["file"], trace) for entry, trace in zip(entries, corpus)]
     n_samples = 0
     cmd_lo, cmd_hi = np.inf, -np.inf
-    for entry, trace in zip(manifest["segments"], corpus):
-        try:
-            traj = simulate(trace, cfg.plant)
-        except PropellantDepletedError as err:
-            entry["depleted_at"] = err.t
+    for entry, (rows, span, depleted_at) in zip(
+            entries, fork_map(partial(_gen_trace, cfg.plant, out), jobs)):
+        if depleted_at is not None:
+            entry["depleted_at"] = depleted_at
             entry["trajectory"] = None
             continue
-        fname = entry["file"]
-        entry["trajectory"] = fname
-        traj.to_csv(traj_dir / fname)
-        n_samples += len(traj)
-        on = trace.status > 0
-        if on.any():
-            cmd_lo = min(cmd_lo, float(trace.commands[on].min()))
-            cmd_hi = max(cmd_hi, float(trace.commands[on].max()))
+        entry["trajectory"] = entry["file"]
+        n_samples += rows
+        if span is not None:
+            cmd_lo, cmd_hi = min(cmd_lo, span[0]), max(cmd_hi, span[1])
     (out / "corpus" / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"corpus: {len(corpus)} traces, {n_samples} simulated samples, "
@@ -211,6 +236,27 @@ def validation_traces(cfg: PipelineConfig) -> list[CommandTrace]:
     return [sine, stair, fall, descent]
 
 
+def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, CoefficientModel | None]):
+    """One validation job: with no model, the plant's response to the
+    trace; with a model, its rollout as (prediction, raw), or the
+    RolloutDivergenceError it raised.
+
+    The rollout is seeded from the plant's response to the trace's first
+    n commands, whose rows are bitwise the first rows of the full
+    response (the plant is causal), so it does not wait for that
+    response.
+    """
+    trace, model = job
+    if model is None:
+        return simulate(trace, plant_cfg)
+    head = CommandTrace(dt=trace.dt, commands=trace.commands[:model.n],
+                        status=trace.status[:model.n])
+    try:
+        return rollout(model, trace, simulate(head, plant_cfg), collect_raw=True)
+    except RolloutDivergenceError as err:
+        return err
+
+
 def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
                  oracle_passthrough: bool = False) -> dict:
     """Run the validation suite against the plant and write reports.
@@ -219,6 +265,12 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     the model (a harness self-check that must report zero error). A
     diverging experiment gets the report {"experiment", "diverged_at"}
     and no time series, and the suite continues.
+
+    Each experiment's plant response and its rollout are two `fork_map`
+    tasks, the rollout first, so with two CPUs the caller runs the
+    rollouts while a worker runs the plant responses. Reports, time
+    series and progress lines are written by the caller, in suite
+    order, so every file is the same whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -231,21 +283,25 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
 
     val_dir = out / "validation"
     val_dir.mkdir(parents=True, exist_ok=True)
+    traces = validation_traces(cfg)
+    # With a model, two tasks per experiment: its rollout, then its plant response.
+    kinds = (None,) if model is None else (model, None)
+    jobs = [(trace, m) for trace in traces for m in kinds]
+    results = fork_map(partial(_validation_job, cfg.plant), jobs)
     reports = {}
-    for trace in validation_traces(cfg):
-        truth = simulate(trace, cfg.plant)
+    for trace in traces:
         raw = None
-        if oracle_passthrough:
-            pred = truth
+        if model is None:
+            truth = pred = next(results)
         else:
-            try:
-                pred, raw = rollout(model, trace, truth, collect_raw=True)
-            except RolloutDivergenceError as err:
-                reports[trace.name] = {"experiment": trace.name, "diverged_at": err.t}
+            rolled, truth = next(results), next(results)
+            if isinstance(rolled, RolloutDivergenceError):
+                reports[trace.name] = {"experiment": trace.name, "diverged_at": rolled.t}
                 (val_dir / f"{trace.name}_report.json").write_text(
                     json.dumps(reports[trace.name], sort_keys=True, indent=2) + "\n")
-                print(f"validate[{trace.name}]: diverged at t={err.t:.2f} s")
+                print(f"validate[{trace.name}]: diverged at t={rolled.t:.2f} s")
                 continue
+            pred, raw = rolled
         report = error_windows(
             truth, pred, experiment=trace.name,
             sparsity=None if model is None else model.sparsity,

@@ -92,8 +92,9 @@ def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     distinct bit pattern is formatted once per block.
 
     Blocks of `_BLOCK` rows are formatted on every usable CPU
-    (`parallel.fork_map`) and written in order, so the file does not
-    depend on the CPU count.
+    (`parallel.fork_map`; inside a fork-map task, by that task's
+    process) and written in order, so the file does not depend on the
+    CPU count.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -109,6 +110,9 @@ class PropellantDepletedError(RuntimeError):
         self.sample = sample
         where = f" at sample {sample}" if sample is not None else ""
         super().__init__(f"propellant depleted at t={t:.3f} s{where}")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.sample)
 
 
 @dataclass

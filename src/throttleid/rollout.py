@@ -50,6 +50,9 @@ class RolloutDivergenceError(RuntimeError):
         self.t = t
         super().__init__(f"rollout diverged at sample {sample} (t={t:.2f} s)")
 
+    def __reduce__(self):
+        return type(self), (self.sample, self.t)
+
 
 @dataclass
 class ValidationReport:
@@ -108,14 +111,14 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     the linear slot of the expansion row, fills the row's nonlinear
     columns from that slot, applies `@ K.T` to it, and writes the
     clamped prediction (thrust >= 0, masses non-decreasing) back as the
-    newest history sample. The expansion row and the prediction live in
-    arrays allocated once per rollout, so a step allocates no array
-    data. At the default n = 6 and degree-2 basis (76 inputs, 153
-    columns) a step takes ~5.6 us on a 2-core x86_64 box with numpy 2.4
-    and OpenBLAS on one thread: ~1.1 us gather, ~1.2 us expansion,
-    ~0.8 us product, the rest Python-level checks, clamps and
-    write-back, nearly all of it per-call overhead rather than
-    arithmetic.
+    newest history sample. The expansion row is allocated once per
+    rollout and each prediction is written straight into its row of the
+    raw output, so a step allocates no array data. At the default n = 6
+    and degree-2 basis (76 inputs, 153 columns) a step costs a gather
+    (~1.1 us on a 2-core x86_64 box with numpy 2.4 and OpenBLAS on one
+    thread), an expansion (~1.2 us) and a product (~0.8 us), plus the
+    Python-level finiteness check, clamps on scalars and one row write,
+    nearly all of it per-call overhead rather than arithmetic.
 
     Parameters
     ----------
@@ -159,10 +162,12 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
 
     windows = _input_windows(buf, n)
     basis, KT, intercept = model.basis, model.K.T, model.intercept
-    # One preallocated 2-D row each for the expansion and the prediction,
-    # so every product is the same BLAS call as predict's. Each step
-    # gathers its input straight into the expansion's linear slot (the
-    # whole row without a basis); the bias column is written once.
+    # The expansion and each prediction are 2-D rows, so every product is
+    # the same BLAS call as predict's; the prediction's row is its (1, 7)
+    # row of `raw`. Each step gathers its input straight into the
+    # expansion's linear slot (the whole row without a basis); the bias
+    # column is written once. The clamped sample and its lambda go into
+    # the buffer's adjacent output and lambda columns with one assignment.
     p = index.size
     if basis is None:
         phi, lo = np.empty((1, p)), 0
@@ -170,24 +175,26 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         phi, lo = np.empty((1, basis.width(p))), int(basis.include_bias)
         phi[:, :lo] = 1.0
     row = phi[0, lo:lo + p]
-    y = np.empty((1, KT.shape[1]))
+    raw_rows = raw.reshape(L, 1, 7)
+    out_rows = buf[:, _TO:_LAM + 1]
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
         np.take(windows[t - n], index, out=row)
         if basis is not None:
             _expand_linear(phi, p, basis)
+        y = raw_rows[t]
         np.matmul(phi, KT, out=y)
         if intercept is not None:
             y += intercept
-        ys = y[0].tolist()
+        ys = y.tolist()[0]
         if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)
-        raw[t] = ys
-        ys[:4] = [v if v >= 0.0 else 0.0 for v in ys[:4]]
-        ys[5] = mf_prev = max(ys[5], mf_prev)
-        ys[6] = mo_prev = max(ys[6], mo_prev)
-        buf[t, _TO:_MO + 1] = ys
-        buf[t, _LAM] = LAMBDA_SCALE / (ys[5] + ys[6] + LAMBDA_EPS)
+        t1, t2, t3, t4, pressure, mf, mo = ys
+        mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
+        # a list converts faster than a tuple
+        out_rows[t] = [t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
+                       t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0, pressure,
+                       mf_prev, mo_prev, LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)]
 
     traj = PlantTrajectory(dt=trace.dt, commands=buf[:, _TR:_TR + 4].copy(),
                            status=buf[:, _SE:_SE + 4].copy(),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import reduced_pipeline_config as tiny_config
+from conftest import usable_cpus
 from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
@@ -131,6 +132,12 @@ class TestValidate:
         assert sorted(p.name for p in val_dir.iterdir()) == \
             sorted(f"{t.name}_report.json" for t in traces)
 
+    def test_divergence_recorded_at_three_cpus(self, run_dir, tmp_path, monkeypatch):
+        # with three workers the stair and fall rollouts run in forked
+        # children, so their divergences cross back as values
+        usable_cpus(monkeypatch, 3)
+        self.test_divergence_recorded_and_suite_continues(run_dir, tmp_path)
+
     def test_oracle_passthrough_zero_error(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "oracle"))
         reports = cmd_validate(cfg, oracle_passthrough=True)
@@ -160,6 +167,22 @@ class TestReproducibility:
             cmd_train(cfg)
             hashes.append(_hash_tree(out))
         assert hashes[0] == hashes[1]
+
+
+    def test_artifacts_independent_of_cpu_count(self, run_dir, tmp_path, monkeypatch):
+        # at 3 usable CPUs the stair and fall rollouts run in workers, and
+        # so do plant responses and corpus traces at 2 and 3
+        model_path = run_dir[0] / "model.json"
+        hashes = {}
+        for cpus in (1, 2, 3):
+            usable_cpus(monkeypatch, cpus)
+            cfg = tiny_config(str(tmp_path / f"cpus{cpus}"))
+            cmd_gen_data(cfg)
+            cmd_validate(cfg, model_path=model_path)
+            hashes[cpus] = _hash_tree(Path(cfg.output_dir))
+        assert sum(k.startswith("validation/") for k in hashes[1]) == 8
+        assert any(k.startswith("trajectories/") for k in hashes[1])
+        assert hashes[1] == hashes[2] == hashes[3]
 
 
 class TestConfigIO:

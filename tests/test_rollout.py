@@ -153,6 +153,20 @@ class TestRollout:
         with pytest.raises(ValueError, match="warm-up"):
             rollout(small_model, trace, stub)
 
+    def test_seeded_from_plant_prefix(self, small_model, stair_pair):
+        # the plant is causal: its response to the first n commands is
+        # bitwise the first rows of the full response, and so seeds the
+        # same rollout
+        trace, truth = stair_pair
+        n = small_model.n
+        head = simulate(CommandTrace(dt=trace.dt, commands=trace.commands[:n],
+                                     status=trace.status[:n]), PC)
+        pred, raw = rollout(small_model, trace, truth, collect_raw=True)
+        pred_head, raw_head = rollout(small_model, trace, head, collect_raw=True)
+        assert raw_head.tobytes() == raw.tobytes()
+        for name in ("commands", "status", "thrusts", "pressures", "m_fuel", "m_ox"):
+            assert getattr(pred_head, name).tobytes() == getattr(pred, name).tobytes()
+
     def test_divergence_detected(self, small_model, stair_pair):
         trace, truth = stair_pair
         bad = fit_lasso(np.eye(3), np.zeros((3, 7)), 0.0, standardize=False)
