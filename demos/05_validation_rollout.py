@@ -26,9 +26,9 @@ trajs = [simulate(t, pc) for t in build_corpus(ex)]
 ds = merge([assemble(t, 6) for t in trajs])
 basis = BasisSpec()
 model = fit_lasso(expand(ds.inputs, basis), ds.targets, 3e-5, basis=basis,
-                  n_history=6, penalty_scale="sqrt-rows", obj_rel_tol=1e-6,
-                  max_sweeps=3000)
-print(f"model: n=6, {model.K.shape[1]} coefficients, sparsity {model.sparsity:.2f}")
+                  n_history=6, penalty_scale="sqrt-rows")
+print(f"model: n=6, {model.K.shape[1]} coefficients, sparsity {model.sparsity:.2f}, "
+      f"{model.sweeps} feature-sign steps, KKT {model.kkt:.1e}")
 
 experiments = {
     "sine600": excitation_segment(600.0, ex),

@@ -26,7 +26,7 @@ from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_f
                          model_to_json, predict_expanded, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
-from .tuning import (OBJ_REL_TOL, PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
+from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
                      sweep_history, sweep_mu)
 
 
@@ -177,7 +177,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     ds = merge([assemble(tr, cfg.history) for tr in trajs])
     phi = expand(ds.inputs, cfg.basis)
     model = fit_lasso(phi, ds.targets, cfg.train_mu, basis=cfg.basis, n_history=ds.n,
-                      penalty_scale=PENALTY_SCALE, obj_rel_tol=OBJ_REL_TOL)
+                      penalty_scale=PENALTY_SCALE)
     model_to_json(model, out / "model.json")
     per_output, aggregate = rmse(predict_expanded(model, phi), ds.targets)
     report = {
@@ -189,6 +189,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
         "train_rmse_aggregate": aggregate,
         "sparsity": model.sparsity,
         "kkt": model.kkt,
+        "ridge": model.ridge,
         "sweeps": model.sweeps,
     }
     (out / "train_report.json").write_text(

@@ -4,14 +4,15 @@ The learning problem is, per output row,
 
     min_w  1/2 * ||y - Phi w||^2  +  mu * ||w||_1
 
-solved by cyclic coordinate descent with soft-thresholding, operating
-on the Gram moments (Phi^T Phi, Phi^T Y) so sweeps cost O(F^2) rather
-than O(N F). The seven output rows share one matrix Phi and are
-updated together. Each output is then solved exactly on the support
-and sign pattern that descent reached, by one Cholesky solve; an
-output whose support holds duplicate columns keeps its descent
-iterate. An exhausted sweep budget raises ConvergenceError in exact
-mode (obj_rel_tol == 0); stall mode returns the point reached.
+solved on the Gram moments (Phi^T Phi, Phi^T Y), so its cost does not
+grow with the row count N, by feature-sign search: an exact active-set
+method that ends in finitely many steps on a positive-definite Gram
+matrix. Where G is singular or nearly so (duplicate or collinear
+columns), lambda_2 = RIDGE * mean(diag G) joins its diagonal, which
+adds 1/2 * lambda_2 * ||w||^2 (an elastic net) and makes the optimum
+unique. The model records lambda_2 (0.0 when none was added) and, as
+`kkt`, the largest KKT violation left; running out of MAX_STEPS
+raises ConvergenceError.
 
 By default the solver standardizes features and targets (zero mean,
 unit variance) before penalizing, so a single mu is comparable across
@@ -27,8 +28,7 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,17 @@ from .features import input_width
 from .plant import read_json
 
 
-class ConvergenceError(RuntimeError):
-    """Coordinate descent exhausted its sweep budget in exact mode.
+# Feature-sign steps allowed per fit, summed over the outputs.
+MAX_STEPS = 10000
+# lambda_2 as a fraction of the solvable Gram block's mean diagonal
+# (1e-8 * N on standardized moments): the smallest power of ten above
+# the rounding floor of the standardized corpus Gram at every history
+# length of the sweep grid.
+RIDGE = 1e-8
 
-    Only exact-mode fits (obj_rel_tol == 0) raise it. Stall-mode fits
-    (obj_rel_tol > 0) return the point reached when the budget runs out
-    and record its KKT residual on the model.
-    """
+
+class ConvergenceError(RuntimeError):
+    """Feature-sign search exhausted its step budget (MAX_STEPS)."""
 
     def __init__(self, sweeps: int, kkt_residual: float):
         self.sweeps = sweeps
@@ -237,256 +241,106 @@ def compute_moments(features: np.ndarray, targets: np.ndarray,
     return standardize_moments(raw_moments(features, targets), standardize)
 
 
-def _cd_solve(m: _Moments, mu: float, *, w0: np.ndarray | None = None,
-              max_sweeps: int = 10000, tol: float = 1e-8,
-              track_objective: bool = False,
-              obj_rel_tol: float = 0.0):
-    """Cyclic coordinate descent on the moment form.
+def _well_posed(m: _Moments) -> tuple[_Moments, float]:
+    """The moments with a positive-definite solvable Gram block, and the
+    ridge lambda_2 added to its diagonal for that (0.0 if none).
 
-    Converges when the max coefficient change over a sweep drops below
-    tol. With obj_rel_tol > 0, stalling of the smooth (residual) term
-    for three consecutive sweeps also counts as converged: stair-hold
-    data makes adjacent lag columns nearly identical, and the current
-    pressure input duplicates the pressure target outright, so the L1
-    problem has almost-flat valleys along which coefficients keep
-    sliding (hunting the minimum-l1 representative) long after the
-    predictions have stopped changing.
-
-    Cost on the corpus moments (F = 153, 7 outputs; x86_64, OpenBLAS
-    on one thread): one coordinate update, the seven soft-thresholds on
-    Python floats plus one numpy rank-one update of G @ W, takes ~13 us;
-    one FISTA iteration, a 153 x 153 by 153 x 7 matmul plus nine ufuncs
-    on 1,071 elements, ~28 us.
-
-    Returns (W, sweeps, converged, objective_history).
+    lambda_2 is RIDGE times the block's mean diagonal. A block whose
+    smallest eigenvalue exceeds it is kept; otherwise it joins the
+    diagonal, which makes the fit an elastic net (Zou & Hastie 2005).
     """
-    G, c = m.G, m.c
-    F, nout = c.shape
-    diag = np.diag(G).copy()
-    solvable = np.flatnonzero(diag > 0.0)
-    W = np.zeros((F, nout)) if w0 is None else np.array(w0, dtype=float)
-    q = G @ W
-    need_obj = track_objective or obj_rel_tol > 0.0
-    history = [_objective_value(W, m, mu)] if track_objective else []
-
-    # G is symmetric, so row j doubles as (contiguous) column j; G_col[j]
-    # is that column shaped (F, 1) for the broadcast outer product.
-    G_col = G[:, :, None]
-    diag_of = diag.tolist()
-    c_rows = c.tolist()
-    q_step = np.empty((F, nout))
-
-    def cycle(cols) -> float:
-        # Each output's soft-threshold update runs on Python floats, in
-        # the operation order of
-        #   rho = c[j] - q[j] + d * W[j]
-        #   w_new = np.sign(rho) * np.maximum(np.abs(rho) - mu, 0.0) / d
-        # so w_new is IEEE-identical to that numpy form, signed zeros
-        # included. The comparisons would not propagate NaN as numpy
-        # does; none gets here, because raw_moments rejects non-finite
-        # data. Only the rank-one update of q stays in numpy.
-        nonlocal q
-        max_delta = 0.0
-        for j in cols:
-            d = diag_of[j]
-            w_new, delta, step = [], [], 0.0
-            for c_k, q_k, w_k in zip(c_rows[j], q[j].tolist(), W[j].tolist()):
-                rho = c_k - q_k + d * w_k
-                shrink = abs(rho) - mu
-                if not shrink > 0.0:
-                    shrink = 0.0
-                w = (shrink if rho > 0.0 else -shrink if rho < 0.0 else 0.0) / d
-                w_new.append(w)
-                delta.append(w - w_k)
-                if abs(w - w_k) > step:
-                    step = abs(w - w_k)
-            if step > 0.0:
-                np.multiply(G_col[j], delta, out=q_step)
-                q += q_step
-                W[j] = w_new
-                if step > max_delta:
-                    max_delta = step
-        return max_delta
-
-    smooth_prev = None
-    stall_run = 0
-
-    def stalled() -> bool:
-        nonlocal smooth_prev, stall_run
-        if not need_obj:
-            return False
-        quad = 0.5 * (np.sum(W * (G @ W)) - 2.0 * np.sum(W * m.c) + np.sum(m.yty))
-        if track_objective:
-            history.append(float(quad + mu * np.sum(np.abs(W))))  # as _objective_value
-        if obj_rel_tol <= 0.0:
-            return False
-        if smooth_prev is not None and \
-                abs(smooth_prev - quad) <= obj_rel_tol * max(abs(quad), 1e-300):
-            stall_run += 1
-        else:
-            stall_run = 0
-        smooth_prev = quad
-        return stall_run >= 3
-
-    def fista_phase(max_iters: int = 100000) -> None:
-        # Accelerated proximal-gradient warm start. Each iteration is a
-        # single symmetric matmul, ~30x cheaper than a coordinate
-        # sweep, which matters because the near-duplicate lag columns
-        # of stair-hold data make first-order progress slow. The CD
-        # loop below still owns convergence.
-        nonlocal q, W
-        v = np.full(F, 1.0 / np.sqrt(F))
-        L = 0.0
-        for _ in range(60):
-            gv = G @ v
-            nrm = float(np.linalg.norm(gv))
-            if nrm <= 0.0:
-                return
-            L = max(L, float(v @ gv))
-            v = gv / nrm
-        L = 1.02 * max(L, float(v @ (G @ v)))
-        mu_L = mu / L
-        V = W.copy()
-        # Iterates live in preallocated buffers; each step computes
-        #   z = V - (G @ V - c) / L
-        #   W_new = soft_threshold(z, mu_L)
-        #   V = W_new + ((tk - 1) / tk_new) * (W_new - W)
-        # with the same rounding, the shrink taken as z - clip(z, -mu_L,
-        # mu_L): where |z| > mu_L that is z -/+ mu_L, which rounds as
-        # sign(z) * (|z| - mu_L) does, and elsewhere z - z = 0.0. Only
-        # the sign of an exact zero can differ from soft_threshold's.
-        W_new, grad, clipped, diff = (np.empty_like(W) for _ in range(4))
-        upper = np.full_like(W, mu_L)
-        lower = -upper
-        tk = 1.0
-        check, f_last = 200, None
-        for it in range(1, max_iters + 1):
-            np.matmul(G, V, out=grad)
-            grad -= c
-            grad /= L
-            np.subtract(V, grad, out=W_new)
-            np.minimum(W_new, upper, out=clipped)
-            np.maximum(clipped, lower, out=clipped)
-            W_new -= clipped
-            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            np.subtract(W_new, W, out=diff)
-            diff *= (tk - 1.0) / tk_new
-            np.add(W_new, diff, out=V)
-            W, W_new, tk = W_new, W, tk_new
-            if it % check == 0:
-                f_now = 0.5 * (np.sum(W * (G @ W)) - 2.0 * np.sum(W * c)
-                               + np.sum(m.yty))
-                if f_last is not None and \
-                        abs(f_last - f_now) <= 0.25 * check * obj_rel_tol * max(abs(f_now), 1e-300):
-                    break
-                f_last = f_now
-        q = G @ W
-
-    # Screening slack: admitting a zero coordinate whose gradient sits
-    # within mu*(1+slack) improves the objective by at most
-    # (mu*slack)^2 / (2*diag); with the stall rule active this is far
-    # below the stall resolution, and without it the screen is exact.
-    screen_slack = 1e-3 if obj_rel_tol > 0.0 else 0.0
-
-    def kkt_violators() -> np.ndarray:
-        rho_all = c[solvable] - q[solvable]
-        zero_rows = ~np.any(W[solvable] != 0.0, axis=1)
-        bound = mu * (1.0 + screen_slack)
-        return solvable[zero_rows & (np.max(np.abs(rho_all), axis=1) > bound)]
-
-    sweeps = 0
-    converged = False
-    if obj_rel_tol > 0.0 and solvable.size:
-        fista_phase()
-        if track_objective:
-            # the warm start may have passed the recorded initial value
-            history[:] = [_objective_value(W, m, mu)]
-    if np.any(W != 0.0):
-        active = solvable[np.any(W[solvable] != 0.0, axis=1)]
-    else:
-        # strong-rule style start; later screens admit anything missed
-        active = solvable[np.max(np.abs(c[solvable]), axis=1) > mu]
-    smooth_at_screen = None
-    while sweeps < max_sweeps:
-        # cycle the working set until it stops moving
-        settled = False
-        stall_fired = False
-        while sweeps < max_sweeps:
-            delta = cycle(active) if active.size else 0.0
-            sweeps += 1
-            stall_fired = stalled()  # also records the objective history
-            if delta < tol or stall_fired:
-                settled = True
-                break
-        if not settled:
-            break
-        viol = kkt_violators()
-        if viol.size == 0:
-            converged = True
-            break
-        if obj_rel_tol > 0.0 and smooth_prev is not None:
-            # Marginal coordinates can flip between zero and active
-            # forever on degenerate designs; once a screen-to-screen
-            # round stops moving the residual term, further admissions
-            # buy nothing measurable.
-            if smooth_at_screen is not None and \
-                    abs(smooth_at_screen - smooth_prev) <= 10.0 * obj_rel_tol * abs(smooth_prev):
-                converged = True
-                break
-            smooth_at_screen = smooth_prev
-        active = np.union1d(solvable[np.any(W[solvable] != 0.0, axis=1)], viol)
-    return W, sweeps, converged, history
+    S = np.flatnonzero(np.diag(m.G) > 0.0)
+    if S.size == 0:
+        return m, 0.0
+    G_S = m.G[np.ix_(S, S)]
+    ridge = RIDGE * float(np.mean(np.diag(G_S)))
+    try:
+        np.linalg.cholesky(G_S - ridge * np.eye(S.size))
+        return m, 0.0
+    except np.linalg.LinAlgError:
+        G = m.G.copy()
+        G[S, S] += ridge
+        return replace(m, G=G), ridge
 
 
-def _support_solve(m: _Moments, mu: float, W: np.ndarray) -> np.ndarray:
-    """Solve each output exactly on the support of the descent iterate.
+def _feature_sign(G: np.ndarray, c: np.ndarray, mu: float, w: np.ndarray,
+                  solvable: np.ndarray, budget: int) -> tuple[np.ndarray, int, bool]:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for one output:
+    minimize 1/2 w'Gw - c'w + mu*|w|_1 over the solvable coordinates,
+    which G must make positive definite, from the signs of w.
 
-    On the support A and sign pattern s of a LASSO minimizer,
-    G_AA w_A = c_A - mu * s_A holds exactly; descent only gets there
-    to its stopping tolerance. An output keeps its iterate when G_AA is
-    not positive definite (duplicate columns in the support, where the
-    minimizer is not unique) or when the solved point does not lower
-    that output's objective.
+    Each step solves the active block at fixed signs theta,
+    G_AA x = c_A - mu * theta, and moves to the lowest objective on the
+    segment to x: x, or a zero crossing, whose coordinate then leaves.
+    Once a step lands on x with signs theta, the zero coordinate with
+    the largest |gradient| above mu enters. The objective falls at
+    every step, so no active set and signs repeat, and the search ends
+    when no zero coordinate has |gradient| > mu, or when rounding
+    leaves no stop that lowers the objective. Returns
+    (w, steps, converged); it gives up after `budget` steps.
     """
-    def objective(w, k):
-        return 0.5 * (w @ (m.G @ w) + m.yty[k]) - w @ m.c[:, k] + mu * np.sum(np.abs(w))
-
-    W = W.copy()
-    for k in range(W.shape[1]):
-        w = W[:, k]
+    w = w.copy()
+    steps = 0
+    settled = not w.any()
+    while True:
         A = np.flatnonzero(w)
-        if A.size == 0:
+        theta = np.sign(w[A])
+        entering = settled
+        if entering:
+            g = G @ w - c
+            g_free = np.abs(g[solvable]) * (w[solvable] == 0.0)
+            if g_free.size == 0 or g_free.max() <= mu:
+                return w, steps, True
+            j = solvable[np.argmax(g_free)]
+            A = np.append(A, j)
+            theta = np.append(theta, -np.sign(g[j]))
+        if steps == budget:
+            return w, steps, False
+        steps += 1
+        G_AA = G[np.ix_(A, A)]
+        x_new = np.linalg.solve(G_AA, c[A] - mu * theta)
+        x = w[A]
+        d = x_new - x
+        # candidate stops: the zero crossings of nonzero coordinates, then x_new
+        t = np.divide(x, x - x_new, out=np.full_like(x, np.inf), where=x * x_new < 0.0)
+        crossing = np.flatnonzero(t < 1.0)
+        ts = np.append(t[crossing], 1.0)
+        points = x + ts[:, None] * d
+        points[np.arange(crossing.size), crossing] = 0.0
+        # Objective change from x: x_new minimizes the fixed-sign
+        # objective, which therefore falls by curve * t * (2 - t), and a
+        # coordinate against its sign in theta adds 2 * mu * |value|.
+        curve = 0.5 * (d @ (G_AA @ d))
+        f = 2.0 * mu * np.sum(np.abs(points) * (points * theta < 0.0), axis=1) \
+            - curve * ts * (2.0 - ts)
+        best = int(np.argmin(f))
+        if not f[best] < 0.0:
+            # No stop lowers the objective in floating point, so the
+            # active coordinates are optimal to working precision, and
+            # an entering coordinate's violation is rounding noise.
+            if entering:
+                return w, steps, True
+            settled = True
             continue
-        try:
-            L = np.linalg.cholesky(m.G[np.ix_(A, A)])
-        except np.linalg.LinAlgError:
-            continue
-        w_new = np.zeros_like(w)
-        rhs = m.c[A, k] - mu * np.sign(w[A])
-        w_new[A] = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-        if objective(w_new, k) <= objective(w, k) * (1.0 + 1e-12) + 1e-12:
-            W[:, k] = w_new
-    return W
+        w[A] = points[best]
+        settled = best == crossing.size and np.array_equal(np.sign(w[A]), theta)
 
 
 def _objective_value(W: np.ndarray, m: _Moments, mu: float) -> float:
-    """1/2 ||Y - Phi W||_F^2 + mu ||W||_1 in solver coordinates."""
+    """1/2 ||Y - Phi W||_F^2 + mu ||W||_1 in solver coordinates, plus
+    1/2 lambda_2 ||W||^2 when `m` carries a ridge."""
     quad = 0.5 * (np.sum(W * (m.G @ W)) - 2.0 * np.sum(W * m.c) + np.sum(m.yty))
     return float(quad + mu * np.sum(np.abs(W)))
 
 
 def kkt_residual(W: np.ndarray, m: _Moments, mu: float) -> float:
-    """Max violation of the LASSO subgradient conditions (solver coords)."""
+    """Max violation of the subgradient conditions of the objective that
+    `m` states (solver coords): |g_j| <= mu where W is zero, and
+    g_j = -mu * sign(W_j) elsewhere, over the solvable coordinates."""
     g = m.G @ W - m.c
-    active = (np.diag(m.G) > 0.0)[:, None]
-    res = 0.0
-    zero = (W == 0.0) & active
-    if zero.any():
-        res = max(res, float(np.max(np.abs(g[zero]) - mu)))
-    nonzero = (W != 0.0) & active
-    if nonzero.any():
-        res = max(res, float(np.max(np.abs(g[nonzero] + mu * np.sign(W[nonzero])))))
-    return max(res, 0.0)
+    res = np.where(W == 0.0, np.abs(g) - mu, np.abs(g + mu * np.sign(W)))
+    solvable = np.broadcast_to((np.diag(m.G) > 0.0)[:, None], W.shape)
+    return float(np.max(res, where=solvable, initial=0.0))
 
 
 @dataclass
@@ -503,8 +357,9 @@ class CoefficientModel:
     n_inputs: int                      # width of the unexpanded feature vector
     sparsity: float
     kkt: float
-    sweeps: int
+    sweeps: int                        # feature-sign steps, summed over outputs
     objective: float
+    ridge: float = 0.0                 # lambda_2 added to the Gram diagonal
     intercept: np.ndarray | None = None  # only when no bias column exists
     W_std: np.ndarray | None = field(default=None, repr=False)  # solver-space solution
 
@@ -527,25 +382,22 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      basis: BasisSpec | None = None,
                      n_history: int | None = None,
                      penalty_scale: str = "none",
-                     max_sweeps: int = 10000, tol: float = 1e-8,
                      w0: np.ndarray | None = None,
-                     track_objective: bool = False,
-                     obj_rel_tol: float = 0.0,
                      n_inputs: int | None = None) -> CoefficientModel:
     """Solve from precomputed Gram moments (the sweep fast path)."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     mu_eff = _scale_mu(mu, m.n_rows, penalty_scale)
-    W, sweeps, converged, history = _cd_solve(
-        m, mu_eff, w0=w0, max_sweeps=max_sweeps, tol=tol,
-        track_objective=track_objective, obj_rel_tol=obj_rel_tol)
-    W = _support_solve(m, mu_eff, W)
-    objective = _objective_value(W, m, mu_eff)
-    if track_objective:
-        history.append(objective)
-    kkt = kkt_residual(W, m, mu_eff)
-    if not converged and obj_rel_tol <= 0.0:
-        raise ConvergenceError(sweeps, kkt)
+    m, ridge = _well_posed(m)
+    solvable = np.flatnonzero(np.diag(m.G) > 0.0)
+    W = np.zeros(m.c.shape) if w0 is None else np.array(w0, dtype=float)
+    sweeps = 0
+    for k in range(W.shape[1]):
+        W[:, k], steps, converged = _feature_sign(
+            m.G, m.c[:, k], mu_eff, W[:, k], solvable, MAX_STEPS - sweeps)
+        sweeps += steps
+        if not converged:
+            raise ConvergenceError(sweeps, kkt_residual(W, m, mu_eff))
 
     penalized = ~m.const_cols
     sparsity = float(np.mean(W[penalized] == 0.0)) if penalized.any() else 0.0
@@ -568,25 +420,21 @@ def fit_from_moments(m: _Moments, mu: float, *,
         else:
             intercept = offset
 
-    model = CoefficientModel(
+    return CoefficientModel(
         K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
         penalty_scale=penalty_scale, n=n_history,
         n_inputs=input_width(n_history) if n_history is not None
         else (n_inputs if n_inputs is not None else K.shape[1]),
-        sparsity=sparsity, kkt=kkt, sweeps=sweeps,
-        objective=objective,
+        sparsity=sparsity, kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps,
+        objective=_objective_value(W, m, mu_eff), ridge=ridge,
         intercept=intercept, W_std=W)
-    model._objective_history = history  # kept for diagnostics/tests
-    return model
 
 
 def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
               basis: BasisSpec | None = None, n_history: int | None = None,
-              standardize: bool = True, penalty_scale: str = "none",
-              max_sweeps: int = 10000, tol: float = 1e-8,
-              track_objective: bool = False,
-              obj_rel_tol: float = 0.0) -> CoefficientModel:
-    """Fit the sparse coefficient matrix by cyclic coordinate descent.
+              standardize: bool = True,
+              penalty_scale: str = "none") -> CoefficientModel:
+    """Fit the sparse coefficient matrix by feature-sign search.
 
     Parameters
     ----------
@@ -608,17 +456,15 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
     Raises
     ------
     ConvergenceError
-        In exact mode (obj_rel_tol == 0) only: max_sweeps ran out before
-        the coefficient change dropped below tol. Carries the final KKT
-        residual. Stall mode returns the point reached instead.
+        The search needed more than MAX_STEPS steps. Carries the KKT
+        residual of the point reached.
     """
     m = compute_moments(features, targets, standardize=standardize)
     width = basis.unexpanded_width(features.shape[1]) if basis is not None \
         else features.shape[1]
     return fit_from_moments(
         m, mu, basis=basis, n_history=n_history, penalty_scale=penalty_scale,
-        max_sweeps=max_sweeps, tol=tol, track_objective=track_objective,
-        obj_rel_tol=obj_rel_tol, n_inputs=width)
+        n_inputs=width)
 
 
 def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
@@ -685,6 +531,7 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
         "kkt": model.kkt,
         "sweeps": model.sweeps,
         "objective": model.objective,
+        "ridge": model.ridge,
         "standardization": {
             "x_mean": model.standardization.x_mean.tolist(),
             "x_scale": model.standardization.x_scale.tolist(),
@@ -722,7 +569,8 @@ def model_from_json(source: str | Path) -> CoefficientModel:
         K=K, basis=basis, standardization=std, mu=d["mu"],
         mu_effective=d["mu_effective"], penalty_scale=d["penalty_scale"], n=d["n"],
         n_inputs=d["n_inputs"], sparsity=d["sparsity"], kkt=d["kkt"],
-        sweeps=d["sweeps"], objective=d["objective"], intercept=intercept)
+        sweeps=d["sweeps"], objective=d["objective"], ridge=d.get("ridge", 0.0),
+        intercept=intercept)
 
 
 __all__ = [

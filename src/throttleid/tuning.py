@@ -65,9 +65,6 @@ HISTORY_PENALTY_SCALE = "rows"
 # heavily-pruned fits regardless of corpus size; a mu selected by
 # `sweep_mu` means the same to `cmd_train`.
 PENALTY_SCALE = "sqrt-rows"
-MAX_SWEEPS = 3000
-# residual-stall stopping for near-collinear corpus designs
-OBJ_REL_TOL = 1e-6
 
 
 @dataclass
@@ -225,8 +222,7 @@ def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
                 m_train = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
                 models.append(fit_from_moments(
                     m_train, HISTORY_MU, basis=basis, n_history=n,
-                    penalty_scale=HISTORY_PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
-                    obj_rel_tol=OBJ_REL_TOL))
+                    penalty_scale=HISTORY_PENALTY_SCALE))
             except Exception as err:
                 raise SweepError(n, fold, err) from err
         return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
@@ -261,8 +257,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
             try:
                 model = fit_from_moments(
                     moments, mu, basis=basis, n_history=dataset.n,
-                    penalty_scale=PENALTY_SCALE, max_sweeps=MAX_SWEEPS,
-                    obj_rel_tol=OBJ_REL_TOL, w0=w0)
+                    penalty_scale=PENALTY_SCALE, w0=w0)
             except Exception as err:
                 raise SweepError(mu, fold, err) from err
             w0 = model.W_std
@@ -310,7 +305,6 @@ def _write_rows(path: str | Path, header: str, rows: list[tuple]) -> None:
 
 __all__ = [
     "SELECT_REL_TOL", "HISTORY_MU", "HISTORY_PENALTY_SCALE", "PENALTY_SCALE",
-    "MAX_SWEEPS", "OBJ_REL_TOL",
     "SweepConfig", "SweepReport", "GridPoint", "SweepError",
     "sweep_history", "sweep_mu", "pareto_table", "pareto_to_csv",
 ]

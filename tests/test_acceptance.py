@@ -52,8 +52,7 @@ def datasets(corpus_trajs):
 def default_model(datasets):
     ds = datasets[6]
     return fit_lasso(expand(ds.inputs, BASIS), ds.targets, TRAIN_MU,
-                     basis=BASIS, n_history=6, penalty_scale="sqrt-rows",
-                     obj_rel_tol=1e-6, max_sweeps=3000)
+                     basis=BASIS, n_history=6, penalty_scale="sqrt-rows")
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +95,7 @@ class TestCriterion02:
                 X = rng.standard_normal((400, 30))
                 K = rng.standard_normal((30, 3)) * (rng.random((30, 3)) > 0.6)
                 Y = X @ K + 0.05 * rng.standard_normal((400, 3))
-                model = fit_lasso(X, Y, mu, standardize=False, tol=1e-12)
+                model = fit_lasso(X, Y, mu, standardize=False)
                 worst = max(worst, model.kkt)
         assert worst <= 1e-6
         ok(f"C2 PASS KKT subgradient conditions at mu in {{1e-4,1e-3,1e-2}}: "

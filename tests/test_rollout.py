@@ -38,7 +38,7 @@ def fit_small(corpus, basis, n):
     ds = merge([assemble(t, n) for t in corpus])
     features = ds.inputs if basis is None else expand(ds.inputs, basis)
     return fit_lasso(features, ds.targets, 3e-5, basis=basis, n_history=n,
-                     penalty_scale="sqrt-rows", obj_rel_tol=1e-6, max_sweeps=3000)
+                     penalty_scale="sqrt-rows")
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,7 @@ class TestTeacherForced:
         ds = assemble(traj, 2)
         basis = BasisSpec("linear")
         model = fit_lasso(expand(ds.inputs, basis), ds.targets, 0.0,
-                          basis=basis, n_history=2, obj_rel_tol=1e-6)
+                          basis=basis, n_history=2)
         rep = teacher_forced_eval(model, traj, cfg=PC)
         assert rep.max_thrust_err < 1e-6
 

@@ -14,6 +14,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import throttleid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -24,10 +26,15 @@ def _bindings():
             if mod is not None and name.startswith("throttleid")}
 
 
-def test_span_tracer_installs_and_uninstalls():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_tracer_installs_and_uninstalls():
+    spans = _spans()
     before = _bindings()
     methods = dict(vars(spans.plant.PlantTrajectory))
     tracer = spans.Tracer()
@@ -42,6 +49,23 @@ def test_span_tracer_installs_and_uninstalls():
     for name, attrs in before.items():
         assert all(after[name][k] is v for k, v in attrs.items()), name
     assert all(vars(spans.plant.PlantTrajectory)[k] is v for k, v in methods.items())
+
+
+def test_traced_fit_counts_solver_work():
+    # the benchmark's per-layer solver metrics read the fitted model
+    spans = _spans()
+    gen = np.random.default_rng(0)
+    X = gen.standard_normal((100, 8))
+    Y = X[:, :3] @ gen.standard_normal((3, 2)) + 0.1 * gen.standard_normal((100, 2))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        spans.regression.fit_lasso(X, Y, 0.1, penalty_scale="sqrt-rows")
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("regression.fit_from_moments") == 1
+    assert tracer.counts["regression.fit.sweeps"] > 0
+    assert tracer.counts["regression.fit.nnz"] > 0
 
 
 def test_exports_resolve():
