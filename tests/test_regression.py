@@ -164,14 +164,16 @@ class TestFitLasso:
             fit_lasso(X, y, 0.0, standardize=False)
         assert exc.value.kkt_residual >= 0.0
 
+    @pytest.mark.parametrize("rescale", [0.0, 1e-6])
     @pytest.mark.parametrize("mu", [0.0, 0.5, 5.0])
-    def test_exact_duplicate_columns(self, mu):
+    def test_exact_duplicate_columns(self, mu, rescale):
         # duplicated columns make the support's Gram block singular and
-        # the minimizer non-unique; predictions must not depend on it
+        # the minimizer non-unique; predictions must not depend on it,
+        # whether the copy is bitwise equal or scaled by (1 + rescale)
         gen = np.random.default_rng(0)
         X = gen.standard_normal((200, 8))
         y = X @ gen.standard_normal((8, 2)) + 0.1 * gen.standard_normal((200, 2))
-        X_dup = np.column_stack([X, X[:, :2]])
+        X_dup = np.column_stack([X, X[:, :2] * (1.0 + rescale)])
         dup = fit_lasso(X_dup, y, mu)
         ref = fit_lasso(X, y, mu)
         assert np.all(np.isfinite(dup.K))
