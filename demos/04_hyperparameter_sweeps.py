@@ -22,16 +22,15 @@ print("simulating corpus...")
 trajs = [simulate(t, pc) for t in build_corpus(ex)]
 
 cfg = SweepConfig(n_grid=(2, 4, 6, 8), mu_grid=tuple(np.logspace(-5, 0, 6)), k=3)
-datasets = {n: merge([assemble(t, n) for t in trajs]) for n in cfg.n_grid}
 
 print(f"\nhistory sweep (fixed mu {HISTORY_MU:g} per sample, unit-free CV RMSE):")
-hist = sweep_history(datasets, cfg)
+hist = sweep_history(trajs, cfg)  # each history length assembles its own rows
 for pt in hist.points:
     marker = " <- selected" if pt.value == hist.selected else ""
     print(f"  n={pt.value}: test {pt.mean_test:.5f}  train {pt.mean_train:.5f}{marker}")
 
 print(f"\nmu sweep at n={hist.selected}:")
-mu_rep = sweep_mu(datasets[hist.selected], cfg)
+mu_rep = sweep_mu(merge([assemble(t, hist.selected) for t in trajs]), cfg)
 for pt in mu_rep.points:
     marker = " <- selected" if pt.value == mu_rep.selected else ""
     print(f"  mu={pt.value:8.2e}: test {pt.mean_test:.5f}  sparsity {pt.mean_sparsity:.3f}{marker}")

@@ -5,7 +5,16 @@ four-engine throttleable propulsion system from trajectories of a
 built-in surrogate plant: excitation design, history-feature assembly,
 L1-regularized polynomial regression, cross-validated hyperparameter
 sweeps, and autoregressive rollout validation.
+
+Importing it sets the OpenBLAS, OpenMP and MKL thread counts to 1 where
+they are unset, so artifacts do not depend on the BLAS thread count; a
+count already set is kept, and numpy imported first keeps its own.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .excitation import (ExcitationConfig, build_corpus, excitation_basis,
                          excitation_segment, ramp_trace, step_stair_trace,

@@ -46,6 +46,11 @@ class PipelineConfig:
         # configs are copied, so a config passed in is never changed.
         self.excitation = replace(self.excitation, seed=self.seed)
         self.sweep = replace(self.sweep, seed=self.seed)
+        # the corpus is designed at the excitation's step and range, simulated at the plant's
+        for name in ("dt", "e_min", "e_max"):
+            ex, pl = getattr(self.excitation, name), getattr(self.plant, name)
+            if ex != pl:
+                raise ValueError(f"excitation.{name} = {ex} differs from plant.{name} = {pl}")
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -64,25 +69,9 @@ class PipelineConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {}
-        if "plant" in d:
-            kwargs["plant"] = PlantConfig(**d["plant"])
-        if "excitation" in d:
-            kwargs["excitation"] = ExcitationConfig(**d["excitation"])
-        if "history" in d:
-            kwargs["history"] = HistorySpec(**d["history"])
-        if "basis" in d:
-            kwargs["basis"] = BasisSpec(**d["basis"])
-        if "sweep" in d:
-            sw = dict(d["sweep"])
-            for key in ("n_grid", "mu_grid"):
-                if key in sw:
-                    sw[key] = tuple(sw[key])
-            kwargs["sweep"] = SweepConfig(**sw)
-        for key in ("train_mu", "output_dir", "seed"):
-            if key in d:
-                kwargs[key] = d[key]
-        return cls(**kwargs)
+        sections = {"plant": PlantConfig, "excitation": ExcitationConfig,
+                    "history": HistorySpec, "basis": BasisSpec, "sweep": SweepConfig}
+        return cls(**{k: sections[k](**v) if k in sections else v for k, v in d.items()})
 
 
 def _snapshot(cfg: PipelineConfig, out: Path) -> None:
@@ -204,12 +193,11 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
     trajs = load_trajectories(data_dir or out)
-    datasets = {n: merge([assemble(tr, n) for tr in trajs]) for n in cfg.sweep.n_grid}
-    hist = sweep_history(datasets, cfg.sweep, cfg.basis)
+    hist = sweep_history(trajs, cfg.sweep, cfg.basis)
     hist.to_csv(out / "sweep_history.csv")
     hist.to_json(out / "sweep_history.json")
 
-    mu_rep = sweep_mu(datasets[hist.selected], cfg.sweep, cfg.basis)
+    mu_rep = sweep_mu(merge([assemble(tr, hist.selected) for tr in trajs]), cfg.sweep, cfg.basis)
     mu_rep.to_csv(out / "sweep_mu.csv")
     mu_rep.to_json(out / "sweep_mu.json")
     pareto_to_csv(pareto_table(mu_rep), out / "pareto.csv")

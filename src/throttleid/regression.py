@@ -104,21 +104,15 @@ class BasisSpec:
         return p
 
 
-def expand(x: np.ndarray, basis: BasisSpec, out: np.ndarray | None = None) -> np.ndarray:
+def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
     """Deterministic ordered monomial expansion; bias first when enabled.
 
-    `x` is one row (p,) or a batch (N, p). The columns are written into
-    `out`, which must have the shape of the result, (width,) or
-    (N, width) with width = basis.width(p), and which is returned; a new
-    array is allocated when it is not given.
+    `x` is one row (p,) or a batch (N, p); the result is (width,) or
+    (N, width) with width = basis.width(p).
     """
     x = np.asarray(x, dtype=float)
     p = x.shape[-1]
-    shape = x.shape[:-1] + (basis.width(p),)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    out = np.empty(x.shape[:-1] + (basis.width(p),))
     O = out if out.ndim == 2 else out[None, :]
     col = int(basis.include_bias)
     if col:

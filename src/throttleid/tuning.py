@@ -10,12 +10,13 @@ relative tolerance of the minimum as tied, then prefers the cheaper
 model: the smallest history length, or the largest (sparsest) mu.
 
 Both sweeps run on `parallel.fork_map`, `sweep_history` one history
-length per task and `sweep_mu` one fold per task (each fold's
-warm-started mu path stays sequential), so a report does not depend on
-the number of usable CPUs and the error raised is that of the first
-failing (grid point, fold) in serial order. A task scores all of its
-fits with one product of the expanded features (`_fold_scores`): a
-history length its k folds, a fold its whole mu path.
+length per task (assembling its rows there) and `sweep_mu` one fold per
+task, so a report does not depend on the number of usable CPUs and the
+error raised is that of the first failing (grid point, fold) in serial
+order. Every fold fit runs in one warm-started loop (`_fit_fold`) that
+certifies its KKT residual. A task scores all of its fits with one
+product of the expanded features (`_fold_scores`): a history length its
+k folds, a fold its whole mu path.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import Dataset, kfold_indices
+from .features import Dataset, assemble, kfold_indices, merge
 from .parallel import fork_map
-from .regression import (BasisSpec, expand, fit_from_moments, raw_moments,
-                         standardize_moments)
+from .plant import PlantTrajectory
+from .regression import (BasisSpec, CoefficientModel, RawMoments, expand,
+                         fit_from_moments, raw_moments, standardize_moments)
 
 
 class SweepError(RuntimeError):
-    """A fold fit failed; carries the offending grid point and fold.
+    """A fold fit failed or is uncertified; carries the grid point and fold.
 
     `cause` is the fit's exception, or its text once the error has
     crossed back from a worker process.
@@ -65,6 +67,8 @@ HISTORY_PENALTY_SCALE = "rows"
 # heavily-pruned fits regardless of corpus size; a mu selected by
 # `sweep_mu` means the same to `cmd_train`.
 PENALTY_SCALE = "sqrt-rows"
+# Largest KKT residual of a certified sweep fit, relative to its effective mu.
+KKT_REL_TOL = 1e-6
 
 
 @dataclass
@@ -85,6 +89,7 @@ class SweepConfig:
             raise ValueError("mu_grid must be strictly increasing and positive")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        self.n_grid, self.mu_grid = tuple(self.n_grid), tuple(self.mu_grid)
 
 
 @dataclass
@@ -190,47 +195,62 @@ def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
     return GridPoint(value=value, train_rmse=tr, test_rmse=te, sparsity=sp)
 
 
-def _select(points: list[GridPoint], prefer_small: bool):
-    """Smallest (or largest) grid value whose mean test RMSE is within
-    (1 + SELECT_REL_TOL) of the best."""
+def _report(kind: str, points: list[GridPoint], cfg: SweepConfig) -> SweepReport:
+    """The sweep's report, selecting the smallest history length (or the
+    largest mu) whose mean test RMSE is within (1 + SELECT_REL_TOL) of
+    the best."""
     cutoff = min(pt.mean_test for pt in points) * (1.0 + SELECT_REL_TOL)
     tied = [pt.value for pt in points if pt.mean_test <= cutoff]
-    return min(tied) if prefer_small else max(tied)
+    selected = min(tied) if kind == "history" else max(tied)
+    return SweepReport(kind=kind, points=points, selected=selected, k=cfg.k, seed=cfg.seed)
 
 
-def sweep_history(datasets: dict[int, Dataset], cfg: SweepConfig,
+def _fit_fold(ds: Dataset, phi: np.ndarray, full: RawMoments, fold: int,
+              test: np.ndarray, values: list, mus: list[float], basis: BasisSpec,
+              penalty_scale: str) -> list[CoefficientModel]:
+    """Fit the rows of `ds` outside `test` at each mu of `mus`, descending,
+    each warm-started from the last; `full` holds the raw moments of all
+    of (phi, ds.targets). A fit that raises, or whose KKT residual exceeds
+    KKT_REL_TOL times its effective mu, raises SweepError(its grid value
+    in `values`, fold)."""
+    moments = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
+    w0 = None
+    models = []
+    for value, mu in zip(values, mus):
+        try:
+            model = fit_from_moments(moments, mu, basis=basis, n_history=ds.n,
+                                     penalty_scale=penalty_scale, w0=w0)
+        except Exception as err:
+            raise SweepError(value, fold, err) from err
+        if not model.kkt <= KKT_REL_TOL * model.mu_effective:
+            raise SweepError(value, fold, f"KKT residual {model.kkt:.3e} above "
+                             f"{KKT_REL_TOL:g} x mu_effective {model.mu_effective:.3e}")
+        w0 = model.W_std
+        models.append(model)
+    return models
+
+
+def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
                   basis: BasisSpec | None = None) -> SweepReport:
     """k-fold CV over history lengths at the fixed per-sample HISTORY_MU.
 
-    `datasets` maps each n in cfg.n_grid to a dataset assembled at that
-    history length from the same trajectories. The history lengths are
-    the units of work split across processes.
+    The history lengths are the units of work split across processes;
+    each assembles the trajectories' rows at its own length, so a
+    process holds one length's dataset at a time.
     """
     basis = basis or BasisSpec()
-    for n in cfg.n_grid:
-        if n not in datasets:
-            raise ValueError(f"no dataset provided for history length {n}")
 
     def history_point(n) -> GridPoint:
-        ds = datasets[n]
+        ds = merge([assemble(tr, n) for tr in trajectories])
         phi = expand(ds.inputs, basis)
         full = raw_moments(phi, ds.targets)
         folds = kfold_indices(len(ds), cfg.k, cfg.seed)
-        models = []
-        for fold, (train, test) in enumerate(folds):
-            try:
-                m_train = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
-                models.append(fit_from_moments(
-                    m_train, HISTORY_MU, basis=basis, n_history=n,
-                    penalty_scale=HISTORY_PENALTY_SCALE))
-            except Exception as err:
-                raise SweepError(n, fold, err) from err
+        models = [_fit_fold(ds, phi, full, fold, test, [n], [HISTORY_MU], basis,
+                            HISTORY_PENALTY_SCALE)[0]
+                  for fold, (_, test) in enumerate(folds)]
         return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
 
-    points = list(fork_map(history_point, cfg.n_grid))
-    selected = _select(points, prefer_small=True)
-    return SweepReport(kind="history", points=points, selected=selected,
-                       k=cfg.k, seed=cfg.seed)
+    return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg)
 
 
 def sweep_mu(dataset: Dataset, cfg: SweepConfig,
@@ -249,27 +269,13 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     folds = kfold_indices(len(dataset), cfg.k, cfg.seed)
 
     def fold_path(fold: int) -> list[tuple[float, float, float]]:
-        test = folds[fold][1]
-        moments = standardize_moments(full - raw_moments(phi[test], dataset.targets[test]))
-        w0 = None
-        models = []
-        for mu in mu_desc:
-            try:
-                model = fit_from_moments(
-                    moments, mu, basis=basis, n_history=dataset.n,
-                    penalty_scale=PENALTY_SCALE, w0=w0)
-            except Exception as err:
-                raise SweepError(mu, fold, err) from err
-            w0 = model.W_std
-            models.append(model)
+        models = _fit_fold(dataset, phi, full, fold, folds[fold][1], mu_desc, mu_desc,
+                           basis, PENALTY_SCALE)
         return _fold_scores(models, phi, dataset.targets, [folds[fold]] * len(models))
 
     paths = list(fork_map(fold_path, range(len(folds))))
-    points = [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
-              for mu in cfg.mu_grid]
-    selected = _select(points, prefer_small=False)
-    return SweepReport(kind="mu", points=points, selected=selected,
-                       k=cfg.k, seed=cfg.seed)
+    return _report("mu", [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
+                          for mu in cfg.mu_grid], cfg)
 
 
 def pareto_table(report: SweepReport) -> list[dict]:
@@ -304,7 +310,7 @@ def _write_rows(path: str | Path, header: str, rows: list[tuple]) -> None:
 
 
 __all__ = [
-    "SELECT_REL_TOL", "HISTORY_MU", "HISTORY_PENALTY_SCALE", "PENALTY_SCALE",
+    "SELECT_REL_TOL", "HISTORY_MU", "HISTORY_PENALTY_SCALE", "PENALTY_SCALE", "KKT_REL_TOL",
     "SweepConfig", "SweepReport", "GridPoint", "SweepError",
     "sweep_history", "sweep_mu", "pareto_table", "pareto_to_csv",
 ]

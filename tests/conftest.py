@@ -1,12 +1,12 @@
 """Shared test helpers: builders for synthetic and surrogate-plant data,
 and a patch of the usable CPU count."""
 
+import throttleid.parallel  # first: its BLAS thread default must precede numpy's import
 import numpy as np
 import pytest
 
-import throttleid.parallel
 from throttleid.excitation import ExcitationConfig
-from throttleid.features import HistorySpec, assemble, merge
+from throttleid.features import HistorySpec
 from throttleid.pipeline import PipelineConfig
 from throttleid.plant import PlantConfig, PlantTrajectory
 from throttleid.regression import BasisSpec
@@ -58,14 +58,6 @@ def ar2_trajectory(n_samples=9000, seed=11, a1=1.2, a2=-0.5, noise=6.0,
         thrusts=y, pressures=np.full(n_samples + 1, 1.8e6),
         m_fuel=np.zeros(n_samples + 1), m_ox=np.zeros(n_samples + 1),
         name="ar2")
-
-
-def datasets_per_n(trajs, n_values):
-    """Assemble the same trajectories at each history length."""
-    if isinstance(trajs, PlantTrajectory):
-        trajs = [trajs]
-    return {n: merge([assemble(tr, HistorySpec(n)) for tr in trajs])
-            for n in n_values}
 
 
 @pytest.fixture(scope="session")

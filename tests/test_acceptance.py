@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, datasets_per_n, reduced_pipeline_config
+from conftest import ar2_trajectory, reduced_pipeline_config
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_basis, excitation_segment,
                                    step_stair_trace, thrust_levels)
@@ -44,27 +44,23 @@ def corpus_trajs():
 
 
 @pytest.fixture(scope="module")
-def datasets(corpus_trajs):
-    return datasets_per_n(corpus_trajs, range(1, 11))
-
-
-@pytest.fixture(scope="module")
-def default_model(datasets):
-    ds = datasets[6]
+def default_model(corpus_trajs):
+    ds = merge([assemble(tr, 6) for tr in corpus_trajs])
     return fit_lasso(expand(ds.inputs, BASIS), ds.targets, TRAIN_MU,
                      basis=BASIS, n_history=6, penalty_scale="sqrt-rows")
 
 
 @pytest.fixture(scope="module")
-def history_report(datasets):
+def history_report(corpus_trajs):
     cfg = SweepConfig()
-    return sweep_history(datasets, cfg)
+    return sweep_history(corpus_trajs, cfg)
 
 
 @pytest.fixture(scope="module")
-def mu_report(datasets, history_report):
+def mu_report(corpus_trajs, history_report):
     cfg = SweepConfig()
-    return sweep_mu(datasets[history_report.selected], cfg)
+    ds = merge([assemble(tr, history_report.selected) for tr in corpus_trajs])
+    return sweep_mu(ds, cfg)
 
 
 class TestCriterion01:
@@ -145,7 +141,7 @@ class TestCriterion06:
     def test_ar2_control_selects_two(self):
         traj = ar2_trajectory()
         cfg = SweepConfig(n_grid=(1, 2, 3, 4), k=5, seed=0)
-        report = sweep_history(datasets_per_n(traj, cfg.n_grid), cfg)
+        report = sweep_history([traj], cfg)
         assert report.selected == 2
         ok("C6b PASS synthetic order-2 control selects n=2 exactly")
 

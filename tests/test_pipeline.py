@@ -227,15 +227,48 @@ class TestConfigIO:
         with pytest.raises(TypeError, match="history_mu"):
             PipelineConfig.from_json('{"sweep": {"history_mu": 0.01}}')
 
+    @pytest.mark.parametrize("name,value", [("dt", 0.02), ("e_min", 300.0), ("e_max", 900.0)])
+    def test_excitation_must_match_plant(self, name, value):
+        # the corpus is designed at the excitation's step and thrust range
+        # and simulated at the plant's, so the two must agree
+        with pytest.raises(ValueError, match=f"excitation.{name} = {value} differs"):
+            PipelineConfig(excitation=ExcitationConfig(**{name: value}))
+        with pytest.raises(ValueError, match=f"excitation.{name} = {value} differs"):
+            PipelineConfig.from_json(json.dumps({"excitation": {name: value}}))
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class TestCLI:
-    def run_cli(self, *args):
+    def run_cli(self, *args, env=None):
         # the package's sources come first, so an uninstalled checkout runs too
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "throttleid.cli", *args],
                               capture_output=True, text=True, env=env)
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # the package defaults the BLAS thread count to one before numpy
+        # loads, so a run with the thread variables unset (OpenBLAS would
+        # start one thread per CPU) writes the same bytes as one at 1
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs 2 usable CPUs for a multi-threaded BLAS")
+        digests = []
+        for threads in (None, "1"):
+            cfg = tiny_config(str(tmp_path / f"threads-{threads}"))
+            cfg_path = tmp_path / f"threads-{threads}.json"
+            cfg.to_json(cfg_path)
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+            if threads is not None:
+                env.update(dict.fromkeys(BLAS_THREADS, threads))
+            for stage in ("gen-data", "train"):
+                r = self.run_cli(stage, "--config", str(cfg_path), env=env)
+                assert r.returncode == 0, r.stderr
+            digests.append(_hash_tree(Path(cfg.output_dir)))
+        assert "model.json" in digests[0] and "train_report.json" in digests[0]
+        assert digests[0] == digests[1]
 
     def test_gen_train_validate_chain(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "cli"))

@@ -71,16 +71,8 @@ class TestExpand:
                 if kind == "full-quadratic":
                     cols += [X[:, i:i + 1] * X[:, i:] for i in range(7)]
             ref = np.concatenate(cols, axis=1)
-            out = np.full_like(ref, 7.0)
-            assert expand(X, basis, out=out) is out
-            assert out.tobytes() == expand(X, basis).tobytes() == ref.tobytes()
-            row = np.full(ref.shape[1], 7.0)
-            assert expand(X[3], basis, out=row) is row
-        assert row.tobytes() == ref[3].tobytes()
-
-    def test_out_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            expand(np.zeros((2, 3)), BasisSpec(), out=np.zeros((2, 6)))
+            assert expand(X, basis).tobytes() == ref.tobytes()
+            assert expand(X[3], basis).tobytes() == ref[3].tobytes()
 
 
 class TestSoftThreshold:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, datasets_per_n, usable_cpus
+from conftest import ar2_trajectory, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
@@ -54,20 +54,15 @@ class TestSweepConfig:
 class TestSweepHistory:
     def test_singleton_grid(self, ar2_traj):
         cfg = small_cfg(n_grid=(3,))
-        report = sweep_history(datasets_per_n(ar2_traj, (3,)), cfg)
+        report = sweep_history([ar2_traj], cfg)
         assert report.selected == 3
 
     def test_ar2_selects_two(self, ar2_traj):
         cfg = small_cfg()
-        report = sweep_history(datasets_per_n(ar2_traj, cfg.n_grid), cfg)
+        report = sweep_history([ar2_traj], cfg)
         assert report.selected == 2
         # order-1 misses the second lag badly; order >= 2 are ties
         assert report.point(1).mean_test > 2.0 * report.point(2).mean_test
-
-    def test_missing_dataset_rejected(self, ar2_traj):
-        cfg = small_cfg()
-        with pytest.raises(ValueError, match="history length"):
-            sweep_history(datasets_per_n(ar2_traj, (1, 2)), cfg)
 
     def test_fold_failure_wrapped(self, ar2_traj, monkeypatch):
         # force a solver failure to confirm the (grid point, fold) wrap
@@ -79,15 +74,14 @@ class TestSweepHistory:
         monkeypatch.setattr(tuning_mod, "fit_from_moments", boom)
         cfg = small_cfg(n_grid=(2,))
         with pytest.raises(SweepError) as exc:
-            sweep_history(datasets_per_n(ar2_traj, (2,)), cfg)
+            sweep_history([ar2_traj], cfg)
         assert exc.value.grid_value == 2
         assert exc.value.fold == 0
 
     def test_deterministic(self, ar2_traj):
         cfg = small_cfg(n_grid=(1, 2))
-        ds = datasets_per_n(ar2_traj, (1, 2))
-        a = sweep_history(ds, cfg)
-        b = sweep_history(ds, cfg)
+        a = sweep_history([ar2_traj], cfg)
+        b = sweep_history([ar2_traj], cfg)
         assert a.to_json() == b.to_json()
 
 
@@ -184,6 +178,54 @@ class TestWorkers:
         assert exc.value.grid_value == mu_desc[2]
         assert "no convergence after 1 sweeps" in str(exc.value)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_uncertified_fit_raised(self, ar2_traj, ds, monkeypatch, cpus):
+        # one fit of each sweep comes back with a KKT residual above the
+        # certification bound; the error names its grid value and fold.
+        # With two workers, n=2 and fold 1 run in the child.
+        usable_cpus(monkeypatch, cpus)
+        cfg = small_cfg(n_grid=(1, 2, 3), k=3)
+        mu_desc = sorted(cfg.mu_grid, reverse=True)
+        train_means = [ds.targets[train].mean(axis=0)
+                       for train, _ in kfold_indices(len(ds), cfg.k, cfg.seed)]
+        real_fit = tuning_mod.fit_from_moments
+
+        def uncertified_at(fold, mu):
+            def fit(m, mu_, **kw):
+                model = real_fit(m, mu_, **kw)
+                if kw["n_history"] == 2 and mu_ == mu and np.allclose(
+                        m.std.y_mean, train_means[fold], rtol=1e-9, atol=0.0):
+                    model = replace(model, kkt=2e-6 * model.mu_effective)
+                return model
+            return fit
+
+        monkeypatch.setattr(tuning_mod, "fit_from_moments", uncertified_at(1, mu_desc[3]))
+        with pytest.raises(SweepError, match="KKT residual") as exc:
+            sweep_mu(ds, cfg)
+        assert (exc.value.grid_value, exc.value.fold) == (mu_desc[3], 1)
+
+        monkeypatch.setattr(tuning_mod, "fit_from_moments",
+                            uncertified_at(2, tuning_mod.HISTORY_MU))
+        with pytest.raises(SweepError, match="KKT residual") as exc:
+            sweep_history([ar2_traj], cfg)
+        assert (exc.value.grid_value, exc.value.fold) == (2, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_short_trajectory_raised(self, monkeypatch, cpus):
+        # each history length assembles its own rows, so a length longer
+        # than the trajectory fails in its own task; n=2 fits normally
+        usable_cpus(monkeypatch, cpus)
+        real_fit, fitted = tuning_mod.fit_from_moments, []
+
+        def counted(*a, **kw):
+            fitted.append(kw["n_history"])
+            return real_fit(*a, **kw)
+
+        monkeypatch.setattr(tuning_mod, "fit_from_moments", counted)
+        with pytest.raises(ValueError, match="too short for history n=400"):
+            sweep_history([ar2_trajectory(300)], small_cfg(n_grid=(2, 400)))
+        assert fitted == [2] * 5
+
     def test_dead_worker_reported(self, ds, monkeypatch):
         usable_cpus(monkeypatch, 2)
         caller, real_fit = os.getpid(), tuning_mod.fit_from_moments
@@ -199,12 +241,11 @@ class TestWorkers:
 
     def test_reports_independent_of_worker_count(self, ar2_traj, ds, monkeypatch):
         cfg = small_cfg(k=3)
-        datasets = datasets_per_n(ar2_traj, cfg.n_grid)
         texts = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             texts.append((sweep_mu(ds, cfg).to_json(),
-                          sweep_history(datasets, cfg).to_json()))
+                          sweep_history([ar2_traj], cfg).to_json()))
         assert texts[0] == texts[1]
 
     def test_fork_with_live_blas_threads(self):
@@ -298,8 +339,7 @@ class TestPareto:
 
 class TestReportIO:
     def test_csv_and_json(self, tmp_path, ar2_traj):
-        ds = datasets_per_n(ar2_traj, (1, 2))
-        report = sweep_history(ds, small_cfg(n_grid=(1, 2)))
+        report = sweep_history([ar2_traj], small_cfg(n_grid=(1, 2)))
         report.to_csv(tmp_path / "hist.csv")
         report.to_json(tmp_path / "hist.json")
         lines = (tmp_path / "hist.csv").read_text().splitlines()
