@@ -27,23 +27,21 @@ def _parse_basis(text: str) -> BasisSpec:
 
 
 def _load_config(args) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.from_json(Path(args.config))
-    else:
-        cfg = PipelineConfig()
+    cfg = PipelineConfig.from_json(Path(args.config)) if args.config else PipelineConfig()
+    overrides = {}
     if args.out:
-        cfg.output_dir = args.out
+        overrides["output_dir"] = args.out
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)   # __post_init__ propagates the seed
+        overrides["seed"] = args.seed
     if getattr(args, "mu", None) is not None:
-        cfg.train_mu = args.mu
+        overrides["train_mu"] = args.mu
     if getattr(args, "history", None) is not None:
-        cfg.history.n = args.history
+        overrides["history"] = replace(cfg.history, n=args.history)
     if getattr(args, "basis", None) is not None:
-        cfg.basis = _parse_basis(args.basis)
+        overrides["basis"] = _parse_basis(args.basis)
     if getattr(args, "folds", None) is not None:
-        cfg.sweep = replace(cfg.sweep, k=args.folds)
-    return cfg
+        overrides["sweep"] = replace(cfg.sweep, k=args.folds)
+    return replace(cfg, **overrides)   # __post_init__ propagates the seed
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

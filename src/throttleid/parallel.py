@@ -4,14 +4,16 @@ Work that splits into independent tasks runs on every usable CPU (the
 affinity set of the process; restrict it with `taskset`): the CV
 sweeps one history length or one fold per task, the CSV writer one
 block of rows per task, `cmd_gen_data` one corpus trace per task and
-`cmd_validate` one plant response or one rollout per task. Tasks are
-dealt round-robin to the calling process and to children forked for
-the call, which read the caller's arrays and module state in place and
-send back each task's result as soon as it is done. A task is computed
-by the same code, on the same data, wherever it runs, and results are
-yielded in task order, so output is byte-identical whatever the number
-of workers; the error raised is that of the first failing task in
-serial order.
+`cmd_validate` one plant response or one rollout per task. The calling
+process and children forked for the call each claim the next
+unclaimed task from one shared counter whenever they are free, so a
+long task holds up only the process that runs it. The children read
+the caller's arrays and module state in place and send back each
+task's result as soon as it is done. A task is computed by the same
+code, on the same data, whichever process runs it, and results are
+yielded in task order, so output is byte-identical whatever the
+number of workers and wherever each task ran; the error raised is that
+of the first failing task in serial order.
 
 A task never forks: a fork map called inside a task, in a worker or in
 the caller, runs its own tasks in that process. So a task that writes
@@ -21,6 +23,7 @@ a CSV formats its blocks itself, while the other CPUs run other tasks.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 _in_task = False   # whether this process is running a fork-map task
@@ -36,18 +39,19 @@ def _run(fn, task):
         _in_task = outer
 
 
-def _serve(fn, tasks: Sequence, first: int, stride: int, conn) -> None:
-    """A forked worker: send (ok, result or exception) of tasks first,
-    first + stride, ... one message per task, as each is done, ending
-    after the first task that raises."""
+def _serve(fn, tasks: Sequence, claim, stop, conn) -> None:
+    """A forked worker: claim tasks until none is left, and send
+    (index, ok, result or exception) for each one as soon as it is
+    done. A task that raises ends the worker and stops all claiming."""
     try:
-        for task in tasks[first::stride]:
+        while (i := claim()) < len(tasks):
             try:
-                result = fn(task)
+                result = fn(tasks[i])
             except Exception as err:
-                conn.send((False, err))
+                stop()
+                conn.send((i, False, err))
                 break
-            conn.send((True, result))
+            conn.send((i, True, result))
     finally:
         conn.close()
 
@@ -55,24 +59,31 @@ def _serve(fn, tasks: Sequence, first: int, stride: int, conn) -> None:
 def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
     """Yield fn(task) for each task in order, computed on the usable CPUs.
 
-    With W = min(len(tasks), usable CPUs) workers, worker w runs tasks
-    w, w + W, w + 2W, ...: the calling process is worker 0 and computes
-    its tasks as the iteration reaches them, and workers 1..W-1 are
-    children forked at the first `next`, which see the caller's arrays
-    without pickling. A child sends each result as soon as it is done
-    and blocks while the pipe is full, so the caller holds at most a
-    few results at a time and never a child's whole share.
+    With W = min(len(tasks), usable CPUs) workers, the calling process
+    and W - 1 children forked at the first `next` (which see the
+    caller's arrays without pickling) take tasks from one shared
+    counter: each claims the next unclaimed index whenever it is free,
+    under a lock that is held for the claim only, never while a task
+    runs. A child sends each result as soon as it is done. The caller
+    yields the results in task order; while the next one is not ready,
+    it claims and runs the next unclaimed task itself and keeps that
+    result until its turn comes, and once every task is claimed it
+    waits for the children's results.
 
     Errors are raised in task order: the exception of the earliest
-    failing task, which is the first failure a serial run would meet;
-    a child that dies before sending a result raises RuntimeError.
-    Closing the iterator early stops the children. With one worker,
-    where fork is unavailable, inside a forked worker (which may not
-    fork children of its own) or inside a task that the caller runs,
-    every task runs in the calling process. Code between two `next`
-    calls is outside any task, so it may start fork maps of its own.
+    failing task, which is the first failure a serial run would meet,
+    whichever process ran it. A failing task stops further claims,
+    since no later result will be yielded. A child that exits before
+    sending the result of a task it claimed raises RuntimeError at that
+    task's turn. Closing the iterator early stops the children. With
+    one worker, where fork is unavailable, inside a forked worker
+    (which may not fork children of its own) or inside a task that the
+    caller runs, every task runs in the calling process. Code between
+    two `next` calls is outside any task, so it may start fork maps of
+    its own.
     """
     import multiprocessing  # here, so importing the package does not pay for it
+    from multiprocessing.connection import wait
 
     workers = 1
     if not _in_task and hasattr(os, "sched_getaffinity") \
@@ -84,35 +95,70 @@ def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
             yield _run(fn, task)
         return
     ctx = multiprocessing.get_context("fork")
-    procs = []
+    n = len(tasks)
+    lock = ctx.Lock()
+    unclaimed = ctx.RawValue("q", 0)        # the next task index to claim
+    claimed = ctx.RawArray("q", [n] * workers)  # each worker's last claim, n for none
+
+    def claim(w: int) -> int:
+        """The next task index for worker w (0 is the caller), or n when none is left."""
+        with lock:
+            i = claimed[w] = unclaimed.value
+            unclaimed.value = min(i + 1, n)
+        return i
+
+    def stop() -> None:
+        """Claim nothing more: no result after a failing task is yielded."""
+        with lock:
+            unclaimed.value = n
+
+    live = {}     # receiving end of each running child's pipe -> (worker, process)
+    ahead = {}    # task index -> (ok, result or exception), received before its turn
     try:
         for w in range(1, workers):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve, args=(fn, tasks, w, workers, send),
+            proc = ctx.Process(target=_serve, args=(fn, tasks, partial(claim, w), stop, send),
                                name=f"fork-map-{w}", daemon=True)
             proc.start()
             send.close()
-            procs.append((proc, recv))
-        for i, task in enumerate(tasks):
-            if i % workers == 0:
-                yield _run(fn, task)
-                continue
-            proc, recv = procs[i % workers - 1]
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"worker {proc.name} exited with code {proc.exitcode} "
-                                   f"before sending its results") from None
+            live[recv] = w, proc
+        for k in range(n):
+            while k not in ahead:
+                ready = wait(list(live), 0)
+                if not ready:
+                    i = claim(0)
+                    if i < n:
+                        try:
+                            ahead[i] = True, _run(fn, tasks[i])
+                        except Exception as err:
+                            stop()
+                            ahead[i] = False, err
+                        continue
+                    ready = wait(list(live))   # every task is claimed: k is a child's
+                for recv in ready:
+                    try:
+                        i, ok, value = recv.recv()
+                    except (EOFError, OSError):   # the child has exited
+                        w, proc = live.pop(recv)
+                        recv.close()
+                        proc.join()
+                        lost = claimed[w]
+                        if k <= lost < n and lost not in ahead:
+                            ahead[lost] = False, RuntimeError(
+                                f"worker {proc.name} exited with code {proc.exitcode} "
+                                f"before sending the result of task {lost}")
+                        continue
+                    ahead[i] = ok, value
+            ok, value = ahead.pop(k)
             if not ok:
                 raise value
             yield value
     except BaseException:
-        for proc, _ in procs:
+        for _, proc in live.values():
             proc.terminate()
         raise
     finally:
-        for proc, recv in procs:
+        for recv, (_, proc) in live.items():
             recv.close()
             proc.join()
 

@@ -30,8 +30,12 @@ from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
                      sweep_history, sweep_mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run. Frozen: a changed config is made with
+    `dataclasses.replace`, which propagates the seed and checks the
+    sections again."""
+
     plant: PlantConfig = field(default_factory=PlantConfig)
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
     history: HistorySpec = field(default_factory=HistorySpec)
@@ -44,8 +48,8 @@ class PipelineConfig:
     def __post_init__(self):
         # The pipeline seed is the master seed for all stages. The stage
         # configs are copied, so a config passed in is never changed.
-        self.excitation = replace(self.excitation, seed=self.seed)
-        self.sweep = replace(self.sweep, seed=self.seed)
+        object.__setattr__(self, "excitation", replace(self.excitation, seed=self.seed))
+        object.__setattr__(self, "sweep", replace(self.sweep, seed=self.seed))
         # the corpus is designed at the excitation's step and range, simulated at the plant's
         for name in ("dt", "e_min", "e_max"):
             ex, pl = getattr(self.excitation, name), getattr(self.plant, name)
@@ -256,10 +260,10 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     and no time series, and the suite continues.
 
     Each experiment's plant response and its rollout are two `fork_map`
-    tasks, the rollout first, so with two CPUs the caller runs the
-    rollouts while a worker runs the plant responses. Reports, time
-    series and progress lines are written by the caller, in suite
-    order, so every file is the same whatever the CPU count.
+    tasks, the rollout first, so the two run at once on two CPUs, in
+    whichever processes are free. Reports, time series and progress
+    lines are written by the caller, in suite order, so every file is
+    the same whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)

@@ -1,5 +1,8 @@
 """Shared test helpers: builders for synthetic and surrogate-plant data,
-and a patch of the usable CPU count."""
+a patch of the usable CPU count, and a wait that places two fork-map
+tasks in two processes."""
+
+import multiprocessing
 
 import throttleid.parallel  # first: its BLAS thread default must precede numpy's import
 import numpy as np
@@ -17,6 +20,13 @@ def usable_cpus(monkeypatch, count):
     """Make the fork map's affinity lookup report `count` usable CPUs."""
     monkeypatch.setattr(throttleid.parallel.os, "sched_getaffinity",
                         lambda pid: set(range(count)))
+
+
+def two_at_once():
+    """A wait that the first two callers leave together, or that fails
+    after 10 s: two tasks that both call it run in two processes."""
+    barrier = multiprocessing.Barrier(2)
+    return lambda: barrier.wait(timeout=10)
 
 
 def reduced_pipeline_config(out_dir: str, seed: int = 0) -> PipelineConfig:

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from conftest import usable_cpus
+from conftest import two_at_once, usable_cpus
 from throttleid.parallel import fork_map
 from throttleid.plant import PropellantDepletedError
 from throttleid.rollout import RolloutDivergenceError
@@ -21,48 +21,90 @@ TASK_ERRORS = {
 
 
 def test_results_in_task_order(monkeypatch):
+    # tasks 0 and 1 run at once, so the caller and a child share the work
     usable_cpus(monkeypatch, 2)
-    results = list(fork_map(lambda i: (i, os.getpid()), range(7)))
+    meet = two_at_once()
+
+    def task(i):
+        if i < 2:
+            meet()
+        return i, os.getpid()
+
+    results = list(fork_map(task, range(7)))
     assert [i for i, _ in results] == list(range(7))
-    pids = [pid for _, pid in results]
-    assert pids[0::2] == [os.getpid()] * 4
-    assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+    pids = {pid for _, pid in results}
+    assert len(pids) == 2 and os.getpid() in pids
+
+
+def test_no_process_waits_behind_a_long_task(monkeypatch):
+    # task 1 waits for task 3: the process that runs task 1 must leave
+    # task 3 to another one
+    usable_cpus(monkeypatch, 2)
+    task3_done = multiprocessing.Event()
+
+    def task(i):
+        if i == 1:
+            return task3_done.wait(timeout=10)
+        if i == 3:
+            task3_done.set()
+        return i
+
+    assert list(fork_map(task, range(4))) == [0, True, 2, 3]
+
+
+def test_every_task_runs_once(monkeypatch):
+    # four processes, more than the CPUs a test box may have, race for
+    # 3000 empty tasks; a claim that two of them make runs a task twice
+    usable_cpus(monkeypatch, 4)
+    runs = multiprocessing.RawArray("i", 3000)
+
+    def task(i):
+        runs[i] += 1
+        return i
+
+    assert list(fork_map(task, range(3000))) == list(range(3000))
+    assert list(runs) == [1] * 3000
 
 
 def test_no_grandchildren(monkeypatch):
-    # task 1 runs in a forked worker; the fork map it starts runs there
+    # one of the two tasks runs in a forked worker; the fork map it starts runs there
     usable_cpus(monkeypatch, 2)
+    meet = two_at_once()
 
     def inner_pids(task):
+        meet()
         return os.getpid(), list(fork_map(lambda _: os.getpid(), range(4)))
 
-    _, (worker, inner) = fork_map(inner_pids, range(2))
-    assert worker != os.getpid()
+    (worker, inner), = [r for r in fork_map(inner_pids, range(2)) if r[0] != os.getpid()]
     assert inner == [worker] * 4
 
 
 def test_no_fork_inside_callers_task(monkeypatch):
-    # task 0 runs in the caller; the fork map it starts runs there too
+    # one of the two tasks runs in the caller; the fork map it starts runs there too
     usable_cpus(monkeypatch, 2)
+    meet = two_at_once()
 
     def inner_pids(task):
+        meet()
         children = {p.pid for p in multiprocessing.active_children()}
         inner = list(fork_map(lambda _: os.getpid(), range(4)))
         started = {p.pid for p in multiprocessing.active_children()} - children
         return os.getpid(), inner, started
 
-    (caller, inner, started), _ = fork_map(inner_pids, range(2))
-    assert caller == os.getpid()
+    (caller, inner, started), = [r for r in fork_map(inner_pids, range(2))
+                                 if r[0] == os.getpid()]
     assert inner == [caller] * 4
     assert started == set()
 
 
 def test_fork_allowed_between_tasks(monkeypatch):
-    # code between two `next` calls is outside any task
+    # code between two `next` calls is outside any task: the inner
+    # map's two tasks, which must run at once, get two processes
     usable_cpus(monkeypatch, 2)
+    meet = two_at_once()
     outer = fork_map(lambda i: i, range(4))
     assert next(outer) == 0
-    assert len(set(fork_map(lambda _: os.getpid(), range(2)))) == 2
+    assert len(set(fork_map(lambda _: (meet(), os.getpid())[1], range(2)))) == 2
     assert list(outer) == [1, 2, 3]
 
 
@@ -76,12 +118,14 @@ def test_task_errors_pickle(name):
 
 @pytest.mark.parametrize("name", list(TASK_ERRORS))
 def test_task_errors_cross_from_worker(monkeypatch, name):
-    # task 1 raises in a forked worker
+    # tasks 0 and 1 run at once; the one in the forked worker raises
     usable_cpus(monkeypatch, 2)
     err, attrs = TASK_ERRORS[name]
+    caller, meet = os.getpid(), two_at_once()
 
     def task(i):
-        if i == 1:
+        meet()
+        if os.getpid() != caller:
             raise err
         return i
 

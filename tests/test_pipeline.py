@@ -1,5 +1,6 @@
 """Pipeline stages and CLI: artifacts, reproducibility, error handling."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import reduced_pipeline_config as tiny_config
 from conftest import usable_cpus
+from throttleid.cli import _load_config
 from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
@@ -57,8 +59,8 @@ class TestGenData:
         assert kinds.count("excitation") == cfg.excitation.m_levels
 
     def test_single_segment_config(self, tmp_path):
-        cfg = tiny_config(str(tmp_path / "one"))
-        cfg.excitation = ExcitationConfig(m_levels=1, duration=4.0)
+        cfg = replace(tiny_config(str(tmp_path / "one")),
+                      excitation=ExcitationConfig(m_levels=1, duration=4.0))
         manifest = cmd_gen_data(cfg)
         kinds = [e["kind"] for e in manifest["segments"]]
         assert kinds.count("excitation") == 1
@@ -133,8 +135,8 @@ class TestValidate:
             sorted(f"{t.name}_report.json" for t in traces)
 
     def test_divergence_recorded_at_three_cpus(self, run_dir, tmp_path, monkeypatch):
-        # with three workers the stair and fall rollouts run in forked
-        # children, so their divergences cross back as values
+        # with three workers a rollout that a forked child claims sends
+        # its divergence back as a value
         usable_cpus(monkeypatch, 3)
         self.test_divergence_recorded_and_suite_continues(run_dir, tmp_path)
 
@@ -170,8 +172,8 @@ class TestReproducibility:
 
 
     def test_artifacts_independent_of_cpu_count(self, run_dir, tmp_path, monkeypatch):
-        # at 3 usable CPUs the stair and fall rollouts run in workers, and
-        # so do plant responses and corpus traces at 2 and 3
+        # at 2 and 3 usable CPUs rollouts, plant responses and corpus
+        # traces run in the caller or in a worker, whichever claims them
         model_path = run_dir[0] / "model.json"
         hashes = {}
         for cpus in (1, 2, 3):
@@ -215,6 +217,27 @@ class TestConfigIO:
         a = PipelineConfig(excitation=shared, seed=1)
         b = PipelineConfig(excitation=shared, seed=2)
         assert (a.excitation.seed, b.excitation.seed, shared.seed) == (1, 2, 0)
+
+    def test_sections_set_only_through_replace(self):
+        # assigning a section would skip the seed propagation and the check
+        cfg = PipelineConfig(seed=5)
+        with pytest.raises(AttributeError):
+            cfg.excitation = ExcitationConfig(dt=0.02)
+        assert cfg.excitation == ExcitationConfig(seed=5)
+        assert replace(cfg, excitation=ExcitationConfig(m_levels=1)).excitation.seed == 5
+        with pytest.raises(ValueError, match="excitation.dt = 0.02 differs"):
+            replace(cfg, excitation=ExcitationConfig(dt=0.02))
+
+    def test_cli_overrides(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_config(str(tmp_path / "x"), seed=3).to_json(cfg_path)
+        args = argparse.Namespace(config=str(cfg_path), out="o", seed=4, mu=1e-3,
+                                  history=5, basis="linear", folds=2)
+        cfg = _load_config(args)
+        assert (cfg.output_dir, cfg.seed, cfg.train_mu, cfg.history.n) == ("o", 4, 1e-3, 5)
+        assert cfg.basis.kind == "linear"
+        assert (cfg.sweep.k, cfg.sweep.seed, cfg.excitation.seed) == (2, 4, 4)
+        assert cfg.excitation.m_levels == 2
 
     def test_sweep_grids_default_when_absent(self):
         assert PipelineConfig.from_json('{"sweep": {}}').sweep == SweepConfig()

@@ -1,5 +1,6 @@
 """Hyperparameter sweeps: CV mechanics, selection rules, Pareto table."""
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, usable_cpus
+from conftest import ar2_trajectory, two_at_once, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
@@ -213,24 +214,28 @@ class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_short_trajectory_raised(self, monkeypatch, cpus):
         # each history length assembles its own rows, so a length longer
-        # than the trajectory fails in its own task; n=2 fits normally
+        # than the trajectory fails in its own task; n=2 fits normally.
+        # The fits are counted in shared memory, whichever process runs them.
         usable_cpus(monkeypatch, cpus)
-        real_fit, fitted = tuning_mod.fit_from_moments, []
+        grid = (2, 400)
+        real_fit, fitted = tuning_mod.fit_from_moments, multiprocessing.RawArray("i", len(grid))
 
         def counted(*a, **kw):
-            fitted.append(kw["n_history"])
+            fitted[grid.index(kw["n_history"])] += 1
             return real_fit(*a, **kw)
 
         monkeypatch.setattr(tuning_mod, "fit_from_moments", counted)
         with pytest.raises(ValueError, match="too short for history n=400"):
-            sweep_history([ar2_trajectory(300)], small_cfg(n_grid=(2, 400)))
-        assert fitted == [2] * 5
+            sweep_history([ar2_trajectory(300)], small_cfg(n_grid=grid))
+        assert list(fitted) == [5, 0]
 
     def test_dead_worker_reported(self, ds, monkeypatch):
+        # the two folds' single fits run at once, so one is the child's
         usable_cpus(monkeypatch, 2)
-        caller, real_fit = os.getpid(), tuning_mod.fit_from_moments
+        caller, real_fit, meet = os.getpid(), tuning_mod.fit_from_moments, two_at_once()
 
         def exit_in_child(*a, **kw):
+            meet()
             if os.getpid() != caller:
                 os._exit(3)
             return real_fit(*a, **kw)
