@@ -4,26 +4,27 @@ Work that splits into independent tasks runs on every usable CPU (the
 affinity set of the process; restrict it with `taskset`): the CV
 sweeps one history length or one fold per task, the CSV writer one
 block of rows per task, `cmd_gen_data` one corpus trace per task and
-`cmd_validate` one plant response or one rollout per task. The calling
-process and children forked for the call each claim the next
-unclaimed task from one shared counter whenever they are free, so a
-long task holds up only the process that runs it. The children read
-the caller's arrays and module state in place and send back each
-task's result as soon as it is done. A task is computed by the same
-code, on the same data, whichever process runs it, and results are
-yielded in task order, so output is byte-identical whatever the
-number of workers and wherever each task ran; the error raised is that
-of the first failing task in serial order.
+`cmd_validate` one plant response or one rollout per task. One child
+per usable CPU is forked for the call, and each child claims the next
+unclaimed task from one shared counter whenever it is free, so a long
+task holds up only the child that runs it. The children read the
+caller's arrays and module state in place and send back each task's
+result as soon as it is done; the caller only collects them. A task is
+computed by the same code, on the same data, whichever child runs it,
+and results are yielded in task order, so output is byte-identical
+whatever the number of workers and wherever each task ran; the error
+raised is that of the first failing task in serial order. Which tasks
+the caller itself runs does not depend on timing: all of them with one
+worker, none with more.
 
-A task never forks: a fork map called inside a task, in a worker or in
-the caller, runs its own tasks in that process. So a task that writes
-a CSV formats its blocks itself, while the other CPUs run other tasks.
+A task never forks: a fork map called inside a task runs its own tasks
+in that process. So a task that writes a CSV formats its blocks
+itself, while the other CPUs run other tasks.
 """
 
 from __future__ import annotations
 
 import os
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 _in_task = False   # whether this process is running a fork-map task
@@ -39,16 +40,25 @@ def _run(fn, task):
         _in_task = outer
 
 
-def _serve(fn, tasks: Sequence, claim, stop, conn) -> None:
-    """A forked worker: claim tasks until none is left, and send
+def _serve(fn, tasks: Sequence, unclaimed, claimed, w: int, conn) -> None:
+    """Forked worker w: claim tasks until none is left, and send
     (index, ok, result or exception) for each one as soon as it is
-    done. A task that raises ends the worker and stops all claiming."""
+    done. The claim is recorded in claimed[w] under the counter's lock,
+    which is never held while a task runs. A task that raises ends the
+    worker and stops all claiming."""
+    n = len(tasks)
     try:
-        while (i := claim()) < len(tasks):
+        while True:
+            with unclaimed.get_lock():
+                i = claimed[w] = unclaimed.value
+                unclaimed.value = min(i + 1, n)
+            if i == n:
+                break
             try:
                 result = fn(tasks[i])
             except Exception as err:
-                stop()
+                with unclaimed.get_lock():
+                    unclaimed.value = n
                 conn.send((i, False, err))
                 break
             conn.send((i, True, result))
@@ -59,28 +69,25 @@ def _serve(fn, tasks: Sequence, claim, stop, conn) -> None:
 def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
     """Yield fn(task) for each task in order, computed on the usable CPUs.
 
-    With W = min(len(tasks), usable CPUs) workers, the calling process
-    and W - 1 children forked at the first `next` (which see the
-    caller's arrays without pickling) take tasks from one shared
-    counter: each claims the next unclaimed index whenever it is free,
-    under a lock that is held for the claim only, never while a task
-    runs. A child sends each result as soon as it is done. The caller
-    yields the results in task order; while the next one is not ready,
-    it claims and runs the next unclaimed task itself and keeps that
-    result until its turn comes, and once every task is claimed it
-    waits for the children's results.
+    With W = min(len(tasks), usable CPUs) workers, W children forked at
+    the first `next` (which see the caller's arrays without pickling)
+    take tasks from one shared counter: each claims the next unclaimed
+    index whenever it is free. A child sends each result as soon as it
+    is done; the caller waits for them and yields them in task order.
+    A result that arrives before its turn is kept until then, so in the
+    worst case the caller holds every result after the oldest one still
+    running (a long early task lets the other children finish the rest).
 
     Errors are raised in task order: the exception of the earliest
     failing task, which is the first failure a serial run would meet,
-    whichever process ran it. A failing task stops further claims,
-    since no later result will be yielded. A child that exits before
-    sending the result of a task it claimed raises RuntimeError at that
-    task's turn. Closing the iterator early stops the children. With
-    one worker, where fork is unavailable, inside a forked worker
-    (which may not fork children of its own) or inside a task that the
-    caller runs, every task runs in the calling process. Code between
-    two `next` calls is outside any task, so it may start fork maps of
-    its own.
+    whichever child ran it. A failing task stops further claims, since
+    no later result will be yielded. A child that exits before sending
+    the result of a task it claimed raises RuntimeError at that task's
+    turn. Closing the iterator early stops the children. With one
+    worker, where fork is unavailable, inside a forked worker (which may
+    not fork children of its own) or inside a task, every task runs in
+    the calling process. Code between two `next` calls is outside any
+    task, so it may start fork maps of its own.
     """
     import multiprocessing  # here, so importing the package does not pay for it
     from multiprocessing.connection import wait
@@ -96,46 +103,22 @@ def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
         return
     ctx = multiprocessing.get_context("fork")
     n = len(tasks)
-    lock = ctx.Lock()
-    unclaimed = ctx.RawValue("q", 0)        # the next task index to claim
-    claimed = ctx.RawArray("q", [n] * workers)  # each worker's last claim, n for none
-
-    def claim(w: int) -> int:
-        """The next task index for worker w (0 is the caller), or n when none is left."""
-        with lock:
-            i = claimed[w] = unclaimed.value
-            unclaimed.value = min(i + 1, n)
-        return i
-
-    def stop() -> None:
-        """Claim nothing more: no result after a failing task is yielded."""
-        with lock:
-            unclaimed.value = n
+    unclaimed = ctx.Value("q", 0)               # the next task index to claim
+    claimed = ctx.RawArray("q", [n] * workers)  # each child's last claim, n for none
 
     live = {}     # receiving end of each running child's pipe -> (worker, process)
     ahead = {}    # task index -> (ok, result or exception), received before its turn
     try:
-        for w in range(1, workers):
+        for w in range(workers):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve, args=(fn, tasks, partial(claim, w), stop, send),
+            proc = ctx.Process(target=_serve, args=(fn, tasks, unclaimed, claimed, w, send),
                                name=f"fork-map-{w}", daemon=True)
             proc.start()
             send.close()
             live[recv] = w, proc
         for k in range(n):
             while k not in ahead:
-                ready = wait(list(live), 0)
-                if not ready:
-                    i = claim(0)
-                    if i < n:
-                        try:
-                            ahead[i] = True, _run(fn, tasks[i])
-                        except Exception as err:
-                            stop()
-                            ahead[i] = False, err
-                        continue
-                    ready = wait(list(live))   # every task is claimed: k is a child's
-                for recv in ready:
+                for recv in wait(list(live)):
                     try:
                         i, ok, value = recv.recv()
                     except (EOFError, OSError):   # the child has exited

@@ -260,8 +260,8 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     and no time series, and the suite continues.
 
     Each experiment's plant response and its rollout are two `fork_map`
-    tasks, the rollout first, so the two run at once on two CPUs, in
-    whichever processes are free. Reports, time series and progress
+    tasks, the rollout first, so the two run at once on two CPUs, each
+    in whichever worker is free. Reports, time series and progress
     lines are written by the caller, in suite order, so every file is
     the same whatever the CPU count.
     """

@@ -21,7 +21,8 @@ TASK_ERRORS = {
 
 
 def test_results_in_task_order(monkeypatch):
-    # tasks 0 and 1 run at once, so the caller and a child share the work
+    # tasks 0 and 1 run at once, so two children share the work; the
+    # caller runs none of it
     usable_cpus(monkeypatch, 2)
     meet = two_at_once()
 
@@ -33,7 +34,7 @@ def test_results_in_task_order(monkeypatch):
     results = list(fork_map(task, range(7)))
     assert [i for i, _ in results] == list(range(7))
     pids = {pid for _, pid in results}
-    assert len(pids) == 2 and os.getpid() in pids
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 def test_no_process_waits_behind_a_long_task(monkeypatch):
@@ -67,7 +68,7 @@ def test_every_task_runs_once(monkeypatch):
 
 
 def test_no_grandchildren(monkeypatch):
-    # one of the two tasks runs in a forked worker; the fork map it starts runs there
+    # both tasks run in forked workers; the fork map each starts runs there
     usable_cpus(monkeypatch, 2)
     meet = two_at_once()
 
@@ -75,24 +76,23 @@ def test_no_grandchildren(monkeypatch):
         meet()
         return os.getpid(), list(fork_map(lambda _: os.getpid(), range(4)))
 
-    (worker, inner), = [r for r in fork_map(inner_pids, range(2)) if r[0] != os.getpid()]
-    assert inner == [worker] * 4
+    results = list(fork_map(inner_pids, range(2)))
+    assert len({worker for worker, _ in results} - {os.getpid()}) == 2
+    assert all(inner == [worker] * 4 for worker, inner in results)
 
 
 def test_no_fork_inside_callers_task(monkeypatch):
-    # one of the two tasks runs in the caller; the fork map it starts runs there too
+    # a single task runs in the caller; the fork map it starts runs there too
     usable_cpus(monkeypatch, 2)
-    meet = two_at_once()
 
     def inner_pids(task):
-        meet()
         children = {p.pid for p in multiprocessing.active_children()}
         inner = list(fork_map(lambda _: os.getpid(), range(4)))
         started = {p.pid for p in multiprocessing.active_children()} - children
         return os.getpid(), inner, started
 
-    (caller, inner, started), = [r for r in fork_map(inner_pids, range(2))
-                                 if r[0] == os.getpid()]
+    (caller, inner, started), = fork_map(inner_pids, range(1))
+    assert caller == os.getpid()
     assert inner == [caller] * 4
     assert started == set()
 
@@ -118,14 +118,12 @@ def test_task_errors_pickle(name):
 
 @pytest.mark.parametrize("name", list(TASK_ERRORS))
 def test_task_errors_cross_from_worker(monkeypatch, name):
-    # tasks 0 and 1 run at once; the one in the forked worker raises
+    # task 1 raises in a forked worker
     usable_cpus(monkeypatch, 2)
     err, attrs = TASK_ERRORS[name]
-    caller, meet = os.getpid(), two_at_once()
 
     def task(i):
-        meet()
-        if os.getpid() != caller:
+        if i == 1:
             raise err
         return i
 
@@ -134,6 +132,33 @@ def test_task_errors_cross_from_worker(monkeypatch, name):
     assert caught.value is not err
     assert str(caught.value) == str(err)
     assert {k: getattr(caught.value, k) for k in attrs} == attrs
+
+
+@pytest.mark.parametrize("outcome", ["raises", "exits"])
+def test_earlier_task_decides_the_error(monkeypatch, outcome):
+    # tasks 0 and 1 start at once in two children; the child of task 1
+    # claims task 2, which fails while task 0 still runs. Task 0 then
+    # fails too (or its child exits), and that is what a serial run meets first.
+    usable_cpus(monkeypatch, 2)
+    caller, meet, late_failed = os.getpid(), two_at_once(), multiprocessing.Event()
+
+    def task(i):
+        if i < 2:
+            meet()
+        if i == 0:
+            assert late_failed.wait(timeout=10)
+            if outcome == "exits" and os.getpid() != caller:
+                os._exit(3)
+            raise ValueError("early")
+        if i == 2:
+            late_failed.set()
+            raise ValueError("late")
+        return i
+
+    expected = {"raises": (ValueError, "early"),
+                "exits": (RuntimeError, "exited with code 3 before sending the result of task 0$")}
+    with pytest.raises(expected[outcome][0], match=expected[outcome][1]):
+        list(fork_map(task, range(4)))
 
 
 def test_early_close_stops_workers(monkeypatch):

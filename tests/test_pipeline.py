@@ -135,8 +135,8 @@ class TestValidate:
             sorted(f"{t.name}_report.json" for t in traces)
 
     def test_divergence_recorded_at_three_cpus(self, run_dir, tmp_path, monkeypatch):
-        # with three workers a rollout that a forked child claims sends
-        # its divergence back as a value
+        # with three workers every rollout runs in a forked child and
+        # sends its divergence back as a value
         usable_cpus(monkeypatch, 3)
         self.test_divergence_recorded_and_suite_continues(run_dir, tmp_path)
 
@@ -173,7 +173,7 @@ class TestReproducibility:
 
     def test_artifacts_independent_of_cpu_count(self, run_dir, tmp_path, monkeypatch):
         # at 2 and 3 usable CPUs rollouts, plant responses and corpus
-        # traces run in the caller or in a worker, whichever claims them
+        # traces run in forked workers, each in whichever one claims it
         model_path = run_dir[0] / "model.json"
         hashes = {}
         for cpus in (1, 2, 3):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import throttleid.plant as plant_mod
-from conftest import two_at_once, usable_cpus
+from conftest import usable_cpus
 from throttleid.plant import (PROPELLANT_DENSITY, CommandTrace, PlantConfig, PlantState,
                               PlantTrajectory, PropellantDepletedError, initial_state,
                               module_mass, simulate, steady_state_thrust, step, write_csv)
@@ -381,13 +381,10 @@ class TestConfigAndIO:
             reference_csv_lines("a,b,c,d,e,f,g,h", columns).encode()
 
     def test_dead_csv_worker_reported(self, tmp_path, monkeypatch):
-        # blocks 0 and 1 are formatted at once, so one is the child's
         usable_cpus(monkeypatch, 2)
-        caller, real_lines, meet = os.getpid(), plant_mod._csv_lines, two_at_once()
+        caller, real_lines = os.getpid(), plant_mod._csv_lines
 
         def exit_in_child(columns, lo):
-            if lo < 2 * plant_mod._BLOCK:
-                meet()
             if os.getpid() != caller:
                 os._exit(3)
             return real_lines(columns, lo)

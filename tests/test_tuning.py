@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, two_at_once, usable_cpus
+from conftest import ar2_trajectory, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
@@ -156,8 +156,8 @@ class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_earliest_fold_failure_raised(self, ds, monkeypatch, cpus):
         # fold 1 fails at the third mu of its path; fold 2 fails earlier
-        # in its own path, and with two workers it runs in the caller
-        # before fold 1's error comes back from the child
+        # in its own path, and with two workers its error may come back
+        # before fold 1's
         usable_cpus(monkeypatch, cpus)
         cfg = small_cfg(k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
@@ -183,7 +183,7 @@ class TestWorkers:
     def test_uncertified_fit_raised(self, ar2_traj, ds, monkeypatch, cpus):
         # one fit of each sweep comes back with a KKT residual above the
         # certification bound; the error names its grid value and fold.
-        # With two workers, n=2 and fold 1 run in the child.
+        # With two workers, every fit runs in a forked child.
         usable_cpus(monkeypatch, cpus)
         cfg = small_cfg(n_grid=(1, 2, 3), k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
@@ -230,12 +230,10 @@ class TestWorkers:
         assert list(fitted) == [5, 0]
 
     def test_dead_worker_reported(self, ds, monkeypatch):
-        # the two folds' single fits run at once, so one is the child's
         usable_cpus(monkeypatch, 2)
-        caller, real_fit, meet = os.getpid(), tuning_mod.fit_from_moments, two_at_once()
+        caller, real_fit = os.getpid(), tuning_mod.fit_from_moments
 
         def exit_in_child(*a, **kw):
-            meet()
             if os.getpid() != caller:
                 os._exit(3)
             return real_fit(*a, **kw)
