@@ -3,29 +3,38 @@
 Work that splits into independent tasks runs on every usable CPU (the
 affinity set of the process; restrict it with `taskset`): the CV
 sweeps one history length or one fold per task, the CSV writer one
-block of rows per task, `cmd_gen_data` one corpus trace per task and
-`cmd_validate` one plant response or one rollout per task. One child
-per usable CPU is forked for the call, and each child claims the next
-unclaimed task from one shared counter whenever it is free, so a long
-task holds up only the child that runs it. The children read the
-caller's arrays and module state in place and send back each task's
-result as soon as it is done; the caller only collects them. A task is
-computed by the same code, on the same data, whichever child runs it,
-and results are yielded in task order, so output is byte-identical
-whatever the number of workers and wherever each task ran; the error
-raised is that of the first failing task in serial order. Which tasks
-the caller itself runs does not depend on timing: all of them with one
-worker, none with more.
+block of rows per task, `cmd_gen_data` and `cmd_train` one corpus
+trace per task and `cmd_validate` one plant response or one rollout
+per task. One child per usable CPU is forked for the call, and each
+child claims the next unclaimed task from one shared counter whenever
+it is free, so a long task holds up only the child that runs it. The
+children read the caller's arrays and module state in place and send
+back each task's result as soon as it is done; the caller only
+collects them. A task is computed by the same code, on the same data,
+whichever child runs it, and results are yielded in task order, so
+output is byte-identical whatever the number of workers and wherever
+each task ran; the error raised is that of the first failing task in
+serial order. Which tasks the caller itself runs does not depend on
+timing: all of them with one worker, none with more.
 
 A task never forks: a fork map called inside a task runs its own tasks
 in that process. So a task that writes a CSV formats its blocks
 itself, while the other CPUs run other tasks.
+
+Tasks may write into arrays made by `shared_array` before the map
+starts: the children are forked after them, so they write into the
+caller's pages in place, each task into its own part. A `cmd_train`
+task writes its trace's rows of the shared design matrix that way and
+sends nothing back.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 _in_task = False   # whether this process is running a fork-map task
 
@@ -146,4 +155,18 @@ def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
             proc.join()
 
 
-__all__ = ["fork_map"]
+def shared_array(shape) -> np.ndarray:
+    """A zeroed float64 array of `shape` on an anonymous shared mapping.
+
+    Fork-map children forked after it is made write into it in place,
+    and the caller sees what they wrote once their results are in. The
+    mapping takes at least one byte, so an empty shape is allowed.
+    """
+    import mmap  # here, so importing the package does not pay for it
+
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * count, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
+__all__ = ["fork_map", "shared_array"]

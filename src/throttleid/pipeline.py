@@ -18,8 +18,8 @@ import numpy as np
 
 from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
-from .features import TARGET_NAMES, HistorySpec, assemble, merge
-from .parallel import fork_map
+from .features import TARGET_NAMES, HistorySpec, assemble, input_width, merge
+from .parallel import fork_map, shared_array
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
                     PropellantDepletedError, read_json, simulate)
 from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_from_json,
@@ -146,36 +146,78 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
+def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path]]:
+    """(name, trajectory CSV) of every trace that the corpus manifest under
+    `data_dir` lists with a trajectory, in corpus order; FileNotFoundError
+    when there is none."""
     data_dir = Path(data_dir)
     manifest = json.loads((data_dir / "corpus" / "manifest.json").read_text())
-    out = []
-    for entry in manifest["segments"]:
-        if not entry.get("trajectory"):
-            continue
-        out.append(PlantTrajectory.from_csv(
-            data_dir / "trajectories" / entry["trajectory"], name=entry["name"]))
-    if not out:
+    files = [(entry["name"], data_dir / "trajectories" / entry["trajectory"])
+             for entry in manifest["segments"] if entry.get("trajectory")]
+    if not files:
         raise FileNotFoundError(f"no trajectories under {data_dir}")
-    return out
+    return files
+
+
+def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
+    return [PlantTrajectory.from_csv(path, name=name)
+            for name, path in _trajectory_files(data_dir)]
+
+
+def _csv_rows(path: Path) -> int:
+    """The number of lines after the first in a text file."""
+    text = path.read_bytes()
+    return text.count(b"\n") + (not text.endswith(b"\n")) - 1
+
+
+def _train_rows(history: HistorySpec, basis: BasisSpec, phi: np.ndarray,
+                targets: np.ndarray, job: tuple[str, Path, int, int]) -> None:
+    """One `cmd_train` task: read a trace's trajectory CSV, check that it
+    holds the `rows` rows counted in the file, assemble and expand it,
+    and write its dataset rows into phi and targets from row `lo` on."""
+    name, path, rows, lo = job
+    traj = PlantTrajectory.from_csv(path, name=name)
+    if len(traj) != rows:
+        raise ValueError(f"{path}: {len(traj)} rows parsed, {rows} counted")
+    ds = assemble(traj, history)
+    phi[lo:lo + len(ds)] = expand(ds.inputs, basis)
+    targets[lo:lo + len(ds)] = ds.targets
 
 
 def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     """Assemble the corpus dataset at the configured history length and
     fit the coefficient model at the configured mu, scaled as the mu
-    sweep scales it (PENALTY_SCALE)."""
+    sweep scales it (PENALTY_SCALE).
+
+    The expanded design matrix and the targets are built in place: the
+    rows of every trajectory CSV are counted first, both matrices are
+    allocated with `shared_array`, and each trace is one `fork_map`
+    task that reads, assembles and expands it and writes its rows into
+    its own row range. Rows come in corpus order, each trace's in time
+    order, so both matrices are bitwise those of `expand` applied to
+    the merged dataset, and the error raised is that of the first
+    failing trace in corpus order (a missing file is found while
+    counting, before any trace is read).
+    """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
-    trajs = load_trajectories(data_dir or out)
-    ds = merge([assemble(tr, cfg.history) for tr in trajs])
-    phi = expand(ds.inputs, cfg.basis)
-    model = fit_lasso(phi, ds.targets, cfg.train_mu, basis=cfg.basis, n_history=ds.n,
+    n = cfg.history.n
+    jobs, total = [], 0
+    for name, path in _trajectory_files(data_dir or out):
+        rows = _csv_rows(path)
+        jobs.append((name, path, rows, total))
+        total += max(rows - n, 0)
+    phi = shared_array((total, cfg.basis.width(input_width(n))))
+    targets = shared_array((total, len(TARGET_NAMES)))
+    for _ in fork_map(partial(_train_rows, cfg.history, cfg.basis, phi, targets), jobs):
+        pass
+    model = fit_lasso(phi, targets, cfg.train_mu, basis=cfg.basis, n_history=n,
                       penalty_scale=PENALTY_SCALE)
     model_to_json(model, out / "model.json")
-    per_output, aggregate = rmse(predict_expanded(model, phi), ds.targets)
+    per_output, aggregate = rmse(predict_expanded(model, phi), targets)
     report = {
-        "rows": len(ds),
-        "n": ds.n,
+        "rows": total,
+        "n": n,
         "mu": cfg.train_mu,
         "penalty_scale": PENALTY_SCALE,
         "train_rmse": {k: float(v) for k, v in zip(TARGET_NAMES, per_output)},
@@ -187,7 +229,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     }
     (out / "train_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(f"train: {len(ds)} rows, sparsity {model.sparsity:.3f}, "
+    print(f"train: {total} rows, sparsity {model.sparsity:.3f}, "
           f"aggregate RMSE {aggregate:.4g}")
     return model
 

@@ -251,6 +251,13 @@ class PlantTrajectory:
 
     @classmethod
     def from_csv(cls, path: str | Path, name: str = "") -> "PlantTrajectory":
+        """Read a file written by `to_csv`; raises ValueError naming the
+        file when its first line is not TRAJECTORY_CSV_HEADER."""
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+        if header != TRAJECTORY_CSV_HEADER:
+            raise ValueError(f"{path}: not a trajectory CSV (the first line is not "
+                             f"{TRAJECTORY_CSV_HEADER!r})")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         dt = float(data[1, 0] - data[0, 0]) if data.shape[0] > 1 else 0.01
         return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9],

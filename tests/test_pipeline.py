@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -92,6 +93,37 @@ class TestTrain:
         cmd_train(cfg)
         assert (out / "model.json").read_bytes() == before
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fault", ["short", "not-trajectory", "blank-line"])
+    def test_bad_trajectory_raises(self, run_dir, tmp_path, monkeypatch, cpus, fault):
+        # the second trace has the fault; the last one another, which a
+        # serial run would meet later, so it must not be what is raised
+        src, cfg = run_dir
+        out = tmp_path / "bad"
+        for sub in ("corpus", "trajectories"):
+            shutil.copytree(src / sub, out / sub)
+        manifest_path = out / "corpus" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entries = [e for e in manifest["segments"] if e.get("trajectory")]
+        for entry, kind in ((entries[1], fault),
+                            (entries[-1], "short" if fault != "short" else "not-trajectory")):
+            path = out / "trajectories" / entry["trajectory"]
+            lines = path.read_text().splitlines(keepends=True)
+            if kind == "short":
+                path.write_text("".join(lines[:cfg.history.n + 1]))
+            elif kind == "blank-line":
+                path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+            else:   # the command CSV of the same trace
+                entry["trajectory"] = f"../corpus/{entry['file']}"
+        manifest_path.write_text(json.dumps(manifest))
+        usable_cpus(monkeypatch, cpus)
+        match = {"short": "too short for history n=4", "not-trajectory": "not a trajectory CSV",
+                 "blank-line": "rows parsed, .* counted"}[fault]
+        with pytest.raises(ValueError, match=match) as caught:
+            cmd_train(replace(cfg, output_dir=str(out)))
+        if fault != "short":
+            assert entries[1]["file"] in str(caught.value)
+
 
 class TestSweepCmd:
     def test_reports_written(self, run_dir):
@@ -171,19 +203,21 @@ class TestReproducibility:
         assert hashes[0] == hashes[1]
 
 
-    def test_artifacts_independent_of_cpu_count(self, run_dir, tmp_path, monkeypatch):
-        # at 2 and 3 usable CPUs rollouts, plant responses and corpus
-        # traces run in forked workers, each in whichever one claims it
-        model_path = run_dir[0] / "model.json"
+    def test_artifacts_independent_of_cpu_count(self, tmp_path, monkeypatch):
+        # at 2 and 3 usable CPUs rollouts, plant responses, corpus traces
+        # and the training rows run in forked workers, each in whichever
+        # one claims it
         hashes = {}
         for cpus in (1, 2, 3):
             usable_cpus(monkeypatch, cpus)
             cfg = tiny_config(str(tmp_path / f"cpus{cpus}"))
             cmd_gen_data(cfg)
-            cmd_validate(cfg, model_path=model_path)
+            cmd_train(cfg)
+            cmd_validate(cfg)
             hashes[cpus] = _hash_tree(Path(cfg.output_dir))
         assert sum(k.startswith("validation/") for k in hashes[1]) == 8
         assert any(k.startswith("trajectories/") for k in hashes[1])
+        assert "model.json" in hashes[1] and "train_report.json" in hashes[1]
         assert hashes[1] == hashes[2] == hashes[3]
 
 

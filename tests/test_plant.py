@@ -343,6 +343,14 @@ class TestConfigAndIO:
         assert np.array_equal(again.m_fuel, traj.m_fuel)
         assert again.dt == traj.dt
 
+    def test_from_csv_rejects_other_csv(self, tmp_path):
+        # 17 numeric columns, as a validation time series has: enough
+        # for every trajectory column, but not a trajectory
+        path = tmp_path / "timeseries.csv"
+        write_csv(path, ",".join(f"c{i}" for i in range(17)), [np.ones((5, 17))])
+        with pytest.raises(ValueError, match="timeseries.csv: not a trajectory CSV"):
+            PlantTrajectory.from_csv(path)
+
     @pytest.mark.parametrize("rows", [0, 1, plant_mod._BLOCK, plant_mod._BLOCK + 1,
                                       5 * plant_mod._BLOCK + 3])
     def test_csv_bytes_independent_of_cpu_count(self, tmp_path, monkeypatch, rows):

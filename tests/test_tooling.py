@@ -5,12 +5,16 @@ name, so renaming one of them breaks traced benchmark runs. Installing
 and uninstalling the tracer here catches such a rename in the test suite.
 Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind.
+A cold `import throttleid`, which the benchmark times, must not load
+the modules that only the fork map and `shared_array` need.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +35,19 @@ def _spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def test_import_skips_process_and_mmap_modules():
+    # perfbench's setup_s includes a cold `import throttleid`; the fork
+    # map and `shared_array` import these when first called
+    src = str(Path(throttleid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, throttleid\n"
+            "print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_span_tracer_installs_and_uninstalls():
