@@ -9,13 +9,12 @@ yields four decorrelated frequency-modulated engine commands per level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .plant import CommandTrace
+from .plant import CommandTrace, write_json
 
 
 @dataclass
@@ -254,8 +253,7 @@ def save_corpus(corpus: list[CommandTrace], cfg: ExcitationConfig,
     manifest = corpus_manifest(corpus, cfg)
     for entry, trace in zip(manifest["segments"], corpus):
         trace.to_csv(out / entry["file"])
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(manifest, out / "manifest.json")
     return manifest
 
 

@@ -87,13 +87,12 @@ def feature_names(n: int) -> list[str]:
 
 @dataclass
 class Dataset:
-    """Supervised pairs plus the provenance of every row."""
+    """Supervised pairs at history length n: one input row and one
+    target row per sample."""
 
     inputs: np.ndarray    # (N, 11n+10)
     targets: np.ndarray   # (N, 7)
     n: int
-    trace_names: list[str]
-    row_trace: np.ndarray  # (N,) index into trace_names
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -196,11 +195,8 @@ def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
     # into a C-ordered array; `windows[:, index]` would come out
     # Fortran-ordered and `np.take` would first copy every window.
     rows = np.arange(L - n)[:, None]
-    name = traj.name or "trace"
     return Dataset(inputs=_input_windows(buf, n)[rows, _gather_index(n)],
-                   targets=buf[n:, _TO:_MO + 1].copy(), n=n,
-                   trace_names=[name],
-                   row_trace=np.zeros(L - n, dtype=np.intp))
+                   targets=buf[n:, _TO:_MO + 1].copy(), n=n)
 
 
 def merge(datasets: list[Dataset]) -> Dataset:
@@ -210,16 +206,8 @@ def merge(datasets: list[Dataset]) -> Dataset:
     n = datasets[0].n
     if any(ds.n != n for ds in datasets):
         raise ValueError("cannot merge datasets with mismatched history lengths")
-    names: list[str] = []
-    rows = []
-    for ds in datasets:
-        offset = len(names)
-        names.extend(ds.trace_names)
-        rows.append(ds.row_trace + offset)
-    return Dataset(
-        inputs=np.concatenate([ds.inputs for ds in datasets], axis=0),
-        targets=np.concatenate([ds.targets for ds in datasets], axis=0),
-        n=n, trace_names=names, row_trace=np.concatenate(rows))
+    return Dataset(inputs=np.concatenate([ds.inputs for ds in datasets], axis=0),
+                   targets=np.concatenate([ds.targets for ds in datasets], axis=0), n=n)
 
 
 def kfold_indices(n_rows: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -17,9 +17,10 @@ each task ran; the error raised is that of the first failing task in
 serial order. Which tasks the caller itself runs does not depend on
 timing: all of them with one worker, none with more.
 
-A task never forks: a fork map called inside a task runs its own tasks
-in that process. So a task that writes a CSV formats its blocks
-itself, while the other CPUs run other tasks.
+A forked child never forks: a fork map called inside a child's task
+runs its own tasks in that child. So a task that writes a CSV formats
+its blocks itself, while the other CPUs run other tasks. A task that
+the caller runs itself (a map of one task, or one usable CPU) may fork.
 
 Tasks may write into arrays made by `shared_array` before the map
 starts: the children are forked after them, so they write into the
@@ -35,19 +36,6 @@ import os
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-_in_task = False   # whether this process is running a fork-map task
-
-
-def _run(fn, task):
-    """fn(task) with the nested-call rule on: a fork map inside it forks nothing."""
-    global _in_task
-    outer, _in_task = _in_task, True
-    try:
-        return fn(task)
-    finally:
-        _in_task = outer
-
 
 def _serve(fn, tasks: Sequence, unclaimed, claimed, w: int, conn) -> None:
     """Forked worker w: claim tasks until none is left, and send
@@ -93,22 +81,21 @@ def fork_map(fn: Callable, tasks: Sequence) -> Iterator:
     no later result will be yielded. A child that exits before sending
     the result of a task it claimed raises RuntimeError at that task's
     turn. Closing the iterator early stops the children. With one
-    worker, where fork is unavailable, inside a forked worker (which may
-    not fork children of its own) or inside a task, every task runs in
-    the calling process. Code between two `next` calls is outside any
-    task, so it may start fork maps of its own.
+    worker, where fork is unavailable, or inside a forked child (which
+    never forks children of its own), every task runs in the calling
+    process. A task that the caller runs, and code between two `next`
+    calls, may start fork maps of their own.
     """
     import multiprocessing  # here, so importing the package does not pay for it
     from multiprocessing.connection import wait
 
     workers = 1
-    if not _in_task and hasattr(os, "sched_getaffinity") \
-            and multiprocessing.parent_process() is None \
+    if hasattr(os, "sched_getaffinity") and multiprocessing.parent_process() is None \
             and "fork" in multiprocessing.get_all_start_methods():
         workers = min(len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         for task in tasks:
-            yield _run(fn, task)
+            yield fn(task)
         return
     ctx = multiprocessing.get_context("fork")
     n = len(tasks)

@@ -9,7 +9,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -21,7 +20,7 @@ from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
 from .features import TARGET_NAMES, HistorySpec, assemble, input_width, merge
 from .parallel import fork_map, shared_array
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
-                    PropellantDepletedError, read_json, simulate)
+                    PropellantDepletedError, read_json, simulate, write_json)
 from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_from_json,
                          model_to_json, predict_expanded, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
@@ -46,6 +45,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"config key 'seed' must be an integer, got {self.seed!r}")
         # The pipeline seed is the master seed for all stages. The stage
         # configs are copied, so a config passed in is never changed.
         object.__setattr__(self, "excitation", replace(self.excitation, seed=self.seed))
@@ -57,24 +58,27 @@ class PipelineConfig:
                 raise ValueError(f"excitation.{name} = {ex} differs from plant.{name} = {pl}")
 
     def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(asdict(self), sort_keys=True, indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
+        return write_json(asdict(self), path)
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PipelineConfig":
         """Load from a JSON file (a Path) or from JSON text (a str).
 
         Unknown keys are rejected, so a setting that is no longer
-        configurable is not silently dropped.
+        configurable is not silently dropped. The document and each
+        section must be JSON objects.
         """
         d = read_json(source)
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         sections = {"plant": PlantConfig, "excitation": ExcitationConfig,
                     "history": HistorySpec, "basis": BasisSpec, "sweep": SweepConfig}
+        for k in sorted(sections.keys() & d.keys()):
+            if not isinstance(d[k], dict):
+                raise ValueError(f"config key {k!r} must be a JSON object, got {d[k]!r}")
         return cls(**{k: sections[k](**v) if k in sections else v for k, v in d.items()})
 
 
@@ -139,8 +143,7 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
         n_samples += rows
         if span is not None:
             cmd_lo, cmd_hi = min(cmd_lo, span[0]), max(cmd_hi, span[1])
-    (out / "corpus" / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(manifest, out / "corpus" / "manifest.json")
     print(f"corpus: {len(corpus)} traces, {n_samples} simulated samples, "
           f"commands span [{cmd_lo:.1f}, {cmd_hi:.1f}] N")
     return manifest
@@ -151,7 +154,7 @@ def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path]]:
     `data_dir` lists with a trajectory, in corpus order; FileNotFoundError
     when there is none."""
     data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "corpus" / "manifest.json").read_text())
+    manifest = read_json(data_dir / "corpus" / "manifest.json")
     files = [(entry["name"], data_dir / "trajectories" / entry["trajectory"])
              for entry in manifest["segments"] if entry.get("trajectory")]
     if not files:
@@ -227,8 +230,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
         "ridge": model.ridge,
         "sweeps": model.sweeps,
     }
-    (out / "train_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(report, out / "train_report.json")
     print(f"train: {total} rows, sparsity {model.sparsity:.3f}, "
           f"aggregate RMSE {aggregate:.4g}")
     return model
@@ -249,8 +251,7 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
     pareto_to_csv(pareto_table(mu_rep), out / "pareto.csv")
 
     selected = {"n": int(hist.selected), "mu": float(mu_rep.selected)}
-    (out / "selected.json").write_text(
-        json.dumps(selected, sort_keys=True, indent=2) + "\n")
+    write_json(selected, out / "selected.json")
     print(f"sweep: selected n={selected['n']}, mu={selected['mu']:.3g}")
     return hist, mu_rep
 
@@ -332,8 +333,7 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
             rolled, truth = next(results), next(results)
             if isinstance(rolled, RolloutDivergenceError):
                 reports[trace.name] = {"experiment": trace.name, "diverged_at": rolled.t}
-                (val_dir / f"{trace.name}_report.json").write_text(
-                    json.dumps(reports[trace.name], sort_keys=True, indent=2) + "\n")
+                write_json(reports[trace.name], val_dir / f"{trace.name}_report.json")
                 print(f"validate[{trace.name}]: diverged at t={rolled.t:.2f} s")
                 continue
             pred, raw = rolled

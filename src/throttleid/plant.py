@@ -69,6 +69,15 @@ def read_json(source: str | Path):
     return json.loads(source.read_text() if isinstance(source, Path) else source)
 
 
+def write_json(obj, path: str | Path | None = None) -> str:
+    """The artifact JSON text of `obj` (sorted keys, two-space indent),
+    also written to `path` with a trailing newline when one is given."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
 def _csv_lines(columns: list[np.ndarray], lo: int) -> str:
     """The CSV lines of rows lo .. lo + _BLOCK - 1 of `columns`.
 
@@ -92,9 +101,8 @@ def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     distinct bit pattern is formatted once per block.
 
     Blocks of `_BLOCK` rows are formatted on every usable CPU
-    (`parallel.fork_map`; inside a fork-map task, by that task's
-    process) and written in order, so the file does not depend on the
-    CPU count.
+    (`parallel.fork_map`; in a forked child, by that child) and written
+    in order, so the file does not depend on the CPU count.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -445,5 +453,5 @@ __all__ = [
     "PROPELLANT_DENSITY", "TRAJECTORY_CSV_HEADER", "PlantConfig", "PlantState",
     "CommandTrace", "PlantTrajectory", "PropellantDepletedError",
     "initial_state", "step", "simulate", "module_mass", "steady_state_thrust",
-    "read_json", "write_csv",
+    "read_json", "write_json", "write_csv",
 ]

@@ -27,14 +27,13 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .features import input_width
-from .plant import read_json
+from .plant import read_json, write_json
 
 
 # Feature-sign steps allowed per fit, summed over the outputs.
@@ -357,10 +356,6 @@ class CoefficientModel:
     intercept: np.ndarray | None = None  # only when no bias column exists
     W_std: np.ndarray | None = field(default=None, repr=False)  # solver-space solution
 
-    @property
-    def n_outputs(self) -> int:
-        return self.K.shape[0]
-
 
 def _scale_mu(mu: float, n_rows: int, penalty_scale: str) -> float:
     if penalty_scale == "none":
@@ -376,9 +371,10 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      basis: BasisSpec | None = None,
                      n_history: int | None = None,
                      penalty_scale: str = "none",
-                     w0: np.ndarray | None = None,
-                     n_inputs: int | None = None) -> CoefficientModel:
-    """Solve from precomputed Gram moments (the sweep fast path)."""
+                     w0: np.ndarray | None = None) -> CoefficientModel:
+    """Solve from precomputed Gram moments (the sweep fast path). The
+    model's `predict` takes raw inputs of width 11n+10 with `n_history`,
+    else the width that `basis` expands to the moments' width."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     mu_eff = _scale_mu(mu, m.n_rows, penalty_scale)
@@ -418,7 +414,7 @@ def fit_from_moments(m: _Moments, mu: float, *,
         K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
         penalty_scale=penalty_scale, n=n_history,
         n_inputs=input_width(n_history) if n_history is not None
-        else (n_inputs if n_inputs is not None else K.shape[1]),
+        else basis.unexpanded_width(K.shape[1]) if basis is not None else K.shape[1],
         sparsity=sparsity, kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps,
         objective=_objective_value(W, m, mu_eff), ridge=ridge,
         intercept=intercept, W_std=W)
@@ -454,11 +450,8 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         residual of the point reached.
     """
     m = compute_moments(features, targets, standardize=standardize)
-    width = basis.unexpanded_width(features.shape[1]) if basis is not None \
-        else features.shape[1]
-    return fit_from_moments(
-        m, mu, basis=basis, n_history=n_history, penalty_scale=penalty_scale,
-        n_inputs=width)
+    return fit_from_moments(m, mu, basis=basis, n_history=n_history,
+                            penalty_scale=penalty_scale)
 
 
 def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
@@ -536,10 +529,7 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
         "K_triplets": [[int(r), int(c), float(model.K[r, c])]
                        for r, c in zip(rows, cols)],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
+    return write_json(payload, path)
 
 
 def model_from_json(source: str | Path) -> CoefficientModel:

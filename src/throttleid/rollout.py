@@ -28,7 +28,6 @@ the plant, `teacher_forced_eval` the one-step-ahead predictions on
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ import numpy as np
 from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE,
                        TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
                        lambda_feature)
-from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv
+from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv, write_json
 from .regression import CoefficientModel, _expand_linear, predict, rmse
 
 
@@ -72,7 +71,6 @@ class ValidationReport:
     max_thrust_err_per_engine: np.ndarray  # (4,)
     module_mass_max_err: float
     sparsity: float | None = None
-    diverged_at: float | None = None   # always None: cmd_validate records divergence
     raw_max_thrust_err: float | None = None
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -93,13 +91,10 @@ class ValidationReport:
             "max_thrust_err_per_engine": [float(v) for v in self.max_thrust_err_per_engine],
             "module_mass_max_err": self.module_mass_max_err,
             "sparsity": self.sparsity,
-            "diverged_at": self.diverged_at,
+            "diverged_at": None,   # a diverged rollout gets cmd_validate's record instead
             "raw_max_thrust_err": self.raw_max_thrust_err,
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
+        return write_json(payload, path)
 
 
 def rollout(model: CoefficientModel, trace: CommandTrace,

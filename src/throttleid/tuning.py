@@ -21,7 +21,6 @@ k folds, a fold its whole mu path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .features import Dataset, assemble, kfold_indices, merge
 from .parallel import fork_map
-from .plant import PlantTrajectory
+from .plant import PlantTrajectory, write_json
 from .regression import (BasisSpec, CoefficientModel, RawMoments, expand,
                          fit_from_moments, raw_moments, standardize_moments)
 
@@ -151,10 +150,7 @@ class SweepReport:
                 "sparsity": pt.sparsity,
             } for pt in self.points],
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
+        return write_json(payload, path)
 
 
 def _scaled_rmse(err: np.ndarray) -> float:

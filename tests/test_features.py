@@ -194,10 +194,12 @@ class TestMergeAndSplit:
 
     def test_merge_counts(self, traj):
         a = assemble(traj, HistorySpec(4))
-        b = assemble(traj, HistorySpec(4))
+        b = dataclasses.replace(a, inputs=a.inputs[::-1].copy(), targets=a.targets[::-1].copy())
         m = merge([a, b])
         assert len(m) == 2 * len(a)
-        assert len(m.trace_names) == 2
+        # a's rows, then b's, each in its own order
+        assert np.array_equal(m.inputs, np.vstack([a.inputs, b.inputs]))
+        assert np.array_equal(m.targets, np.vstack([a.targets, b.targets]))
 
     def test_merge_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -81,20 +81,18 @@ def test_no_grandchildren(monkeypatch):
     assert all(inner == [worker] * 4 for worker, inner in results)
 
 
-def test_no_fork_inside_callers_task(monkeypatch):
-    # a single task runs in the caller; the fork map it starts runs there too
+def test_callers_task_may_fork(monkeypatch):
+    # a single task runs in the caller; the inner map's two tasks, which
+    # must run at once, get two forked workers
     usable_cpus(monkeypatch, 2)
+    meet = two_at_once()
 
     def inner_pids(task):
-        children = {p.pid for p in multiprocessing.active_children()}
-        inner = list(fork_map(lambda _: os.getpid(), range(4)))
-        started = {p.pid for p in multiprocessing.active_children()} - children
-        return os.getpid(), inner, started
+        return os.getpid(), list(fork_map(lambda _: (meet(), os.getpid())[1], range(2)))
 
-    (caller, inner, started), = fork_map(inner_pids, range(1))
+    (caller, inner), = fork_map(inner_pids, range(1))
     assert caller == os.getpid()
-    assert inner == [caller] * 4
-    assert started == set()
+    assert len(set(inner)) == 2 and caller not in inner
 
 
 def test_fork_allowed_between_tasks(monkeypatch):

@@ -293,6 +293,17 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=f"excitation.{name} = {value} differs"):
             PipelineConfig.from_json(json.dumps({"excitation": {name: value}}))
 
+    @pytest.mark.parametrize("text,match", [
+        ('{"history": 5}', "config key 'history' must be a JSON object"),
+        ('{"basis": null}', "config key 'basis' must be a JSON object"),
+        ("[1, 2]", "a config must be a JSON object, got list"),
+        ('{"seed": "3"}', "config key 'seed' must be an integer"),
+    ], ids=["history-not-object", "basis-null", "document-list", "seed-string"])
+    def test_malformed_config_rejected(self, text, match):
+        # rejected while loading, before any stage writes its config.json
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig.from_json(text)
+
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

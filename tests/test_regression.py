@@ -227,6 +227,17 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, rng.standard_normal(7))
 
+    def test_moments_model_takes_raw_inputs(self, rng):
+        # a model fitted from moments with a basis and no history length
+        # predicts from the unexpanded inputs, as fit_lasso's does
+        basis = BasisSpec()
+        X = rng.standard_normal((120, 3))
+        Y = np.column_stack([X[:, 0] - 0.5 * X[:, 1] ** 2, X[:, 2]])
+        Phi = expand(X, basis)
+        model = fit_from_moments(compute_moments(Phi, Y), 1e-3, basis=basis)
+        assert model.n_inputs == 3
+        assert np.array_equal(predict(model, X), predict(fit_lasso(Phi, Y, 1e-3, basis=basis), X))
+
     def test_scale_equivariance(self, rng):
         # predicting with the de-standardized K equals predicting in
         # standardized coordinates and mapping back

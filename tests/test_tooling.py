@@ -6,7 +6,8 @@ and uninstalling the tracer here catches such a rename in the test suite.
 Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind.
 A cold `import throttleid`, which the benchmark times, must not load
-the modules that only the fork map and `shared_array` need.
+the modules that only the fork map and `shared_array` need, and
+artifact JSON has one writer, `plant.write_json`.
 """
 
 import ast
@@ -98,3 +99,21 @@ def test_exports_resolve():
             for alias in node.names:
                 assert alias.name in modules[node.module].__all__, (node.module, alias.name)
                 assert hasattr(throttleid, alias.name)
+
+
+def test_one_json_writer():
+    # artifact JSON is formatted in one place, so every file keeps the
+    # same sorted, indented layout; the CLI's error line is the exception
+    def callers(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "json":
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from callers(child, where)
+
+    found = {(path.stem, where) for path in Path(throttleid.__file__).parent.glob("*.py")
+             for where in callers(ast.parse(path.read_text()), None)}
+    assert found == {("plant", "write_json"), ("cli", "main")}
