@@ -74,6 +74,10 @@ def excitation_basis(t):
     return out
 
 
+def _excite_name(e_bias: float) -> str:
+    return f"excite_b{e_bias:g}"
+
+
 def excitation_segment(e_bias: float, cfg: ExcitationConfig) -> CommandTrace:
     """Biased, scaled excitation: clamp(e_bias + a_amp * S(t)), all engines on."""
     if not (cfg.e_min <= e_bias <= cfg.e_max):
@@ -82,7 +86,25 @@ def excitation_segment(e_bias: float, cfg: ExcitationConfig) -> CommandTrace:
     t = np.arange(n) * cfg.dt
     cmd = np.clip(e_bias + cfg.a_amp * excitation_basis(t), cfg.e_min, cfg.e_max)
     return CommandTrace(dt=cfg.dt, commands=cmd, status=np.ones((n, 4)),
-                        name=f"excite_b{e_bias:g}")
+                        name=_excite_name(e_bias))
+
+
+def _segments_trace(segments, dt: float, name: str) -> CommandTrace:
+    """Piecewise command profile from (seconds, level 1/3, level 2/4)
+    segments, each `int(round(seconds / dt))` samples long.
+
+    A number is held on its engine pair for the segment and a (start,
+    end) pair is ramped with np.linspace; an engine is on wherever its
+    command is positive, so a level of 0 turns the pair off.
+    """
+    parts = []   # per segment: (engines 1/3 values, engines 2/4 values)
+    for seconds, *levels in segments:
+        m = int(round(seconds / dt))
+        parts.append([np.linspace(*lvl, m) if isinstance(lvl, tuple) else np.full(m, float(lvl))
+                      for lvl in levels])
+    e13, e24 = (np.concatenate(col) for col in zip(*parts))
+    cmd = np.stack([e13, e24, e13, e24], axis=1)
+    return CommandTrace(dt=dt, commands=cmd, status=(cmd > 0.0).astype(float), name=name)
 
 
 def step_stair_trace(levels, hold: float, cfg: ExcitationConfig) -> CommandTrace:
@@ -97,10 +119,7 @@ def step_stair_trace(levels, hold: float, cfg: ExcitationConfig) -> CommandTrace
     ok = (levels == 0.0) | ((levels >= cfg.e_min) & (levels <= cfg.e_max))
     if not ok.all():
         raise ValueError(f"stair levels must be 0 or within [{cfg.e_min}, {cfg.e_max}]")
-    n_hold = int(round(hold / cfg.dt))
-    cmd = np.repeat(levels, n_hold)[:, None] * np.ones((1, 4))
-    status = (cmd > 0.0).astype(float)
-    return CommandTrace(dt=cfg.dt, commands=cmd, status=status, name="stair")
+    return _segments_trace([(hold, lvl, lvl) for lvl in levels], cfg.dt, "stair")
 
 
 def ramp_trace(start: float, end: float, rate: float, cfg: ExcitationConfig) -> CommandTrace:
@@ -124,39 +143,6 @@ def ramp_trace(start: float, end: float, rate: float, cfg: ExcitationConfig) -> 
     return CommandTrace(dt=cfg.dt, commands=cmd, status=np.ones((n, 4)), name="ramp")
 
 
-def _pair_stair(levels, hold: float, cfg: ExcitationConfig,
-                engines: tuple = (0, 2)) -> CommandTrace:
-    """Stair on one engine pair with the other pair shut down."""
-    base = step_stair_trace(levels, hold, cfg)
-    cmd = base.commands.copy()
-    status = base.status.copy()
-    off = [j for j in range(4) if j not in engines]
-    cmd[:, off] = 0.0
-    status[:, off] = 0.0
-    return CommandTrace(dt=cfg.dt, commands=cmd, status=status, name="pair_stair")
-
-
-def _pair_shutdown(cfg: ExcitationConfig, hold: float = 6.0) -> CommandTrace:
-    """Live pair shutdowns and restarts while the other pair keeps
-    burning (the engine-count transition of a descent profile)."""
-    lo, hi = cfg.e_min, cfg.e_max
-    mid = 0.5 * (lo + hi)
-    n_hold = int(round(hold / cfg.dt))
-    phases = [
-        (mid, mid), (mid, 0.0), (mid, mid), (hi, hi), (hi, 0.0),
-        (0.0, hi), (lo, lo), (lo, 0.0), (mid, lo),
-    ]
-    cmd = np.zeros((n_hold * len(phases), 4))
-    status = np.zeros_like(cmd)
-    for i, (lvl13, lvl24) in enumerate(phases):
-        rows = slice(i * n_hold, (i + 1) * n_hold)
-        cmd[rows, 0] = cmd[rows, 2] = lvl13
-        cmd[rows, 1] = cmd[rows, 3] = lvl24
-        status[rows, 0] = status[rows, 2] = 1.0 if lvl13 > 0 else 0.0
-        status[rows, 1] = status[rows, 3] = 1.0 if lvl24 > 0 else 0.0
-    return CommandTrace(dt=cfg.dt, commands=cmd, status=status, name="pair_shutdown")
-
-
 def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
     """Training corpus: one excitation segment per bias level plus the
     fixed step/ramp family.
@@ -168,8 +154,10 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
       - full-range rise and fall steps,
       - medium ramps (56 / 112 N/s) and slow near-static ramps (18 N/s),
       - an all-off segment (zero-input fixed point),
-      - stairs on one engine pair with the other pair shut down.
+      - stairs on one engine pair with the other pair shut down, and
+        live shutdowns and restarts of one pair while the other burns.
 
+    Every stair and pair trace is a segment list of `_segments_trace`.
     The seed permutes segment order only; contents are deterministic.
     """
     lo, hi = cfg.e_min, cfg.e_max
@@ -178,6 +166,8 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
     # reduced configurations produce proportionally smaller corpora
     scale = cfg.duration / 30.0
     hold = lambda seconds: max(seconds * scale, 4.0 * cfg.dt)
+    pair = lambda segments: _segments_trace(segments, cfg.dt, "")  # named below
+    mid = 0.5 * (lo + hi)
     segments = [excitation_segment(b, cfg) for b in thrust_levels(cfg)]
     hold_levels = [grid(k / 11.0) for k in range(12)]  # 12 levels incl. both ends
     # Long mixed-level stair: anchors the steady operating manifold
@@ -212,11 +202,13 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
              0.0, grid(0.5), 0.0, grid(0.8), 0.0, grid(0.15), 0.0,
              grid(0.4)], hold(4.0), cfg)),
         ("all_off", step_stair_trace([0.0], hold(10.0), cfg)),
-        ("pair_stair", _pair_stair(
-            [grid(0.3), grid(0.5), hi, grid(0.75), lo], hold(8.0), cfg)),
-        ("pair_stair_24", _pair_stair(
-            [grid(0.5), grid(0.3), grid(0.75), lo], hold(8.0), cfg, engines=(1, 3))),
-        ("pair_shutdown", _pair_shutdown(cfg, hold(6.0))),
+        ("pair_stair", pair([(hold(8.0), lvl, 0.0) for lvl in
+                             (grid(0.3), grid(0.5), hi, grid(0.75), lo)])),
+        ("pair_stair_24", pair([(hold(8.0), 0.0, lvl) for lvl in
+                                (grid(0.5), grid(0.3), grid(0.75), lo)])),
+        ("pair_shutdown", pair([(hold(6.0), *lvls) for lvls in
+                                ((mid, mid), (mid, 0.0), (mid, mid), (hi, hi), (hi, 0.0),
+                                 (0.0, hi), (lo, lo), (lo, 0.0), (mid, lo))])),
     ]
     for name, trace in family:
         trace.name = name
@@ -226,12 +218,13 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
 
 
 def corpus_manifest(corpus: list[CommandTrace], cfg: ExcitationConfig) -> dict:
-    """JSON-ready manifest describing a corpus (segment kind, bias,
-    duration, and the name of the trace's command CSV)."""
+    """JSON-ready manifest describing a corpus (segment kind, exact
+    `thrust_levels` bias, duration, and the name of the trace's command CSV)."""
+    biases = {_excite_name(b): float(b) for b in thrust_levels(cfg)}
     entries = []
     for i, trace in enumerate(corpus):
         kind = "excitation" if trace.name.startswith("excite") else trace.name
-        e_bias = float(trace.name.split("_b")[1]) if trace.name.startswith("excite_b") else None
+        e_bias = biases.get(trace.name)
         name = trace.name or f"segment_{i:03d}"
         entries.append({
             "index": i,

@@ -9,7 +9,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -45,8 +45,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"config key 'seed' must be an integer, got {self.seed!r}")
+        if not self.train_mu >= 0.0:
+            raise ValueError(f"config key 'train_mu' must be >= 0, got {self.train_mu!r}")
         # The pipeline seed is the master seed for all stages. The stage
         # configs are copied, so a config passed in is never changed.
         object.__setattr__(self, "excitation", replace(self.excitation, seed=self.seed))
@@ -62,24 +62,57 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PipelineConfig":
-        """Load from a JSON file (a Path) or from JSON text (a str).
-
-        Unknown keys are rejected, so a setting that is no longer
-        configurable is not silently dropped. The document and each
-        section must be JSON objects.
-        """
+        """Load from a JSON file (a Path) or from JSON text (a str). An
+        unknown key, a value of the wrong JSON type, or a section seed that
+        the top-level seed would replace raises a ValueError naming it."""
         d = read_json(source)
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        sections = {"plant": PlantConfig, "excitation": ExcitationConfig,
-                    "history": HistorySpec, "basis": BasisSpec, "sweep": SweepConfig}
-        for k in sorted(sections.keys() & d.keys()):
-            if not isinstance(d[k], dict):
-                raise ValueError(f"config key {k!r} must be a JSON object, got {d[k]!r}")
-        return cls(**{k: sections[k](**v) if k in sections else v for k, v in d.items()})
+        cfg = _from_document(cls, d, "")
+        for name in ("excitation", "sweep"):
+            seed = d.get(name, {}).get("seed", cfg.seed)
+            if seed != cfg.seed:
+                raise ValueError(f"{name}.seed = {seed} differs from seed = {cfg.seed}")
+        return cfg
+
+
+_KINDS = ((bool, "a boolean"), (str, "a string"), (int, "an integer"), (float, "a number"))
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list, each item {_kind(default[0])}"
+    return next(name for t, name in _KINDS if isinstance(default, t))
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the kind of a field's default: ints pass
+    for floats, lists for tuples, and bool passes only for bool."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, (bool, str)) or isinstance(value, bool):
+        return type(value) is type(default)
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
+def _from_document(cls, d: dict, prefix: str):
+    """Dataclass `cls` from a JSON object of its fields, each value of its
+    default's kind and each section built alike; errors name prefix + key."""
+    defaults = vars(cls())
+    unknown = sorted(d.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        default = defaults[key]
+        if is_dataclass(default):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {prefix + key!r} must be a JSON object, got {value!r}")
+            value = _from_document(type(default), value, f"{prefix}{key}.")
+        elif not _fits(value, default):
+            raise ValueError(f"config key {prefix + key!r} must be {_kind(default)}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def _snapshot(cfg: PipelineConfig, out: Path) -> None:
@@ -265,7 +298,6 @@ def validation_traces(cfg: PipelineConfig) -> list[CommandTrace]:
     sine.name = "sine600"
     stair = step_stair_trace([clampv(400.0), clampv(600.0), ex.e_max,
                               clampv(600.0), clampv(400.0)], 5.0, ex)
-    stair.name = "stair"
     fall = step_stair_trace([ex.e_max, ex.e_min], 5.0, ex)
     fall.name = "fall"
     descent = descent_profile(dt=ex.dt)

@@ -27,7 +27,7 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -502,11 +502,7 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
     rows, cols = np.nonzero(model.K)
     payload = {
         "format": "throttleid-model-v1",
-        "basis": None if model.basis is None else {
-            "kind": model.basis.kind,
-            "degree": model.basis.degree,
-            "include_bias": model.basis.include_bias,
-        },
+        "basis": None if model.basis is None else asdict(model.basis),
         "mu": model.mu,
         "mu_effective": model.mu_effective,
         "penalty_scale": model.penalty_scale,
@@ -519,12 +515,7 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
         "sweeps": model.sweeps,
         "objective": model.objective,
         "ridge": model.ridge,
-        "standardization": {
-            "x_mean": model.standardization.x_mean.tolist(),
-            "x_scale": model.standardization.x_scale.tolist(),
-            "y_mean": model.standardization.y_mean.tolist(),
-            "y_scale": model.standardization.y_scale.tolist(),
-        },
+        "standardization": {k: v.tolist() for k, v in vars(model.standardization).items()},
         "intercept": None if model.intercept is None else model.intercept.tolist(),
         "K_triplets": [[int(r), int(c), float(model.K[r, c])]
                        for r, c in zip(rows, cols)],
@@ -540,14 +531,8 @@ def model_from_json(source: str | Path) -> CoefficientModel:
     K = np.zeros((d["n_outputs"], d["n_coefficients"]))
     for r, c, v in d["K_triplets"]:
         K[r, c] = v
-    std = Standardization(
-        x_mean=np.array(d["standardization"]["x_mean"]),
-        x_scale=np.array(d["standardization"]["x_scale"]),
-        y_mean=np.array(d["standardization"]["y_mean"]),
-        y_scale=np.array(d["standardization"]["y_scale"]))
-    basis = None
-    if d["basis"] is not None:
-        basis = BasisSpec(**d["basis"])
+    std = Standardization(**{k: np.array(v) for k, v in d["standardization"].items()})
+    basis = None if d["basis"] is None else BasisSpec(**d["basis"])
     intercept = None if d["intercept"] is None else np.array(d["intercept"])
     return CoefficientModel(
         K=K, basis=basis, standardization=std, mu=d["mu"],

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .excitation import _segments_trace
 from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE,
                        TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
                        lambda_feature)
@@ -304,35 +305,21 @@ def descent_profile(dt: float = 0.01) -> CommandTrace:
       7. 650-900 s  terminal let-down: engines 1/3 at 370 N
       8. 900-950 s  final ramp 370 -> 240 N on engines 1/3
       9. 950-1000 s hold at 240 N until cutoff
-    """
-    def seg(duration, lvl13, lvl24):
-        m = int(round(duration / dt))
-        cmd = np.zeros((m, 4))
-        st = np.zeros((m, 4))
-        for cols, lvl in (((0, 2), lvl13), ((1, 3), lvl24)):
-            if lvl is None:
-                continue
-            vals = np.full(m, float(lvl)) if np.isscalar(lvl) \
-                else np.linspace(lvl[0], lvl[1], m)
-            for j in cols:
-                cmd[:, j] = vals
-                st[:, j] = 1.0
-        return cmd, st
 
-    parts = [
-        seg(2.0, 320.0, 320.0),
-        seg(8.0, (320.0, 800.0), (320.0, 800.0)),
-        seg(90.0, 800.0, 800.0),
-        seg(60.0, (800.0, 450.0), (800.0, 450.0)),
-        seg(8.0, (450.0, 460.0), (450.0, 240.0)),
-        seg(482.0, 460.0, None),
-        seg(250.0, 370.0, None),
-        seg(50.0, (370.0, 240.0), None),
-        seg(50.0, 240.0, None),
-    ]
-    commands = np.concatenate([p[0] for p in parts])
-    status = np.concatenate([p[1] for p in parts])
-    return CommandTrace(dt=dt, commands=commands, status=status, name="descent")
+    Each phase is a (seconds, level 1/3, level 2/4) segment: a (start,
+    end) level is a linear ramp and 0 shuts the pair down.
+    """
+    return _segments_trace([
+        (2.0, 320.0, 320.0),
+        (8.0, (320.0, 800.0), (320.0, 800.0)),
+        (90.0, 800.0, 800.0),
+        (60.0, (800.0, 450.0), (800.0, 450.0)),
+        (8.0, (450.0, 460.0), (450.0, 240.0)),
+        (482.0, 460.0, 0.0),
+        (250.0, 370.0, 0.0),
+        (50.0, (370.0, 240.0), 0.0),
+        (50.0, 240.0, 0.0),
+    ], dt, "descent")
 
 
 def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,

@@ -1,5 +1,7 @@
 """Excitation design: level formula, unit-sphere geometry, trace builders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    corpus_manifest, excitation_basis,
                                    excitation_segment, ramp_trace, save_corpus,
                                    step_stair_trace, thrust_levels)
+from throttleid.pipeline import PipelineConfig, validation_traces
+from throttleid.rollout import descent_profile
 
 
 @pytest.fixture()
@@ -172,3 +176,53 @@ class TestCorpus:
             assert (tmp_path / entry["file"]).exists()
         kinds = {e["kind"] for e in manifest["segments"]}
         assert "excitation" in kinds and "fall_step" in kinds
+
+    def test_manifest_records_exact_bias(self):
+        # at m_levels=3 the levels are not integers, and a trace name
+        # keeps only 6 significant digits of its bias
+        c = ExcitationConfig(m_levels=3, duration=1.0)
+        manifest = corpus_manifest(build_corpus(c), c)
+        biases = sorted(e["e_bias"] for e in manifest["segments"] if e["kind"] == "excitation")
+        assert biases == [float(b) for b in thrust_levels(c)]
+        assert 426.66666666666663 in biases
+        assert {e["name"] for e in manifest["segments"]} >= {"excite_b426.667", "excite_b613.333"}
+
+
+def _digest(trace):
+    assert trace.commands.dtype == trace.status.dtype == np.float64
+    return hashlib.sha256(trace.commands.tobytes() + trace.status.tobytes()).hexdigest()
+
+
+# sha256 of commands then status of every piecewise-constant or linspace
+# profile: however they are built, every bit stays, signed zeros included.
+# They use no libm result, so the bits do not depend on the math library.
+PIECEWISE_DIGESTS = {
+    "endurance_stair": "9c59aacf5b78ed3ca60a66b9b2aaf568379f0657ed9923216e6fc9670e59d768",
+    "hold_ladder": "e3ee936bc2a06e25a79a901c9ed4e324c58e6166311e8740aeee78d429490785",
+    "stair_updown": "57491fcac4d05a9d7434eb9f717695adb175aecb8de99ae993b3070c281a6568",
+    "stair_fine": "23ed3731623b14662bf61a74ade37efa6a52578a8838731aaa4b8239ddc30f85",
+    "rise_step": "76e96092e2b170053b807778beb9a55a7d4572cccb2ddd05202e182819ef9129",
+    "fall_step": "5861266b4fcc1861ca85a09a2a735c23fe7593131c4598de998aefb43a6ee76a",
+    "step_battery": "cc8c8d2129a10328864da4cfbb8497327b9273307184a7b6e39528f02dea9729",
+    "ignition_battery": "b0cf2c95f9d99af548e4dbfe9f5c0f4b57dab97e976466252f46f30b10380c11",
+    "all_off": "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
+    "pair_stair": "ed32cfeb83ea9ae8f761a8a1da9b287466502685a75065f43d877573701d2218",
+    "pair_stair_24": "ec084dad32f387956236cda774b2769485ed9dc914a764b76bf7f5bbab37f963",
+    "pair_shutdown": "4b249a854ccb7785ffb6cf1a24cc5fadc59b607efe5ff7df28bd8d1aa5eb7493",
+    "stair": "1efaa63cbd0488ee18dc62eb0478e35206ce7f09f8b65c3da5fd542eb7e636e2",
+    "fall": "9169bf3ca398366d7c018b3abfac96ac5408963d592a4c64f7abb7d7a3003029",
+    "descent": "4eb49f11b26a97d748a06714c4f091944e1dc5cb8c1e2b2e3c236714261653a7",
+    "signed_zero_stair": "a3d118752db731a221226e615b8588650062f08c6c063c9f6b7a0078d65fa727",
+}
+
+
+def test_piecewise_profiles_bitwise():
+    cfg = ExcitationConfig()
+    traces = [t for t in build_corpus(cfg) if t.name in PIECEWISE_DIGESTS]
+    traces += [t for t in validation_traces(PipelineConfig()) if t.name in ("stair", "fall")]
+    traces.append(descent_profile())
+    zeros = step_stair_trace([0.0, 400.0, -0.0, 800, 0], 1.5, cfg)
+    assert np.signbit(zeros.commands[300:450]).all() and not zeros.status[300:450].any()
+    zeros.name = "signed_zero_stair"
+    traces.append(zeros)
+    assert {t.name: _digest(t) for t in traces} == PIECEWISE_DIGESTS

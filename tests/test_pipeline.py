@@ -281,8 +281,26 @@ class TestConfigIO:
         # a config written before these settings became constants
         with pytest.raises(ValueError, match="penalty_scale"):
             PipelineConfig.from_json('{"penalty_scale": "none"}')
-        with pytest.raises(TypeError, match="history_mu"):
+        with pytest.raises(ValueError, match="unknown config keys: sweep.history_mu"):
             PipelineConfig.from_json('{"sweep": {"history_mu": 0.01}}')
+
+    def test_json_numbers_load(self):
+        # ints stand for floats and lists for tuples, as JSON writes them
+        cfg = PipelineConfig.from_json(
+            '{"train_mu": 1, "plant": {"p_reg": 1800000}, "sweep": {"mu_grid": [1, 2.5]}}')
+        assert (cfg.train_mu, cfg.plant.p_reg, cfg.sweep.mu_grid) == (1, 1.8e6, (1, 2.5))
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"sweep": {"seed": 3}}', "sweep.seed = 3 differs from seed = 0"),
+        ('{"excitation": {"seed": 9}}', "excitation.seed = 9 differs from seed = 0"),
+        ('{"seed": 2, "sweep": {"seed": 3}}', "sweep.seed = 3 differs from seed = 2"),
+    ], ids=["sweep", "excitation", "both-set"])
+    def test_section_seed_must_match(self, text, match):
+        # the top-level seed replaces every section's, so a different one is an error
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig.from_json(text)
+        same = PipelineConfig.from_json('{"seed": 4, "excitation": {"seed": 4}, "sweep": {"seed": 4}}')
+        assert (same.seed, same.excitation.seed, same.sweep.seed) == (4, 4, 4)
 
     @pytest.mark.parametrize("name,value", [("dt", 0.02), ("e_min", 300.0), ("e_max", 900.0)])
     def test_excitation_must_match_plant(self, name, value):
@@ -298,7 +316,19 @@ class TestConfigIO:
         ('{"basis": null}', "config key 'basis' must be a JSON object"),
         ("[1, 2]", "a config must be a JSON object, got list"),
         ('{"seed": "3"}', "config key 'seed' must be an integer"),
-    ], ids=["history-not-object", "basis-null", "document-list", "seed-string"])
+        ('{"train_mu": "x"}', "config key 'train_mu' must be a number"),
+        ('{"output_dir": 5}', "config key 'output_dir' must be a string"),
+        ('{"basis": {"include_bias": "no"}}', "config key 'basis.include_bias' must be a boolean"),
+        ('{"history": {"n": "5"}}', "config key 'history.n' must be an integer"),
+        ('{"sweep": {"k": "3"}}', "config key 'sweep.k' must be an integer"),
+        ('{"plant": {"foo": 1}}', "unknown config keys: plant.foo"),
+        ('{"train_mu": -1}', "config key 'train_mu' must be >= 0"),
+        ('{"history": {"n": true}}', "config key 'history.n' must be an integer"),
+        ('{"sweep": {"n_grid": [3, 4.0]}}', "config key 'sweep.n_grid' must be a list"),
+    ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
+            "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
+            "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
+            "n-grid-float"])
     def test_malformed_config_rejected(self, text, match):
         # rejected while loading, before any stage writes its config.json
         with pytest.raises(ValueError, match=match):

@@ -4,7 +4,8 @@
 name, so renaming one of them breaks traced benchmark runs. Installing
 and uninstalling the tracer here catches such a rename in the test suite.
 Each module's `__all__` and the package's re-exports are checked the
-same way, so deleting a function cannot leave a stale export behind.
+same way, so deleting a function cannot leave a stale export behind,
+and so is every name that a demo imports from the package.
 A cold `import throttleid`, which the benchmark times, must not load
 the modules that only the fork map and `shared_array` need, and
 artifact JSON has one writer, `plant.write_json`.
@@ -99,6 +100,19 @@ def test_exports_resolve():
             for alias in node.names:
                 assert alias.name in modules[node.module].__all__, (node.module, alias.name)
                 assert hasattr(throttleid, alias.name)
+
+
+def test_demo_imports_resolve():
+    # the demos are not run here, so a deleted or renamed name they
+    # import would otherwise go unnoticed
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "throttleid":
+                mod = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(mod, a.name)]
+                assert not missing, (path.name, node.module, missing)
 
 
 def test_one_json_writer():
