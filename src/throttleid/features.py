@@ -169,10 +169,12 @@ def _gather_index(n: int) -> np.ndarray:
 
 
 def _input_windows(buf: np.ndarray, n: int) -> np.ndarray:
-    """(L-n, (n+1)*_WIDTH) read-only view of a buffer whose row t-n
-    spans its rows t-n .. t: the window `_gather_index` reads from."""
-    return np.lib.stride_tricks.sliding_window_view(
-        buf.reshape(-1), (n + 1) * _WIDTH)[::_WIDTH]
+    """(L-n, (n+1)*w) read-only view of a buffer of L rows of w values
+    each, whose row t-n spans its rows t-n .. t: the window
+    `_gather_index` reads from (w = _WIDTH, or 2 * _WIDTH for the
+    rollout's buffer, which carries each value's square after it)."""
+    w = buf[0].size
+    return np.lib.stride_tricks.sliding_window_view(buf.reshape(-1), (n + 1) * w)[::w]
 
 
 def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:

@@ -335,10 +335,12 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     and no time series, and the suite continues.
 
     Each experiment's plant response and its rollout are two `fork_map`
-    tasks, the rollout first, so the two run at once on two CPUs, each
-    in whichever worker is free. Reports, time series and progress
-    lines are written by the caller, in suite order, so every file is
-    the same whatever the CPU count.
+    tasks, the rollout first, claimed longest trace first: the descent's
+    rollout, which sets the suite's wall time, and its plant response
+    start at once on two CPUs while the other experiments fill in
+    beside them. Reports, time series and progress lines are written by
+    the caller, in suite order, so every file is the same whatever the
+    CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -355,7 +357,7 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     # With a model, two tasks per experiment: its rollout, then its plant response.
     kinds = (None,) if model is None else (model, None)
     jobs = [(trace, m) for trace in traces for m in kinds]
-    results = fork_map(partial(_validation_job, cfg.plant), jobs)
+    results = fork_map(partial(_validation_job, cfg.plant), jobs, key=lambda job: len(job[0]))
     reports = {}
     for trace in traces:
         raw = None

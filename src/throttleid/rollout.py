@@ -13,10 +13,11 @@ made non-decreasing outside the learned map; the pre-clamp predictions
 are kept so raw model error stays measurable.
 
 The input layout is written once, in `features`: the loop keeps every
-channel in a time-major buffer and reads each step's input row through
-the gather index `assemble` uses. A step costs one gather, one basis
-expansion and one product with the coefficients, each written into a
-preallocated row (see `rollout` for what that takes per step).
+channel (and, for the default degree-2 basis, its square) in a
+time-major buffer and reads each step's input row through the gather
+index `assemble` uses. With that basis a step costs one gather, which
+reads the squares too, and one product with the coefficients, each
+written into a preallocated row (see `rollout` for what that takes per step).
 
 Every `ValidationReport` comes out of one summary of (rows, 7) truth
 and prediction matrices: `error_windows` summarizes a rollout against
@@ -102,19 +103,31 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
             warmup: PlantTrajectory, *, collect_raw: bool = False):
     """Multi-step prediction of a command trace.
 
-    All channels live in one time-major buffer; each step gathers its
-    input row from the buffer with one precomputed index straight into
-    the linear slot of the expansion row, fills the row's nonlinear
-    columns from that slot, applies `@ K.T` to it, and writes the
-    clamped prediction (thrust >= 0, masses non-decreasing) back as the
-    newest history sample. The expansion row is allocated once per
-    rollout and each prediction is written straight into its row of the
-    raw output, so a step allocates no array data. At the default n = 6
-    and degree-2 basis (76 inputs, 153 columns) a step costs a gather
-    (~1.1 us on a 2-core x86_64 box with numpy 2.4 and OpenBLAS on one
-    thread), an expansion (~1.2 us) and a product (~0.8 us), plus the
-    Python-level finiteness check, clamps on scalars and one row write,
-    nearly all of it per-call overhead rather than arithmetic.
+    All channels live in one time-major buffer. Each step gathers its
+    input row from the buffer with one precomputed index
+    (`_gather_index`) straight into the expansion row, applies `@ K.T`
+    to it, and writes the clamped prediction (thrust >= 0, masses
+    non-decreasing) back as the newest history sample. With the default
+    degree-2 elementwise basis the buffer carries each channel's square
+    next to its value and the step writes the sample's squares too, so
+    the gather, read at the value and at the square offsets, fills the
+    whole row: the squares are those `expand` computes (`np.power(x, 2)`
+    is `x * x` bitwise). With no basis or a linear one the gather fills
+    the whole row as well; other bases fill their nonlinear columns
+    from the gathered linear slot (`_expand_linear`), and their buffer
+    holds no squares, which they would never read (carrying them cost
+    poly3 and no-basis rollouts 0.4-1.4 us a step). The expansion row
+    is allocated once per rollout and each prediction is written
+    straight into its row of the raw output, so a step allocates no
+    array data.
+    At the default n = 6 and degree-2 basis (76 inputs, 153 columns) a
+    step costs a gather of 152 values and a product with the
+    coefficients (3.1 and 2.0 us on a loaded 2-core x86_64 box with
+    numpy 2.4 and OpenBLAS on one thread, where gathering the 76 inputs
+    alone takes 2.7 us and the expansion this gather replaces 1.8 us),
+    plus the Python-level finiteness check, clamps and squares on
+    scalars and one row write, nearly all of it per-call overhead
+    rather than arithmetic.
 
     Parameters
     ----------
@@ -144,8 +157,15 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         raise ValueError(f"warm-up prefix has {len(warmup)} rows, needs {n}")
     index = _gather_index(n)
     predict(model, np.zeros((0, index.size)))   # the model's width checks, once
+    basis = model.basis
 
-    buf = np.zeros((L, _WIDTH))
+    # With the default degree-2 basis each channel's square sits beside
+    # its value ([..., 0] the value, [..., 1] the square); other bases
+    # would never read the squares, so their buffer holds values only.
+    squares = basis is not None and basis.kind == "elementwise-poly" and basis.degree == 2
+    k = 2 if squares else 1
+    pairs = np.zeros((L, _WIDTH, k))
+    buf = pairs[..., 0]
     buf[1:, _TR:_TR + 4] = trace.commands
     buf[1:, _SE:_SE + 4] = trace.status
     buf[:n, _TO:_TO + 4] = warmup.thrusts[:n]
@@ -153,30 +173,34 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     buf[:n, _MF] = warmup.m_fuel[:n]
     buf[:n, _MO] = warmup.m_ox[:n]
     buf[:n, _LAM] = lambda_feature(buf[:n, _MF], buf[:n, _MO])
+    if squares:
+        np.power(buf, 2, out=pairs[..., 1])
     raw = np.zeros((L, 7))
     raw[:n] = buf[:n, _TO:_MO + 1]
 
-    windows = _input_windows(buf, n)
-    basis, KT, intercept = model.basis, model.K.T, model.intercept
+    windows = _input_windows(pairs, n)
+    KT, intercept = model.K.T, model.intercept
     # The expansion and each prediction are 2-D rows, so every product is
     # the same BLAS call as predict's; the prediction's row is its (1, 7)
     # row of `raw`. Each step gathers its input straight into the
-    # expansion's linear slot (the whole row without a basis); the bias
-    # column is written once. The clamped sample and its lambda go into
-    # the buffer's adjacent output and lambda columns with one assignment.
+    # expansion's linear slot, and with the default basis its squares
+    # into the slot after it; the bias column is written once. The
+    # clamped sample and its lambda (with the default basis, and their
+    # squares) go into the buffer's adjacent output and lambda columns
+    # with one assignment.
     p = index.size
-    if basis is None:
-        phi, lo = np.empty((1, p)), 0
-    else:
-        phi, lo = np.empty((1, basis.width(p))), int(basis.include_bias)
-        phi[:, :lo] = 1.0
-    row = phi[0, lo:lo + p]
+    lo = 0 if basis is None else int(basis.include_bias)
+    take = np.concatenate([2 * index, 2 * index + 1]) if squares else index
+    phi = np.empty((1, p if basis is None else basis.width(p)))
+    phi[:, :lo] = 1.0
+    row = phi[0, lo:lo + take.size]
+    expand_rest = phi.shape[1] > lo + take.size   # a basis with columns the gather leaves
     raw_rows = raw.reshape(L, 1, 7)
-    out_rows = buf[:, _TO:_LAM + 1]
+    out_rows = pairs.reshape(L, k * _WIDTH)[:, k * _TO:k * (_LAM + 1)]
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
-        np.take(windows[t - n], index, out=row)
-        if basis is not None:
+        np.take(windows[t - n], take, out=row)
+        if expand_rest:
             _expand_linear(phi, p, basis)
         y = raw_rows[t]
         np.matmul(phi, KT, out=y)
@@ -186,11 +210,17 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)
         t1, t2, t3, t4, pressure, mf, mo = ys
+        t1, t2, t3, t4 = (t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
+                          t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0)
         mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
+        lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
         # a list converts faster than a tuple
-        out_rows[t] = [t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
-                       t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0, pressure,
-                       mf_prev, mo_prev, LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)]
+        if squares:
+            out_rows[t] = [t1, t1 * t1, t2, t2 * t2, t3, t3 * t3, t4, t4 * t4,
+                           pressure, pressure * pressure, mf_prev, mf_prev * mf_prev,
+                           mo_prev, mo_prev * mo_prev, lam, lam * lam]
+        else:
+            out_rows[t] = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
 
     traj = PlantTrajectory(dt=trace.dt, commands=buf[:, _TR:_TR + 4].copy(),
                            status=buf[:, _SE:_SE + 4].copy(),

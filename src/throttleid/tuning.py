@@ -83,6 +83,10 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_grid or not len(self.mu_grid):
             raise ValueError("grids must be non-empty")
+        if min(self.n_grid) < 1:
+            raise ValueError(f"n_grid history lengths must be >= 1, got {min(self.n_grid)}")
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise ValueError("n_grid history lengths must be distinct")
         mu = np.asarray(self.mu_grid, dtype=float)
         if np.any(mu <= 0.0) or np.any(np.diff(mu) <= 0.0):
             raise ValueError("mu_grid must be strictly increasing and positive")

@@ -1,8 +1,10 @@
-"""The fork map: task order, nesting, errors, early close and shared arrays."""
+"""The fork map: task order, claim order, nesting, errors, early close and
+shared arrays."""
 
 import multiprocessing
 import os
 import pickle
+import signal
 
 import pytest
 
@@ -157,6 +159,94 @@ def test_earlier_task_decides_the_error(monkeypatch, outcome):
                 "exits": (RuntimeError, "exited with code 3 before sending the result of task 0$")}
     with pytest.raises(expected[outcome][0], match=expected[outcome][1]):
         list(fork_map(task, range(4)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_key_claims_longest_first(monkeypatch, cpus):
+    # at 2 CPUs the longest task (3) holds one child until the shortest
+    # (0) has run, so the other child runs every later claim in turn;
+    # the two 4s keep their task order. One worker runs tasks in order.
+    usable_cpus(monkeypatch, cpus)
+    sizes = [1, 4, 2, 6, 4, 5]
+    log, count = multiprocessing.RawArray("q", 6), multiprocessing.Value("q", 0)
+    shortest_done = multiprocessing.Event()
+
+    def task(i):
+        with count.get_lock():
+            log[count.value] = i
+            count.value += 1
+        if i == 3:
+            assert shortest_done.wait(timeout=10)
+        if i == 0:
+            shortest_done.set()
+        return 10 * i
+
+    assert list(fork_map(task, range(6), key=sizes.__getitem__)) == [0, 10, 20, 30, 40, 50]
+    if cpus == 1:
+        assert list(log) == [0, 1, 2, 3, 4, 5]
+    else:
+        assert set(log[:2]) == {3, 5} and list(log[2:]) == [1, 4, 2, 0]
+
+
+def _within_10_s(run):
+    """run(), or TimeoutError after 10 s."""
+    def expire(signum, frame):
+        raise TimeoutError("fork map still waiting after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        return run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_key_earlier_failure_still_claimed(monkeypatch):
+    # tasks 3 and 2 are claimed first, one per child; 3 fails while 2
+    # runs. Tasks 0 and 1 come earlier in task order, so they are still
+    # claimed, and 0's failure is the one a serial run meets first.
+    usable_cpus(monkeypatch, 2)
+    meet, late_failed = two_at_once(), multiprocessing.Event()
+
+    def task(i):
+        if i >= 2:
+            meet()
+        if i == 3:
+            late_failed.set()
+            raise ValueError("late")
+        if i == 2:
+            assert late_failed.wait(timeout=10)
+        if i == 0:
+            raise ValueError("early")
+        return i
+
+    with pytest.raises(ValueError, match="early"):
+        _within_10_s(lambda: list(fork_map(task, range(4), key=lambda i: i >= 2 and i)))
+
+
+@pytest.mark.parametrize("dying", [[2], [2, 3]], ids=["one-dies", "all-die"])
+def test_key_dead_worker_reported(monkeypatch, dying):
+    # the dying tasks are claimed first: with one of them the other child
+    # runs the rest and the death is reported at its task; with both, no
+    # child is left to claim task 0
+    usable_cpus(monkeypatch, 2)
+    meet = two_at_once() if len(dying) == 2 else lambda: None
+
+    def task(i):
+        if i in dying:
+            meet()
+            os._exit(3)
+        return i
+
+    results = fork_map(task, range(4), key=lambda i: i in dying and i)
+    if dying == [2]:
+        assert _within_10_s(lambda: [next(results), next(results)]) == [0, 1]
+        match = "exited with code 3 before sending the result of task 2$"
+    else:
+        match = "every worker exited before task 0 was claimed"
+    with pytest.raises(RuntimeError, match=match):
+        _within_10_s(lambda: next(results))
 
 
 def test_early_close_stops_workers(monkeypatch):

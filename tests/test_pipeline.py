@@ -325,10 +325,12 @@ class TestConfigIO:
         ('{"train_mu": -1}', "config key 'train_mu' must be >= 0"),
         ('{"history": {"n": true}}', "config key 'history.n' must be an integer"),
         ('{"sweep": {"n_grid": [3, 4.0]}}', "config key 'sweep.n_grid' must be a list"),
+        ('{"sweep": {"n_grid": [0, 3]}}', "n_grid history lengths must be >= 1, got 0"),
+        ('{"sweep": {"n_grid": [4, 3, 4]}}', "n_grid history lengths must be distinct"),
     ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
             "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
-            "n-grid-float"])
+            "n-grid-float", "n-grid-zero", "n-grid-repeated"])
     def test_malformed_config_rejected(self, text, match):
         # rejected while loading, before any stage writes its config.json
         with pytest.raises(ValueError, match=match):

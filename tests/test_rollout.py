@@ -1,5 +1,7 @@
 """Autoregressive rollout: warm-up, clamps, windows, compounding."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,16 @@ class TestRollout:
 
     def test_step_input_is_assemble_row_across_bases(self, basis_model, stair_pair):
         check_matches_reference(basis_model, *stair_pair)
+
+    def test_default_basis_gathers_its_squares(self, monkeypatch, small_model, stair_pair):
+        # the degree-2 row comes whole from the buffer, which carries the
+        # squares, and still matches the per-step expand + predict loop
+        def no_expansion(*args):
+            raise AssertionError("the rollout expanded a degree-2 row")
+
+        monkeypatch.setattr(importlib.import_module("throttleid.rollout"), "_expand_linear",
+                            no_expansion)
+        check_matches_reference(small_model, *stair_pair)
 
     def test_all_off_stays_near_zero(self, small_model):
         trace = CommandTrace(dt=PC.dt, commands=np.zeros((500, 4)),

@@ -50,6 +50,10 @@ class TestSweepConfig:
             SweepConfig(mu_grid=(0.0, 1.0))
         with pytest.raises(ValueError):
             SweepConfig(n_grid=())
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            SweepConfig(n_grid=(0, 3))
+        with pytest.raises(ValueError, match="must be distinct"):
+            SweepConfig(n_grid=(4, 3, 4))
 
 
 class TestSweepHistory:
