@@ -1,26 +1,21 @@
 """One fork map: independent tasks on every usable CPU.
 
 Work that splits into independent tasks runs on every usable CPU (the
-affinity set of the process; restrict it with `taskset`): the CV
-sweeps one history length or one fold per task, the CSV writer one
-block of rows per task, `cmd_gen_data` and `cmd_train` one corpus
-trace per task and `cmd_validate` one plant response or one rollout
-per task. One child per usable CPU is forked for the call, and each
-child claims the next unclaimed task from one shared counter whenever
-it is free, so a long task holds up only the child that runs it. A
-caller that knows its tasks' sizes passes a `key`, and the tasks are
-claimed longest first: a long task claimed last would run on alone
-after the others are done, while claimed first it runs beside them
-(Graham's LPT rule). `cmd_validate` keys on trace length, so the
-descent rollout and its plant response start at once. The children
-read the caller's arrays and module state in place and send back each
-task's result as soon as it is done; the caller only collects them. A
-task is computed by the same code, on the same data, whichever child
-runs it, and results are yielded in task order, so output is
+affinity set of the process; restrict it with `taskset`). One child per
+usable CPU is forked for the call, and each child claims the next
+unclaimed task from one shared counter whenever it is free, so a long
+task holds up only the child that runs it. A caller that knows its
+tasks' sizes passes a `key`, and the tasks are claimed longest first: a
+long task claimed last would run on alone after the others are done,
+while claimed first it runs beside them (Graham's LPT rule). The
+children read the caller's arrays and module state in place and send
+back each task's result as soon as it is done; the caller only collects
+them. A task is computed by the same code, on the same data, whichever
+child runs it, and results are yielded in task order, so output is
 byte-identical whatever the number of workers and wherever each task
 ran; the error raised is that of the first failing task in serial
-order. Which tasks the caller itself runs does not depend on
-timing: all of them with one worker, none with more.
+order. Which tasks the caller itself runs does not depend on timing:
+all of them with one worker, none with more.
 
 A forked child never forks: a fork map called inside a child's task
 runs its own tasks in that child. So a task that writes a CSV formats
@@ -29,9 +24,7 @@ the caller runs itself (a map of one task, or one usable CPU) may fork.
 
 Tasks may write into arrays made by `shared_array` before the map
 starts: the children are forked after them, so they write into the
-caller's pages in place, each task into its own part. A `cmd_train`
-task writes its trace's rows of the shared design matrix that way and
-sends nothing back.
+caller's pages in place, each task into its own part.
 """
 
 from __future__ import annotations
@@ -42,33 +35,26 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+
 def _serve(fn, tasks: Sequence, order: Sequence[int], state, claimed, w: int, conn) -> None:
     """Forked worker w: claim tasks in `order` until none is left, and
     send (index, ok, result or exception) for each one as soon as it is
-    done. state[0] is the next position in `order` to claim and state[1]
-    the earliest failed task index (len(tasks) while none has failed);
-    a claim skips every task after that failure, since no result after
-    it will be yielded, but never an earlier one. The claim is recorded
-    in claimed[w] under the state's lock, which is never held while a
+    done. state is the next position in `order` to claim; the claim is
+    recorded in claimed[w] under its lock, which is never held while a
     task runs."""
-    n = len(tasks)
     try:
         while True:
             with state.get_lock():
-                while state[0] < n and order[state[0]] > state[1]:
-                    state[0] += 1
-                if state[0] == n:
+                if state.value == len(tasks):
                     break
-                i = claimed[w] = order[state[0]]
-                state[0] += 1
+                i = claimed[w] = order[state.value]
+                state.value += 1
             try:
                 result = fn(tasks[i])
             except Exception as err:
-                with state.get_lock():
-                    state[1] = min(state[1], i)
                 conn.send((i, False, err))
-                continue
-            conn.send((i, True, result))
+            else:
+                conn.send((i, True, result))
     finally:
         conn.close()
 
@@ -90,17 +76,17 @@ def fork_map(fn: Callable, tasks: Sequence, key: Callable | None = None) -> Iter
 
     Errors are raised in task order: the exception of the earliest
     failing task, which is the first failure a serial run would meet,
-    whichever child ran it. A failing task stops claims of the tasks
-    after it in task order, since no later result will be yielded, but
-    not of earlier ones, which may fail first. A child that exits
-    before sending the result of a task it claimed raises RuntimeError
-    at that task's turn, and a task that no child is left to claim
-    raises RuntimeError at its turn. Closing the iterator early stops
-    the children. With one worker, where fork is unavailable, or inside
-    a forked child (which never forks children of its own), every task
-    runs in the calling process, in task order. A task that the caller
-    runs, and code between two `next` calls, may start fork maps of
-    their own.
+    whichever child ran it. A child sends a failing task's exception
+    back and goes on claiming, so the children may run later tasks
+    until the caller reaches the failing one, raises it and stops them.
+    A child that exits before sending the result of a task it claimed
+    raises RuntimeError at that task's turn, and a task that no child
+    is left to claim raises RuntimeError at its turn. Closing the
+    iterator early stops the children. With one worker, where fork is
+    unavailable, or inside a forked child (which never forks children
+    of its own), every task runs in the calling process, in task order.
+    A task that the caller runs, and code between two `next` calls, may
+    start fork maps of their own.
     """
     import multiprocessing  # here, so importing the package does not pay for it
     from multiprocessing.connection import wait
@@ -117,7 +103,7 @@ def fork_map(fn: Callable, tasks: Sequence, key: Callable | None = None) -> Iter
     n = len(tasks)
     order = range(n) if key is None else \
         sorted(range(n), key=lambda i: key(tasks[i]), reverse=True)  # stable: ties keep task order
-    state = ctx.Array("q", [0, n])              # next position in order, earliest failed index
+    state = ctx.Value("q", 0)                   # next position in order to claim
     claimed = ctx.RawArray("q", [n] * workers)  # each child's last claim, n for none
 
     live = {}     # receiving end of each running child's pipe -> (worker, process)

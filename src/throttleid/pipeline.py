@@ -124,22 +124,17 @@ def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace])
     """One corpus trace: write its command CSV, simulate it and write the
     response's CSV, both under the file name given.
 
-    Returns (rows, span, depleted_at): the response's row count, the
-    (min, max) command of the engines that are on (None when none is)
-    and None; or (0, None, t) when the plant ran dry at time t, in which
-    case no trajectory is written.
+    Returns None, or the time at which the plant ran dry, in which case
+    no trajectory is written.
     """
     fname, trace = job
     trace.to_csv(out / "corpus" / fname)
     try:
         traj = simulate(trace, plant_cfg)
     except PropellantDepletedError as err:
-        return 0, None, err.t
+        return err.t
     traj.to_csv(out / "trajectories" / fname)
-    on = trace.status > 0
-    span = (float(trace.commands[on].min()), float(trace.commands[on].max())) \
-        if on.any() else None
-    return len(traj), span, None
+    return None
 
 
 def cmd_gen_data(cfg: PipelineConfig) -> dict:
@@ -152,9 +147,10 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
 
     Each trace is one `fork_map` task, which writes its command CSV,
     simulates it and writes its response, formatting both files itself;
-    only the row count, the command range and the depletion time come
-    back. The manifest and the summary are written in corpus order, so
-    every file is the same whatever the CPU count.
+    only the depletion time comes back. The summary's sample count and
+    command range are taken from the corpus: a response has one row more
+    than its trace. The manifest and the summary are written in corpus
+    order, so every file is the same whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -166,16 +162,18 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     jobs = [(entry["file"], trace) for entry, trace in zip(entries, corpus)]
     n_samples = 0
     cmd_lo, cmd_hi = np.inf, -np.inf
-    for entry, (rows, span, depleted_at) in zip(
-            entries, fork_map(partial(_gen_trace, cfg.plant, out), jobs)):
+    for entry, trace, depleted_at in zip(
+            entries, corpus, fork_map(partial(_gen_trace, cfg.plant, out), jobs)):
         if depleted_at is not None:
             entry["depleted_at"] = depleted_at
             entry["trajectory"] = None
             continue
         entry["trajectory"] = entry["file"]
-        n_samples += rows
-        if span is not None:
-            cmd_lo, cmd_hi = min(cmd_lo, span[0]), max(cmd_hi, span[1])
+        n_samples += len(trace) + 1
+        on = trace.status > 0
+        if on.any():
+            cmd_lo = min(cmd_lo, float(trace.commands[on].min()))
+            cmd_hi = max(cmd_hi, float(trace.commands[on].max()))
     write_json(manifest, out / "corpus" / "manifest.json")
     print(f"corpus: {len(corpus)} traces, {n_samples} simulated samples, "
           f"commands span [{cmd_lo:.1f}, {cmd_hi:.1f}] N")

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import input_width
 from .plant import read_json, write_json
 
 
@@ -373,8 +372,8 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      penalty_scale: str = "none",
                      w0: np.ndarray | None = None) -> CoefficientModel:
     """Solve from precomputed Gram moments (the sweep fast path). The
-    model's `predict` takes raw inputs of width 11n+10 with `n_history`,
-    else the width that `basis` expands to the moments' width."""
+    model's `predict` takes raw inputs of the width that `basis` expands
+    to the moments' width; `n_history` is only recorded in the model."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     mu_eff = _scale_mu(mu, m.n_rows, penalty_scale)
@@ -413,8 +412,7 @@ def fit_from_moments(m: _Moments, mu: float, *,
     return CoefficientModel(
         K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
         penalty_scale=penalty_scale, n=n_history,
-        n_inputs=input_width(n_history) if n_history is not None
-        else basis.unexpanded_width(K.shape[1]) if basis is not None else K.shape[1],
+        n_inputs=K.shape[1] if basis is None else basis.unexpanded_width(K.shape[1]),
         sparsity=sparsity, kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps,
         objective=_objective_value(W, m, mu_eff), ridge=ridge,
         intercept=intercept, W_std=W)
@@ -524,16 +522,29 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
 
 
 def model_from_json(source: str | Path) -> CoefficientModel:
-    """Load a model from a JSON file (a Path) or from JSON text (a str)."""
+    """Load a model from a JSON file (a Path) or from JSON text (a str).
+    ValueError, naming the field, when a triplet lies outside K or a
+    vector does not match K's shape."""
     d = read_json(source)
     if d.get("format") != "throttleid-model-v1":
         raise ValueError("not a throttleid model file")
-    K = np.zeros((d["n_outputs"], d["n_coefficients"]))
+    n_out, n_coef = d["n_outputs"], d["n_coefficients"]
+    K = np.zeros((n_out, n_coef))
     for r, c, v in d["K_triplets"]:
+        if not (type(r) is int and type(c) is int and 0 <= r < n_out and 0 <= c < n_coef):
+            raise ValueError(f"K_triplets entry {[r, c, v]} lies outside the "
+                             f"{n_out} x {n_coef} coefficient matrix")
         K[r, c] = v
     std = Standardization(**{k: np.array(v) for k, v in d["standardization"].items()})
     basis = None if d["basis"] is None else BasisSpec(**d["basis"])
     intercept = None if d["intercept"] is None else np.array(d["intercept"])
+    for name, v, n in [("standardization.x_mean", std.x_mean, n_coef),
+                       ("standardization.x_scale", std.x_scale, n_coef),
+                       ("standardization.y_mean", std.y_mean, n_out),
+                       ("standardization.y_scale", std.y_scale, n_out),
+                       ("intercept", intercept, n_out)]:
+        if v is not None and v.shape != (n,):
+            raise ValueError(f"{name} must hold {n} numbers, got shape {v.shape}")
     return CoefficientModel(
         K=K, basis=basis, standardization=std, mu=d["mu"],
         mu_effective=d["mu_effective"], penalty_scale=d["penalty_scale"], n=d["n"],

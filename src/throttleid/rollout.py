@@ -122,12 +122,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     array data.
     At the default n = 6 and degree-2 basis (76 inputs, 153 columns) a
     step costs a gather of 152 values and a product with the
-    coefficients (3.1 and 2.0 us on a loaded 2-core x86_64 box with
-    numpy 2.4 and OpenBLAS on one thread, where gathering the 76 inputs
-    alone takes 2.7 us and the expansion this gather replaces 1.8 us),
-    plus the Python-level finiteness check, clamps and squares on
-    scalars and one row write, nearly all of it per-call overhead
-    rather than arithmetic.
+    coefficients, plus the Python-level finiteness check, clamps and
+    squares on scalars and one row write, nearly all of it per-call
+    overhead rather than arithmetic.
 
     Parameters
     ----------

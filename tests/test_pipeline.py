@@ -20,6 +20,7 @@ from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
+from throttleid.plant import PlantConfig
 from throttleid.regression import model_from_json, model_to_json
 from throttleid.tuning import SweepConfig
 
@@ -71,6 +72,22 @@ class TestGenData:
         trajs = load_trajectories(out)
         assert len(trajs) > 2
         assert all(len(t) > 1 for t in trajs)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_depleted_traces_left_out(self, tmp_path, monkeypatch, capsys, cpus):
+        # a 10 kg module runs dry under the three traces that eject more
+        # (11.2, 13.6 and 77.7 kg); the summary counts only what was written
+        usable_cpus(monkeypatch, cpus)
+        cfg = replace(tiny_config(str(tmp_path)), plant=PlantConfig(m_module0=10.0))
+        manifest = cmd_gen_data(cfg)
+        depleted = {e["name"]: e for e in manifest["segments"] if "depleted_at" in e}
+        assert sorted(depleted) == ["endurance_stair", "hold_ladder", "step_battery"]
+        assert all(e["trajectory"] is None and e["depleted_at"] > 0 for e in depleted.values())
+        written = sorted(p.name for p in (tmp_path / "trajectories").iterdir())
+        assert written == sorted(e["trajectory"] for e in manifest["segments"]
+                                 if e["name"] not in depleted)
+        rows = sum(len(p.read_text().splitlines()) - 1 for p in (tmp_path / "trajectories").iterdir())
+        assert f"{len(manifest['segments'])} traces, {rows} simulated samples" in capsys.readouterr().out
 
 
 class TestTrain:

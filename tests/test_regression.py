@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,31 @@ class TestPersistence:
         p.write_text(json.dumps({"something": 1}))
         with pytest.raises(ValueError):
             model_from_json(p)
+
+    # a 2-output model on 6 columns with a separate intercept, each field
+    # edited to lie outside K or to mismatch K's shape
+    MALFORMED = {
+        "triplet-negative": ("K_triplets", lambda d: d["K_triplets"].append([-1, -1, 123.0])),
+        "triplet-row": ("K_triplets", lambda d: d["K_triplets"].append([7, 0, 1.0])),
+        "triplet-column": ("K_triplets", lambda d: d["K_triplets"].append([0, 6, 1.0])),
+        "triplet-float": ("K_triplets", lambda d: d["K_triplets"].append([0.5, 0, 1.0])),
+        "x-mean": ("standardization.x_mean", lambda d: d["standardization"]["x_mean"].pop()),
+        "x-scale": ("standardization.x_scale",
+                    lambda d: d["standardization"]["x_scale"].append(1.0)),
+        "y-mean": ("standardization.y_mean", lambda d: d["standardization"]["y_mean"].pop()),
+        "y-scale": ("standardization.y_scale", lambda d: d["standardization"]["y_scale"].pop()),
+        "intercept": ("intercept", lambda d: d["intercept"].append(0.0)),
+    }
+
+    @pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_model_rejected(self, field, edit):
+        gen = np.random.default_rng(1)
+        X = gen.standard_normal((100, 6))
+        d = json.loads(model_to_json(fit_lasso(X, X[:, :2] + 1.0, 1.0)))
+        assert (d["n_outputs"], d["n_coefficients"]) == (2, 6) and d["intercept"] is not None
+        edit(d)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            model_from_json(json.dumps(d))
 
 
 class TestStandardization:
