@@ -47,6 +47,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.train_mu >= 0.0:
             raise ValueError(f"config key 'train_mu' must be >= 0, got {self.train_mu!r}")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         # The pipeline seed is the master seed for all stages. The stage
         # configs are copied, so a config passed in is never changed.
         object.__setattr__(self, "excitation", replace(self.excitation, seed=self.seed))
@@ -194,8 +196,11 @@ def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path]]:
 
 
 def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
-    return [PlantTrajectory.from_csv(path, name=name)
-            for name, path in _trajectory_files(data_dir)]
+    """Every trajectory that the corpus manifest under `data_dir` lists,
+    in corpus order. Each trace is read and parsed in its own `fork_map`
+    task, which sends the parsed trajectory back."""
+    return list(fork_map(lambda job: PlantTrajectory.from_csv(job[1], name=job[0]),
+                         _trajectory_files(data_dir)))
 
 
 def _csv_rows(path: Path) -> int:
@@ -249,18 +254,10 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
                       penalty_scale=PENALTY_SCALE)
     model_to_json(model, out / "model.json")
     per_output, aggregate = rmse(predict_expanded(model, phi), targets)
-    report = {
-        "rows": total,
-        "n": n,
-        "mu": cfg.train_mu,
-        "penalty_scale": PENALTY_SCALE,
-        "train_rmse": {k: float(v) for k, v in zip(TARGET_NAMES, per_output)},
-        "train_rmse_aggregate": aggregate,
-        "sparsity": model.sparsity,
-        "kkt": model.kkt,
-        "ridge": model.ridge,
-        "sweeps": model.sweeps,
-    }
+    report = {name: getattr(model, name)
+              for name in ("n", "mu", "penalty_scale", "sparsity", "kkt", "ridge", "sweeps")}
+    report.update(rows=total, train_rmse=dict(zip(TARGET_NAMES, per_output.tolist())),
+                  train_rmse_aggregate=aggregate)
     write_json(report, out / "train_report.json")
     print(f"train: {total} rows, sparsity {model.sparsity:.3f}, "
           f"aggregate RMSE {aggregate:.4g}")

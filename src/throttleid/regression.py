@@ -27,7 +27,7 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -346,7 +346,6 @@ class CoefficientModel:
     mu_effective: float
     penalty_scale: str
     n: int | None                      # history length, when known
-    n_inputs: int                      # width of the unexpanded feature vector
     sparsity: float
     kkt: float
     sweeps: int                        # feature-sign steps, summed over outputs
@@ -354,6 +353,15 @@ class CoefficientModel:
     ridge: float = 0.0                 # lambda_2 added to the Gram diagonal
     intercept: np.ndarray | None = None  # only when no bias column exists
     W_std: np.ndarray | None = field(default=None, repr=False)  # solver-space solution
+
+    def __post_init__(self):
+        self.n_inputs   # ValueError when the basis cannot expand to K's width
+
+    @property
+    def n_inputs(self) -> int:
+        """Width of the unexpanded feature vector, which `basis` expands to K's."""
+        F = self.K.shape[1]
+        return F if self.basis is None else self.basis.unexpanded_width(F)
 
 
 def _scale_mu(mu: float, n_rows: int, penalty_scale: str) -> float:
@@ -411,11 +419,9 @@ def fit_from_moments(m: _Moments, mu: float, *,
 
     return CoefficientModel(
         K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
-        penalty_scale=penalty_scale, n=n_history,
-        n_inputs=K.shape[1] if basis is None else basis.unexpanded_width(K.shape[1]),
-        sparsity=sparsity, kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps,
-        objective=_objective_value(W, m, mu_eff), ridge=ridge,
-        intercept=intercept, W_std=W)
+        penalty_scale=penalty_scale, n=n_history, sparsity=sparsity,
+        kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps, objective=_objective_value(W, m, mu_eff),
+        ridge=ridge, intercept=intercept, W_std=W)
 
 
 def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
@@ -460,17 +466,10 @@ def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    if model.basis is not None:
-        if X.shape[1] != model.n_inputs:
-            raise ValueError(
-                f"feature width {X.shape[1]} does not match model input width {model.n_inputs}")
-        Phi = expand(X, model.basis)
-    else:
-        Phi = X
-    if Phi.shape[1] != model.K.shape[1]:
+    if X.shape[1] != model.n_inputs:   # the basis expands n_inputs columns to K's width
         raise ValueError(
-            f"expanded width {Phi.shape[1]} does not match coefficient width {model.K.shape[1]}")
-    Y = predict_expanded(model, Phi)
+            f"feature width {X.shape[1]} does not match model input width {model.n_inputs}")
+    Y = predict_expanded(model, X if model.basis is None else expand(X, model.basis))
     return Y[0] if single else Y
 
 
@@ -495,39 +494,52 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
     return per_output, float(np.sqrt(np.mean(per_output ** 2)))
 
 
+# The model's scalar fields, written to and read from a model file by name.
+_SCALARS = ("mu", "mu_effective", "penalty_scale", "n", "sparsity", "kkt", "sweeps",
+            "objective", "ridge")
+_FORMAT = "throttleid-model-v1"
+
+
 def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> str:
     """Serialize a model; K is stored as sparse (row, col, value) triplets."""
     rows, cols = np.nonzero(model.K)
-    payload = {
-        "format": "throttleid-model-v1",
-        "basis": None if model.basis is None else asdict(model.basis),
-        "mu": model.mu,
-        "mu_effective": model.mu_effective,
-        "penalty_scale": model.penalty_scale,
-        "n": model.n,
-        "n_inputs": model.n_inputs,
-        "n_outputs": model.K.shape[0],
-        "n_coefficients": model.K.shape[1],
-        "sparsity": model.sparsity,
-        "kkt": model.kkt,
-        "sweeps": model.sweeps,
-        "objective": model.objective,
-        "ridge": model.ridge,
-        "standardization": {k: v.tolist() for k, v in vars(model.standardization).items()},
-        "intercept": None if model.intercept is None else model.intercept.tolist(),
-        "K_triplets": [[int(r), int(c), float(model.K[r, c])]
-                       for r, c in zip(rows, cols)],
-    }
+    payload = {name: getattr(model, name) for name in _SCALARS}
+    payload.update(
+        format=_FORMAT, basis=None if model.basis is None else asdict(model.basis),
+        n_inputs=model.n_inputs, n_outputs=model.K.shape[0], n_coefficients=model.K.shape[1],
+        standardization={k: v.tolist() for k, v in vars(model.standardization).items()},
+        intercept=None if model.intercept is None else model.intercept.tolist(),
+        K_triplets=[[int(r), int(c), float(model.K[r, c])] for r, c in zip(rows, cols)])
     return write_json(payload, path)
+
+
+def _check_keys(d: dict, names: set, prefix: str) -> None:
+    """ValueError naming the keys that `d` has beyond `names`, or else lacks."""
+    for label, keys in (("unknown", d.keys() - names), ("missing", names - d.keys())):
+        if keys:
+            raise ValueError(f"{label} model keys: {', '.join(prefix + k for k in sorted(keys))}")
 
 
 def model_from_json(source: str | Path) -> CoefficientModel:
     """Load a model from a JSON file (a Path) or from JSON text (a str).
-    ValueError, naming the field, when a triplet lies outside K or a
-    vector does not match K's shape."""
+
+    ValueError, naming the key, when a key that `model_to_json` writes,
+    or a field of the standardization or basis, is missing or unknown (a
+    file without `ridge`, written before it was recorded, loads with
+    0.0); when a triplet lies outside K or a vector does not match K's
+    shape; when `n` is not null or an integer >= 1; or when `n_inputs`
+    is not the width that the basis expands to K's width."""
     d = read_json(source)
-    if d.get("format") != "throttleid-model-v1":
+    if not isinstance(d, dict) or d.get("format") != _FORMAT:
         raise ValueError("not a throttleid model file")
+    d = {"ridge": 0.0, **d}
+    _check_keys(d, {*_SCALARS, "format", "basis", "n_inputs", "n_outputs", "n_coefficients",
+                    "standardization", "intercept", "K_triplets"}, "")
+    _check_keys(d["standardization"], {f.name for f in fields(Standardization)}, "standardization.")
+    if d["basis"] is not None:
+        _check_keys(d["basis"], {f.name for f in fields(BasisSpec)}, "basis.")
+    if d["n"] is not None and not (type(d["n"]) is int and d["n"] >= 1):
+        raise ValueError(f"model key 'n' must be null or an integer >= 1, got {d['n']!r}")
     n_out, n_coef = d["n_outputs"], d["n_coefficients"]
     K = np.zeros((n_out, n_coef))
     for r, c, v in d["K_triplets"]:
@@ -536,21 +548,21 @@ def model_from_json(source: str | Path) -> CoefficientModel:
                              f"{n_out} x {n_coef} coefficient matrix")
         K[r, c] = v
     std = Standardization(**{k: np.array(v) for k, v in d["standardization"].items()})
-    basis = None if d["basis"] is None else BasisSpec(**d["basis"])
     intercept = None if d["intercept"] is None else np.array(d["intercept"])
-    for name, v, n in [("standardization.x_mean", std.x_mean, n_coef),
-                       ("standardization.x_scale", std.x_scale, n_coef),
-                       ("standardization.y_mean", std.y_mean, n_out),
-                       ("standardization.y_scale", std.y_scale, n_out),
-                       ("intercept", intercept, n_out)]:
-        if v is not None and v.shape != (n,):
-            raise ValueError(f"{name} must hold {n} numbers, got shape {v.shape}")
-    return CoefficientModel(
-        K=K, basis=basis, standardization=std, mu=d["mu"],
-        mu_effective=d["mu_effective"], penalty_scale=d["penalty_scale"], n=d["n"],
-        n_inputs=d["n_inputs"], sparsity=d["sparsity"], kkt=d["kkt"],
-        sweeps=d["sweeps"], objective=d["objective"], ridge=d.get("ridge", 0.0),
-        intercept=intercept)
+    for name, v, size in [("standardization.x_mean", std.x_mean, n_coef),
+                          ("standardization.x_scale", std.x_scale, n_coef),
+                          ("standardization.y_mean", std.y_mean, n_out),
+                          ("standardization.y_scale", std.y_scale, n_out),
+                          ("intercept", intercept, n_out)]:
+        if v is not None and v.shape != (size,):
+            raise ValueError(f"{name} must hold {size} numbers, got shape {v.shape}")
+    model = CoefficientModel(
+        K=K, basis=None if d["basis"] is None else BasisSpec(**d["basis"]),
+        standardization=std, intercept=intercept, **{name: d[name] for name in _SCALARS})
+    if d["n_inputs"] != model.n_inputs:
+        raise ValueError(f"model key 'n_inputs' = {d['n_inputs']!r} differs from "
+                         f"{model.n_inputs}, the width that the basis expands to {n_coef}")
+    return model
 
 
 __all__ = [

@@ -76,26 +76,14 @@ class ValidationReport:
     raw_max_thrust_err: float | None = None
 
     def to_json(self, path: str | Path | None = None) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "n_transient": self.n_transient,
-            "n_steady": self.n_steady,
-            "rmse": {k: float(v) for k, v in zip(TARGET_NAMES, self.rmse)},
-            "rmse_aggregate": self.rmse_aggregate,
-            "max_err_transient": {k: float(v) for k, v in
-                                  zip(TARGET_NAMES, self.max_err_transient)},
-            "max_err_steady": {k: float(v) for k, v in
-                               zip(TARGET_NAMES, self.max_err_steady)},
-            "max_thrust_err": self.max_thrust_err,
-            "max_thrust_err_after_settle": self.max_thrust_err_after_settle,
-            "max_thrust_err_per_engine": [float(v) for v in self.max_thrust_err_per_engine],
-            "module_mass_max_err": self.module_mass_max_err,
-            "sparsity": self.sparsity,
-            "diverged_at": None,   # a diverged rollout gets cmd_validate's record instead
-            "raw_max_thrust_err": self.raw_max_thrust_err,
-        }
+        """The report as artifact JSON: every field under its own name, the
+        three per-output arrays keyed by TARGET_NAMES, the per-engine one
+        as a list, and "diverged_at" null (a diverged rollout gets
+        cmd_validate's record instead)."""
+        payload = dict(vars(self), diverged_at=None,
+                       max_thrust_err_per_engine=self.max_thrust_err_per_engine.tolist())
+        for name in ("rmse", "max_err_transient", "max_err_steady"):
+            payload[name] = dict(zip(TARGET_NAMES, getattr(self, name).tolist()))
         return write_json(payload, path)
 
 

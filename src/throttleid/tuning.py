@@ -139,22 +139,9 @@ class SweepReport:
         _write_rows(path, "kind,value,fold,train_rmse,test_rmse,sparsity", rows)
 
     def to_json(self, path: str | Path | None = None) -> str:
-        payload = {
-            "kind": self.kind,
-            "k": self.k,
-            "seed": self.seed,
-            "selected": self.selected,
-            "points": [{
-                "value": pt.value,
-                "mean_train_rmse": pt.mean_train,
-                "mean_test_rmse": pt.mean_test,
-                "mean_sparsity": pt.mean_sparsity,
-                "train_rmse": pt.train_rmse,
-                "test_rmse": pt.test_rmse,
-                "sparsity": pt.sparsity,
-            } for pt in self.points],
-        }
-        return write_json(payload, path)
+        points = [{**vars(pt), "mean_train_rmse": pt.mean_train, "mean_test_rmse": pt.mean_test,
+                   "mean_sparsity": pt.mean_sparsity} for pt in self.points]
+        return write_json({**vars(self), "points": points}, path)
 
 
 def _scaled_rmse(err: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
-from throttleid.plant import PlantConfig
+from throttleid.plant import PlantConfig, PlantTrajectory
 from throttleid.regression import model_from_json, model_to_json
 from throttleid.tuning import SweepConfig
 
@@ -67,11 +67,21 @@ class TestGenData:
         kinds = [e["kind"] for e in manifest["segments"]]
         assert kinds.count("excitation") == 1
 
-    def test_load_trajectories(self, run_dir):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_load_trajectories(self, run_dir, monkeypatch, cpus):
+        # at 2 usable CPUs every trace is read in a forked worker
+        usable_cpus(monkeypatch, cpus)
         out, _ = run_dir
         trajs = load_trajectories(out)
         assert len(trajs) > 2
         assert all(len(t) > 1 for t in trajs)
+        manifest = json.loads((out / "corpus" / "manifest.json").read_text())
+        listed = [e for e in manifest["segments"] if e.get("trajectory")]
+        assert [t.name for t in trajs] == [e["name"] for e in listed]
+        for traj, entry in zip(trajs, listed):
+            again = PlantTrajectory.from_csv(out / "trajectories" / entry["trajectory"])
+            assert traj.thrusts.tobytes() == again.thrusts.tobytes()
+            assert traj.m_ox.tobytes() == again.m_ox.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_depleted_traces_left_out(self, tmp_path, monkeypatch, capsys, cpus):
@@ -206,6 +216,46 @@ class TestValidate:
         traces = validation_traces(cfg)
         names = [t.name for t in traces]
         assert names == ["sine600", "stair", "fall", "descent"]
+
+
+class TestArtifactKeys:
+    # the key sets of the JSON artifacts, so that a field added to a
+    # dataclass changes an artifact only together with this test
+    REPORT = {"experiment", "mode", "n_samples", "n_transient", "n_steady", "rmse",
+              "rmse_aggregate", "max_err_transient", "max_err_steady", "max_thrust_err",
+              "max_thrust_err_after_settle", "max_thrust_err_per_engine",
+              "module_mass_max_err", "sparsity", "diverged_at", "raw_max_thrust_err"}
+    SWEEP = {"kind", "k", "seed", "selected", "points"}
+    POINT = {"value", "mean_train_rmse", "mean_test_rmse", "mean_sparsity", "train_rmse",
+             "test_rmse", "sparsity"}
+    TRAIN = {"rows", "n", "mu", "penalty_scale", "train_rmse", "train_rmse_aggregate",
+             "sparsity", "kkt", "ridge", "sweeps"}
+    MODEL = {"format", "basis", "mu", "mu_effective", "penalty_scale", "n", "n_inputs",
+             "n_outputs", "n_coefficients", "sparsity", "kkt", "sweeps", "objective", "ridge",
+             "standardization", "intercept", "K_triplets"}
+
+    def test_key_sets(self, run_dir, tmp_path):
+        src, cfg = run_dir
+        cfg = replace(cfg, output_dir=str(tmp_path))
+        cmd_sweep(cfg, data_dir=src)
+        cmd_validate(cfg, model_path=src / "model.json")
+        load = lambda path: json.loads(path.read_text())
+        targets = {"To1", "To2", "To3", "To4", "P", "mf", "mo"}
+        for trace in validation_traces(cfg):
+            report = load(tmp_path / "validation" / f"{trace.name}_report.json")
+            assert report.keys() == self.REPORT
+            for name in ("rmse", "max_err_transient", "max_err_steady"):
+                assert report[name].keys() == targets
+        for name in ("sweep_history.json", "sweep_mu.json"):
+            sweep = load(tmp_path / name)
+            assert sweep.keys() == self.SWEEP
+            assert all(pt.keys() == self.POINT for pt in sweep["points"])
+        train = load(src / "train_report.json")
+        assert train.keys() == self.TRAIN and train["train_rmse"].keys() == targets
+        model = load(src / "model.json")
+        assert model.keys() == self.MODEL
+        assert model["standardization"].keys() == {"x_mean", "x_scale", "y_mean", "y_scale"}
+        assert model["basis"].keys() == {"kind", "degree", "include_bias"}
 
 
 class TestReproducibility:
@@ -344,10 +394,11 @@ class TestConfigIO:
         ('{"sweep": {"n_grid": [3, 4.0]}}', "config key 'sweep.n_grid' must be a list"),
         ('{"sweep": {"n_grid": [0, 3]}}', "n_grid history lengths must be >= 1, got 0"),
         ('{"sweep": {"n_grid": [4, 3, 4]}}', "n_grid history lengths must be distinct"),
+        ('{"seed": -1}', "config key 'seed' must be >= 0"),
     ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
             "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
-            "n-grid-float", "n-grid-zero", "n-grid-repeated"])
+            "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative"])
     def test_malformed_config_rejected(self, text, match):
         # rejected while loading, before any stage writes its config.json
         with pytest.raises(ValueError, match=match):

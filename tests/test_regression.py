@@ -389,6 +389,15 @@ class TestPersistence:
         "y-mean": ("standardization.y_mean", lambda d: d["standardization"]["y_mean"].pop()),
         "y-scale": ("standardization.y_scale", lambda d: d["standardization"]["y_scale"].pop()),
         "intercept": ("intercept", lambda d: d["intercept"].append(0.0)),
+        # keys missing, unknown or disagreeing with K
+        "n-inputs": ("'n_inputs'", lambda d: d.update(n_inputs=5)),
+        "mu-missing": ("missing model keys: mu", lambda d: d.pop("mu")),
+        "standardization-unknown": ("standardization.foo",
+                                    lambda d: d["standardization"].update(foo=[1.0])),
+        "basis-unknown": ("basis.foo", lambda d: d.update(basis={"kind": "linear", "foo": 1})),
+        "n-zero": ("'n'", lambda d: d.update(n=0)),
+        "n-negative": ("'n'", lambda d: d.update(n=-1)),
+        "n-float": ("'n'", lambda d: d.update(n=6.0)),
     }
 
     @pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
@@ -400,6 +409,20 @@ class TestPersistence:
         edit(d)
         with pytest.raises(ValueError, match=re.escape(field)):
             model_from_json(json.dumps(d))
+
+    def test_file_without_ridge_loads(self):
+        # a model file written before the ridge was recorded
+        gen = np.random.default_rng(1)
+        X = gen.standard_normal((100, 6))
+        d = json.loads(model_to_json(fit_lasso(X, X[:, :2] + 1.0, 1.0)))
+        del d["ridge"]
+        assert model_from_json(json.dumps(d)).ridge == 0.0
+
+    def test_width_its_basis_cannot_produce_rejected(self, rng):
+        # 6 columns are no degree-2 elementwise expansion with a bias (2p + 1)
+        X = rng.standard_normal((50, 6))
+        with pytest.raises(ValueError, match="width 6 is not a elementwise-poly expansion"):
+            fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec())
 
 
 class TestStandardization:

@@ -183,7 +183,6 @@ class TestRollout:
         trace, truth = stair_pair
         bad = fit_lasso(np.eye(3), np.zeros((3, 7)), 0.0, standardize=False)
         bad.n = small_model.n
-        bad.n_inputs = small_model.n_inputs
         bad.basis = small_model.basis
         bad.K = small_model.K * 0
         bad.K[:, 0] = np.inf
