@@ -218,8 +218,8 @@ def build_corpus(cfg: ExcitationConfig) -> list[CommandTrace]:
 
 
 def corpus_manifest(corpus: list[CommandTrace], cfg: ExcitationConfig) -> dict:
-    """JSON-ready manifest describing a corpus (segment kind, exact
-    `thrust_levels` bias, duration, and the name of the trace's command CSV)."""
+    """JSON-ready manifest describing a corpus (segment kind, exact `thrust_levels`
+    bias, duration, and `file`, the CSV name that its trajectory is written under)."""
     biases = {_excite_name(b): float(b) for b in thrust_levels(cfg)}
     entries = []
     for i, trace in enumerate(corpus):

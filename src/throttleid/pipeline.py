@@ -9,7 +9,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -19,8 +19,8 @@ from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
 from .features import TARGET_NAMES, HistorySpec, assemble, input_width, merge
 from .parallel import fork_map, shared_array
-from .plant import (CommandTrace, PlantConfig, PlantTrajectory,
-                    PropellantDepletedError, read_json, simulate, write_json)
+from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
+                    _from_document, read_json, simulate, write_json)
 from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_from_json,
                          model_to_json, predict_expanded, rmse)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
@@ -70,51 +70,12 @@ class PipelineConfig:
         d = read_json(source)
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        cfg = _from_document(cls, d, "")
+        cfg = _from_document(cls(), d, "config")
         for name in ("excitation", "sweep"):
             seed = d.get(name, {}).get("seed", cfg.seed)
             if seed != cfg.seed:
                 raise ValueError(f"{name}.seed = {seed} differs from seed = {cfg.seed}")
         return cfg
-
-
-_KINDS = ((bool, "a boolean"), (str, "a string"), (int, "an integer"), (float, "a number"))
-
-
-def _kind(default) -> str:
-    if isinstance(default, tuple):
-        return f"a list, each item {_kind(default[0])}"
-    return next(name for t, name in _KINDS if isinstance(default, t))
-
-
-def _fits(value, default) -> bool:
-    """Whether a JSON value has the kind of a field's default: ints pass
-    for floats, lists for tuples, and bool passes only for bool."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
-    if isinstance(default, (bool, str)) or isinstance(value, bool):
-        return type(value) is type(default)
-    return isinstance(value, int if isinstance(default, int) else (int, float))
-
-
-def _from_document(cls, d: dict, prefix: str):
-    """Dataclass `cls` from a JSON object of its fields, each value of its
-    default's kind and each section built alike; errors name prefix + key."""
-    defaults = vars(cls())
-    unknown = sorted(d.keys() - defaults.keys())
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
-    kwargs = {}
-    for key, value in d.items():
-        default = defaults[key]
-        if is_dataclass(default):
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {prefix + key!r} must be a JSON object, got {value!r}")
-            value = _from_document(type(default), value, f"{prefix}{key}.")
-        elif not _fits(value, default):
-            raise ValueError(f"config key {prefix + key!r} must be {_kind(default)}, got {value!r}")
-        kwargs[key] = value
-    return cls(**kwargs)
 
 
 def _snapshot(cfg: PipelineConfig, out: Path) -> None:
@@ -123,14 +84,10 @@ def _snapshot(cfg: PipelineConfig, out: Path) -> None:
 
 
 def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace]):
-    """One corpus trace: write its command CSV, simulate it and write the
-    response's CSV, both under the file name given.
-
-    Returns None, or the time at which the plant ran dry, in which case
-    no trajectory is written.
-    """
+    """Simulate one corpus trace and write the response's CSV under the file
+    name given. Returns None, or the time at which the plant ran dry, in which
+    case no trajectory is written."""
     fname, trace = job
-    trace.to_csv(out / "corpus" / fname)
     try:
         traj = simulate(trace, plant_cfg)
     except PropellantDepletedError as err:
@@ -142,17 +99,18 @@ def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace])
 def cmd_gen_data(cfg: PipelineConfig) -> dict:
     """Build the excitation corpus, simulate every trace, write artifacts.
 
-    Writes command CSVs plus manifest under corpus/, simulated plant
-    responses under trajectories/, and prints a corpus summary. A trace
-    that depletes the plant mid-run is recorded in the manifest and
+    Writes the manifest under corpus/, simulated plant responses under
+    trajectories/ (each holds its trace's commands and status, one row
+    later, so no command CSV is written), and prints a corpus summary. A
+    trace that depletes the plant mid-run is recorded in the manifest and
     excluded from the trajectory set.
 
-    Each trace is one `fork_map` task, which writes its command CSV,
-    simulates it and writes its response, formatting both files itself;
-    only the depletion time comes back. The summary's sample count and
-    command range are taken from the corpus: a response has one row more
-    than its trace. The manifest and the summary are written in corpus
-    order, so every file is the same whatever the CPU count.
+    Each trace is one `fork_map` task, which simulates it and writes its
+    response, formatting the file itself; only the depletion time comes
+    back. The summary's sample count and command range are taken from the
+    corpus: a response has one row more than its trace. The manifest and
+    the summary are written in corpus order, so every file is the same
+    whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -66,7 +66,13 @@ TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,
 
 def read_json(source: str | Path):
     """Parse JSON read from disk when given a Path, or JSON text given as a str."""
-    return json.loads(source.read_text() if isinstance(source, Path) else source)
+    if isinstance(source, Path):
+        return json.loads(source.read_text())
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"a str is read as JSON text, and {source[:60]!r} is not JSON "
+                         f"({err}); pass a file as a Path") from None
 
 
 def write_json(obj, path: str | Path | None = None) -> str:
@@ -76,6 +82,46 @@ def write_json(obj, path: str | Path | None = None) -> str:
     if path is not None:
         Path(path).write_text(text + "\n")
     return text
+
+
+_KINDS = ((bool, "a boolean"), (str, "a string"), (int, "an integer"), (float, "a number"))
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list, each item {_kind(default[0])}"
+    return next(name for t, name in _KINDS if isinstance(default, t))
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the kind of a field's default: ints pass for
+    floats, lists for tuples, and bool, str and null pass only for their own."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, (bool, str, type(None))) or isinstance(value, bool):
+        return type(value) is type(default)
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
+def _from_document(proto, d: dict, noun: str, complete: bool = False, prefix: str = ""):
+    """`type(proto)` from a JSON object of proto's fields, each value of the kind of
+    proto's value and each dataclass section built alike. A missing key is an error
+    when `complete`, else takes its default; errors name `noun` and prefix + key."""
+    defaults = vars(proto)
+    for label, keys in (("unknown", d.keys() - defaults.keys()),
+                        ("missing", defaults.keys() - d.keys() if complete else ())):
+        if keys:
+            raise ValueError(f"{label} {noun} keys: {', '.join(prefix + k for k in sorted(keys))}")
+    kwargs = {}
+    for key, value in d.items():
+        default, name = defaults[key], prefix + key
+        if is_dataclass(default) and isinstance(value, dict):
+            value = _from_document(default, value, noun, complete, f"{name}.")
+        elif is_dataclass(default) or not _fits(value, default):
+            kind = "a JSON object" if is_dataclass(default) else _kind(default)
+            raise ValueError(f"{noun} key {name!r} must be {kind}, got {value!r:.80}")
+        kwargs[key] = value
+    return type(proto)(**kwargs)
 
 
 def _csv_lines(columns: list[np.ndarray], lo: int) -> str:

@@ -27,12 +27,13 @@ use it), and "rows" multiplies by N (a per-sample penalty).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .plant import read_json, write_json
+from .plant import _from_document, read_json, write_json
 
 
 # Feature-sign steps allowed per fit, summed over the outputs.
@@ -494,9 +495,10 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
     return per_output, float(np.sqrt(np.mean(per_output ** 2)))
 
 
-# The model's scalar fields, written to and read from a model file by name.
-_SCALARS = ("mu", "mu_effective", "penalty_scale", "n", "sparsity", "kkt", "sweeps",
-            "objective", "ridge")
+# The model's scalar fields, written to and read from a model file by
+# name, each with a value of the JSON kind that the field must have.
+_SCALARS = {"mu": 0.0, "mu_effective": 0.0, "penalty_scale": "", "n": 1, "sparsity": 0.0,
+            "kkt": 0.0, "sweeps": 0, "objective": 0.0, "ridge": 0.0}
 _FORMAT = "throttleid-model-v1"
 
 
@@ -513,42 +515,33 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
     return write_json(payload, path)
 
 
-def _check_keys(d: dict, names: set, prefix: str) -> None:
-    """ValueError naming the keys that `d` has beyond `names`, or else lacks."""
-    for label, keys in (("unknown", d.keys() - names), ("missing", names - d.keys())):
-        if keys:
-            raise ValueError(f"{label} model keys: {', '.join(prefix + k for k in sorted(keys))}")
-
-
 def model_from_json(source: str | Path) -> CoefficientModel:
     """Load a model from a JSON file (a Path) or from JSON text (a str).
 
-    ValueError, naming the key, when a key that `model_to_json` writes,
-    or a field of the standardization or basis, is missing or unknown (a
-    file without `ridge`, written before it was recorded, loads with
-    0.0); when a triplet lies outside K or a vector does not match K's
-    shape; when `n` is not null or an integer >= 1; or when `n_inputs`
-    is not the width that the basis expands to K's width."""
+    ValueError, naming the key, when a key is missing (a file without `ridge`,
+    written before it was recorded, loads with 0.0), unknown or of the wrong
+    JSON kind (`plant._from_document`; `basis`, `n` and `intercept` may be null),
+    a triplet lies outside K, a vector does not match K's shape, `n` is below 1,
+    or `n_inputs` is not the width that the basis expands to K's width."""
     d = read_json(source)
     if not isinstance(d, dict) or d.get("format") != _FORMAT:
         raise ValueError("not a throttleid model file")
-    d = {"ridge": 0.0, **d}
-    _check_keys(d, {*_SCALARS, "format", "basis", "n_inputs", "n_outputs", "n_coefficients",
-                    "standardization", "intercept", "K_triplets"}, "")
-    _check_keys(d["standardization"], {f.name for f in fields(Standardization)}, "standardization.")
-    if d["basis"] is not None:
-        _check_keys(d["basis"], {f.name for f in fields(BasisSpec)}, "basis.")
-    if d["n"] is not None and not (type(d["n"]) is int and d["n"] >= 1):
-        raise ValueError(f"model key 'n' must be null or an integer >= 1, got {d['n']!r}")
-    n_out, n_coef = d["n_outputs"], d["n_coefficients"]
+    layout = dict(_SCALARS, format="", basis=BasisSpec(), n_inputs=0, n_outputs=0,
+                  n_coefficients=0, standardization=Standardization(*[(0.0,)] * 4),
+                  intercept=(0.0,), K_triplets=((0.0,),))
+    layout.update((key, None) for key in ("basis", "n", "intercept") if d.get(key, 0) is None)
+    doc = _from_document(SimpleNamespace(**layout), {"ridge": 0.0, **d}, "model", complete=True)
+    if doc.n is not None and doc.n < 1:
+        raise ValueError(f"model key 'n' must be null or an integer >= 1, got {doc.n!r}")
+    n_out, n_coef = doc.n_outputs, doc.n_coefficients
     K = np.zeros((n_out, n_coef))
-    for r, c, v in d["K_triplets"]:
+    for r, c, v in doc.K_triplets:
         if not (type(r) is int and type(c) is int and 0 <= r < n_out and 0 <= c < n_coef):
             raise ValueError(f"K_triplets entry {[r, c, v]} lies outside the "
                              f"{n_out} x {n_coef} coefficient matrix")
         K[r, c] = v
-    std = Standardization(**{k: np.array(v) for k, v in d["standardization"].items()})
-    intercept = None if d["intercept"] is None else np.array(d["intercept"])
+    std = Standardization(**{k: np.array(v) for k, v in vars(doc.standardization).items()})
+    intercept = None if doc.intercept is None else np.array(doc.intercept)
     for name, v, size in [("standardization.x_mean", std.x_mean, n_coef),
                           ("standardization.x_scale", std.x_scale, n_coef),
                           ("standardization.y_mean", std.y_mean, n_out),
@@ -556,11 +549,10 @@ def model_from_json(source: str | Path) -> CoefficientModel:
                           ("intercept", intercept, n_out)]:
         if v is not None and v.shape != (size,):
             raise ValueError(f"{name} must hold {size} numbers, got shape {v.shape}")
-    model = CoefficientModel(
-        K=K, basis=None if d["basis"] is None else BasisSpec(**d["basis"]),
-        standardization=std, intercept=intercept, **{name: d[name] for name in _SCALARS})
-    if d["n_inputs"] != model.n_inputs:
-        raise ValueError(f"model key 'n_inputs' = {d['n_inputs']!r} differs from "
+    model = CoefficientModel(K=K, basis=doc.basis, standardization=std, intercept=intercept,
+                             **{name: getattr(doc, name) for name in _SCALARS})
+    if doc.n_inputs != model.n_inputs:
+        raise ValueError(f"model key 'n_inputs' = {doc.n_inputs!r} differs from "
                          f"{model.n_inputs}, the width that the basis expands to {n_coef}")
     return model
 

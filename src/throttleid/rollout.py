@@ -339,13 +339,12 @@ def descent_profile(dt: float = 0.01) -> CommandTrace:
 
 def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
                    path: str | Path) -> None:
-    """Plot-ready flat CSV: time, truth, prediction and error per output."""
+    """Plot-ready flat CSV: time, then truth and prediction per output."""
     cols = {"t": traj_true.t}
     true_mat, pred_mat = _outputs(traj_true), _outputs(traj_pred)
     for i, label in enumerate(TARGET_NAMES):
         cols[label] = true_mat[:, i]
         cols[f"{label}_pred"] = pred_mat[:, i]
-        cols[f"{label}_err"] = pred_mat[:, i] - true_mat[:, i]
     write_csv(path, ",".join(cols), list(cols.values()))
 
 

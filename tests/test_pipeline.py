@@ -48,10 +48,11 @@ class TestGenData:
     def test_artifacts_match_manifest(self, run_dir):
         out, _ = run_dir
         manifest = json.loads((out / "corpus" / "manifest.json").read_text())
+        # corpus/ holds only the manifest: a trajectory's columns hold its commands
+        assert sorted(p.name for p in (out / "corpus").iterdir()) == ["manifest.json"]
         for entry in manifest["segments"]:
-            assert (out / "corpus" / entry["file"]).exists()
-            if entry.get("trajectory"):
-                assert (out / "trajectories" / entry["trajectory"]).exists()
+            assert entry["trajectory"] == entry["file"]
+            assert (out / "trajectories" / entry["trajectory"]).exists()
         assert (out / "config.json").exists()
 
     def test_excitation_count(self, run_dir):
@@ -140,8 +141,8 @@ class TestTrain:
                 path.write_text("".join(lines[:cfg.history.n + 1]))
             elif kind == "blank-line":
                 path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
-            else:   # the command CSV of the same trace
-                entry["trajectory"] = f"../corpus/{entry['file']}"
+            else:   # a CSV with the trace's file name but not a trajectory's columns
+                path.write_text("t,Tr1\n" + "".join(f"{i},1.0\n" for i in range(20)))
         manifest_path.write_text(json.dumps(manifest))
         usable_cpus(monkeypatch, cpus)
         match = {"short": "too short for history n=4", "not-trajectory": "not a trajectory CSV",
@@ -395,10 +396,11 @@ class TestConfigIO:
         ('{"sweep": {"n_grid": [0, 3]}}', "n_grid history lengths must be >= 1, got 0"),
         ('{"sweep": {"n_grid": [4, 3, 4]}}', "n_grid history lengths must be distinct"),
         ('{"seed": -1}', "config key 'seed' must be >= 0"),
+        ("runs/default/config.json", "a str is read as JSON text.*pass a file as a Path"),
     ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
             "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
-            "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative"])
+            "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative", "path-as-str"])
     def test_malformed_config_rejected(self, text, match):
         # rejected while loading, before any stage writes its config.json
         with pytest.raises(ValueError, match=match):

@@ -398,6 +398,18 @@ class TestPersistence:
         "n-zero": ("'n'", lambda d: d.update(n=0)),
         "n-negative": ("'n'", lambda d: d.update(n=-1)),
         "n-float": ("'n'", lambda d: d.update(n=6.0)),
+        # values of the wrong JSON kind
+        "mu-string": ("model key 'mu' must be a number", lambda d: d.update(mu="x")),
+        "degree-float": ("model key 'basis.degree' must be an integer",
+                         lambda d: d.update(basis={"kind": "linear", "degree": 2.0,
+                                                   "include_bias": True})),
+        "degree-string": ("model key 'basis.degree' must be an integer",
+                          lambda d: d.update(basis={"kind": "linear", "degree": "2",
+                                                    "include_bias": True})),
+        "n-outputs-float": ("model key 'n_outputs' must be an integer",
+                            lambda d: d.update(n_outputs=2.0)),
+        "penalty-scale-number": ("model key 'penalty_scale' must be a string",
+                                 lambda d: d.update(penalty_scale=3)),
     }
 
     @pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
@@ -417,6 +429,11 @@ class TestPersistence:
         d = json.loads(model_to_json(fit_lasso(X, X[:, :2] + 1.0, 1.0)))
         del d["ridge"]
         assert model_from_json(json.dumps(d)).ridge == 0.0
+
+    def test_path_given_as_str_explained(self, tmp_path):
+        # a str is JSON text, so a file name passed as one is not read
+        with pytest.raises(ValueError, match="a str is read as JSON text.*pass a file as a Path"):
+            model_from_json(str(tmp_path / "model.json"))
 
     def test_width_its_basis_cannot_produce_rejected(self, rng):
         # 6 columns are no degree-2 elementwise expansion with a bias (2p + 1)

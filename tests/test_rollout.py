@@ -7,7 +7,8 @@ import pytest
 
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
-from throttleid.features import assemble, build_row, lambda_feature, merge
+from throttleid.features import (TARGET_NAMES, _outputs, assemble, build_row, lambda_feature,
+                                 merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, expand, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport,
@@ -330,7 +331,12 @@ class TestDescent:
         pred = rollout(small_model, trace, truth)
         path = tmp_path / "ts.csv"
         timeseries_csv(truth, pred, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[0] == "t"
-        assert "To1_pred" in header and "mf_err" in header
-        assert len(header) == 1 + 3 * 7
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header == ["t"] + [f"{label}{suffix}" for label in TARGET_NAMES
+                                  for suffix in ("", "_pred")]
+        assert len(header) == 1 + 2 * 7
+        # no error columns: each error is recomputed bitwise from the file
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        true_mat, pred_mat = _outputs(truth), _outputs(pred)
+        assert (data[:, 2::2] - data[:, 1::2]).tobytes() == (pred_mat - true_mat).tobytes()

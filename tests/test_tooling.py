@@ -7,8 +7,10 @@ Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind,
 and so is every name that a demo imports from the package.
 A cold `import throttleid`, which the benchmark times, must not load
-the modules that only the fork map and `shared_array` need, and
-artifact JSON has one writer, `plant.write_json`.
+the modules that only the fork map and `shared_array` need. Artifact
+JSON has one writer, `plant.write_json`, and JSON has one reader,
+`plant.read_json`; configs and model files are checked by one rule,
+`plant._fits` and `plant._from_document`, defined nowhere else.
 """
 
 import ast
@@ -115,19 +117,33 @@ def test_demo_imports_resolve():
                 assert not missing, (path.name, node.module, missing)
 
 
-def test_one_json_writer():
-    # artifact JSON is formatted in one place, so every file keeps the
-    # same sorted, indented layout; the CLI's error line is the exception
+def _json_callers(attr):
+    """(module, enclosing function) of every `json.<attr>(...)` call in the package."""
     def callers(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name) \
+                and node.func.attr == attr and isinstance(node.func.value, ast.Name) \
                 and node.func.value.id == "json":
             yield where
         for child in ast.iter_child_nodes(node):
             yield from callers(child, where)
 
-    found = {(path.stem, where) for path in Path(throttleid.__file__).parent.glob("*.py")
-             for where in callers(ast.parse(path.read_text()), None)}
-    assert found == {("plant", "write_json"), ("cli", "main")}
+    return {(path.stem, where) for path in Path(throttleid.__file__).parent.glob("*.py")
+            for where in callers(ast.parse(path.read_text()), None)}
+
+
+def test_one_json_writer():
+    # artifact JSON is formatted in one place, so every file keeps the
+    # same sorted, indented layout; the CLI's error line is the exception
+    assert _json_callers("dumps") == {("plant", "write_json"), ("cli", "main")}
+
+
+def test_one_json_reader():
+    # every JSON document is parsed in one place, and checked against its
+    # fields by one rule, which configs and model files share
+    assert _json_callers("loads") == {("plant", "read_json")}
+    defined = {(path.stem, node.name) for path in Path(throttleid.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in ("_fits", "_from_document")}
+    assert defined == {("plant", "_fits"), ("plant", "_from_document")}
