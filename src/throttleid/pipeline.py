@@ -1,10 +1,11 @@
 """Batch pipeline: data generation, training, sweeps, validation.
 
 Each stage reads and writes plain CSV/JSON artifacts under an output
-directory, and every run writes its resolved configuration next to its
-outputs, so a run is reconstructible from its directory alone. All
-stages are deterministic given (config, seed): rerunning produces
-byte-identical files.
+directory, and every stage writes its resolved configuration to
+config.json there, replacing the one before. So a run is reconstructible
+from its directory alone only when every stage was given the same
+configuration. All stages are deterministic given (config, seed):
+rerunning produces byte-identical files.
 """
 
 from __future__ import annotations

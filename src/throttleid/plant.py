@@ -106,7 +106,8 @@ def _fits(value, default) -> bool:
 def _from_document(proto, d: dict, noun: str, complete: bool = False, prefix: str = ""):
     """`type(proto)` from a JSON object of proto's fields, each value of the kind of
     proto's value and each dataclass section built alike. A missing key is an error
-    when `complete`, else takes its default; errors name `noun` and prefix + key."""
+    when `complete`, else takes its default; errors name `noun` and prefix + key,
+    and a section's own checks are named by the section's path."""
     defaults = vars(proto)
     for label, keys in (("unknown", d.keys() - defaults.keys()),
                         ("missing", defaults.keys() - d.keys() if complete else ())):
@@ -121,7 +122,12 @@ def _from_document(proto, d: dict, noun: str, complete: bool = False, prefix: st
             kind = "a JSON object" if is_dataclass(default) else _kind(default)
             raise ValueError(f"{noun} key {name!r} must be {kind}, got {value!r:.80}")
         kwargs[key] = value
-    return type(proto)(**kwargs)
+    try:
+        return type(proto)(**kwargs)
+    except ValueError as err:
+        if not prefix:
+            raise
+        raise ValueError(f"{noun} section {prefix[:-1]!r}: {err}") from None
 
 
 def _csv_lines(columns: list[np.ndarray], lo: int) -> str:

@@ -521,8 +521,9 @@ def model_from_json(source: str | Path) -> CoefficientModel:
     ValueError, naming the key, when a key is missing (a file without `ridge`,
     written before it was recorded, loads with 0.0), unknown or of the wrong
     JSON kind (`plant._from_document`; `basis`, `n` and `intercept` may be null),
-    a triplet lies outside K, a vector does not match K's shape, `n` is below 1,
-    or `n_inputs` is not the width that the basis expands to K's width."""
+    `n_outputs` or `n_coefficients` is negative, a triplet is not three items or
+    lies outside K, a vector does not match K's shape, `n` is below 1, or
+    `n_inputs` is not the width that the basis expands to K's width."""
     d = read_json(source)
     if not isinstance(d, dict) or d.get("format") != _FORMAT:
         raise ValueError("not a throttleid model file")
@@ -534,8 +535,15 @@ def model_from_json(source: str | Path) -> CoefficientModel:
     if doc.n is not None and doc.n < 1:
         raise ValueError(f"model key 'n' must be null or an integer >= 1, got {doc.n!r}")
     n_out, n_coef = doc.n_outputs, doc.n_coefficients
+    for name, size in (("n_outputs", n_out), ("n_coefficients", n_coef)):
+        if size < 0:
+            raise ValueError(f"model key {name!r} must be >= 0, got {size}")
     K = np.zeros((n_out, n_coef))
-    for r, c, v in doc.K_triplets:
+    for entry in doc.K_triplets:
+        if len(entry) != 3:
+            raise ValueError(f"model key 'K_triplets' holds {entry!r:.80}, not a "
+                             f"[row, column, value] triplet")
+        r, c, v = entry
         if not (type(r) is int and type(c) is int and 0 <= r < n_out and 0 <= c < n_coef):
             raise ValueError(f"K_triplets entry {[r, c, v]} lies outside the "
                              f"{n_out} x {n_coef} coefficient matrix")

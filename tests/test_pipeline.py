@@ -15,13 +15,14 @@ import pytest
 
 from conftest import reduced_pipeline_config as tiny_config
 from conftest import usable_cpus
-from throttleid.cli import _load_config
+from throttleid.cli import _load_config, _parser
 from throttleid.excitation import ExcitationConfig
+from throttleid.features import HistorySpec
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
 from throttleid.plant import PlantConfig, PlantTrajectory
-from throttleid.regression import model_from_json, model_to_json
+from throttleid.regression import BasisSpec, model_from_json, model_to_json
 from throttleid.tuning import SweepConfig
 
 
@@ -331,15 +332,15 @@ class TestConfigIO:
             replace(cfg, excitation=ExcitationConfig(dt=0.02))
 
     def test_cli_overrides(self, tmp_path):
+        # the file sets every value and --out only the output directory
         cfg_path = tmp_path / "cfg.json"
         tiny_config(str(tmp_path / "x"), seed=3).to_json(cfg_path)
-        args = argparse.Namespace(config=str(cfg_path), out="o", seed=4, mu=1e-3,
-                                  history=5, basis="linear", folds=2)
-        cfg = _load_config(args)
-        assert (cfg.output_dir, cfg.seed, cfg.train_mu, cfg.history.n) == ("o", 4, 1e-3, 5)
-        assert cfg.basis.kind == "linear"
-        assert (cfg.sweep.k, cfg.sweep.seed, cfg.excitation.seed) == (2, 4, 4)
-        assert cfg.excitation.m_levels == 2
+        cfg = _load_config(argparse.Namespace(config=str(cfg_path), out="o"))
+        assert cfg == replace(PipelineConfig.from_json(cfg_path), output_dir="o")
+        assert (cfg.seed, cfg.excitation.m_levels) == (3, 2)
+        assert _load_config(argparse.Namespace(config=str(cfg_path), out=None)).output_dir \
+            == str(tmp_path / "x")
+        assert _load_config(argparse.Namespace(config=None, out=None)) == PipelineConfig()
 
     def test_sweep_grids_default_when_absent(self):
         assert PipelineConfig.from_json('{"sweep": {}}').sweep == SweepConfig()
@@ -397,10 +398,15 @@ class TestConfigIO:
         ('{"sweep": {"n_grid": [4, 3, 4]}}', "n_grid history lengths must be distinct"),
         ('{"seed": -1}', "config key 'seed' must be >= 0"),
         ("runs/default/config.json", "a str is read as JSON text.*pass a file as a Path"),
+        # a section's own checks name the section
+        ('{"sweep": {"k": 1}}', "config section 'sweep': k must be >= 2"),
+        ('{"plant": {"dt": 0}}', "config section 'plant': dt must be strictly positive"),
+        ('{"basis": {"degree": 0}}', "config section 'basis': degree must be >= 1"),
     ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
             "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
-            "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative", "path-as-str"])
+            "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative", "path-as-str",
+            "sweep-k-one", "plant-dt-zero", "basis-degree-zero"])
     def test_malformed_config_rejected(self, text, match):
         # rejected while loading, before any stage writes its config.json
         with pytest.raises(ValueError, match=match):
@@ -441,17 +447,21 @@ class TestCLI:
         assert digests[0] == digests[1]
 
     def test_gen_train_validate_chain(self, tmp_path):
-        cfg = tiny_config(str(tmp_path / "cli"))
+        # one config file for every stage: the config.json left behind is
+        # that file's config at --out, and it agrees with model.json
         cfg_path = tmp_path / "config.json"
-        cfg.to_json(cfg_path)
-        r = self.run_cli("gen-data", "--config", str(cfg_path))
-        assert r.returncode == 0, r.stderr
-        r = self.run_cli("train", "--config", str(cfg_path), "--mu", "1e-3")
-        assert r.returncode == 0, r.stderr
-        model = model_from_json(Path(cfg.output_dir) / "model.json")
-        assert model.mu == pytest.approx(1e-3)
-        r = self.run_cli("validate", "--config", str(cfg_path))
-        assert r.returncode == 0, r.stderr
+        replace(tiny_config(str(tmp_path / "elsewhere")), train_mu=1e-3).to_json(cfg_path)
+        out = tmp_path / "cli"
+        for stage in ("gen-data", "train", "validate"):
+            r = self.run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+            assert r.returncode == 0, r.stderr
+        model = model_from_json(out / "model.json")
+        assert model.mu == 1e-3
+        recorded = PipelineConfig.from_json(out / "config.json")
+        assert recorded == replace(PipelineConfig.from_json(cfg_path), output_dir=str(out))
+        assert (recorded.train_mu, recorded.history.n, recorded.basis) == \
+            (model.mu, model.n, model.basis)
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_missing_model_exit_code(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "cli2"))
@@ -463,14 +473,40 @@ class TestCLI:
         assert err["type"] == "FileNotFoundError"
 
     def test_history_and_folds_overrides(self, tmp_path):
-        cfg = tiny_config(str(tmp_path / "cli3"))
+        # history length and basis are set in the config file
+        cfg = replace(tiny_config(str(tmp_path / "cli3")), history=HistorySpec(n=3),
+                      basis=BasisSpec(kind="linear"))
         cfg_path = tmp_path / "config.json"
         cfg.to_json(cfg_path)
-        r = self.run_cli("gen-data", "--config", str(cfg_path))
-        assert r.returncode == 0, r.stderr
-        r = self.run_cli("train", "--config", str(cfg_path), "--history", "3",
-                         "--basis", "linear")
-        assert r.returncode == 0, r.stderr
+        for stage in ("gen-data", "train"):
+            r = self.run_cli(stage, "--config", str(cfg_path))
+            assert r.returncode == 0, r.stderr
         model = model_from_json(Path(cfg.output_dir) / "model.json")
         assert model.n == 3
         assert model.basis.kind == "linear"
+
+    def test_option_strings(self):
+        # settings come from the config file; the flags name paths and a mode
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == {"gen-data": {"--config", "--out"},
+                           "train": {"--config", "--out", "--data"},
+                           "sweep": {"--config", "--out", "--data"},
+                           "validate": {"--config", "--out", "--model", "--oracle-passthrough"}}
+
+    def test_removed_flag_rejected(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        tiny_config(str(tmp_path / "out")).to_json(cfg_path)
+        r = self.run_cli("train", "--config", str(cfg_path), "--mu", "1e-3")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --mu 1e-3" in r.stderr
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_model_and_oracle_exclusive(self, tmp_path):
+        # the oracle replays the plant, so a model given with it would go unread
+        r = self.run_cli("validate", "--out", str(tmp_path / "out"),
+                         "--model", str(tmp_path / "m.json"), "--oracle-passthrough")
+        assert r.returncode == 2
+        assert "not allowed with argument" in r.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -410,6 +410,18 @@ class TestPersistence:
                             lambda d: d.update(n_outputs=2.0)),
         "penalty-scale-number": ("model key 'penalty_scale' must be a string",
                                  lambda d: d.update(penalty_scale=3)),
+        # a section's own checks, triplets of the wrong length, negative sizes
+        "degree-zero": ("model section 'basis': degree must be >= 1",
+                        lambda d: d.update(basis={"kind": "linear", "degree": 0,
+                                                  "include_bias": True})),
+        "triplet-two-items": ("model key 'K_triplets' holds [0, 0]",
+                              lambda d: d["K_triplets"].append([0, 0])),
+        "triplet-four-items": ("model key 'K_triplets' holds [0, 0, 1.0, 2.0]",
+                               lambda d: d["K_triplets"].append([0, 0, 1.0, 2.0])),
+        "n-outputs-negative": ("model key 'n_outputs' must be >= 0",
+                               lambda d: d.update(n_outputs=-1)),
+        "n-coefficients-negative": ("model key 'n_coefficients' must be >= 0",
+                                    lambda d: d.update(n_coefficients=-1)),
     }
 
     @pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
