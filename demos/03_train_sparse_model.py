@@ -21,7 +21,7 @@ OUT.mkdir(exist_ok=True)
 ex = ExcitationConfig(duration=10.0)
 pc = PlantConfig()
 print("simulating corpus...")
-trajs = [simulate(t, pc) for t in build_corpus(ex)]
+trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
 n = HistorySpec(6)
 ds = merge([assemble(t, n) for t in trajs])
 print(f"dataset: {len(ds)} rows x {ds.inputs.shape[1]} features "

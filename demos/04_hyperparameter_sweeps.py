@@ -19,7 +19,7 @@ OUT.mkdir(exist_ok=True)
 ex = ExcitationConfig(duration=10.0)
 pc = PlantConfig()
 print("simulating corpus...")
-trajs = [simulate(t, pc) for t in build_corpus(ex)]
+trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
 
 cfg = SweepConfig(n_grid=(2, 4, 6, 8), mu_grid=tuple(np.logspace(-5, 0, 6)), k=3)
 

@@ -22,7 +22,7 @@ OUT.mkdir(exist_ok=True)
 ex = ExcitationConfig(duration=10.0)
 pc = PlantConfig()
 print("simulating corpus and training...")
-trajs = [simulate(t, pc) for t in build_corpus(ex)]
+trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
 ds = merge([assemble(t, 6) for t in trajs])
 basis = BasisSpec()
 model = fit_lasso(expand(ds.inputs, basis), ds.targets, 3e-5, basis=basis,
@@ -31,9 +31,9 @@ print(f"model: n=6, {model.K.shape[1]} coefficients, sparsity {model.sparsity:.2
       f"{model.sweeps} feature-sign steps, KKT {model.kkt:.1e}")
 
 experiments = {
-    "sine600": excitation_segment(600.0, ex),
-    "stair": step_stair_trace([400, 600, 800, 600, 400], 4.0, ex),
-    "fall": step_stair_trace([800, 240], 4.0, ex),
+    "sine600": excitation_segment(600.0, ex, pc),
+    "stair": step_stair_trace([400, 600, 800, 600, 400], 4.0, pc),
+    "fall": step_stair_trace([800, 240], 4.0, pc),
 }
 
 print(f"\n{'experiment':>10s} {'TF max':>8s} {'roll max':>9s} {'transient':>10s} "

@@ -10,7 +10,7 @@ rerunning produces byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -32,9 +32,10 @@ from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every setting of a run. Frozen: a changed config is made with
-    `dataclasses.replace`, which propagates the seed and checks the
-    sections again."""
+    """Every setting of a run, each in one place: the plant owns the step
+    and the thrust range that the corpus is designed at, and `seed`, which
+    orders the corpus and draws the CV folds, is the only seed. Frozen: a
+    changed config is made with `dataclasses.replace`."""
 
     plant: PlantConfig = field(default_factory=PlantConfig)
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
@@ -50,15 +51,6 @@ class PipelineConfig:
             raise ValueError(f"config key 'train_mu' must be >= 0, got {self.train_mu!r}")
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
-        # The pipeline seed is the master seed for all stages. The stage
-        # configs are copied, so a config passed in is never changed.
-        object.__setattr__(self, "excitation", replace(self.excitation, seed=self.seed))
-        object.__setattr__(self, "sweep", replace(self.sweep, seed=self.seed))
-        # the corpus is designed at the excitation's step and range, simulated at the plant's
-        for name in ("dt", "e_min", "e_max"):
-            ex, pl = getattr(self.excitation, name), getattr(self.plant, name)
-            if ex != pl:
-                raise ValueError(f"excitation.{name} = {ex} differs from plant.{name} = {pl}")
 
     def to_json(self, path: str | Path | None = None) -> str:
         return write_json(asdict(self), path)
@@ -66,17 +58,12 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, source: str | Path) -> "PipelineConfig":
         """Load from a JSON file (a Path) or from JSON text (a str). An
-        unknown key, a value of the wrong JSON type, or a section seed that
-        the top-level seed would replace raises a ValueError naming it."""
+        unknown key or a value of the wrong JSON type raises a ValueError
+        naming it."""
         d = read_json(source)
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        cfg = _from_document(cls(), d, "config")
-        for name in ("excitation", "sweep"):
-            seed = d.get(name, {}).get("seed", cfg.seed)
-            if seed != cfg.seed:
-                raise ValueError(f"{name}.seed = {seed} differs from seed = {cfg.seed}")
-        return cfg
+        return _from_document(cls(), d, "config")
 
 
 def _snapshot(cfg: PipelineConfig, out: Path) -> None:
@@ -115,8 +102,8 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
-    corpus = build_corpus(cfg.excitation)
-    manifest = corpus_manifest(corpus, cfg.excitation)
+    corpus = build_corpus(cfg.excitation, cfg.plant, cfg.seed)
+    manifest = corpus_manifest(corpus, cfg.excitation, cfg.plant)
     entries = manifest["segments"]
     for sub in ("corpus", "trajectories"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -141,43 +128,45 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path]]:
-    """(name, trajectory CSV) of every trace that the corpus manifest under
-    `data_dir` lists with a trajectory, in corpus order; FileNotFoundError
+def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path, int]]:
+    """(name, trajectory CSV, rows) of every trace that the corpus manifest
+    under `data_dir` lists with a trajectory, in corpus order; a response
+    has one row more than the `samples` of its trace. FileNotFoundError
     when there is none."""
     data_dir = Path(data_dir)
     manifest = read_json(data_dir / "corpus" / "manifest.json")
-    files = [(entry["name"], data_dir / "trajectories" / entry["trajectory"])
+    files = [(entry["name"], data_dir / "trajectories" / entry["trajectory"],
+              entry["samples"] + 1)
              for entry in manifest["segments"] if entry.get("trajectory")]
     if not files:
         raise FileNotFoundError(f"no trajectories under {data_dir}")
     return files
 
 
+def _read_trajectory(name: str, path: Path, rows: int) -> PlantTrajectory:
+    """A trajectory CSV, parsed; ValueError naming the file when it does not
+    hold the `rows` rows that the manifest lists."""
+    traj = PlantTrajectory.from_csv(path, name=name)
+    if len(traj) != rows:
+        raise ValueError(f"{path}: {len(traj)} rows parsed, the manifest lists {rows}")
+    return traj
+
+
 def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
     """Every trajectory that the corpus manifest under `data_dir` lists,
-    in corpus order. Each trace is read and parsed in its own `fork_map`
-    task, which sends the parsed trajectory back."""
-    return list(fork_map(lambda job: PlantTrajectory.from_csv(job[1], name=job[0]),
-                         _trajectory_files(data_dir)))
-
-
-def _csv_rows(path: Path) -> int:
-    """The number of lines after the first in a text file."""
-    text = path.read_bytes()
-    return text.count(b"\n") + (not text.endswith(b"\n")) - 1
+    in corpus order, each checked against its manifest row count. Each
+    trace is read and parsed in its own `fork_map` task, which sends the
+    parsed trajectory back."""
+    return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir)))
 
 
 def _train_rows(history: HistorySpec, basis: BasisSpec, phi: np.ndarray,
                 targets: np.ndarray, job: tuple[str, Path, int, int]) -> None:
     """One `cmd_train` task: read a trace's trajectory CSV, check that it
-    holds the `rows` rows counted in the file, assemble and expand it,
+    holds the `rows` rows that the manifest lists, assemble and expand it,
     and write its dataset rows into phi and targets from row `lo` on."""
     name, path, rows, lo = job
-    traj = PlantTrajectory.from_csv(path, name=name)
-    if len(traj) != rows:
-        raise ValueError(f"{path}: {len(traj)} rows parsed, {rows} counted")
-    ds = assemble(traj, history)
+    ds = assemble(_read_trajectory(name, path, rows), history)
     phi[lo:lo + len(ds)] = expand(ds.inputs, basis)
     targets[lo:lo + len(ds)] = ds.targets
 
@@ -187,22 +176,20 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     fit the coefficient model at the configured mu, scaled as the mu
     sweep scales it (PENALTY_SCALE).
 
-    The expanded design matrix and the targets are built in place: the
-    rows of every trajectory CSV are counted first, both matrices are
-    allocated with `shared_array`, and each trace is one `fork_map`
-    task that reads, assembles and expands it and writes its rows into
-    its own row range. Rows come in corpus order, each trace's in time
+    The expanded design matrix and the targets are built in place: both
+    matrices are allocated with `shared_array` at the row counts that
+    the corpus manifest lists, and each trace is one `fork_map` task
+    that reads, assembles and expands it and writes its rows into its
+    own row range. Rows come in corpus order, each trace's in time
     order, so both matrices are bitwise those of `expand` applied to
     the merged dataset, and the error raised is that of the first
-    failing trace in corpus order (a missing file is found while
-    counting, before any trace is read).
+    failing trace in corpus order.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
     n = cfg.history.n
     jobs, total = [], 0
-    for name, path in _trajectory_files(data_dir or out):
-        rows = _csv_rows(path)
+    for name, path, rows in _trajectory_files(data_dir or out):
         jobs.append((name, path, rows, total))
         total += max(rows - n, 0)
     phi = shared_array((total, cfg.basis.width(input_width(n))))
@@ -228,11 +215,12 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
     trajs = load_trajectories(data_dir or out)
-    hist = sweep_history(trajs, cfg.sweep, cfg.basis)
+    hist = sweep_history(trajs, cfg.sweep, cfg.basis, cfg.seed)
     hist.to_csv(out / "sweep_history.csv")
     hist.to_json(out / "sweep_history.json")
 
-    mu_rep = sweep_mu(merge([assemble(tr, hist.selected) for tr in trajs]), cfg.sweep, cfg.basis)
+    mu_rep = sweep_mu(merge([assemble(tr, hist.selected) for tr in trajs]), cfg.sweep,
+                      cfg.basis, cfg.seed)
     mu_rep.to_csv(out / "sweep_mu.csv")
     mu_rep.to_json(out / "sweep_mu.json")
     pareto_to_csv(pareto_table(mu_rep), out / "pareto.csv")
@@ -246,15 +234,15 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
 def validation_traces(cfg: PipelineConfig) -> list[CommandTrace]:
     """The fixed validation suite: held-out sine segment, step-stair
     up/down, fall step, and the bundled descent profile."""
-    ex = cfg.excitation
-    clampv = lambda v: float(np.clip(v, ex.e_min, ex.e_max))
-    sine = excitation_segment(clampv(600.0), ex)
+    pc = cfg.plant
+    clampv = lambda v: float(np.clip(v, pc.e_min, pc.e_max))
+    sine = excitation_segment(clampv(600.0), cfg.excitation, pc)
     sine.name = "sine600"
-    stair = step_stair_trace([clampv(400.0), clampv(600.0), ex.e_max,
-                              clampv(600.0), clampv(400.0)], 5.0, ex)
-    fall = step_stair_trace([ex.e_max, ex.e_min], 5.0, ex)
+    stair = step_stair_trace([clampv(400.0), clampv(600.0), pc.e_max,
+                              clampv(600.0), clampv(400.0)], 5.0, pc)
+    fall = step_stair_trace([pc.e_max, pc.e_min], 5.0, pc)
     fall.name = "fall"
-    descent = descent_profile(dt=ex.dt)
+    descent = descent_profile(dt=pc.dt)
     return [sine, stair, fall, descent]
 
 

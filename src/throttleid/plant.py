@@ -451,8 +451,11 @@ def simulate(trace: CommandTrace, cfg: PlantConfig) -> PlantTrajectory:
 
     The output has len(trace) + 1 rows; row 0 is the initial sample.
     Row i + 1 is bitwise the state that i + 1 successive `step` calls
-    reach: both run the same kernel.
+    reach: both run the same kernel. ValueError when the trace is not
+    sampled at the plant's step.
     """
+    if trace.dt != cfg.dt:
+        raise ValueError(f"trace step {trace.dt} s differs from plant step {cfg.dt} s")
     n = len(trace)
     commands = np.zeros((n + 1, 4))
     status = np.zeros((n + 1, 4))

@@ -72,13 +72,13 @@ KKT_REL_TOL = 1e-6
 
 @dataclass
 class SweepConfig:
-    """What a sweep varies: the grids, the fold count and the fold seed.
-    Every other sweep setting is one of the constants above."""
+    """What a sweep varies: the grids and the fold count. The fold seed is
+    an argument of each sweep; every other sweep setting is one of the
+    constants above."""
 
     n_grid: tuple = tuple(range(1, 11))
     mu_grid: tuple = tuple(np.logspace(-5.0, 0.0, 11))
     k: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if not self.n_grid or not len(self.mu_grid):
@@ -121,7 +121,7 @@ class SweepReport:
     points: list[GridPoint]
     selected: float
     k: int
-    seed: int
+    seed: int                 # the fold seed
 
     def point(self, value) -> GridPoint:
         for pt in self.points:
@@ -182,14 +182,14 @@ def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
     return GridPoint(value=value, train_rmse=tr, test_rmse=te, sparsity=sp)
 
 
-def _report(kind: str, points: list[GridPoint], cfg: SweepConfig) -> SweepReport:
+def _report(kind: str, points: list[GridPoint], cfg: SweepConfig, seed: int) -> SweepReport:
     """The sweep's report, selecting the smallest history length (or the
     largest mu) whose mean test RMSE is within (1 + SELECT_REL_TOL) of
     the best."""
     cutoff = min(pt.mean_test for pt in points) * (1.0 + SELECT_REL_TOL)
     tied = [pt.value for pt in points if pt.mean_test <= cutoff]
     selected = min(tied) if kind == "history" else max(tied)
-    return SweepReport(kind=kind, points=points, selected=selected, k=cfg.k, seed=cfg.seed)
+    return SweepReport(kind=kind, points=points, selected=selected, k=cfg.k, seed=seed)
 
 
 def _fit_fold(ds: Dataset, phi: np.ndarray, full: RawMoments, fold: int,
@@ -218,8 +218,9 @@ def _fit_fold(ds: Dataset, phi: np.ndarray, full: RawMoments, fold: int,
 
 
 def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
-                  basis: BasisSpec | None = None) -> SweepReport:
-    """k-fold CV over history lengths at the fixed per-sample HISTORY_MU.
+                  basis: BasisSpec | None = None, seed: int = 0) -> SweepReport:
+    """k-fold CV over history lengths at the fixed per-sample HISTORY_MU,
+    the folds drawn with `seed`.
 
     The history lengths are the units of work split across processes;
     each assembles the trajectories' rows at its own length, so a
@@ -231,18 +232,19 @@ def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
         ds = merge([assemble(tr, n) for tr in trajectories])
         phi = expand(ds.inputs, basis)
         full = raw_moments(phi, ds.targets)
-        folds = kfold_indices(len(ds), cfg.k, cfg.seed)
+        folds = kfold_indices(len(ds), cfg.k, seed)
         models = [_fit_fold(ds, phi, full, fold, test, [n], [HISTORY_MU], basis,
                             HISTORY_PENALTY_SCALE)[0]
                   for fold, (_, test) in enumerate(folds)]
         return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
 
-    return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg)
+    return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg, seed)
 
 
 def sweep_mu(dataset: Dataset, cfg: SweepConfig,
-             basis: BasisSpec | None = None) -> SweepReport:
-    """Warm-started k-fold CV along the mu grid at a fixed history length.
+             basis: BasisSpec | None = None, seed: int = 0) -> SweepReport:
+    """Warm-started k-fold CV along the mu grid at a fixed history length,
+    the folds drawn with `seed`.
 
     Fits run from the largest mu down, warm-starting each from the
     previous solution; results are reported in grid order. The folds
@@ -253,7 +255,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     phi = expand(dataset.inputs, basis)
     full = raw_moments(phi, dataset.targets)
     mu_desc = sorted(cfg.mu_grid, reverse=True)
-    folds = kfold_indices(len(dataset), cfg.k, cfg.seed)
+    folds = kfold_indices(len(dataset), cfg.k, seed)
 
     def fold_path(fold: int) -> list[tuple[float, float, float]]:
         models = _fit_fold(dataset, phi, full, fold, folds[fold][1], mu_desc, mu_desc,
@@ -262,7 +264,7 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
 
     paths = list(fork_map(fold_path, range(len(folds))))
     return _report("mu", [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
-                          for mu in cfg.mu_grid], cfg)
+                          for mu in cfg.mu_grid], cfg, seed)
 
 
 def pareto_table(report: SweepReport) -> list[dict]:

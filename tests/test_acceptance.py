@@ -40,7 +40,7 @@ def ok(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def corpus_trajs():
-    return [simulate(t, PC) for t in build_corpus(EX)]
+    return [simulate(t, PC) for t in build_corpus(EX, PC)]
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,8 @@ class TestCriterion06:
 
     def test_ar2_control_selects_two(self):
         traj = ar2_trajectory()
-        cfg = SweepConfig(n_grid=(1, 2, 3, 4), k=5, seed=0)
-        report = sweep_history([traj], cfg)
+        cfg = SweepConfig(n_grid=(1, 2, 3, 4), k=5)
+        report = sweep_history([traj], cfg, seed=0)
         assert report.selected == 2
         ok("C6b PASS synthetic order-2 control selects n=2 exactly")
 
@@ -149,9 +149,9 @@ class TestCriterion06:
 class TestCriterion07:
     def test_sine_analogue(self, default_model):
         t0 = time.time()
-        sine = excitation_segment(600.0, EX)
+        sine = excitation_segment(600.0, EX, PC)
         sine.name = "sine600"
-        assert not any(np.isclose(600.0, thrust_levels(EX)))  # held out
+        assert not any(np.isclose(600.0, thrust_levels(EX, PC)))  # held out
         truth = simulate(sine, PC)
         pred = rollout(default_model, sine, truth)
         rep = error_windows(truth, pred, SETTLE, cfg=PC)
@@ -170,7 +170,7 @@ class TestCriterion07:
 
 class TestCriterion08:
     def test_step_stair_analogue(self, default_model):
-        stair = step_stair_trace([400.0, 600.0, 800.0, 600.0, 400.0], 5.0, EX)
+        stair = step_stair_trace([400.0, 600.0, 800.0, 600.0, 400.0], 5.0, PC)
         truth = simulate(stair, PC)
         pred = rollout(default_model, stair, truth)
         rep = error_windows(truth, pred, SETTLE, cfg=PC)
@@ -248,9 +248,9 @@ class TestCriterion12:
         worst = float(np.max(np.abs(norms - 1.0)))
         assert worst <= 1e-12
         for m in (1, 2, 3, 5, 8, 11, 16):
-            cfg = ExcitationConfig(e_min=240.0, e_max=800.0, m_levels=m)
-            lv = thrust_levels(cfg)
+            pc = PlantConfig(e_min=240.0, e_max=800.0)
+            lv = thrust_levels(ExcitationConfig(m_levels=m), pc)
             for k in range(m):
-                assert lv[k] == cfg.e_min + (k / m) * (cfg.e_max - cfg.e_min)
+                assert lv[k] == pc.e_min + (k / m) * (pc.e_max - pc.e_min)
         ok(f"C12 PASS unit-norm excitation over 1e5 samples "
            f"(worst |norm-1| {worst:.1e}) and exact level formula")

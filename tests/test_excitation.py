@@ -10,7 +10,10 @@ from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, ramp_trace, save_corpus,
                                    step_stair_trace, thrust_levels)
 from throttleid.pipeline import PipelineConfig, validation_traces
+from throttleid.plant import PlantConfig
 from throttleid.rollout import descent_profile
+
+PC = PlantConfig()
 
 
 @pytest.fixture()
@@ -20,26 +23,26 @@ def cfg():
 
 class TestThrustLevels:
     def test_printed_case(self):
-        lv = thrust_levels(ExcitationConfig(e_min=400, e_max=700, m_levels=3))
+        lv = thrust_levels(ExcitationConfig(m_levels=3), PlantConfig(e_min=400, e_max=700))
         np.testing.assert_allclose(lv, [400.0, 500.0, 600.0], rtol=0, atol=1e-12)
 
     def test_single_level(self):
-        lv = thrust_levels(ExcitationConfig(e_min=240, e_max=800, m_levels=1))
+        lv = thrust_levels(ExcitationConfig(m_levels=1), PlantConfig(e_min=240, e_max=800))
         assert lv.tolist() == [240.0]
 
     def test_default_grid(self, cfg):
         np.testing.assert_array_equal(
-            thrust_levels(cfg), [240, 310, 380, 450, 520, 590, 660, 730])
+            thrust_levels(cfg, PC), [240, 310, 380, 450, 520, 590, 660, 730])
 
     def test_closed_form_exact(self):
         for m in (1, 2, 3, 5, 8, 13):
-            c = ExcitationConfig(e_min=240.0, e_max=800.0, m_levels=m)
-            lv = thrust_levels(c)
+            pc = PlantConfig(e_min=240.0, e_max=800.0)
+            lv = thrust_levels(ExcitationConfig(m_levels=m), pc)
             for k in range(m):
-                assert lv[k] == c.e_min + (k / m) * (c.e_max - c.e_min)
+                assert lv[k] == pc.e_min + (k / m) * (pc.e_max - pc.e_min)
 
     def test_top_level_excluded(self, cfg):
-        assert thrust_levels(cfg).max() < cfg.e_max
+        assert thrust_levels(cfg, PC).max() < PC.e_max
 
 
 class TestBasis:
@@ -69,108 +72,109 @@ class TestBasis:
 class TestSegment:
     def test_zero_amplitude_constant(self, cfg):
         c = ExcitationConfig(a_amp=0.0, duration=1.0)
-        seg = excitation_segment(450.0, c)
+        seg = excitation_segment(450.0, c, PC)
         assert np.all(seg.commands == 450.0)
         assert np.all(seg.status == 1.0)
 
     def test_t0_values(self):
         c = ExcitationConfig(duration=1.0)
-        seg = excitation_segment(600.0, c)
+        seg = excitation_segment(600.0, c, PC)
         np.testing.assert_allclose(seg.commands[0], [700.0, 600.0, 600.0, 600.0])
 
     def test_range_respected(self):
         c = ExcitationConfig(duration=30.0)
-        seg = excitation_segment(450.0, c)
+        seg = excitation_segment(450.0, c, PC)
         assert seg.commands.min() >= 450.0 - c.a_amp - 1e-9
         assert seg.commands.max() <= 450.0 + c.a_amp + 1e-9
-        assert seg.commands.min() >= c.e_min and seg.commands.max() <= c.e_max
+        assert seg.commands.min() >= PC.e_min and seg.commands.max() <= PC.e_max
 
     def test_clamped_at_edges(self):
         c = ExcitationConfig(duration=5.0)
-        seg = excitation_segment(c.e_max, c)
-        assert seg.commands.max() <= c.e_max
+        seg = excitation_segment(PC.e_max, c, PC)
+        assert seg.commands.max() <= PC.e_max
 
     def test_bias_out_of_range_rejected(self, cfg):
         with pytest.raises(ValueError):
-            excitation_segment(100.0, cfg)
+            excitation_segment(100.0, cfg, PC)
 
 
 class TestStairAndRamp:
-    def test_single_level(self, cfg):
-        tr = step_stair_trace([400.0], 10.0, cfg)
+    def test_single_level(self):
+        tr = step_stair_trace([400.0], 10.0, PC)
         assert len(tr) == 1000
         assert np.all(tr.commands == 400.0)
 
-    def test_up_down_stair(self, cfg):
-        tr = step_stair_trace([400, 600, 800, 600, 400], 5.0, cfg)
+    def test_up_down_stair(self):
+        tr = step_stair_trace([400, 600, 800, 600, 400], 5.0, PC)
         assert len(tr) == 2500
         assert tr.commands[0, 0] == 400.0 and tr.commands[1200, 0] == 800.0
         assert tr.duration == pytest.approx(25.0)
 
-    def test_fall_levels(self, cfg):
-        tr = step_stair_trace([800, 240], 5.0, cfg)
+    def test_fall_levels(self):
+        tr = step_stair_trace([800, 240], 5.0, PC)
         assert tr.commands[0, 0] == 800.0 and tr.commands[-1, 0] == 240.0
 
-    def test_zero_level_means_off(self, cfg):
-        tr = step_stair_trace([400.0, 0.0], 1.0, cfg)
+    def test_zero_level_means_off(self):
+        tr = step_stair_trace([400.0, 0.0], 1.0, PC)
         assert np.all(tr.status[100:] == 0.0)
         assert np.all(tr.commands[100:] == 0.0)
 
-    def test_empty_rejected(self, cfg):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            step_stair_trace([], 5.0, cfg)
+            step_stair_trace([], 5.0, PC)
 
     def test_constant_ramp(self, cfg):
-        tr = ramp_trace(500.0, 500.0, 50.0, cfg)
+        tr = ramp_trace(500.0, 500.0, 50.0, cfg, PC)
         assert np.all(tr.commands == 500.0)
 
     def test_ramp_duration(self, cfg):
-        tr = ramp_trace(240.0, 800.0, 56.0, cfg)
-        t_end_ramp = int(round(10.0 / cfg.dt))
+        tr = ramp_trace(240.0, 800.0, 56.0, cfg, PC)
+        t_end_ramp = int(round(10.0 / PC.dt))
         assert tr.commands[t_end_ramp, 0] == pytest.approx(800.0)
         assert np.all(tr.commands[t_end_ramp:] == pytest.approx(800.0))
 
     def test_ramp_down(self, cfg):
-        tr = ramp_trace(800.0, 240.0, 112.0, cfg)
-        i5s = int(round(5.0 / cfg.dt))
+        tr = ramp_trace(800.0, 240.0, 112.0, cfg, PC)
+        i5s = int(round(5.0 / PC.dt))
         assert tr.commands[i5s, 0] == pytest.approx(240.0)
 
     def test_bad_rate_rejected(self, cfg):
         with pytest.raises(ValueError):
-            ramp_trace(240.0, 800.0, 0.0, cfg)
+            ramp_trace(240.0, 800.0, 0.0, cfg, PC)
 
 
 class TestCorpus:
     def test_single_segment_minimal(self):
         c = ExcitationConfig(m_levels=1, duration=2.0)
-        corpus = build_corpus(c)
+        corpus = build_corpus(c, PC)
         assert sum(1 for t in corpus if t.name.startswith("excite")) == 1
 
     def test_default_composition_and_coverage(self, cfg):
-        corpus = build_corpus(cfg)
+        corpus = build_corpus(cfg, PC)
         excites = [t for t in corpus if t.name.startswith("excite")]
         assert len(excites) == cfg.m_levels
         on_cmds = np.concatenate([t.commands[t.status > 0] for t in corpus])
-        assert on_cmds.min() >= cfg.e_min and on_cmds.max() <= cfg.e_max
-        assert on_cmds.min() <= cfg.e_min * 1.01
-        assert on_cmds.max() >= cfg.e_max * 0.99
+        assert on_cmds.min() >= PC.e_min and on_cmds.max() <= PC.e_max
+        assert on_cmds.min() <= PC.e_min * 1.01
+        assert on_cmds.max() >= PC.e_max * 0.99
 
     def test_reproducible(self, cfg):
-        a = build_corpus(cfg)
-        b = build_corpus(cfg)
+        a = build_corpus(cfg, PC)
+        b = build_corpus(cfg, PC)
         assert [t.name for t in a] == [t.name for t in b]
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.commands, tb.commands)
 
     def test_seed_permutes_order_only(self):
-        a = build_corpus(ExcitationConfig(duration=2.0, seed=0))
-        b = build_corpus(ExcitationConfig(duration=2.0, seed=99))
+        c = ExcitationConfig(duration=2.0)
+        a = build_corpus(c, PC, seed=0)
+        b = build_corpus(c, PC, seed=99)
         assert sorted(t.name for t in a) == sorted(t.name for t in b)
 
     def test_manifest_and_save(self, tmp_path, cfg):
         c = ExcitationConfig(m_levels=2, duration=1.0)
-        corpus = build_corpus(c)
-        manifest = save_corpus(corpus, c, tmp_path)
+        corpus = build_corpus(c, PC)
+        manifest = save_corpus(corpus, c, PC, tmp_path)
         assert (tmp_path / "manifest.json").exists()
         for entry in manifest["segments"]:
             assert (tmp_path / entry["file"]).exists()
@@ -181,9 +185,9 @@ class TestCorpus:
         # at m_levels=3 the levels are not integers, and a trace name
         # keeps only 6 significant digits of its bias
         c = ExcitationConfig(m_levels=3, duration=1.0)
-        manifest = corpus_manifest(build_corpus(c), c)
+        manifest = corpus_manifest(build_corpus(c, PC), c, PC)
         biases = sorted(e["e_bias"] for e in manifest["segments"] if e["kind"] == "excitation")
-        assert biases == [float(b) for b in thrust_levels(c)]
+        assert biases == [float(b) for b in thrust_levels(c, PC)]
         assert 426.66666666666663 in biases
         assert {e["name"] for e in manifest["segments"]} >= {"excite_b426.667", "excite_b613.333"}
 
@@ -217,11 +221,10 @@ PIECEWISE_DIGESTS = {
 
 
 def test_piecewise_profiles_bitwise():
-    cfg = ExcitationConfig()
-    traces = [t for t in build_corpus(cfg) if t.name in PIECEWISE_DIGESTS]
+    traces = [t for t in build_corpus(ExcitationConfig(), PC) if t.name in PIECEWISE_DIGESTS]
     traces += [t for t in validation_traces(PipelineConfig()) if t.name in ("stair", "fall")]
     traces.append(descent_profile())
-    zeros = step_stair_trace([0.0, 400.0, -0.0, 800, 0], 1.5, cfg)
+    zeros = step_stair_trace([0.0, 400.0, -0.0, 800, 0], 1.5, PC)
     assert np.signbit(zeros.commands[300:450]).all() and not zeros.status[300:450].any()
     zeros.name = "signed_zero_stair"
     traces.append(zeros)

@@ -16,7 +16,7 @@ from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulat
 @pytest.fixture(scope="module")
 def traj():
     cfg = PlantConfig()
-    seg = excitation_segment(520.0, ExcitationConfig(duration=8.0))
+    seg = excitation_segment(520.0, ExcitationConfig(duration=8.0), cfg)
     return simulate(seg, cfg)
 
 
@@ -51,7 +51,7 @@ def layout_trajs():
     """A reduced simulated corpus, the four validation traces and the
     AR(2) control."""
     cfg = reduced_pipeline_config("unused")
-    traces = build_corpus(cfg.excitation) + validation_traces(cfg)
+    traces = build_corpus(cfg.excitation, cfg.plant) + validation_traces(cfg)
     return [simulate(tr, cfg.plant) for tr in traces] + [ar2_trajectory()]
 
 

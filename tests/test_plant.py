@@ -218,6 +218,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="sample 3"):
             simulate(trace, cfg)
 
+    def test_trace_step_must_be_plant_step(self, cfg):
+        # a 2 s trace at 0.02 s would otherwise run as 1 s at the plant's 0.01 s
+        trace = constant_trace(600.0, 2.0, PlantConfig(dt=0.02))
+        with pytest.raises(ValueError, match="trace step 0.02 s differs from plant step 0.01 s"):
+            simulate(trace, cfg)
+
 
 class TestModuleMass:
     def test_all_off_constant_m0(self, cfg):

@@ -34,7 +34,7 @@ BASES = {
 
 @pytest.fixture(scope="module")
 def corpus():
-    return [simulate(t, PC) for t in build_corpus(EX)]
+    return [simulate(t, PC) for t in build_corpus(EX, PC)]
 
 
 def fit_small(corpus, basis, n):
@@ -56,7 +56,7 @@ def basis_model(request, corpus):
 
 @pytest.fixture(scope="module")
 def stair_pair(small_model):
-    trace = step_stair_trace([400.0, 650.0, 500.0], 3.0, EX)
+    trace = step_stair_trace([400.0, 650.0, 500.0], 3.0, PC)
     truth = simulate(trace, PC)
     return trace, truth
 
@@ -207,9 +207,9 @@ class TestTeacherForced:
     def test_compounding_direction(self, small_model):
         # rollout error should dominate teacher-forced error on most traces
         wins = 0
-        traces = [excitation_segment(520.0, EX),
-                  step_stair_trace([400, 700, 400], 3.0, EX),
-                  step_stair_trace([800, 240], 4.0, EX)]
+        traces = [excitation_segment(520.0, EX, PC),
+                  step_stair_trace([400, 700, 400], 3.0, PC),
+                  step_stair_trace([800, 240], 4.0, PC)]
         for tr in traces:
             truth = simulate(tr, PC)
             tf = teacher_forced_eval(small_model, truth, cfg=PC)

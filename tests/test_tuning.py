@@ -26,8 +26,7 @@ def ar2_traj():
 
 
 def small_cfg(**kw):
-    defaults = dict(n_grid=(1, 2, 3, 4), mu_grid=tuple(np.logspace(-5, 0, 6)),
-                    k=5, seed=0)
+    defaults = dict(n_grid=(1, 2, 3, 4), mu_grid=tuple(np.logspace(-5, 0, 6)), k=5)
     defaults.update(kw)
     return SweepConfig(**defaults)
 
@@ -131,8 +130,8 @@ class TestSweepMu:
     def test_fold_integrity(self, ds):
         # sweep folds are the seeded permutation of the rows, split in k
         cfg = small_cfg()
-        pairs = kfold_indices(len(ds), cfg.k, cfg.seed)
-        order = np.random.default_rng(cfg.seed).permutation(len(ds))
+        pairs = kfold_indices(len(ds), cfg.k, 0)
+        order = np.random.default_rng(0).permutation(len(ds))
         for (train, test), fold in zip(pairs, np.array_split(order, cfg.k)):
             np.testing.assert_array_equal(test, np.sort(fold))
             assert np.intersect1d(train, test).size == 0
@@ -143,6 +142,13 @@ class TestSweepMu:
     def test_deterministic(self, ds):
         cfg = small_cfg(mu_grid=(1e-4, 1e-2))
         assert sweep_mu(ds, cfg).to_json() == sweep_mu(ds, cfg).to_json()
+
+    def test_seed_draws_folds(self, ds):
+        # the seed argument draws the folds and the report records it
+        cfg = small_cfg(mu_grid=(1e-2,), k=2)
+        a, b = sweep_mu(ds, cfg), sweep_mu(ds, cfg, seed=3)
+        assert (a.seed, b.seed) == (0, 3)
+        assert a.points[0].test_rmse != b.points[0].test_rmse
 
 
 class TestWorkers:
@@ -166,7 +172,7 @@ class TestWorkers:
         cfg = small_cfg(k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
         train_means = [ds.targets[train].mean(axis=0)
-                       for train, _ in kfold_indices(len(ds), cfg.k, cfg.seed)]
+                       for train, _ in kfold_indices(len(ds), cfg.k, 0)]
         real_fit = tuning_mod.fit_from_moments
 
         def flaky(m, mu, **kw):
@@ -192,7 +198,7 @@ class TestWorkers:
         cfg = small_cfg(n_grid=(1, 2, 3), k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
         train_means = [ds.targets[train].mean(axis=0)
-                       for train, _ in kfold_indices(len(ds), cfg.k, cfg.seed)]
+                       for train, _ in kfold_indices(len(ds), cfg.k, 0)]
         real_fit = tuning_mod.fit_from_moments
 
         def uncertified_at(fold, mu):
