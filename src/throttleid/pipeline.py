@@ -128,45 +128,48 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _trajectory_files(data_dir: str | Path) -> list[tuple[str, Path, int]]:
-    """(name, trajectory CSV, rows) of every trace that the corpus manifest
-    under `data_dir` lists with a trajectory, in corpus order; a response
-    has one row more than the `samples` of its trace. FileNotFoundError
-    when there is none."""
+def _trajectory_files(data_dir: str | Path, dt: float | None = None) -> list[tuple]:
+    """(name, trajectory CSV, rows, step) of every trace that the corpus
+    manifest under `data_dir` lists with a trajectory, in corpus order; a
+    response has one row more than the `samples` of its trace. Raises
+    FileNotFoundError when there is none, and ValueError when `dt` is
+    given and is not the manifest's step."""
     data_dir = Path(data_dir)
     manifest = read_json(data_dir / "corpus" / "manifest.json")
+    if dt is not None and manifest["dt"] != dt:
+        raise ValueError(f"{data_dir}: corpus step {manifest['dt']} s is not the plant step {dt} s")
     files = [(entry["name"], data_dir / "trajectories" / entry["trajectory"],
-              entry["samples"] + 1)
+              entry["samples"] + 1, manifest["dt"])
              for entry in manifest["segments"] if entry.get("trajectory")]
     if not files:
         raise FileNotFoundError(f"no trajectories under {data_dir}")
     return files
 
 
-def _read_trajectory(name: str, path: Path, rows: int) -> PlantTrajectory:
-    """A trajectory CSV, parsed; ValueError naming the file when it does not
-    hold the `rows` rows that the manifest lists."""
-    traj = PlantTrajectory.from_csv(path, name=name)
+def _read_trajectory(name: str, path: Path, rows: int, dt: float) -> PlantTrajectory:
+    """A trajectory CSV written at step `dt`, parsed; ValueError naming the
+    file when it does not hold the `rows` rows that the manifest lists."""
+    traj = PlantTrajectory.from_csv(path, dt, name=name)
     if len(traj) != rows:
         raise ValueError(f"{path}: {len(traj)} rows parsed, the manifest lists {rows}")
     return traj
 
 
-def load_trajectories(data_dir: str | Path) -> list[PlantTrajectory]:
+def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[PlantTrajectory]:
     """Every trajectory that the corpus manifest under `data_dir` lists,
-    in corpus order, each checked against its manifest row count. Each
-    trace is read and parsed in its own `fork_map` task, which sends the
-    parsed trajectory back."""
-    return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir)))
+    in corpus order, each checked against its manifest row count and
+    step (and that step against `dt`, when given). Each trace is read and
+    parsed in its own `fork_map` task, which sends the trajectory back."""
+    return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir, dt)))
 
 
 def _train_rows(history: HistorySpec, basis: BasisSpec, phi: np.ndarray,
-                targets: np.ndarray, job: tuple[str, Path, int, int]) -> None:
-    """One `cmd_train` task: read a trace's trajectory CSV, check that it
-    holds the `rows` rows that the manifest lists, assemble and expand it,
+                targets: np.ndarray, job: tuple[str, Path, int, float, int]) -> None:
+    """One `cmd_train` task: read a trace's trajectory CSV, check it
+    against the manifest's row count and step, assemble and expand it,
     and write its dataset rows into phi and targets from row `lo` on."""
-    name, path, rows, lo = job
-    ds = assemble(_read_trajectory(name, path, rows), history)
+    *file, lo = job
+    ds = assemble(_read_trajectory(*file), history)
     phi[lo:lo + len(ds)] = expand(ds.inputs, basis)
     targets[lo:lo + len(ds)] = ds.targets
 
@@ -189,9 +192,9 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     _snapshot(cfg, out)
     n = cfg.history.n
     jobs, total = [], 0
-    for name, path, rows in _trajectory_files(data_dir or out):
-        jobs.append((name, path, rows, total))
-        total += max(rows - n, 0)
+    for file in _trajectory_files(data_dir or out, cfg.plant.dt):
+        jobs.append((*file, total))
+        total += max(file[2] - n, 0)
     phi = shared_array((total, cfg.basis.width(input_width(n))))
     targets = shared_array((total, len(TARGET_NAMES)))
     for _ in fork_map(partial(_train_rows, cfg.history, cfg.basis, phi, targets), jobs):
@@ -214,7 +217,7 @@ def cmd_sweep(cfg: PipelineConfig, data_dir: str | Path | None = None):
     """History sweep, then mu sweep at the selected history length."""
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
-    trajs = load_trajectories(data_dir or out)
+    trajs = load_trajectories(data_dir or out, cfg.plant.dt)
     hist = sweep_history(trajs, cfg.sweep, cfg.basis, cfg.seed)
     hist.to_csv(out / "sweep_history.csv")
     hist.to_json(out / "sweep_history.json")

@@ -198,13 +198,11 @@ class PlantConfig:
         if not (0.0 < self.e_min < self.e_max):
             raise ValueError(f"need 0 < e_min < e_max, got {self.e_min}, {self.e_max}")
         for name in ("p_reg", "p_bottle0", "v_bottle", "droop_coeff", "tau_rise",
-                     "tau_fall", "slew_limit", "isp", "g0", "m_module0", "dt"):
+                     "tau_fall", "slew_limit", "isp", "g0", "mixture_ratio", "m_module0", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tau_fall < self.tau_rise:
             raise ValueError("tau_fall must be >= tau_rise (closing is the slower path)")
-        if self.mixture_ratio <= 0.0:
-            raise ValueError("mixture_ratio must be strictly positive")
 
     @property
     def exhaust_velocity(self) -> float:
@@ -310,16 +308,17 @@ class PlantTrajectory:
                                                 self.pressures, self.m_fuel, self.m_ox])
 
     @classmethod
-    def from_csv(cls, path: str | Path, name: str = "") -> "PlantTrajectory":
-        """Read a file written by `to_csv`; raises ValueError naming the
-        file when its first line is not TRAJECTORY_CSV_HEADER."""
+    def from_csv(cls, path: str | Path, dt: float, name: str = "") -> "PlantTrajectory":
+        """Read a file that `to_csv` wrote at step `dt`; raises ValueError
+        naming the file when its first line is not TRAJECTORY_CSV_HEADER
+        or its `t` column is not 0, dt, 2 dt, ... as `to_csv` writes it."""
         with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-        if header != TRAJECTORY_CSV_HEADER:
-            raise ValueError(f"{path}: not a trajectory CSV (the first line is not "
-                             f"{TRAJECTORY_CSV_HEADER!r})")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        dt = float(data[1, 0] - data[0, 0]) if data.shape[0] > 1 else 0.01
+            if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
+                raise ValueError(f"{path}: not a trajectory CSV (the first line is not "
+                                 f"{TRAJECTORY_CSV_HEADER!r})")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not np.array_equal(data[:, 0], np.arange(len(data)) * dt):
+            raise ValueError(f"{path}: the t column does not step by {dt} s from 0")
         return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9],
                    thrusts=data[:, 9:13], pressures=data[:, 13],
                    m_fuel=data[:, 14], m_ox=data[:, 15], name=name)

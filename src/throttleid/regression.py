@@ -173,8 +173,8 @@ class _Moments:
 class RawMoments:
     """Additive sufficient statistics of a (features, targets) block.
 
-    Blocks add and subtract exactly, so k-fold training moments come
-    from one full-dataset pass minus the test fold.
+    Blocks add up to the moments of their union up to rounding; the same
+    blocks added in the same order give the same bits.
     """
 
     G: np.ndarray       # X^T X
@@ -184,10 +184,10 @@ class RawMoments:
     sum_y2: np.ndarray  # column sums of Y^2
     n_rows: int
 
-    def __sub__(self, other: "RawMoments") -> "RawMoments":
-        return RawMoments(self.G - other.G, self.c - other.c,
-                          self.sum_x - other.sum_x, self.sum_y - other.sum_y,
-                          self.sum_y2 - other.sum_y2, self.n_rows - other.n_rows)
+    def __add__(self, other: "RawMoments") -> "RawMoments":
+        return RawMoments(self.G + other.G, self.c + other.c,
+                          self.sum_x + other.sum_x, self.sum_y + other.sum_y,
+                          self.sum_y2 + other.sum_y2, self.n_rows + other.n_rows)
 
 
 def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
@@ -206,12 +206,10 @@ def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
 
 def standardize_moments(raw: RawMoments, standardize: bool = True) -> _Moments:
     N = raw.n_rows
-    F = raw.G.shape[0]
-    nout = raw.c.shape[1]
     if not standardize:
         const = np.diag(raw.G) <= 0.0  # all-zero columns carry nothing
         return _Moments(G=raw.G, c=raw.c, yty=raw.sum_y2, n_rows=N,
-                        std=Standardization.identity(F, nout), const_cols=const)
+                        std=Standardization.identity(*raw.c.shape), const_cols=const)
     mx = raw.sum_x / N
     var = np.maximum(np.diag(raw.G) / N - mx ** 2, 0.0)
     const = var <= 1e-14 * np.maximum(mx ** 2, 1.0)

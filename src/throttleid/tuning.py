@@ -13,7 +13,9 @@ Both sweeps run on `parallel.fork_map`, `sweep_history` one history
 length per task (assembling its rows there) and `sweep_mu` one fold per
 task, so a report does not depend on the number of usable CPUs and the
 error raised is that of the first failing (grid point, fold) in serial
-order. Every fold fit runs in one warm-started loop (`_fit_fold`) that
+order. Each fold's moments are taken once, from its test rows, and a
+fold's training moments add up the other folds' (`_training_moments`).
+Every fold fit runs in one warm-started loop (`_fit_fold`) that
 certifies its KKT residual. A task scores all of its fits with one
 product of the expanded features (`_fold_scores`): a history length its
 k folds, a fold its whole mu path.
@@ -192,20 +194,24 @@ def _report(kind: str, points: list[GridPoint], cfg: SweepConfig, seed: int) -> 
     return SweepReport(kind=kind, points=points, selected=selected, k=cfg.k, seed=seed)
 
 
-def _fit_fold(ds: Dataset, phi: np.ndarray, full: RawMoments, fold: int,
-              test: np.ndarray, values: list, mus: list[float], basis: BasisSpec,
-              penalty_scale: str) -> list[CoefficientModel]:
-    """Fit the rows of `ds` outside `test` at each mu of `mus`, descending,
-    each warm-started from the last; `full` holds the raw moments of all
-    of (phi, ds.targets). A fit that raises, or whose KKT residual exceeds
-    KKT_REL_TOL times its effective mu, raises SweepError(its grid value
-    in `values`, fold)."""
-    moments = standardize_moments(full - raw_moments(phi[test], ds.targets[test]))
+def _training_moments(blocks: list[RawMoments], fold: int) -> RawMoments:
+    """The sum of every fold's block but `fold`'s, in fold order."""
+    others = blocks[:fold] + blocks[fold + 1:]
+    return sum(others[1:], start=others[0])
+
+
+def _fit_fold(train: RawMoments, fold: int, values: list, mus: list[float],
+              basis: BasisSpec, n_history: int, penalty_scale: str) -> list[CoefficientModel]:
+    """Fit the training moments `train` of `fold` at each mu of `mus`,
+    descending, each warm-started from the last. A fit that raises, or
+    whose KKT residual exceeds KKT_REL_TOL times its effective mu,
+    raises SweepError(its grid value in `values`, fold)."""
+    moments = standardize_moments(train)
     w0 = None
     models = []
     for value, mu in zip(values, mus):
         try:
-            model = fit_from_moments(moments, mu, basis=basis, n_history=ds.n,
+            model = fit_from_moments(moments, mu, basis=basis, n_history=n_history,
                                      penalty_scale=penalty_scale, w0=w0)
         except Exception as err:
             raise SweepError(value, fold, err) from err
@@ -231,11 +237,11 @@ def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
     def history_point(n) -> GridPoint:
         ds = merge([assemble(tr, n) for tr in trajectories])
         phi = expand(ds.inputs, basis)
-        full = raw_moments(phi, ds.targets)
         folds = kfold_indices(len(ds), cfg.k, seed)
-        models = [_fit_fold(ds, phi, full, fold, test, [n], [HISTORY_MU], basis,
-                            HISTORY_PENALTY_SCALE)[0]
-                  for fold, (_, test) in enumerate(folds)]
+        blocks = [raw_moments(phi[test], ds.targets[test]) for _, test in folds]
+        models = [_fit_fold(_training_moments(blocks, fold), fold, [n], [HISTORY_MU], basis,
+                            ds.n, HISTORY_PENALTY_SCALE)[0]
+                  for fold in range(len(folds))]
         return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
 
     return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg, seed)
@@ -248,18 +254,19 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
 
     Fits run from the largest mu down, warm-starting each from the
     previous solution; results are reported in grid order. The folds
-    are the units of work split across processes; each fold's path
-    stays sequential.
+    are the units of work split across processes: one fork map takes
+    their blocks, the next runs their paths, each sequential.
     """
     basis = basis or BasisSpec()
     phi = expand(dataset.inputs, basis)
-    full = raw_moments(phi, dataset.targets)
     mu_desc = sorted(cfg.mu_grid, reverse=True)
     folds = kfold_indices(len(dataset), cfg.k, seed)
+    tests = [test for _, test in folds]
+    blocks = list(fork_map(lambda test: raw_moments(phi[test], dataset.targets[test]), tests))
 
     def fold_path(fold: int) -> list[tuple[float, float, float]]:
-        models = _fit_fold(dataset, phi, full, fold, folds[fold][1], mu_desc, mu_desc,
-                           basis, PENALTY_SCALE)
+        models = _fit_fold(_training_moments(blocks, fold), fold, mu_desc, mu_desc, basis,
+                           dataset.n, PENALTY_SCALE)
         return _fold_scores(models, phi, dataset.targets, [folds[fold]] * len(models))
 
     paths = list(fork_map(fold_path, range(len(folds))))

@@ -81,7 +81,8 @@ class TestGenData:
         listed = [e for e in manifest["segments"] if e.get("trajectory")]
         assert [t.name for t in trajs] == [e["name"] for e in listed]
         for traj, entry in zip(trajs, listed):
-            again = PlantTrajectory.from_csv(out / "trajectories" / entry["trajectory"])
+            again = PlantTrajectory.from_csv(out / "trajectories" / entry["trajectory"],
+                                             manifest["dt"])
             assert traj.thrusts.tobytes() == again.thrusts.tobytes()
             assert traj.m_ox.tobytes() == again.m_ox.tobytes()
 
@@ -165,6 +166,14 @@ class TestTrain:
                 load_trajectories(out)
             assert entries[1]["file"] in str(caught.value)
             assert entries[1]["file"] in str(loaded.value)
+
+    def test_step_mismatch_raises(self, tmp_path):
+        # a corpus sampled at 0.02 s is neither trained nor swept at 0.01 s
+        coarse = replace(tiny_config(str(tmp_path)), plant=PlantConfig(dt=0.02))
+        cmd_gen_data(coarse)
+        for cmd in (cmd_train, cmd_sweep):
+            with pytest.raises(ValueError, match="corpus step 0.02 s is not the plant step 0.01 s"):
+                cmd(replace(coarse, plant=PlantConfig()))
 
 
 class TestSweepCmd:

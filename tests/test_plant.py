@@ -343,7 +343,7 @@ class TestConfigAndIO:
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
-        again = PlantTrajectory.from_csv(path)
+        again = PlantTrajectory.from_csv(path, cfg.dt)
         assert np.array_equal(again.thrusts, traj.thrusts)
         assert np.array_equal(again.pressures, traj.pressures)
         assert np.array_equal(again.m_fuel, traj.m_fuel)
@@ -355,7 +355,19 @@ class TestConfigAndIO:
         path = tmp_path / "timeseries.csv"
         write_csv(path, ",".join(f"c{i}" for i in range(17)), [np.ones((5, 17))])
         with pytest.raises(ValueError, match="timeseries.csv: not a trajectory CSV"):
-            PlantTrajectory.from_csv(path)
+            PlantTrajectory.from_csv(path, 0.01)
+
+    def test_from_csv_takes_the_step(self, tmp_path):
+        # a one-row trajectory has no t step to read: the caller's step
+        # is the trajectory's; a t column of another step names the file
+        cfg = PlantConfig(dt=0.02)
+        traj = simulate(CommandTrace(dt=0.02, commands=np.zeros((0, 4)),
+                                     status=np.zeros((0, 4))), cfg)
+        traj.to_csv(tmp_path / "one.csv")
+        assert len(traj) == 1 and PlantTrajectory.from_csv(tmp_path / "one.csv", 0.02).dt == 0.02
+        simulate(constant_trace(450.0, 0.5, cfg), cfg).to_csv(tmp_path / "coarse.csv")
+        with pytest.raises(ValueError, match="coarse.csv: the t column does not step by 0.01 s"):
+            PlantTrajectory.from_csv(tmp_path / "coarse.csv", 0.01)
 
     @pytest.mark.parametrize("rows", [0, 1, plant_mod._BLOCK, plant_mod._BLOCK + 1,
                                       5 * plant_mod._BLOCK + 3])

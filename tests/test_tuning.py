@@ -15,7 +15,7 @@ from conftest import ar2_trajectory, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
-                                   predict_expanded)
+                                   predict_expanded, raw_moments)
 from throttleid.tuning import (GridPoint, SweepConfig, SweepError, SweepReport,
                                pareto_table, pareto_to_csv, sweep_history, sweep_mu)
 
@@ -292,6 +292,54 @@ for cpus in (2, 1):
         forked, serial, rest = done.stdout.split("--\n")
         assert rest == "" and '"kind": "mu"' in forked
         assert forked == serial
+
+
+class TestFoldMoments:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_row_read_once(self, ar2_traj, ds, monkeypatch, cpus):
+        # each fold's block of moments is taken once, and no pass over
+        # the full data is made: the rows passed to raw_moments, counted
+        # in shared memory whichever process takes them, are the rows of
+        # the dataset of each sweep point
+        usable_cpus(monkeypatch, cpus)
+        real, rows = tuning_mod.raw_moments, multiprocessing.Value("q", 0)
+
+        def counted(features, targets):
+            with rows.get_lock():
+                rows.value += len(features)
+            return real(features, targets)
+
+        monkeypatch.setattr(tuning_mod, "raw_moments", counted)
+        sweep_mu(ds, small_cfg(k=3, mu_grid=(1e-3,)))
+        assert rows.value == len(ds)
+        rows.value = 0
+        sweep_history([ar2_traj], small_cfg(n_grid=(2, 3), k=3))
+        assert rows.value == len(assemble(ar2_traj, 2)) + len(assemble(ar2_traj, 3))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_training_moments_sum_other_folds(self, ds, monkeypatch, k):
+        # at k=2 a fold's training moments are the other fold's block,
+        # bitwise those of its training rows; at k=3 a sum of two blocks,
+        # equal to them up to rounding
+        usable_cpus(monkeypatch, 1)
+        real_fit, seen = tuning_mod._fit_fold, {}
+
+        def recorded(train, fold, *a):
+            seen[fold] = train
+            return real_fit(train, fold, *a)
+
+        monkeypatch.setattr(tuning_mod, "_fit_fold", recorded)
+        sweep_mu(ds, small_cfg(k=k, mu_grid=(1e-3,)))
+        phi = expand(ds.inputs, BasisSpec())
+        for fold, (train, _) in enumerate(kfold_indices(len(ds), k, 0)):
+            want = raw_moments(phi[train], ds.targets[train])
+            assert seen[fold].n_rows == want.n_rows == len(train)
+            for name in ("G", "c", "sum_x", "sum_y", "sum_y2"):
+                got, ref = getattr(seen[fold], name), getattr(want, name)
+                if k == 2:
+                    assert got.tobytes() == ref.tobytes()
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 class TestFoldScores:
