@@ -22,8 +22,9 @@ from .features import TARGET_NAMES, HistorySpec, assemble, input_width, merge
 from .parallel import fork_map, shared_array
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
                     _from_document, read_json, simulate, write_json)
-from .regression import (BasisSpec, CoefficientModel, expand, fit_lasso, model_from_json,
-                         model_to_json, predict_expanded, rmse)
+from .regression import (BasisSpec, CoefficientModel, RawMoments, expand, fit_from_moments,
+                         model_from_json, model_to_json, predict_expanded, raw_moments, rmse,
+                         standardize_moments)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
 from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
@@ -164,14 +165,15 @@ def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[Pla
 
 
 def _train_rows(history: HistorySpec, basis: BasisSpec, phi: np.ndarray,
-                targets: np.ndarray, job: tuple[str, Path, int, float, int]) -> None:
-    """One `cmd_train` task: read a trace's trajectory CSV, check it
-    against the manifest's row count and step, assemble and expand it,
-    and write its dataset rows into phi and targets from row `lo` on."""
+                targets: np.ndarray, job: tuple[str, Path, int, float, int]) -> RawMoments:
+    """One `cmd_train` task: read a trace's trajectory CSV, checked against the
+    manifest, assemble and expand it, write its rows into phi and targets
+    from row `lo` on, and return their moments."""
     *file, lo = job
     ds = assemble(_read_trajectory(*file), history)
-    phi[lo:lo + len(ds)] = expand(ds.inputs, basis)
-    targets[lo:lo + len(ds)] = ds.targets
+    rows = slice(lo, lo + len(ds))
+    phi[rows], targets[rows] = expand(ds.inputs, basis), ds.targets
+    return raw_moments(phi[rows], ds.targets)
 
 
 def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
@@ -179,14 +181,13 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     fit the coefficient model at the configured mu, scaled as the mu
     sweep scales it (PENALTY_SCALE).
 
-    The expanded design matrix and the targets are built in place: both
-    matrices are allocated with `shared_array` at the row counts that
-    the corpus manifest lists, and each trace is one `fork_map` task
-    that reads, assembles and expands it and writes its rows into its
-    own row range. Rows come in corpus order, each trace's in time
-    order, so both matrices are bitwise those of `expand` applied to
-    the merged dataset, and the error raised is that of the first
-    failing trace in corpus order.
+    Each trace is one `fork_map` task, claimed longest first, that reads,
+    assembles and expands it, writes its rows into its row range of the
+    design matrix and targets (`shared_array`s sized from the manifest, in
+    corpus order) and returns their centered moments. The fit is made from
+    those blocks merged in corpus order; the matrices serve the report's
+    train RMSE. The error raised is that of the first failing trace in
+    corpus order. The model records the plant step, which `rollout` checks.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -197,10 +198,12 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
         total += max(file[2] - n, 0)
     phi = shared_array((total, cfg.basis.width(input_width(n))))
     targets = shared_array((total, len(TARGET_NAMES)))
-    for _ in fork_map(partial(_train_rows, cfg.history, cfg.basis, phi, targets), jobs):
-        pass
-    model = fit_lasso(phi, targets, cfg.train_mu, basis=cfg.basis, n_history=n,
-                      penalty_scale=PENALTY_SCALE)
+    blocks = list(fork_map(partial(_train_rows, cfg.history, cfg.basis, phi, targets), jobs,
+                           key=lambda job: job[2]))
+    model = fit_from_moments(standardize_moments(sum(blocks[1:], start=blocks[0])),
+                             cfg.train_mu, basis=cfg.basis, n_history=n,
+                             penalty_scale=PENALTY_SCALE)
+    model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")
     per_output, aggregate = rmse(predict_expanded(model, phi), targets)
     report = {name: getattr(model, name)

@@ -14,6 +14,12 @@ unique. The model records lambda_2 (0.0 when none was added) and, as
 `kkt`, the largest KKT violation left; running out of MAX_STEPS
 raises ConvergenceError.
 
+Moments are taken per block of rows (a trace, a CV fold) about the
+block's own column means and merged pairwise (`RawMoments`). A column's
+mean reaches 31x its std on the corpus, so a Gram centered from raw sums
+would cancel and leave the fit's low digits to the summation order and
+the BLAS kernel; from centered blocks K agrees to ~1e-9 across both.
+
 By default the solver standardizes features and targets (zero mean,
 unit variance) before penalizing, so a single mu is comparable across
 outputs measured in newtons, pascals and kilograms; the returned
@@ -39,9 +45,11 @@ from .plant import _from_document, read_json, write_json
 # Feature-sign steps allowed per fit, summed over the outputs.
 MAX_STEPS = 10000
 # lambda_2 as a fraction of the solvable Gram block's mean diagonal
-# (1e-8 * N on standardized moments): the smallest power of ten above
-# the rounding floor of the standardized corpus Gram at every history
-# length of the sweep grid.
+# (1e-8 * N on standardized moments). The exact duplicate columns (P and
+# P_m1, a status column and its square, engines switched in pairs) need
+# it, not the rounding floor (~1e-15 on centered moments). Its size is
+# part of the model: at 1e-10 the default fit is sparser, and at 1e-12
+# the search runs out of MAX_STEPS.
 RIDGE = 1e-8
 
 
@@ -152,10 +160,6 @@ class Standardization:
     y_mean: np.ndarray
     y_scale: np.ndarray
 
-    @classmethod
-    def identity(cls, F: int, m: int) -> "Standardization":
-        return cls(np.zeros(F), np.ones(F), np.zeros(m), np.ones(m))
-
 
 @dataclass
 class _Moments:
@@ -171,26 +175,32 @@ class _Moments:
 
 @dataclass
 class RawMoments:
-    """Additive sufficient statistics of a (features, targets) block.
+    """Sufficient statistics of a (features X, targets Y) block, not yet
+    standardized: the row count, the column means and the cross-products
+    about them. `a + b` merges two blocks by the pairwise update of Chan,
+    Golub & LeVeque (1979): the same blocks merged in the same order give
+    the same bits, and an empty block merges exactly."""
 
-    Blocks add up to the moments of their union up to rounding; the same
-    blocks added in the same order give the same bits.
-    """
-
-    G: np.ndarray       # X^T X
-    c: np.ndarray       # X^T Y
-    sum_x: np.ndarray   # column sums of X
-    sum_y: np.ndarray
-    sum_y2: np.ndarray  # column sums of Y^2
     n_rows: int
+    mx: np.ndarray    # column means of X
+    my: np.ndarray    # column means of Y
+    Cxx: np.ndarray   # (X - mx)^T (X - mx)
+    Cxy: np.ndarray   # (X - mx)^T (Y - my)
+    Cyy: np.ndarray   # column sums of (Y - my)^2
 
     def __add__(self, other: "RawMoments") -> "RawMoments":
-        return RawMoments(self.G + other.G, self.c + other.c,
-                          self.sum_x + other.sum_x, self.sum_y + other.sum_y,
-                          self.sum_y2 + other.sum_y2, self.n_rows + other.n_rows)
+        n = self.n_rows + other.n_rows
+        w = other.n_rows / max(n, 1)        # other's share of the rows
+        f = self.n_rows * w                 # n_a * n_b / n
+        dx, dy = other.mx - self.mx, other.my - self.my
+        return RawMoments(n, self.mx + w * dx, self.my + w * dy,
+                          self.Cxx + other.Cxx + f * np.outer(dx, dx),
+                          self.Cxy + other.Cxy + f * np.outer(dx, dy),
+                          self.Cyy + other.Cyy + f * dy ** 2)
 
 
 def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
+    """The centered block of (features, targets); ValueError on a non-finite value."""
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if Y.ndim == 1:
@@ -199,37 +209,34 @@ def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
         raise ValueError("features and targets must be 2-D with equal row counts")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite training data")
-    return RawMoments(G=X.T @ X, c=X.T @ Y, sum_x=X.sum(axis=0),
-                      sum_y=Y.sum(axis=0), sum_y2=(Y ** 2).sum(axis=0),
-                      n_rows=X.shape[0])
+    mx, my = (A.sum(axis=0) / max(len(A), 1) for A in (X, Y))
+    Xc, Yc = X - mx, Y - my
+    return RawMoments(len(X), mx, my, Xc.T @ Xc, Xc.T @ Yc, np.sum(Yc * Yc, axis=0))
 
 
 def standardize_moments(raw: RawMoments, standardize: bool = True) -> _Moments:
-    N = raw.n_rows
+    N, mx, my = raw.n_rows, raw.mx, raw.my
     if not standardize:
-        const = np.diag(raw.G) <= 0.0  # all-zero columns carry nothing
-        return _Moments(G=raw.G, c=raw.c, yty=raw.sum_y2, n_rows=N,
-                        std=Standardization.identity(*raw.c.shape), const_cols=const)
-    mx = raw.sum_x / N
-    var = np.maximum(np.diag(raw.G) / N - mx ** 2, 0.0)
+        G = raw.Cxx + N * np.outer(mx, mx)
+        const = np.diag(G) <= 0.0  # all-zero columns carry nothing
+        std = Standardization(np.zeros_like(mx), np.ones_like(mx), np.zeros_like(my),
+                              np.ones_like(my))
+        return _Moments(G=G, c=raw.Cxy + N * np.outer(mx, my), yty=raw.Cyy + N * my ** 2,
+                        n_rows=N, std=std, const_cols=const)
+    var = np.diag(raw.Cxx) / N
     const = var <= 1e-14 * np.maximum(mx ** 2, 1.0)
     sx = np.where(const, 1.0, np.sqrt(var))
-    my = raw.sum_y / N
-    vy = np.maximum(raw.sum_y2 / N - my ** 2, 0.0)
-    sy = np.where(vy <= 0.0, 1.0, np.sqrt(vy))
-    Gs = (raw.G - N * np.outer(mx, mx)) / np.outer(sx, sx)
-    cs = (raw.c - N * np.outer(mx, my)) / np.outer(sx, sy)
+    vy = raw.Cyy / N
+    yconst = vy <= 1e-14 * np.maximum(my ** 2, 1.0)
+    sy = np.where(yconst, 1.0, np.sqrt(vy))
+    Gs = raw.Cxx / np.outer(sx, sx)
+    cs = raw.Cxy / np.outer(sx, sy)
     Gs[const, :] = 0.0
     Gs[:, const] = 0.0
     cs[const, :] = 0.0
-    yty = np.where(vy <= 0.0, 0.0, N * np.ones_like(my))
+    yty = np.where(yconst, 0.0, N * np.ones_like(my))
     return _Moments(G=Gs, c=cs, yty=yty, n_rows=N,
                     std=Standardization(mx, sx, my, sy), const_cols=const)
-
-
-def compute_moments(features: np.ndarray, targets: np.ndarray,
-                    standardize: bool = True) -> _Moments:
-    return standardize_moments(raw_moments(features, targets), standardize)
 
 
 def _well_posed(m: _Moments) -> tuple[_Moments, float]:
@@ -350,6 +357,7 @@ class CoefficientModel:
     sweeps: int                        # feature-sign steps, summed over outputs
     objective: float
     ridge: float = 0.0                 # lambda_2 added to the Gram diagonal
+    dt: float | None = None            # the step of the data it was fitted on, when known
     intercept: np.ndarray | None = None  # only when no bias column exists
     W_std: np.ndarray | None = field(default=None, repr=False)  # solver-space solution
 
@@ -378,7 +386,7 @@ def fit_from_moments(m: _Moments, mu: float, *,
                      n_history: int | None = None,
                      penalty_scale: str = "none",
                      w0: np.ndarray | None = None) -> CoefficientModel:
-    """Solve from precomputed Gram moments (the sweep fast path). The
+    """Solve from precomputed Gram moments (as `cmd_train` and the sweeps do). The
     model's `predict` takes raw inputs of the width that `basis` expands
     to the moments' width; `n_history` is only recorded in the model."""
     if mu < 0.0:
@@ -452,7 +460,7 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         The search needed more than MAX_STEPS steps. Carries the KKT
         residual of the point reached.
     """
-    m = compute_moments(features, targets, standardize=standardize)
+    m = standardize_moments(raw_moments(features, targets), standardize)
     return fit_from_moments(m, mu, basis=basis, n_history=n_history,
                             penalty_scale=penalty_scale)
 
@@ -496,7 +504,7 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
 # The model's scalar fields, written to and read from a model file by
 # name, each with a value of the JSON kind that the field must have.
 _SCALARS = {"mu": 0.0, "mu_effective": 0.0, "penalty_scale": "", "n": 1, "sparsity": 0.0,
-            "kkt": 0.0, "sweeps": 0, "objective": 0.0, "ridge": 0.0}
+            "kkt": 0.0, "sweeps": 0, "objective": 0.0, "ridge": 0.0, "dt": 0.0}
 _FORMAT = "throttleid-model-v1"
 
 
@@ -516,9 +524,10 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
 def model_from_json(source: str | Path) -> CoefficientModel:
     """Load a model from a JSON file (a Path) or from JSON text (a str).
 
-    ValueError, naming the key, when a key is missing (a file without `ridge`,
-    written before it was recorded, loads with 0.0), unknown or of the wrong
-    JSON kind (`plant._from_document`; `basis`, `n` and `intercept` may be null),
+    ValueError, naming the key, when a key is missing (a file without `ridge`
+    or `dt`, written before they were recorded, loads with 0.0 or null),
+    unknown or of the wrong JSON kind (`plant._from_document`; `basis`, `n`,
+    `dt` and `intercept` may be null),
     `n_outputs` or `n_coefficients` is negative, a triplet is not three items or
     lies outside K, a vector does not match K's shape, `n` is below 1, or
     `n_inputs` is not the width that the basis expands to K's width."""
@@ -528,8 +537,9 @@ def model_from_json(source: str | Path) -> CoefficientModel:
     layout = dict(_SCALARS, format="", basis=BasisSpec(), n_inputs=0, n_outputs=0,
                   n_coefficients=0, standardization=Standardization(*[(0.0,)] * 4),
                   intercept=(0.0,), K_triplets=((0.0,),))
-    layout.update((key, None) for key in ("basis", "n", "intercept") if d.get(key, 0) is None)
-    doc = _from_document(SimpleNamespace(**layout), {"ridge": 0.0, **d}, "model", complete=True)
+    d = {"ridge": 0.0, "dt": None, **d}
+    layout.update((k, None) for k in ("basis", "n", "dt", "intercept") if d.get(k, 0) is None)
+    doc = _from_document(SimpleNamespace(**layout), d, "model", complete=True)
     if doc.n is not None and doc.n < 1:
         raise ValueError(f"model key 'n' must be null or an integer >= 1, got {doc.n!r}")
     n_out, n_coef = doc.n_outputs, doc.n_coefficients
@@ -565,7 +575,7 @@ def model_from_json(source: str | Path) -> CoefficientModel:
 
 __all__ = [
     "BasisSpec", "Standardization", "CoefficientModel", "ConvergenceError",
-    "expand", "soft_threshold", "compute_moments", "kkt_residual",
+    "expand", "soft_threshold", "raw_moments", "kkt_residual",
     "fit_from_moments", "fit_lasso", "predict", "predict_expanded", "rmse",
-    "model_to_json", "model_from_json",
+    "model_to_json", "model_from_json", "RawMoments", "standardize_moments",
 ]

@@ -117,7 +117,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     Parameters
     ----------
     model : CoefficientModel
-        Must carry its history length n.
+        Must carry its history length n, and the trace's step if any.
     trace : CommandTrace
         Commands to replay; must be longer than n samples.
     warmup : PlantTrajectory
@@ -135,6 +135,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     n = model.n
     if n is None:
         raise ValueError("model carries no history length; cannot roll out")
+    if model.dt is not None and model.dt != trace.dt:
+        raise ValueError(f"model fitted at step {model.dt} s cannot roll out a trace "
+                         f"at step {trace.dt} s")
     L = len(trace) + 1
     if L <= n:
         raise ValueError(f"trace too short ({L} rows) for history n={n}")
@@ -184,7 +187,8 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     out_rows = pairs.reshape(L, k * _WIDTH)[:, k * _TO:k * (_LAM + 1)]
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
-        np.take(windows[t - n], take, out=row)
+        # "clip": the index is in range, and the default "raise" buffers `out`
+        np.take(windows[t - n], take, out=row, mode="clip")
         if expand_rest:
             _expand_linear(phi, p, basis)
         y = raw_rows[t]

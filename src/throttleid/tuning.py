@@ -13,17 +13,17 @@ Both sweeps run on `parallel.fork_map`, `sweep_history` one history
 length per task (assembling its rows there) and `sweep_mu` one fold per
 task, so a report does not depend on the number of usable CPUs and the
 error raised is that of the first failing (grid point, fold) in serial
-order. Each fold's moments are taken once, from its test rows, and a
-fold's training moments add up the other folds' (`_training_moments`).
-Every fold fit runs in one warm-started loop (`_fit_fold`) that
-certifies its KKT residual. A task scores all of its fits with one
-product of the expanded features (`_fold_scores`): a history length its
-k folds, a fold its whole mu path.
+order. No design matrix is built whole: each fold's moments are taken
+once, as the centered block (`regression.RawMoments`) of its test rows,
+which the task that takes it expands. Every fold fit runs in one
+warm-started loop (`_fit_fold`) on the other folds' blocks merged, and
+is certified by its KKT residual and scored from moments (`_moment_rmse`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,36 +146,19 @@ class SweepReport:
         return write_json({**vars(self), "points": points}, path)
 
 
-def _scaled_rmse(err: np.ndarray) -> float:
-    """Root mean square over outputs of the per-output RMSE of `err`."""
-    per_output = np.sqrt(np.mean(err ** 2, axis=0))
+def _moment_rmse(model: CoefficientModel, block: RawMoments) -> float:
+    """The model's RMSE on the rows that `block` summarizes, each output's
+    scaled by its training target std, then their root mean square. For
+    output j, SSE_j = k_j' Cxx k_j - 2 k_j' Cxy_j + Cyy_j
+    + n (k_j . mx + b_j - my_j)^2, floored at 0. Only this aggregate is
+    accurate from moments (to ~2e-8 relative): P, mf and mo leave
+    residuals ~1e-6 of their std, which the sum cancels, so their own
+    RMSE comes out up to 59% off on the mu path; they weigh ~1e-6 in it."""
+    K, b = model.K, 0.0 if model.intercept is None else model.intercept
+    sse = (np.sum((K @ block.Cxx) * K, axis=1) - 2.0 * np.sum(K * block.Cxy.T, axis=1)
+           + block.Cyy + block.n_rows * (K @ block.mx + b - block.my) ** 2)
+    per_output = np.sqrt(np.maximum(sse, 0.0) / block.n_rows) / model.standardization.y_scale
     return float(np.sqrt(np.mean(per_output ** 2)))
-
-
-def _fold_scores(models: list, phi: np.ndarray, targets: np.ndarray,
-                 folds: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> list[tuple[float, float, float]]:
-    """(train RMSE, test RMSE, sparsity) of each model on its own
-    (train, test) rows, each output's error scaled by the model's
-    train-fold target std.
-
-    One product of the pre-expanded features with every model's K.T
-    side by side serves all models and both folds of each: one pass
-    over phi (145,704 x 153 on the default corpus: ~0.12 s for six
-    models, against ~0.4 s for six products) instead of one per model.
-    Each model's column block, and each row of it, equals the product
-    of that model alone over those rows.
-    """
-    preds = phi @ np.concatenate([model.K.T for model in models], axis=1)
-    width = targets.shape[1]
-    scores = []
-    for i, (model, (train, test)) in enumerate(zip(models, folds)):
-        pred = preds[:, i * width:(i + 1) * width]
-        if model.intercept is not None:
-            pred = pred + model.intercept
-        err = (pred - targets) / model.standardization.y_scale
-        scores.append((_scaled_rmse(err[train]), _scaled_rmse(err[test]), model.sparsity))
-    return scores
 
 
 def _grid_point(value, scores: list[tuple[float, float, float]]) -> GridPoint:
@@ -194,21 +177,22 @@ def _report(kind: str, points: list[GridPoint], cfg: SweepConfig, seed: int) -> 
     return SweepReport(kind=kind, points=points, selected=selected, k=cfg.k, seed=seed)
 
 
-def _training_moments(blocks: list[RawMoments], fold: int) -> RawMoments:
-    """The sum of every fold's block but `fold`'s, in fold order."""
+def _block(dataset: Dataset, basis: BasisSpec, rows: np.ndarray) -> RawMoments:
+    """The moments of the dataset's `rows`, expanded here."""
+    return raw_moments(expand(dataset.inputs[rows], basis), dataset.targets[rows])
+
+
+def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float],
+              basis: BasisSpec, n_history: int, penalty_scale: str) -> list[tuple]:
+    """(train RMSE, test RMSE, sparsity) of `fold`'s fit at each mu of
+    `mus`, descending, each warm-started from the last, on every other
+    fold's block merged in fold order, scored on those and on its own block.
+    A fit that raises, or whose KKT residual exceeds KKT_REL_TOL times its
+    effective mu, raises SweepError(its grid value in `values`, fold)."""
     others = blocks[:fold] + blocks[fold + 1:]
-    return sum(others[1:], start=others[0])
-
-
-def _fit_fold(train: RawMoments, fold: int, values: list, mus: list[float],
-              basis: BasisSpec, n_history: int, penalty_scale: str) -> list[CoefficientModel]:
-    """Fit the training moments `train` of `fold` at each mu of `mus`,
-    descending, each warm-started from the last. A fit that raises, or
-    whose KKT residual exceeds KKT_REL_TOL times its effective mu,
-    raises SweepError(its grid value in `values`, fold)."""
+    train = sum(others[1:], start=others[0])
     moments = standardize_moments(train)
-    w0 = None
-    models = []
+    w0, scores = None, []
     for value, mu in zip(values, mus):
         try:
             model = fit_from_moments(moments, mu, basis=basis, n_history=n_history,
@@ -219,8 +203,9 @@ def _fit_fold(train: RawMoments, fold: int, values: list, mus: list[float],
             raise SweepError(value, fold, f"KKT residual {model.kkt:.3e} above "
                              f"{KKT_REL_TOL:g} x mu_effective {model.mu_effective:.3e}")
         w0 = model.W_std
-        models.append(model)
-    return models
+        scores.append((_moment_rmse(model, train), _moment_rmse(model, blocks[fold]),
+                       model.sparsity))
+    return scores
 
 
 def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
@@ -236,13 +221,10 @@ def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
 
     def history_point(n) -> GridPoint:
         ds = merge([assemble(tr, n) for tr in trajectories])
-        phi = expand(ds.inputs, basis)
-        folds = kfold_indices(len(ds), cfg.k, seed)
-        blocks = [raw_moments(phi[test], ds.targets[test]) for _, test in folds]
-        models = [_fit_fold(_training_moments(blocks, fold), fold, [n], [HISTORY_MU], basis,
-                            ds.n, HISTORY_PENALTY_SCALE)[0]
-                  for fold in range(len(folds))]
-        return _grid_point(int(n), _fold_scores(models, phi, ds.targets, folds))
+        blocks = [_block(ds, basis, test) for _, test in kfold_indices(len(ds), cfg.k, seed)]
+        return _grid_point(int(n), [
+            _fit_fold(blocks, fold, [n], [HISTORY_MU], basis, ds.n, HISTORY_PENALTY_SCALE)[0]
+            for fold in range(cfg.k)])
 
     return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg, seed)
 
@@ -258,18 +240,11 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     their blocks, the next runs their paths, each sequential.
     """
     basis = basis or BasisSpec()
-    phi = expand(dataset.inputs, basis)
     mu_desc = sorted(cfg.mu_grid, reverse=True)
-    folds = kfold_indices(len(dataset), cfg.k, seed)
-    tests = [test for _, test in folds]
-    blocks = list(fork_map(lambda test: raw_moments(phi[test], dataset.targets[test]), tests))
-
-    def fold_path(fold: int) -> list[tuple[float, float, float]]:
-        models = _fit_fold(_training_moments(blocks, fold), fold, mu_desc, mu_desc, basis,
-                           dataset.n, PENALTY_SCALE)
-        return _fold_scores(models, phi, dataset.targets, [folds[fold]] * len(models))
-
-    paths = list(fork_map(fold_path, range(len(folds))))
+    tests = [test for _, test in kfold_indices(len(dataset), cfg.k, seed)]
+    blocks = list(fork_map(partial(_block, dataset, basis), tests))
+    paths = list(fork_map(lambda fold: _fit_fold(blocks, fold, mu_desc, mu_desc, basis,
+                                                 dataset.n, PENALTY_SCALE), range(cfg.k)))
     return _report("mu", [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
                           for mu in cfg.mu_grid], cfg, seed)
 

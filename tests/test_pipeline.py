@@ -198,6 +198,16 @@ class TestValidate:
             assert report["diverged_at"] is None
             assert (out / "validation" / f"{name}_timeseries.csv").exists()
 
+    def test_model_step_checked(self, run_dir, tmp_path):
+        # the model records the plant step it was trained at, and the
+        # suite refuses to roll it out at another
+        src, cfg = run_dir
+        assert model_from_json(src / "model.json").dt == cfg.plant.dt == 0.01
+        cfg = replace(cfg, plant=PlantConfig(dt=0.02), output_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="model fitted at step 0.01 s cannot roll out "
+                                             "a trace at step 0.02 s"):
+            cmd_validate(cfg, model_path=src / "model.json")
+
     def test_divergence_recorded_and_suite_continues(self, run_dir, tmp_path):
         # an infinite coefficient makes the first predicted step non-finite
         out, _ = run_dir
@@ -256,7 +266,7 @@ class TestArtifactKeys:
              "sparsity", "kkt", "ridge", "sweeps"}
     MODEL = {"format", "basis", "mu", "mu_effective", "penalty_scale", "n", "n_inputs",
              "n_outputs", "n_coefficients", "sparsity", "kkt", "sweeps", "objective", "ridge",
-             "standardization", "intercept", "K_triplets"}
+             "dt", "standardization", "intercept", "K_triplets"}
 
     def test_key_sets(self, run_dir, tmp_path):
         src, cfg = run_dir

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import throttleid.regression as regression_mod
-from throttleid.regression import (BasisSpec, ConvergenceError, compute_moments,
-                                   expand, fit_from_moments, fit_lasso,
-                                   kkt_residual, model_from_json, model_to_json,
-                                   predict, rmse, soft_threshold)
+from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_from_moments,
+                                   fit_lasso, kkt_residual, model_from_json, model_to_json,
+                                   predict, raw_moments, rmse, soft_threshold,
+                                   standardize_moments)
 
 
 @pytest.fixture
@@ -235,7 +235,7 @@ class TestPredict:
         X = rng.standard_normal((120, 3))
         Y = np.column_stack([X[:, 0] - 0.5 * X[:, 1] ** 2, X[:, 2]])
         Phi = expand(X, basis)
-        model = fit_from_moments(compute_moments(Phi, Y), 1e-3, basis=basis)
+        model = fit_from_moments(standardize_moments(raw_moments(Phi, Y)), 1e-3, basis=basis)
         assert model.n_inputs == 3
         assert np.array_equal(predict(model, X), predict(fit_lasso(Phi, Y, 1e-3, basis=basis), X))
 
@@ -247,7 +247,7 @@ class TestPredict:
         Y = rng.standard_normal((200, 3)) * np.array([1.0, 50.0, 2e4])
         Phi = expand(X, basis)
         model = fit_lasso(Phi, Y, 0.05, basis=basis, penalty_scale="rows")
-        m = compute_moments(Phi, Y, standardize=True)
+        m = standardize_moments(raw_moments(Phi, Y))
         phis = (Phi - m.std.x_mean) / m.std.x_scale
         ys = phis @ model.W_std * m.std.y_scale + m.std.y_mean
         np.testing.assert_allclose(predict(model, X), ys, rtol=1e-10, atol=1e-8)
@@ -258,7 +258,7 @@ class TestWarmStart:
         X = rng.standard_normal((250, 18))
         y = X @ (rng.standard_normal((18, 2)) * (rng.random((18, 2)) > 0.5))
         y += 0.05 * rng.standard_normal(y.shape)
-        m = compute_moments(X, y, standardize=True)
+        m = standardize_moments(raw_moments(X, y))
         cold = fit_from_moments(m, 1e-2, penalty_scale="rows")
         hot_seed = fit_from_moments(m, 3e-2, penalty_scale="rows")
         warm = fit_from_moments(m, 1e-2, penalty_scale="rows", w0=hot_seed.W_std)
@@ -442,6 +442,19 @@ class TestPersistence:
         del d["ridge"]
         assert model_from_json(json.dumps(d)).ridge == 0.0
 
+    def test_step_recorded(self):
+        # a model file records the step of its data; one written before
+        # the step was recorded loads with none
+        gen = np.random.default_rng(1)
+        X = gen.standard_normal((100, 6))
+        model = fit_lasso(X, X[:, :2] + 1.0, 1.0)
+        assert model.dt is None
+        model.dt = 0.01
+        d = json.loads(model_to_json(model))
+        assert model_from_json(json.dumps(d)).dt == 0.01
+        del d["dt"]
+        assert model_from_json(json.dumps(d)).dt is None
+
     def test_path_given_as_str_explained(self, tmp_path):
         # a str is JSON text, so a file name passed as one is not read
         with pytest.raises(ValueError, match="a str is read as JSON text.*pass a file as a Path"):
@@ -454,17 +467,45 @@ class TestPersistence:
             fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec())
 
 
+class TestRawMoments:
+    def test_merged_blocks_match_one_pass(self, rng):
+        # columns whose means are far above their spread, cut into blocks
+        # of uneven sizes, one of them empty, merged left to right
+        X = 30.0 + rng.standard_normal((1000, 6)) * [1.0, 1e-2, 1.0, 5.0, 1.0, 0.0]
+        Y = X[:, :3] @ rng.standard_normal((3, 2)) + 100.0 + rng.standard_normal((1000, 2))
+        cuts = [0, 1, 250, 250, 600, 1000]
+        blocks = [raw_moments(X[a:b], Y[a:b]) for a, b in zip(cuts, cuts[1:])]
+        merged, whole = sum(blocks[1:], start=blocks[0]), raw_moments(X, Y)
+        assert merged.n_rows == whole.n_rows == 1000
+        for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
+            ref = getattr(whole, name)
+            np.testing.assert_allclose(getattr(merged, name), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    def test_empty_block_merges_exactly(self, rng):
+        X, Y = rng.standard_normal((40, 3)) + 5.0, rng.standard_normal((40, 2))
+        block, empty = raw_moments(X, Y), raw_moments(X[:0], Y[:0])
+        for merged in (block + empty, empty + block):
+            assert merged.n_rows == 40
+            for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
+                assert np.array_equal(getattr(merged, name), getattr(block, name))
+
+
 class TestStandardization:
     def test_constant_columns_scale_one(self, rng):
         X = np.column_stack([np.ones(50), np.full(50, 7.0),
                              rng.standard_normal(50)])
-        m = compute_moments(X, rng.standard_normal((50, 1)), standardize=True)
+        # a constant target's centered sum of squares can be a rounding
+        # residue (~1e-32 for 0.1 over 50 rows), which must not scale it
+        Y = np.column_stack([rng.standard_normal(50), np.full(50, 0.1)])
+        m = standardize_moments(raw_moments(X, Y))
         assert m.std.x_scale[0] == 1.0 and m.std.x_scale[1] == 1.0
         assert m.const_cols[0] and m.const_cols[1] and not m.const_cols[2]
+        assert m.std.y_scale[1] == 1.0 and m.yty[1] == 0.0
 
     def test_kkt_residual_zero_for_exact_solution(self, rng):
         X = rng.standard_normal((100, 5))
         y = X @ np.ones((5, 1))
-        m = compute_moments(X, y, standardize=False)
+        m = standardize_moments(raw_moments(X, y), standardize=False)
         W = np.ones((5, 1))
         assert kkt_residual(W, m, 0.0) < 1e-9

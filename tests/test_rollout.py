@@ -1,6 +1,7 @@
 """Autoregressive rollout: warm-up, clamps, windows, compounding."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,14 @@ class TestRollout:
         assert raw_head.tobytes() == raw.tobytes()
         for name in ("commands", "status", "thrusts", "pressures", "m_fuel", "m_ox"):
             assert getattr(pred_head, name).tobytes() == getattr(pred, name).tobytes()
+
+    def test_step_mismatch_rejected(self, small_model, stair_pair):
+        # a model records the step it was fitted at; a trace at another is refused
+        trace, truth = stair_pair
+        with pytest.raises(ValueError, match=f"model fitted at step {2 * trace.dt} s cannot "
+                                             f"roll out a trace at step {trace.dt} s"):
+            rollout(replace(small_model, dt=2 * trace.dt), trace, truth)
+        assert len(rollout(replace(small_model, dt=trace.dt), trace, truth)) == len(truth)
 
     def test_divergence_detected(self, small_model, stair_pair):
         trace, truth = stair_pair

@@ -14,8 +14,7 @@ import pytest
 from conftest import ar2_trajectory, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices
-from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_lasso,
-                                   predict_expanded, raw_moments)
+from throttleid.regression import BasisSpec, ConvergenceError, expand, raw_moments
 from throttleid.tuning import (GridPoint, SweepConfig, SweepError, SweepReport,
                                pareto_table, pareto_to_csv, sweep_history, sweep_mu)
 
@@ -316,56 +315,52 @@ class TestFoldMoments:
         sweep_history([ar2_traj], small_cfg(n_grid=(2, 3), k=3))
         assert rows.value == len(assemble(ar2_traj, 2)) + len(assemble(ar2_traj, 3))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_row_expanded_once(self, ds, monkeypatch, cpus):
+        # each fold's block task expands its own rows, counted in shared
+        # memory whichever process expands them; with workers, the caller
+        # expands none
+        usable_cpus(monkeypatch, cpus)
+        real, caller = tuning_mod.expand, os.getpid()
+        rows, in_caller = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+
+        def counted(x, basis):
+            with rows.get_lock():
+                rows.value += len(x)
+                in_caller.value += len(x) if os.getpid() == caller else 0
+            return real(x, basis)
+
+        monkeypatch.setattr(tuning_mod, "expand", counted)
+        sweep_mu(ds, small_cfg(k=3, mu_grid=(1e-3,)))
+        assert rows.value == len(ds)
+        assert in_caller.value == (len(ds) if cpus == 1 else 0)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_training_moments_sum_other_folds(self, ds, monkeypatch, k):
         # at k=2 a fold's training moments are the other fold's block,
-        # bitwise those of its training rows; at k=3 a sum of two blocks,
-        # equal to them up to rounding
+        # bitwise those of its training rows; at k=3 two blocks merged,
+        # equal to them up to rounding. On one CPU the folds run in order.
         usable_cpus(monkeypatch, 1)
-        real_fit, seen = tuning_mod._fit_fold, {}
+        real, seen = tuning_mod.standardize_moments, []
 
-        def recorded(train, fold, *a):
-            seen[fold] = train
-            return real_fit(train, fold, *a)
+        def recorded(train):
+            seen.append(train)
+            return real(train)
 
-        monkeypatch.setattr(tuning_mod, "_fit_fold", recorded)
+        monkeypatch.setattr(tuning_mod, "standardize_moments", recorded)
         sweep_mu(ds, small_cfg(k=k, mu_grid=(1e-3,)))
         phi = expand(ds.inputs, BasisSpec())
+        assert len(seen) == k
         for fold, (train, _) in enumerate(kfold_indices(len(ds), k, 0)):
             want = raw_moments(phi[train], ds.targets[train])
             assert seen[fold].n_rows == want.n_rows == len(train)
-            for name in ("G", "c", "sum_x", "sum_y", "sum_y2"):
+            for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
                 got, ref = getattr(seen[fold], name), getattr(want, name)
                 if k == 2:
                     assert got.tobytes() == ref.tobytes()
                 else:
-                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
-
-
-class TestFoldScores:
-    def test_stacked_equals_one_at_a_time(self, ds):
-        # models of several fits side by side, one with a separate
-        # intercept, each scored on its own folds
-        basis = BasisSpec()
-        phi = expand(ds.inputs, basis)
-        folds = kfold_indices(len(ds), 3, 0)
-        models = [fit_lasso(phi[train], ds.targets[train], mu, basis=basis,
-                            penalty_scale="sqrt-rows")
-                  for (train, _), mu in zip(folds, (1e-4, 1e-3, 1e-2))]
-        K = models[0].K.copy()
-        models.append(replace(models[0], K=np.column_stack([np.zeros(len(K)), K[:, 1:]]),
-                              intercept=K[:, 0] + 0.5))
-        folds.append(folds[1])
-        assert models[-1].intercept is not None and models[0].intercept is None
-
-        def one_at_a_time(model, train, test):
-            err = (predict_expanded(model, phi) - ds.targets) / model.standardization.y_scale
-            return (tuning_mod._scaled_rmse(err[train]), tuning_mod._scaled_rmse(err[test]),
-                    model.sparsity)
-
-        stacked = tuning_mod._fold_scores(models, phi, ds.targets, folds)
-        assert stacked == [one_at_a_time(m, *f) for m, f in zip(models, folds)]
-        assert tuning_mod._fold_scores(models[1:2], phi, ds.targets, folds[1:2]) == stacked[1:2]
+                    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                               atol=1e-12 * np.abs(ref).max())
 
 
 class TestPareto:
