@@ -21,19 +21,12 @@ A forked child never forks: a fork map called inside a child's task
 runs its own tasks in that child. So a task that writes a CSV formats
 its blocks itself, while the other CPUs run other tasks. A task that
 the caller runs itself (a map of one task, or one usable CPU) may fork.
-
-Tasks may write into arrays made by `shared_array` before the map
-starts: the children are forked after them, so they write into the
-caller's pages in place, each task into its own part.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 
 def _serve(fn, tasks: Sequence, order: Sequence[int], state, claimed, w: int, conn) -> None:
@@ -148,18 +141,4 @@ def fork_map(fn: Callable, tasks: Sequence, key: Callable | None = None) -> Iter
             proc.join()
 
 
-def shared_array(shape) -> np.ndarray:
-    """A zeroed float64 array of `shape` on an anonymous shared mapping.
-
-    Fork-map children forked after it is made write into it in place,
-    and the caller sees what they wrote once their results are in. The
-    mapping takes at least one byte, so an empty shape is allowed.
-    """
-    import mmap  # here, so importing the package does not pay for it
-
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * count, 1))
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
-
-
-__all__ = ["fork_map", "shared_array"]
+__all__ = ["fork_map"]

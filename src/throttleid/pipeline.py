@@ -18,12 +18,12 @@ import numpy as np
 
 from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
-from .features import TARGET_NAMES, HistorySpec, assemble, input_width, merge
-from .parallel import fork_map, shared_array
+from .features import TARGET_NAMES, HistorySpec, assemble, merge
+from .parallel import fork_map
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
                     _from_document, read_json, simulate, write_json)
 from .regression import (BasisSpec, CoefficientModel, RawMoments, expand, fit_from_moments,
-                         model_from_json, model_to_json, predict_expanded, raw_moments, rmse,
+                         model_from_json, model_to_json, predict, raw_moments,
                          standardize_moments)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
@@ -164,16 +164,21 @@ def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[Pla
     return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir, dt)))
 
 
-def _train_rows(history: HistorySpec, basis: BasisSpec, phi: np.ndarray,
-                targets: np.ndarray, job: tuple[str, Path, int, float, int]) -> RawMoments:
-    """One `cmd_train` task: read a trace's trajectory CSV, checked against the
-    manifest, assemble and expand it, write its rows into phi and targets
-    from row `lo` on, and return their moments."""
-    *file, lo = job
-    ds = assemble(_read_trajectory(*file), history)
-    rows = slice(lo, lo + len(ds))
-    phi[rows], targets[rows] = expand(ds.inputs, basis), ds.targets
-    return raw_moments(phi[rows], ds.targets)
+def _train_rows(history: HistorySpec, basis: BasisSpec,
+                job: tuple[str, Path, int, float]) -> tuple[RawMoments, PlantTrajectory]:
+    """One first-pass `cmd_train` task: read a trace's trajectory CSV, checked
+    against the manifest, assemble and expand it, and return the centered
+    moments of its rows with the trajectory."""
+    traj = _read_trajectory(*job)
+    ds = assemble(traj, history)
+    return raw_moments(expand(ds.inputs, basis), ds.targets), traj
+
+
+def _train_errors(model: CoefficientModel, traj: PlantTrajectory) -> np.ndarray:
+    """One second-pass `cmd_train` task: each output's sum of squared errors
+    of `predict` over a trajectory's rows, assembled at the model's n."""
+    ds = assemble(traj, model.n)
+    return np.sum((predict(model, ds.inputs) - ds.targets) ** 2, axis=0)
 
 
 def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
@@ -181,37 +186,36 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     fit the coefficient model at the configured mu, scaled as the mu
     sweep scales it (PENALTY_SCALE).
 
-    Each trace is one `fork_map` task, claimed longest first, that reads,
-    assembles and expands it, writes its rows into its row range of the
-    design matrix and targets (`shared_array`s sized from the manifest, in
-    corpus order) and returns their centered moments. The fit is made from
-    those blocks merged in corpus order; the matrices serve the report's
-    train RMSE. The error raised is that of the first failing trace in
-    corpus order. The model records the plant step, which `rollout` checks.
+    Two `fork_map` passes, one task per trace, claimed longest first. A
+    first-pass task reads, assembles and expands its trace and returns
+    the centered moments of its rows with the trajectory; the model is
+    fitted from those blocks merged in corpus order. A second-pass task
+    re-assembles one trajectory and returns each output's sum of squared
+    errors under the model, which the caller adds in corpus order for
+    the report's train RMSE. No process holds the design matrix of more
+    than one trace. The error raised is that of the first failing trace
+    in corpus order. The model records the plant step, which `rollout`
+    checks.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
-    n = cfg.history.n
-    jobs, total = [], 0
-    for file in _trajectory_files(data_dir or out, cfg.plant.dt):
-        jobs.append((*file, total))
-        total += max(file[2] - n, 0)
-    phi = shared_array((total, cfg.basis.width(input_width(n))))
-    targets = shared_array((total, len(TARGET_NAMES)))
-    blocks = list(fork_map(partial(_train_rows, cfg.history, cfg.basis, phi, targets), jobs,
-                           key=lambda job: job[2]))
-    model = fit_from_moments(standardize_moments(sum(blocks[1:], start=blocks[0])),
-                             cfg.train_mu, basis=cfg.basis, n_history=n,
-                             penalty_scale=PENALTY_SCALE)
+    blocks, trajs = zip(*fork_map(partial(_train_rows, cfg.history, cfg.basis),
+                                  _trajectory_files(data_dir or out, cfg.plant.dt),
+                                  key=lambda job: job[2]))
+    moments = sum(blocks[1:], start=blocks[0])
+    model = fit_from_moments(standardize_moments(moments), cfg.train_mu, basis=cfg.basis,
+                             n_history=cfg.history.n, penalty_scale=PENALTY_SCALE)
     model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")
-    per_output, aggregate = rmse(predict_expanded(model, phi), targets)
+    sse = sum(fork_map(partial(_train_errors, model), trajs, key=len))
+    per_output = np.sqrt(sse / moments.n_rows)
+    aggregate = float(np.sqrt(np.mean(per_output ** 2)))
     report = {name: getattr(model, name)
               for name in ("n", "mu", "penalty_scale", "sparsity", "kkt", "ridge", "sweeps")}
-    report.update(rows=total, train_rmse=dict(zip(TARGET_NAMES, per_output.tolist())),
+    report.update(rows=moments.n_rows, train_rmse=dict(zip(TARGET_NAMES, per_output.tolist())),
                   train_rmse_aggregate=aggregate)
     write_json(report, out / "train_report.json")
-    print(f"train: {total} rows, sparsity {model.sparsity:.3f}, "
+    print(f"train: {moments.n_rows} rows, sparsity {model.sparsity:.3f}, "
           f"aggregate RMSE {aggregate:.4g}")
     return model
 

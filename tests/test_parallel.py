@@ -1,5 +1,4 @@
-"""The fork map: task order, claim order, nesting, errors, early close and
-shared arrays."""
+"""The fork map: task order, claim order, nesting, errors and early close."""
 
 import multiprocessing
 import os
@@ -9,7 +8,7 @@ import signal
 import pytest
 
 from conftest import two_at_once, usable_cpus
-from throttleid.parallel import fork_map, shared_array
+from throttleid.parallel import fork_map
 from throttleid.plant import PropellantDepletedError
 from throttleid.rollout import RolloutDivergenceError
 
@@ -255,22 +254,3 @@ def test_early_close_stops_workers(monkeypatch):
     assert next(results) == 0
     results.close()
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_tasks_write_shared_array(monkeypatch, cpus):
-    # at 2 CPUs the two tasks run at once in two children, each writing
-    # its row into the caller's pages; at 1 both run in the caller
-    usable_cpus(monkeypatch, cpus)
-    meet = two_at_once() if cpus == 2 else lambda: None
-    rows = shared_array((3, 2))
-
-    def task(i):
-        meet()
-        rows[i] = [i + 1.0, -(i + 1.0)]
-        return os.getpid()
-
-    pids = list(fork_map(task, range(2)))
-    assert rows.tolist() == [[1.0, -1.0], [2.0, -2.0], [0.0, 0.0]]
-    assert (os.getpid() in pids) == (cpus == 1)
-    assert shared_array((0, 5)).shape == (0, 5)

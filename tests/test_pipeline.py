@@ -17,12 +17,12 @@ from conftest import reduced_pipeline_config as tiny_config
 from conftest import usable_cpus
 from throttleid.cli import _load_config, _parser
 from throttleid.excitation import ExcitationConfig
-from throttleid.features import HistorySpec
+from throttleid.features import TARGET_NAMES, HistorySpec, assemble, merge
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
 from throttleid.plant import PlantConfig, PlantTrajectory
-from throttleid.regression import BasisSpec, model_from_json, model_to_json
+from throttleid.regression import BasisSpec, model_from_json, model_to_json, predict, rmse
 from throttleid.tuning import SweepConfig
 
 
@@ -111,6 +111,23 @@ class TestTrain:
         report = json.loads((out / "train_report.json").read_text())
         assert 0.0 <= report["sparsity"] <= 1.0
         assert report["rows"] > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_report_matches_direct_prediction(self, run_dir, tmp_path, monkeypatch, cpus):
+        # the per-trace error sums of the second pass give the RMSE of one
+        # prediction over the merged corpus dataset
+        src, cfg = run_dir
+        out = tmp_path / "train"
+        usable_cpus(monkeypatch, cpus)
+        cmd_train(replace(cfg, output_dir=str(out)), data_dir=src)
+        report = json.loads((out / "train_report.json").read_text())
+        ds = merge([assemble(t, cfg.history) for t in load_trajectories(src)])
+        per_output, aggregate = rmse(predict(model_from_json(out / "model.json"), ds.inputs),
+                                     ds.targets)
+        assert report["rows"] == len(ds)
+        assert report["train_rmse"] == pytest.approx(
+            dict(zip(TARGET_NAMES, per_output.tolist())), rel=1e-12, abs=0.0)
+        assert report["train_rmse_aggregate"] == pytest.approx(aggregate, rel=1e-12, abs=0.0)
 
     def test_missing_data_raises(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "empty"))
@@ -306,8 +323,8 @@ class TestReproducibility:
 
     def test_artifacts_independent_of_cpu_count(self, tmp_path, monkeypatch):
         # at 2 and 3 usable CPUs rollouts, plant responses, corpus traces
-        # and the training rows run in forked workers, each in whichever
-        # one claims it
+        # and both training passes (per-trace moments, then per-trace
+        # errors) run in forked workers, each task in whichever one claims it
         hashes = {}
         for cpus in (1, 2, 3):
             usable_cpus(monkeypatch, cpus)

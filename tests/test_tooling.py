@@ -7,7 +7,8 @@ Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind,
 and so is every name that a demo imports from the package.
 A cold `import throttleid`, which the benchmark times, must not load
-the modules that only the fork map and `shared_array` need. Artifact
+`multiprocessing`, which only the fork map needs, nor `mmap`, which no
+module imports: fork-map tasks pass data back only as results. Artifact
 JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
 `plant._fits` and `plant._from_document`, defined nowhere else.
@@ -43,7 +44,7 @@ def _spans():
 
 def test_import_skips_process_and_mmap_modules():
     # perfbench's setup_s includes a cold `import throttleid`; the fork
-    # map and `shared_array` import these when first called
+    # map imports multiprocessing when first called, and nothing imports mmap
     src = str(Path(throttleid.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -52,6 +53,20 @@ def test_import_skips_process_and_mmap_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_mmap():
+    # fork-map tasks send their data back as results, so no module maps
+    # memory that forked children write into
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    importers = {path.name for path in Path(throttleid.__file__).parent.rglob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if any(name.split(".")[0] == "mmap" for name in imported(node))}
+    assert importers == set()
 
 
 def test_span_tracer_installs_and_uninstalls():
