@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from throttleid import (BasisSpec, ExcitationConfig, HistorySpec, PlantConfig,
-                        assemble, build_corpus, expand, fit_lasso, merge,
-                        model_to_json, predict, rmse, simulate)
+from throttleid import (BasisSpec, ExcitationConfig, PlantConfig, assemble,
+                        build_corpus, expand, fit_lasso, merge, model_to_json,
+                        predict, rmse, simulate)
 from throttleid.features import feature_names
 
 OUT = Path(__file__).parent / "output"
@@ -22,10 +22,10 @@ ex = ExcitationConfig(duration=10.0)
 pc = PlantConfig()
 print("simulating corpus...")
 trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
-n = HistorySpec(6)
+n = 6   # history length
 ds = merge([assemble(t, n) for t in trajs])
 print(f"dataset: {len(ds)} rows x {ds.inputs.shape[1]} features "
-      f"(11n+10 with n={n.n}), 7 targets")
+      f"(11n+10 with n={n}), 7 targets")
 
 basis = BasisSpec()  # elementwise polynomial, degree 2
 Phi = expand(ds.inputs, basis)
@@ -35,7 +35,7 @@ print(f"{'mu':>8s} {'sparsity':>9s} {'thrust RMSE':>12s} {'mass RMSE':>10s} "
       f"{'steps':>6s} {'KKT':>8s}")
 models = {}
 for mu in (0.0, 1e-5, 1e-4, 1e-3):
-    model = fit_lasso(Phi, ds.targets, mu, basis=basis, n_history=n.n,
+    model = fit_lasso(Phi, ds.targets, mu, basis=basis, n_history=n,
                       penalty_scale="sqrt-rows")
     per, _ = rmse(predict(model, ds.inputs), ds.targets)
     print(f"{mu:8.0e} {model.sparsity:9.3f} {np.mean(per[:4]):10.3f} N "
@@ -46,7 +46,7 @@ for mu in (0.0, 1e-5, 1e-4, 1e-3):
 print(f"ridge lambda_2 = {model.ridge:.3g} (RIDGE x N, N = {len(ds)})")
 
 model = models[1e-4]
-names = ["1"] + feature_names(n.n) + [f"{f}^2" for f in feature_names(n.n)]
+names = ["1"] + feature_names(n) + [f"{f}^2" for f in feature_names(n)]
 w = model.W_std[:, 0]
 top = np.argsort(np.abs(w))[::-1][:8]
 print("\nlargest engine-1 thrust coefficients (standardized):")

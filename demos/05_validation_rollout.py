@@ -1,9 +1,10 @@
 """Autoregressive rollout validation against the plant.
 
 Trains on the reduced corpus, then replays a held-out excitation
-segment, a step-stair, the fall step, and a shortened descent profile,
-feeding the model's own predictions back into its history features.
-Writes plot-ready time series to demos/output/.
+segment, a step-stair and the fall step, feeding the model's own
+predictions back into its history features. Prints the one-step and
+rollout errors, the rollout's thrust error before its clamps, and writes
+plot-ready time series to demos/output/.
 """
 
 from pathlib import Path
@@ -36,18 +37,19 @@ experiments = {
     "fall": step_stair_trace([800, 240], 4.0, pc),
 }
 
-print(f"\n{'experiment':>10s} {'TF max':>8s} {'roll max':>9s} {'transient':>10s} "
-      f"{'steady':>7s} {'mass err':>9s}")
+print(f"\n{'experiment':>10s} {'TF max':>8s} {'roll max':>9s} {'raw max':>8s} "
+      f"{'transient':>10s} {'steady':>7s} {'mass err':>9s}")
 for name, trace in experiments.items():
     truth = simulate(trace, pc)
     tf = teacher_forced_eval(model, truth, cfg=pc)
-    pred = rollout(model, trace, truth)
-    rep = error_windows(truth, pred, experiment=name, cfg=pc)
+    pred, raw = rollout(model, trace, truth)
+    rep = error_windows(truth, pred, experiment=name, cfg=pc, raw=raw)
     print(f"{name:>10s} {tf.max_thrust_err:7.2f}N {rep.max_thrust_err:8.2f}N "
-          f"{np.max(rep.max_err_transient[:4]):9.2f}N "
+          f"{rep.raw_max_thrust_err:7.2f}N {np.max(rep.max_err_transient[:4]):9.2f}N "
           f"{np.max(rep.max_err_steady[:4]):6.2f}N {rep.module_mass_max_err:8.4f}kg")
     timeseries_csv(truth, pred, OUT / f"{name}_timeseries.csv")
 
 print("\n(teacher-forced = one-step errors with true histories; rollout errors")
-print(" compound through the feedback of predicted thrust/pressure/mass)")
+print(" compound through the feedback of predicted thrust/pressure/mass; raw = the")
+print(" rollout's predictions before the thrust floor and mass monotonicity clamps)")
 print(f"wrote time-series CSVs under {OUT}")

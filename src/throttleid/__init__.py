@@ -19,7 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .excitation import (ExcitationConfig, build_corpus, excitation_basis,
                          excitation_segment, ramp_trace, step_stair_trace,
                          thrust_levels)
-from .features import Dataset, HistorySpec, assemble, lambda_feature, merge
+from .features import Dataset, assemble, lambda_feature, merge
 from .plant import (CommandTrace, PlantConfig, PlantState, PlantTrajectory,
                     PropellantDepletedError, module_mass, simulate, step)
 from .pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep, cmd_train,

@@ -46,17 +46,6 @@ LAMBDA_SCALE = 1.0  # c_lambda [kg]
 LAMBDA_EPS = 1.0    # regularizer [kg]; keeps lambda finite at zero ejected mass
 
 
-@dataclass
-class HistorySpec:
-    """Uniform history length (in samples) for all historied features."""
-
-    n: int = 6
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("history length must be >= 1")
-
-
 def input_width(n: int) -> int:
     return 11 * n + 10
 
@@ -177,7 +166,7 @@ def _input_windows(buf: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(buf.reshape(-1), (n + 1) * w)[::w]
 
 
-def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
+def assemble(traj: PlantTrajectory, n: int) -> Dataset:
     """Build the supervised dataset of a single trajectory.
 
     One row per sample t in [n, len); raises if the trajectory is too
@@ -185,7 +174,6 @@ def assemble(traj: PlantTrajectory, spec: HistorySpec | int) -> Dataset:
     negative. Row t's inputs are the gather index applied to the buffer
     rows t-n .. t, and its targets are row t's outputs.
     """
-    n = spec.n if isinstance(spec, HistorySpec) else int(spec)
     if n < 1:
         raise ValueError("history length must be >= 1")
     L = len(traj)
@@ -233,7 +221,7 @@ def kfold_indices(n_rows: int, k: int, seed: int) -> list[tuple[np.ndarray, np.n
 
 
 __all__ = [
-    "HistorySpec", "Dataset", "TARGET_NAMES", "LAMBDA_SCALE", "LAMBDA_EPS",
+    "Dataset", "TARGET_NAMES", "LAMBDA_SCALE", "LAMBDA_EPS",
     "input_width", "lambda_feature", "feature_names",
     "assemble", "build_row", "merge", "kfold_indices",
 ]

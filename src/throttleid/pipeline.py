@@ -18,7 +18,7 @@ import numpy as np
 
 from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
-from .features import TARGET_NAMES, HistorySpec, assemble, merge
+from .features import TARGET_NAMES, assemble, merge
 from .parallel import fork_map
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
                     _from_document, read_json, simulate, write_json)
@@ -40,7 +40,7 @@ class PipelineConfig:
 
     plant: PlantConfig = field(default_factory=PlantConfig)
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
-    history: HistorySpec = field(default_factory=HistorySpec)
+    history: int = 6             # samples of each historied channel in an input row
     basis: BasisSpec = field(default_factory=BasisSpec)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     train_mu: float = 3e-5       # L1 weight for cmd_train (PENALTY_SCALE scaled)
@@ -52,6 +52,8 @@ class PipelineConfig:
             raise ValueError(f"config key 'train_mu' must be >= 0, got {self.train_mu!r}")
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
+        if self.history < 1:
+            raise ValueError(f"config key 'history' must be >= 1, got {self.history!r}")
 
     def to_json(self, path: str | Path | None = None) -> str:
         return write_json(asdict(self), path)
@@ -164,13 +166,13 @@ def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[Pla
     return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir, dt)))
 
 
-def _train_rows(history: HistorySpec, basis: BasisSpec,
+def _train_rows(n: int, basis: BasisSpec,
                 job: tuple[str, Path, int, float]) -> tuple[RawMoments, PlantTrajectory]:
     """One first-pass `cmd_train` task: read a trace's trajectory CSV, checked
     against the manifest, assemble and expand it, and return the centered
     moments of its rows with the trajectory."""
     traj = _read_trajectory(*job)
-    ds = assemble(traj, history)
+    ds = assemble(traj, n)
     return raw_moments(expand(ds.inputs, basis), ds.targets), traj
 
 
@@ -204,7 +206,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
                                   key=lambda job: job[2]))
     moments = sum(blocks[1:], start=blocks[0])
     model = fit_from_moments(standardize_moments(moments), cfg.train_mu, basis=cfg.basis,
-                             n_history=cfg.history.n, penalty_scale=PENALTY_SCALE)
+                             n_history=cfg.history, penalty_scale=PENALTY_SCALE)
     model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")
     sse = sum(fork_map(partial(_train_errors, model), trajs, key=len))
@@ -272,7 +274,7 @@ def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, Coefficient
     head = CommandTrace(dt=trace.dt, commands=trace.commands[:model.n],
                         status=trace.status[:model.n])
     try:
-        return rollout(model, trace, simulate(head, plant_cfg), collect_raw=True)
+        return rollout(model, trace, simulate(head, plant_cfg))
     except RolloutDivergenceError as err:
         return err
 

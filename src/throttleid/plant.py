@@ -12,7 +12,7 @@ Model, per engine:
     - delivered thrust is e_max * valve_pos * sqrt(p_tank / p_reg)
       (square-root feed-pressure coupling), rate-limited by a slew
       bound and floored at zero,
-    - propellant mass flow is thrust / (isp * g0), split between fuel
+    - propellant mass flow is thrust / (isp * G0), split between fuel
       and oxidizer by a fixed mixture ratio.
 
 Feed pressure is the regulated tank pressure minus a droop
@@ -49,6 +49,10 @@ from .parallel import fork_map
 # volume bookkeeping [kg/m^3]. Mass-weighted MMH/NTO estimate; only the
 # slow p_bottle trend depends on it.
 PROPELLANT_DENSITY = 1200.0
+
+# Standard gravity [m/s^2]: converts a specific impulse in seconds into
+# an exhaust velocity.
+G0 = 9.80665
 
 # Rows that the plant kernel and `write_csv` convert at a time. A block
 # is also `write_csv`'s unit of parallel work and of each message a
@@ -189,7 +193,6 @@ class PlantConfig:
     tau_fall: float = 0.15        # valve closing time constant [s]
     slew_limit: float = 4000.0    # thrust rate bound [N/s]
     isp: float = 285.0            # specific impulse [s]
-    g0: float = 9.80665           # standard gravity [m/s^2]
     mixture_ratio: float = 1.65   # oxidizer/fuel mass ratio
     m_module0: float = 600.0      # initial total module mass [kg]
     dt: float = 0.01              # integration step [s]
@@ -198,7 +201,7 @@ class PlantConfig:
         if not (0.0 < self.e_min < self.e_max):
             raise ValueError(f"need 0 < e_min < e_max, got {self.e_min}, {self.e_max}")
         for name in ("p_reg", "p_bottle0", "v_bottle", "droop_coeff", "tau_rise",
-                     "tau_fall", "slew_limit", "isp", "g0", "mixture_ratio", "m_module0", "dt"):
+                     "tau_fall", "slew_limit", "isp", "mixture_ratio", "m_module0", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tau_fall < self.tau_rise:
@@ -206,8 +209,8 @@ class PlantConfig:
 
     @property
     def exhaust_velocity(self) -> float:
-        """isp * g0 [m/s]; total mass flow is thrust / exhaust_velocity."""
-        return self.isp * self.g0
+        """isp * G0 [m/s]; total mass flow is thrust / exhaust_velocity."""
+        return self.isp * G0
 
 
 @dataclass
@@ -310,13 +313,22 @@ class PlantTrajectory:
     @classmethod
     def from_csv(cls, path: str | Path, dt: float, name: str = "") -> "PlantTrajectory":
         """Read a file that `to_csv` wrote at step `dt`; raises ValueError
-        naming the file when its first line is not TRAJECTORY_CSV_HEADER
-        or its `t` column is not 0, dt, 2 dt, ... as `to_csv` writes it."""
+        naming the file when its first line is not TRAJECTORY_CSV_HEADER,
+        a row does not parse, the rows do not hold one value per header
+        column, or its `t` column is not 0, dt, 2 dt, ... as `to_csv`
+        writes it."""
+        width = TRAJECTORY_CSV_HEADER.count(",") + 1
         with open(path) as fh:
             if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
                 raise ValueError(f"{path}: not a trajectory CSV (the first line is not "
                                  f"{TRAJECTORY_CSV_HEADER!r})")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as err:   # a value that is no number, or a row of another length
+                raise ValueError(f"{path}: {err}") from None
+        if not len(data) or data.shape[1] != width:
+            raise ValueError(f"{path}: not a trajectory CSV (no rows of {width} values "
+                             f"after the header)")
         if not np.array_equal(data[:, 0], np.arange(len(data)) * dt):
             raise ValueError(f"{path}: the t column does not step by {dt} s from 0")
         return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9],
@@ -487,7 +499,7 @@ def module_mass(traj: PlantTrajectory, cfg: PlantConfig) -> np.ndarray:
 def steady_state_thrust(commands: np.ndarray, cfg: PlantConfig) -> np.ndarray:
     """Independent fixed-point solution of the steady thrust equations.
 
-    Solves T_j = u_j * sqrt(p/p_reg), p = p_reg - droop * sum(T)/(isp*g0)
+    Solves T_j = u_j * sqrt(p/p_reg), p = p_reg - droop * sum(T)/(isp*G0)
     by fixed-point iteration. Used as a test oracle and for sizing
     profiles; not part of the simulation path.
     """
@@ -504,7 +516,7 @@ def steady_state_thrust(commands: np.ndarray, cfg: PlantConfig) -> np.ndarray:
 
 
 __all__ = [
-    "PROPELLANT_DENSITY", "TRAJECTORY_CSV_HEADER", "PlantConfig", "PlantState",
+    "PROPELLANT_DENSITY", "G0", "TRAJECTORY_CSV_HEADER", "PlantConfig", "PlantState",
     "CommandTrace", "PlantTrajectory", "PropellantDepletedError",
     "initial_state", "step", "simulate", "module_mass", "steady_state_thrust",
     "read_json", "write_json", "write_csv",

@@ -71,8 +71,8 @@ class BasisSpec:
     """Monomial basis descriptor.
 
     kind:
-      - "linear": [1, x]
-      - "elementwise-poly": [1, x, x^2, ..., x^degree] (no cross terms)
+      - "elementwise-poly": [1, x, x^2, ..., x^degree] (no cross terms);
+        degree 1 is the linear basis [1, x]
       - "full-quadratic": [1, x, x_i * x_j for i <= j]
     """
 
@@ -81,15 +81,13 @@ class BasisSpec:
     include_bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("linear", "elementwise-poly", "full-quadratic"):
+        if self.kind not in ("elementwise-poly", "full-quadratic"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
     def width(self, p: int) -> int:
         bias = 1 if self.include_bias else 0
-        if self.kind == "linear":
-            return p + bias
         if self.kind == "elementwise-poly":
             return self.degree * p + bias
         return bias + p + p * (p + 1) // 2
@@ -97,15 +95,12 @@ class BasisSpec:
     def unexpanded_width(self, F: int) -> int:
         """Invert width(): the raw input width that expands to F columns."""
         bias = 1 if self.include_bias else 0
-        if self.kind == "linear":
-            p = F - bias
-        elif self.kind == "elementwise-poly":
+        if self.kind == "elementwise-poly":
             p, rem = divmod(F - bias, self.degree)
             if rem:
                 raise ValueError(f"width {F} is not a {self.kind} expansion")
             return p
-        else:
-            p = int(round((-3 + np.sqrt(9 + 8 * (F - bias))) / 2))
+        p = int(round((-3 + np.sqrt(9 + 8 * (F - bias))) / 2))
         if self.width(p) != F:
             raise ValueError(f"width {F} is not a {self.kind} expansion")
         return p
@@ -407,20 +402,17 @@ def fit_from_moments(m: _Moments, mu: float, *,
     sparsity = float(np.mean(W[penalized] == 0.0)) if penalized.any() else 0.0
 
     # De-standardize: K acts on raw expanded features. The intercept
-    # produced by centering is folded into the bias column when one
-    # exists (its constant value is recorded in x_mean).
+    # produced by centering is folded into the first constant column (a
+    # basis's bias column) when its constant value, recorded in x_mean,
+    # is nonzero; unstandardized moments leave no intercept.
     K = (W * m.std.y_scale[None, :] / m.std.x_scale[:, None]).T
     K[:, m.const_cols] = 0.0
     intercept = None
     offset = m.std.y_mean - K @ m.std.x_mean
     if np.any(np.abs(offset) > 0.0):
-        bias_col = None
-        if basis is not None and basis.include_bias:
-            bias_col = 0
-        elif m.const_cols.any():
-            bias_col = int(np.argmax(m.const_cols))
-        if bias_col is not None and m.std.x_mean[bias_col] != 0.0:
-            K[:, bias_col] += offset / m.std.x_mean[bias_col]
+        const = np.flatnonzero(m.const_cols)
+        if const.size and m.std.x_mean[const[0]] != 0.0:
+            K[:, const[0]] += offset / m.std.x_mean[const[0]]
         else:
             intercept = offset
 
@@ -446,8 +438,7 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         L1 weight; applied as given, or scaled by sqrt(N) or N per
         penalty_scale ("none" | "sqrt-rows" | "rows").
     basis : BasisSpec, optional
-        Recorded in the model so `predict` can expand raw inputs; also
-        identifies the bias column that takes the centering intercept.
+        Recorded in the model so `predict` can expand raw inputs.
     standardize : bool
         Solve in zero-mean/unit-variance coordinates (the production
         path), where constant columns such as the bias carry no penalty.

@@ -13,11 +13,11 @@ made non-decreasing outside the learned map; the pre-clamp predictions
 are kept so raw model error stays measurable.
 
 The input layout is written once, in `features`: the loop keeps every
-channel (and, for the default degree-2 basis, its square) in a
-time-major buffer and reads each step's input row through the gather
-index `assemble` uses. With that basis a step costs one gather, which
-reads the squares too, and one product with the coefficients, each
-written into a preallocated row (see `rollout` for what that takes per step).
+channel and its square in a time-major buffer and reads each step's
+input row through the gather index `assemble` uses. With the default
+degree-2 basis a step costs one gather, which reads the squares too,
+and one product with the coefficients, each written into a
+preallocated row (see `rollout` for what that takes per step).
 
 Every `ValidationReport` comes out of one summary of (rows, 7) truth
 and prediction matrices: `error_windows` summarizes a rollout against
@@ -88,26 +88,23 @@ class ValidationReport:
 
 
 def rollout(model: CoefficientModel, trace: CommandTrace,
-            warmup: PlantTrajectory, *, collect_raw: bool = False):
+            warmup: PlantTrajectory) -> tuple[PlantTrajectory, np.ndarray]:
     """Multi-step prediction of a command trace.
 
-    All channels live in one time-major buffer. Each step gathers its
-    input row from the buffer with one precomputed index
-    (`_gather_index`) straight into the expansion row, applies `@ K.T`
-    to it, and writes the clamped prediction (thrust >= 0, masses
-    non-decreasing) back as the newest history sample. With the default
-    degree-2 elementwise basis the buffer carries each channel's square
-    next to its value and the step writes the sample's squares too, so
-    the gather, read at the value and at the square offsets, fills the
-    whole row: the squares are those `expand` computes (`np.power(x, 2)`
-    is `x * x` bitwise). With no basis or a linear one the gather fills
-    the whole row as well; other bases fill their nonlinear columns
-    from the gathered linear slot (`_expand_linear`), and their buffer
-    holds no squares, which they would never read (carrying them cost
-    poly3 and no-basis rollouts 0.4-1.4 us a step). The expansion row
-    is allocated once per rollout and each prediction is written
-    straight into its row of the raw output, so a step allocates no
-    array data.
+    All channels live in one time-major buffer that carries each value's
+    square beside it. Each step gathers its input row from the buffer
+    with one precomputed index (`_gather_index`) straight into the
+    expansion row, applies `@ K.T` to it, and writes the clamped
+    prediction (thrust >= 0, masses non-decreasing) and its squares back
+    as the newest history sample. With the default degree-2 elementwise
+    basis the gather, read at the value and at the square offsets, fills
+    the whole row: the squares are those `expand` computes
+    (`np.power(x, 2)` is `x * x` bitwise). With no basis or a degree-1
+    one the gather reads the values alone and fills the whole row as
+    well; other bases fill their nonlinear columns from the gathered
+    linear slot (`_expand_linear`). The expansion row is allocated once
+    per rollout and each prediction is written straight into its row of
+    the raw output, so a step allocates no array data.
     At the default n = 6 and degree-2 basis (76 inputs, 153 columns) a
     step costs a gather of 152 values and a product with the
     coefficients, plus the Python-level finiteness check, clamps and
@@ -124,13 +121,11 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         True prefix of at least n samples (normally the plant's own
         response to the same trace); seeds the history buffers and is
         copied verbatim into the first n output samples.
-    collect_raw : bool
-        Also return the (L, 7) pre-clamp predictions (warm-up rows are
-        copied truth).
 
     Returns
     -------
-    PlantTrajectory, or (PlantTrajectory, raw) with collect_raw=True.
+    (PlantTrajectory, raw): the clamped prediction, and the (L, 7)
+    pre-clamp predictions (warm-up rows are copied truth).
     """
     n = model.n
     if n is None:
@@ -147,12 +142,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     predict(model, np.zeros((0, index.size)))   # the model's width checks, once
     basis = model.basis
 
-    # With the default degree-2 basis each channel's square sits beside
-    # its value ([..., 0] the value, [..., 1] the square); other bases
-    # would never read the squares, so their buffer holds values only.
-    squares = basis is not None and basis.kind == "elementwise-poly" and basis.degree == 2
-    k = 2 if squares else 1
-    pairs = np.zeros((L, _WIDTH, k))
+    # Each channel's square sits beside its value: [..., 0] the value,
+    # [..., 1] the square.
+    pairs = np.zeros((L, _WIDTH, 2))
     buf = pairs[..., 0]
     buf[1:, _TR:_TR + 4] = trace.commands
     buf[1:, _SE:_SE + 4] = trace.status
@@ -161,8 +153,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     buf[:n, _MF] = warmup.m_fuel[:n]
     buf[:n, _MO] = warmup.m_ox[:n]
     buf[:n, _LAM] = lambda_feature(buf[:n, _MF], buf[:n, _MO])
-    if squares:
-        np.power(buf, 2, out=pairs[..., 1])
+    np.power(buf, 2, out=pairs[..., 1])
     raw = np.zeros((L, 7))
     raw[:n] = buf[:n, _TO:_MO + 1]
 
@@ -173,18 +164,18 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     # row of `raw`. Each step gathers its input straight into the
     # expansion's linear slot, and with the default basis its squares
     # into the slot after it; the bias column is written once. The
-    # clamped sample and its lambda (with the default basis, and their
-    # squares) go into the buffer's adjacent output and lambda columns
-    # with one assignment.
+    # clamped sample and its lambda, each beside its square, go into the
+    # buffer's adjacent output and lambda columns with one assignment.
     p = index.size
     lo = 0 if basis is None else int(basis.include_bias)
-    take = np.concatenate([2 * index, 2 * index + 1]) if squares else index
+    squares = basis is not None and basis.kind == "elementwise-poly" and basis.degree == 2
+    take = np.concatenate([2 * index, 2 * index + 1]) if squares else 2 * index
     phi = np.empty((1, p if basis is None else basis.width(p)))
     phi[:, :lo] = 1.0
     row = phi[0, lo:lo + take.size]
     expand_rest = phi.shape[1] > lo + take.size   # a basis with columns the gather leaves
     raw_rows = raw.reshape(L, 1, 7)
-    out_rows = pairs.reshape(L, k * _WIDTH)[:, k * _TO:k * (_LAM + 1)]
+    out_rows = pairs.reshape(L, 2 * _WIDTH)[:, 2 * _TO:2 * (_LAM + 1)]
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
     for t in range(n, L):
         # "clip": the index is in range, and the default "raise" buffers `out`
@@ -204,19 +195,16 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
         lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
         # a list converts faster than a tuple
-        if squares:
-            out_rows[t] = [t1, t1 * t1, t2, t2 * t2, t3, t3 * t3, t4, t4 * t4,
-                           pressure, pressure * pressure, mf_prev, mf_prev * mf_prev,
-                           mo_prev, mo_prev * mo_prev, lam, lam * lam]
-        else:
-            out_rows[t] = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
+        out_rows[t] = [t1, t1 * t1, t2, t2 * t2, t3, t3 * t3, t4, t4 * t4,
+                       pressure, pressure * pressure, mf_prev, mf_prev * mf_prev,
+                       mo_prev, mo_prev * mo_prev, lam, lam * lam]
 
     traj = PlantTrajectory(dt=trace.dt, commands=buf[:, _TR:_TR + 4].copy(),
                            status=buf[:, _SE:_SE + 4].copy(),
                            thrusts=buf[:, _TO:_TO + 4].copy(), pressures=buf[:, _P].copy(),
                            m_fuel=buf[:, _MF].copy(), m_ox=buf[:, _MO].copy(),
                            name=(trace.name + "_pred") if trace.name else "pred")
-    return (traj, raw) if collect_raw else traj
+    return traj, raw
 
 
 def _windows(commands: np.ndarray, dt: float,
@@ -281,7 +269,7 @@ def error_windows(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
     every commanded step larger than 1 N; the rest is steady. The module
     mass is cfg.m_module0 - (m_fuel + m_ox), as `plant.module_mass`
     defines it. `raw`, the (L, 7) pre-clamp predictions that `rollout`
-    collects, adds the raw maximum thrust error.
+    returns, adds the raw maximum thrust error.
     """
     if len(traj_true) != len(traj_pred):
         raise ValueError("trajectories are not aligned")
@@ -308,7 +296,7 @@ def teacher_forced_eval(model: CoefficientModel, traj: PlantTrajectory, *,
                       mode="teacher_forced", sparsity=model.sparsity)
 
 
-def descent_profile(dt: float = 0.01) -> CommandTrace:
+def descent_profile(dt: float) -> CommandTrace:
     """Bundled ~1000 s powered-descent command profile.
 
     Synthetic but representative, sized for the default plant so the

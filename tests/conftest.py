@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from throttleid.excitation import ExcitationConfig
-from throttleid.features import HistorySpec
 from throttleid.pipeline import PipelineConfig
 from throttleid.plant import PlantConfig, PlantTrajectory
 from throttleid.regression import BasisSpec
@@ -34,7 +33,7 @@ def reduced_pipeline_config(out_dir: str, seed: int = 0) -> PipelineConfig:
     return PipelineConfig(
         plant=PlantConfig(),
         excitation=ExcitationConfig(m_levels=2, duration=6.0),
-        history=HistorySpec(4),
+        history=4,
         basis=BasisSpec(),
         sweep=SweepConfig(n_grid=(3, 4), mu_grid=(1e-4, 1e-2), k=3),
         output_dir=out_dir,

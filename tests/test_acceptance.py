@@ -153,7 +153,7 @@ class TestCriterion07:
         sine.name = "sine600"
         assert not any(np.isclose(600.0, thrust_levels(EX, PC)))  # held out
         truth = simulate(sine, PC)
-        pred = rollout(default_model, sine, truth)
+        pred, _ = rollout(default_model, sine, truth)
         rep = error_windows(truth, pred, SETTLE, cfg=PC)
         steady_max = float(np.max(rep.max_err_steady[:4]))
         assert steady_max <= 4.0
@@ -172,7 +172,7 @@ class TestCriterion08:
     def test_step_stair_analogue(self, default_model):
         stair = step_stair_trace([400.0, 600.0, 800.0, 600.0, 400.0], 5.0, PC)
         truth = simulate(stair, PC)
-        pred = rollout(default_model, stair, truth)
+        pred, _ = rollout(default_model, stair, truth)
         rep = error_windows(truth, pred, SETTLE, cfg=PC)
         tr = float(np.max(rep.max_err_transient[:4]))
         st = float(np.max(rep.max_err_steady[:4]))
@@ -186,7 +186,7 @@ class TestCriterion09:
     def test_descent_analogue(self, default_model):
         prof = descent_profile(dt=PC.dt)
         truth = simulate(prof, PC)
-        pred = rollout(default_model, prof, truth)
+        pred, _ = rollout(default_model, prof, truth)
         rep = error_windows(truth, pred, SETTLE, cfg=PC)
         per_engine = float(np.max(rep.max_thrust_err_per_engine))
         mass_err = rep.module_mass_max_err

@@ -223,7 +223,7 @@ PIECEWISE_DIGESTS = {
 def test_piecewise_profiles_bitwise():
     traces = [t for t in build_corpus(ExcitationConfig(), PC) if t.name in PIECEWISE_DIGESTS]
     traces += [t for t in validation_traces(PipelineConfig()) if t.name in ("stair", "fall")]
-    traces.append(descent_profile())
+    traces.append(descent_profile(PC.dt))
     zeros = step_stair_trace([0.0, 400.0, -0.0, 800, 0], 1.5, PC)
     assert np.signbit(zeros.commands[300:450]).all() and not zeros.status[300:450].any()
     zeros.name = "signed_zero_stair"

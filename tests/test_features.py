@@ -7,8 +7,8 @@ import pytest
 
 from conftest import ar2_trajectory, reduced_pipeline_config
 from throttleid.excitation import ExcitationConfig, build_corpus, excitation_segment
-from throttleid.features import (HistorySpec, assemble, feature_names, input_width,
-                                 kfold_indices, lambda_feature, merge)
+from throttleid.features import (assemble, feature_names, input_width, kfold_indices,
+                                 lambda_feature, merge)
 from throttleid.pipeline import validation_traces
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 
@@ -76,7 +76,7 @@ class TestLambda:
 class TestAssemble:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_width_law(self, traj, n):
-        ds = assemble(traj, HistorySpec(n))
+        ds = assemble(traj, n)
         assert ds.inputs.shape == (len(traj) - n, 11 * n + 10)
         assert ds.targets.shape == (len(traj) - n, 7)
         assert len(feature_names(n)) == input_width(n)
@@ -85,7 +85,7 @@ class TestAssemble:
         cfg = PlantConfig()
         short = simulate(CommandTrace(dt=cfg.dt, commands=np.full((3, 4), 400.0),
                                       status=np.ones((3, 4))), cfg)
-        ds = assemble(short, HistorySpec(3))  # 4 rows, n=3 -> 1 row
+        ds = assemble(short, 3)  # 4 rows, n=3 -> 1 row
         assert len(ds) == 1
 
     def test_too_short_rejected(self, traj):
@@ -93,13 +93,13 @@ class TestAssemble:
         short = simulate(CommandTrace(dt=cfg.dt, commands=np.full((2, 4), 400.0),
                                       status=np.ones((2, 4))), cfg)
         with pytest.raises(ValueError, match="too short"):
-            assemble(short, HistorySpec(3))
+            assemble(short, 3)
 
     def test_all_off_targets(self):
         cfg = PlantConfig()
         traj0 = simulate(CommandTrace(dt=cfg.dt, commands=np.zeros((50, 4)),
                                       status=np.zeros((50, 4))), cfg)
-        ds = assemble(traj0, HistorySpec(4))
+        ds = assemble(traj0, 4)
         assert np.all(ds.targets[:, :4] == 0.0)
         lam_col = ds.inputs[:, -1]
         assert np.all(lam_col == lam_col[0])
@@ -113,7 +113,7 @@ class TestAssemble:
         traj0 = PlantTrajectory(dt=0.01, commands=ramp, status=np.ones((L, 4)),
                                 thrusts=ramp + 1000.0, pressures=series + 2000.0,
                                 m_fuel=series + 3000.0, m_ox=series + 4000.0)
-        ds = assemble(traj0, HistorySpec(n))
+        ds = assemble(traj0, n)
         lags = np.arange(n, L)[:, None] - np.arange(1, n + 1)   # (rows, n): t-1 .. t-n
         blocks = [ramp[:, j] for j in range(4)] + [ramp[:, j] + 1000.0 for j in range(4)]
         starts = [4 + j * n for j in range(8)]
@@ -124,7 +124,7 @@ class TestAssemble:
 
     def test_alignment_history_vs_previous_target(self, traj):
         n = 6
-        ds = assemble(traj, HistorySpec(n))
+        ds = assemble(traj, n)
         to_h_start = 4 + 4 * n  # first entry of the thrust-history block
         np.testing.assert_array_equal(ds.inputs[1:, to_h_start], ds.targets[:-1, 0])
         # pressure history lag 1 against the pressure target
@@ -141,7 +141,7 @@ class TestAssemble:
         t_imp = 30
         traj0.thrusts[t_imp, 0] = 123.0
         n = 5
-        ds = assemble(traj0, HistorySpec(n))
+        ds = assemble(traj0, n)
         hit_rows = np.where(np.any(ds.inputs == 123.0, axis=1))[0]
         # rows are indexed by t - n; first appearance must be t_imp + 1
         assert hit_rows.min() == t_imp + 1 - n
@@ -154,7 +154,7 @@ class TestAssemble:
         # the standalone P slot must match what rollout can actually
         # supply: the previous sample (== history lag 1)
         n = 3
-        ds = assemble(traj, HistorySpec(n))
+        ds = assemble(traj, n)
         p_col = 4 + 8 * n
         p_h1 = p_col + 1
         np.testing.assert_array_equal(ds.inputs[:, p_col], ds.inputs[:, p_h1])
@@ -162,7 +162,7 @@ class TestAssemble:
 
     def test_lambda_slot_uses_previous_masses(self, traj):
         n = 3
-        ds = assemble(traj, HistorySpec(n))
+        ds = assemble(traj, n)
         lam = ds.inputs[:, -1]
         mf_h1 = ds.inputs[:, 4 + 8 * n + 1 + n]
         mo_h1 = ds.inputs[:, 4 + 8 * n + 1 + 2 * n]
@@ -173,7 +173,7 @@ class TestGather:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_reference_assemble(self, layout_trajs, n):
         for tr in layout_trajs:
-            ds = assemble(tr, HistorySpec(n))
+            ds = assemble(tr, n)
             inputs, targets = reference_assemble(tr, n)
             assert ds.inputs.shape == inputs.shape and ds.targets.shape == targets.shape
             assert ds.inputs.tobytes() == inputs.tobytes(), (tr.name, n)
@@ -183,17 +183,17 @@ class TestGather:
         m_ox = traj.m_ox.copy()
         m_ox[-1] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            assemble(dataclasses.replace(traj, m_ox=m_ox), HistorySpec(3))
+            assemble(dataclasses.replace(traj, m_ox=m_ox), 3)
 
 
 class TestMergeAndSplit:
     def test_merge_identity(self, traj):
-        ds = assemble(traj, HistorySpec(4))
+        ds = assemble(traj, 4)
         merged = merge([ds])
         assert np.array_equal(merged.inputs, ds.inputs)
 
     def test_merge_counts(self, traj):
-        a = assemble(traj, HistorySpec(4))
+        a = assemble(traj, 4)
         b = dataclasses.replace(a, inputs=a.inputs[::-1].copy(), targets=a.targets[::-1].copy())
         m = merge([a, b])
         assert len(m) == 2 * len(a)
@@ -207,7 +207,7 @@ class TestMergeAndSplit:
 
     def test_merge_mismatched_n_rejected(self, traj):
         with pytest.raises(ValueError):
-            merge([assemble(traj, HistorySpec(3)), assemble(traj, HistorySpec(4))])
+            merge([assemble(traj, 3), assemble(traj, 4)])
 
     def test_kfold_partition(self):
         pairs = kfold_indices(103, 5, seed=1)

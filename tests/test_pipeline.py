@@ -17,7 +17,7 @@ from conftest import reduced_pipeline_config as tiny_config
 from conftest import usable_cpus
 from throttleid.cli import _load_config, _parser
 from throttleid.excitation import ExcitationConfig
-from throttleid.features import TARGET_NAMES, HistorySpec, assemble, merge
+from throttleid.features import TARGET_NAMES, assemble, merge
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
@@ -107,7 +107,7 @@ class TestTrain:
     def test_model_and_report_written(self, run_dir):
         out, cfg = run_dir
         model = model_from_json(out / "model.json")
-        assert model.n == cfg.history.n
+        assert model.n == cfg.history
         report = json.loads((out / "train_report.json").read_text())
         assert 0.0 <= report["sparsity"] <= 1.0
         assert report["rows"] > 0
@@ -141,7 +141,8 @@ class TestTrain:
         assert (out / "model.json").read_bytes() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("fault", ["short", "not-trajectory", "missing-row", "blank-line"])
+    @pytest.mark.parametrize("fault", ["short", "not-trajectory", "missing-row", "blank-line",
+                                       "header-only", "few-columns", "short-row"])
     def test_bad_trajectory_raises(self, run_dir, tmp_path, monkeypatch, cpus, fault):
         # the second trace has the fault; the last one another, which a
         # serial run would meet later, so it must not be what is raised.
@@ -159,19 +160,29 @@ class TestTrain:
             path = out / "trajectories" / entry["trajectory"]
             lines = path.read_text().splitlines(keepends=True)
             if kind == "short":   # a trace shorter than the history, as the manifest lists
-                path.write_text("".join(lines[:cfg.history.n + 1]))
-                entry["samples"] = cfg.history.n - 1
+                path.write_text("".join(lines[:cfg.history + 1]))
+                entry["samples"] = cfg.history - 1
             elif kind == "missing-row":   # the manifest lists one row more
                 path.write_text("".join(lines[:-1]))
             elif kind == "blank-line":
                 path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+            elif kind == "header-only":
+                path.write_text(lines[0])
+            elif kind == "few-columns":   # every row cut to its first 13 values
+                path.write_text(lines[0] + "".join(",".join(line.split(",")[:13]) + "\n"
+                                                   for line in lines[1:]))
+            elif kind == "short-row":
+                path.write_text("".join(lines[:3] + ["0.02,1.0\n"] + lines[4:]))
             else:   # a CSV with the trace's file name but not a trajectory's columns
                 path.write_text("t,Tr1\n" + "".join(f"{i},1.0\n" for i in range(20)))
         manifest_path.write_text(json.dumps(manifest))
         usable_cpus(monkeypatch, cpus)
         match = {"short": "too short for history n=4", "not-trajectory": "not a trajectory CSV",
                  "missing-row": "rows parsed, the manifest lists",
-                 "blank-line": "too short for history n=4"}[fault]
+                 "blank-line": "too short for history n=4",
+                 "header-only": "no rows of 16 values after the header",
+                 "few-columns": "no rows of 16 values after the header",
+                 "short-row": "number of columns changed from 16 to 2"}[fault]
         with pytest.raises(ValueError, match=match) as caught:
             cmd_train(replace(cfg, output_dir=str(out)))
         if fault == "blank-line":
@@ -346,7 +357,7 @@ class TestConfigIO:
         cfg.to_json(path)
         again = PipelineConfig.from_json(path)
         assert again.seed == 3
-        assert again.history.n == cfg.history.n
+        assert again.history == cfg.history
         assert again.sweep.n_grid == tuple(cfg.sweep.n_grid)
         assert again.excitation.m_levels == cfg.excitation.m_levels
         assert again.to_json() == cfg.to_json()
@@ -373,8 +384,8 @@ class TestConfigIO:
     # every setting of a run, each under one key
     KEYS = {"plant.e_min", "plant.e_max", "plant.p_reg", "plant.p_bottle0", "plant.v_bottle",
             "plant.droop_coeff", "plant.tau_rise", "plant.tau_fall", "plant.slew_limit",
-            "plant.isp", "plant.g0", "plant.mixture_ratio", "plant.m_module0", "plant.dt",
-            "excitation.m_levels", "excitation.a_amp", "excitation.duration", "history.n",
+            "plant.isp", "plant.mixture_ratio", "plant.m_module0", "plant.dt",
+            "excitation.m_levels", "excitation.a_amp", "excitation.duration", "history",
             "basis.kind", "basis.degree", "basis.include_bias", "sweep.n_grid",
             "sweep.mu_grid", "sweep.k", "train_mu", "output_dir", "seed"}
 
@@ -383,7 +394,7 @@ class TestConfigIO:
             return [key for k, v in d.items()
                     for key in (flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k])]
         keys = flat(asdict(PipelineConfig()))
-        assert len(keys) == len(self.KEYS) == 27
+        assert len(keys) == len(self.KEYS) == 26
         assert set(keys) == self.KEYS
 
     def test_removed_settings_rejected(self):
@@ -392,6 +403,12 @@ class TestConfigIO:
             PipelineConfig.from_json('{"penalty_scale": "none"}')
         with pytest.raises(ValueError, match="unknown config keys: sweep.history_mu"):
             PipelineConfig.from_json('{"sweep": {"history_mu": 0.01}}')
+        # a config written when standard gravity was a plant setting and
+        # the history length a section of its own
+        with pytest.raises(ValueError, match="unknown config keys: plant.g0$"):
+            PipelineConfig.from_json('{"plant": {"g0": 9.8}}')
+        with pytest.raises(ValueError, match="config key 'history' must be an integer"):
+            PipelineConfig.from_json('{"history": {"n": 6}}')
         # a config written when these copied the plant's values and the top-level seed
         for key in ("excitation.dt", "excitation.e_min", "excitation.e_max",
                     "excitation.seed", "sweep.seed"):
@@ -406,18 +423,18 @@ class TestConfigIO:
         assert (cfg.train_mu, cfg.plant.p_reg, cfg.sweep.mu_grid) == (1, 1.8e6, (1, 2.5))
 
     @pytest.mark.parametrize("text,match", [
-        ('{"history": 5}', "config key 'history' must be a JSON object"),
+        ('{"history": 0}', "config key 'history' must be >= 1, got 0"),
         ('{"basis": null}', "config key 'basis' must be a JSON object"),
         ("[1, 2]", "a config must be a JSON object, got list"),
         ('{"seed": "3"}', "config key 'seed' must be an integer"),
         ('{"train_mu": "x"}', "config key 'train_mu' must be a number"),
         ('{"output_dir": 5}', "config key 'output_dir' must be a string"),
         ('{"basis": {"include_bias": "no"}}', "config key 'basis.include_bias' must be a boolean"),
-        ('{"history": {"n": "5"}}', "config key 'history.n' must be an integer"),
+        ('{"history": "5"}', "config key 'history' must be an integer"),
         ('{"sweep": {"k": "3"}}', "config key 'sweep.k' must be an integer"),
         ('{"plant": {"foo": 1}}', "unknown config keys: plant.foo"),
         ('{"train_mu": -1}', "config key 'train_mu' must be >= 0"),
-        ('{"history": {"n": true}}', "config key 'history.n' must be an integer"),
+        ('{"history": true}', "config key 'history' must be an integer"),
         ('{"sweep": {"n_grid": [3, 4.0]}}', "config key 'sweep.n_grid' must be a list"),
         ('{"sweep": {"n_grid": [0, 3]}}', "n_grid history lengths must be >= 1, got 0"),
         ('{"sweep": {"n_grid": [4, 3, 4]}}', "n_grid history lengths must be distinct"),
@@ -427,7 +444,7 @@ class TestConfigIO:
         ('{"sweep": {"k": 1}}', "config section 'sweep': k must be >= 2"),
         ('{"plant": {"dt": 0}}', "config section 'plant': dt must be strictly positive"),
         ('{"basis": {"degree": 0}}', "config section 'basis': degree must be >= 1"),
-    ], ids=["history-not-object", "basis-null", "document-list", "seed-string",
+    ], ids=["history-zero", "basis-null", "document-list", "seed-string",
             "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
             "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative", "path-as-str",
@@ -484,7 +501,7 @@ class TestCLI:
         assert model.mu == 1e-3
         recorded = PipelineConfig.from_json(out / "config.json")
         assert recorded == replace(PipelineConfig.from_json(cfg_path), output_dir=str(out))
-        assert (recorded.train_mu, recorded.history.n, recorded.basis) == \
+        assert (recorded.train_mu, recorded.history, recorded.basis) == \
             (model.mu, model.n, model.basis)
         assert not (tmp_path / "elsewhere").exists()
 
@@ -499,8 +516,8 @@ class TestCLI:
 
     def test_history_and_folds_overrides(self, tmp_path):
         # history length and basis are set in the config file
-        cfg = replace(tiny_config(str(tmp_path / "cli3")), history=HistorySpec(n=3),
-                      basis=BasisSpec(kind="linear"))
+        cfg = replace(tiny_config(str(tmp_path / "cli3")), history=3,
+                      basis=BasisSpec(degree=1))
         cfg_path = tmp_path / "config.json"
         cfg.to_json(cfg_path)
         for stage in ("gen-data", "train"):
@@ -508,7 +525,7 @@ class TestCLI:
             assert r.returncode == 0, r.stderr
         model = model_from_json(Path(cfg.output_dir) / "model.json")
         assert model.n == 3
-        assert model.basis.kind == "linear"
+        assert model.basis == BasisSpec(degree=1)
 
     def test_option_strings(self):
         # settings come from the config file; the flags name paths and a mode

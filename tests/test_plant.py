@@ -96,7 +96,7 @@ class TestStep:
         assert traj.thrusts[-1, 0] == pytest.approx(oracle, rel=1e-9)
 
     def test_mass_flow_law_at_rating(self, cfg):
-        # thrust of 800 N steady -> mdot = 800/(isp*g0) ~ 0.2861 kg/s
+        # thrust of 800 N steady -> mdot = 800/(isp*G0) ~ 0.2861 kg/s
         mdot = 800.0 / cfg.exhaust_velocity
         assert mdot == pytest.approx(0.2861, abs=5e-4)
         # flow realized by step(): hold one engine at a forced steady

@@ -24,7 +24,12 @@ def rng():
 class TestExpand:
     def test_linear(self):
         np.testing.assert_array_equal(
-            expand(np.array([3.0, 5.0]), BasisSpec("linear")), [1, 3, 5])
+            expand(np.array([3.0, 5.0]), BasisSpec(degree=1)), [1, 3, 5])
+
+    def test_linear_kind_rejected(self):
+        # the linear basis is the degree-1 elementwise polynomial
+        with pytest.raises(ValueError, match="unknown basis kind 'linear'"):
+            BasisSpec(kind="linear")
 
     def test_elementwise_poly(self):
         np.testing.assert_array_equal(
@@ -38,9 +43,10 @@ class TestExpand:
 
     def test_no_bias(self):
         np.testing.assert_array_equal(
-            expand(np.array([2.0]), BasisSpec("linear", include_bias=False)), [2])
+            expand(np.array([2.0]), BasisSpec(degree=1, include_bias=False)), [2])
 
-    @pytest.mark.parametrize("kind,degree", [("linear", 1), ("elementwise-poly", 2),
+    @pytest.mark.parametrize("kind,degree", [pytest.param("elementwise-poly", 1, id="linear-1"),
+                                             ("elementwise-poly", 2),
                                              ("elementwise-poly", 3), ("full-quadratic", 2)])
     def test_width_formula(self, rng, kind, degree):
         basis = BasisSpec(kind, degree)
@@ -57,7 +63,7 @@ class TestExpand:
 
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["linear", "elementwise-poly", "full-quadratic"])
+    @pytest.mark.parametrize("kind", ["elementwise-poly", "full-quadratic"])
     def test_out_bitwise(self, rng, kind, degree, bias):
         basis = BasisSpec(kind, degree, bias)
         X = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-5, 6, (40, 7))
@@ -68,9 +74,7 @@ class TestExpand:
             if kind == "elementwise-poly":
                 cols += [X ** d for d in range(1, degree + 1)]
             else:
-                cols.append(X)
-                if kind == "full-quadratic":
-                    cols += [X[:, i:i + 1] * X[:, i:] for i in range(7)]
+                cols += [X] + [X[:, i:i + 1] * X[:, i:] for i in range(7)]
             ref = np.concatenate(cols, axis=1)
             assert expand(X, basis).tobytes() == ref.tobytes()
             assert expand(X[3], basis).tobytes() == ref[3].tobytes()
@@ -209,7 +213,7 @@ class TestPredict:
         A = rng.standard_normal((7, 9))
         X = rng.standard_normal((300, 9))
         Y = X @ A.T
-        basis = BasisSpec("linear")
+        basis = BasisSpec(degree=1)
         model = fit_lasso(expand(X, basis), Y, 0.0, basis=basis)
         x_new = rng.standard_normal(9)
         np.testing.assert_allclose(predict(model, x_new), A @ x_new,
@@ -222,7 +226,7 @@ class TestPredict:
         np.testing.assert_allclose(predict(model, X), Y, atol=1e-8)
 
     def test_width_mismatch_rejected(self, rng):
-        basis = BasisSpec("linear")
+        basis = BasisSpec(degree=1)
         X = rng.standard_normal((30, 5))
         model = fit_lasso(expand(X, basis), X[:, :2], 0.1, basis=basis)
         with pytest.raises(ValueError):
@@ -394,17 +398,18 @@ class TestPersistence:
         "mu-missing": ("missing model keys: mu", lambda d: d.pop("mu")),
         "standardization-unknown": ("standardization.foo",
                                     lambda d: d["standardization"].update(foo=[1.0])),
-        "basis-unknown": ("basis.foo", lambda d: d.update(basis={"kind": "linear", "foo": 1})),
+        "basis-unknown": ("basis.foo",
+                          lambda d: d.update(basis={"kind": "elementwise-poly", "foo": 1})),
         "n-zero": ("'n'", lambda d: d.update(n=0)),
         "n-negative": ("'n'", lambda d: d.update(n=-1)),
         "n-float": ("'n'", lambda d: d.update(n=6.0)),
         # values of the wrong JSON kind
         "mu-string": ("model key 'mu' must be a number", lambda d: d.update(mu="x")),
         "degree-float": ("model key 'basis.degree' must be an integer",
-                         lambda d: d.update(basis={"kind": "linear", "degree": 2.0,
+                         lambda d: d.update(basis={"kind": "elementwise-poly", "degree": 2.0,
                                                    "include_bias": True})),
         "degree-string": ("model key 'basis.degree' must be an integer",
-                          lambda d: d.update(basis={"kind": "linear", "degree": "2",
+                          lambda d: d.update(basis={"kind": "elementwise-poly", "degree": "2",
                                                     "include_bias": True})),
         "n-outputs-float": ("model key 'n_outputs' must be an integer",
                             lambda d: d.update(n_outputs=2.0)),
@@ -412,7 +417,7 @@ class TestPersistence:
                                  lambda d: d.update(penalty_scale=3)),
         # a section's own checks, triplets of the wrong length, negative sizes
         "degree-zero": ("model section 'basis': degree must be >= 1",
-                        lambda d: d.update(basis={"kind": "linear", "degree": 0,
+                        lambda d: d.update(basis={"kind": "elementwise-poly", "degree": 0,
                                                   "include_bias": True})),
         "triplet-two-items": ("model key 'K_triplets' holds [0, 0]",
                               lambda d: d["K_triplets"].append([0, 0])),

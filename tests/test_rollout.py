@@ -25,7 +25,7 @@ PC = PlantConfig()
 # (include_bias=False, or no basis at all) and the wide full-quadratic
 # expansion (at n = 1: 21 inputs, 253 columns) included.
 BASES = {
-    "linear": (BasisSpec(kind="linear"), 4),
+    "linear": (BasisSpec(degree=1), 4),
     "poly3": (BasisSpec(degree=3), 4),
     "full-quadratic": (BasisSpec(kind="full-quadratic"), 1),
     "no-bias": (BasisSpec(include_bias=False), 4),
@@ -87,7 +87,7 @@ def check_matches_reference(model, trace, truth):
     """Each rollout step predicts from the row that `assemble` builds out
     of the rollout's own output, so the gather index is its layout; and
     the loop is bitwise the per-step build_row + predict one."""
-    pred, raw = rollout(model, trace, truth, collect_raw=True)
+    pred, raw = rollout(model, trace, truth)
     n = model.n
     np.testing.assert_allclose(predict(model, assemble(pred, n).inputs), raw[n:], rtol=1e-12)
     out, ref_raw = reference_rollout(model, trace, truth)
@@ -99,7 +99,7 @@ def check_matches_reference(model, trace, truth):
 class TestRollout:
     def test_warmup_rows_copied_exactly(self, small_model, stair_pair):
         trace, truth = stair_pair
-        pred = rollout(small_model, trace, truth)
+        pred, _ = rollout(small_model, trace, truth)
         n = small_model.n
         assert np.array_equal(pred.thrusts[:n], truth.thrusts[:n])
         assert np.array_equal(pred.pressures[:n], truth.pressures[:n])
@@ -107,21 +107,21 @@ class TestRollout:
 
     def test_clamps_hold(self, small_model, stair_pair):
         trace, truth = stair_pair
-        pred = rollout(small_model, trace, truth)
+        pred, _ = rollout(small_model, trace, truth)
         assert np.all(pred.thrusts >= 0.0)
         assert np.all(np.diff(pred.m_fuel) >= 0.0)
         assert np.all(np.diff(pred.m_ox) >= 0.0)
 
     def test_deterministic(self, small_model, stair_pair):
         trace, truth = stair_pair
-        a = rollout(small_model, trace, truth)
-        b = rollout(small_model, trace, truth)
+        a, _ = rollout(small_model, trace, truth)
+        b, _ = rollout(small_model, trace, truth)
         assert np.array_equal(a.thrusts, b.thrusts)
         assert np.array_equal(a.pressures, b.pressures)
 
     def test_collect_raw(self, small_model, stair_pair):
         trace, truth = stair_pair
-        pred, raw = rollout(small_model, trace, truth, collect_raw=True)
+        pred, raw = rollout(small_model, trace, truth)
         assert raw.shape == (len(pred), 7)
         # clamped thrust never differs from raw except at the floor
         diff = pred.thrusts - raw[:, :4]
@@ -147,7 +147,7 @@ class TestRollout:
         trace = CommandTrace(dt=PC.dt, commands=np.zeros((500, 4)),
                              status=np.zeros((500, 4)))
         truth = simulate(trace, PC)
-        pred = rollout(small_model, trace, truth)
+        pred, _ = rollout(small_model, trace, truth)
         assert np.max(np.abs(pred.thrusts)) < 2.0
         assert pred.m_fuel[-1] < 0.1
 
@@ -175,8 +175,8 @@ class TestRollout:
         n = small_model.n
         head = simulate(CommandTrace(dt=trace.dt, commands=trace.commands[:n],
                                      status=trace.status[:n]), PC)
-        pred, raw = rollout(small_model, trace, truth, collect_raw=True)
-        pred_head, raw_head = rollout(small_model, trace, head, collect_raw=True)
+        pred, raw = rollout(small_model, trace, truth)
+        pred_head, raw_head = rollout(small_model, trace, head)
         assert raw_head.tobytes() == raw.tobytes()
         for name in ("commands", "status", "thrusts", "pressures", "m_fuel", "m_ox"):
             assert getattr(pred_head, name).tobytes() == getattr(pred, name).tobytes()
@@ -187,7 +187,7 @@ class TestRollout:
         with pytest.raises(ValueError, match=f"model fitted at step {2 * trace.dt} s cannot "
                                              f"roll out a trace at step {trace.dt} s"):
             rollout(replace(small_model, dt=2 * trace.dt), trace, truth)
-        assert len(rollout(replace(small_model, dt=trace.dt), trace, truth)) == len(truth)
+        assert len(rollout(replace(small_model, dt=trace.dt), trace, truth)[0]) == len(truth)
 
     def test_divergence_detected(self, small_model, stair_pair):
         trace, truth = stair_pair
@@ -207,7 +207,7 @@ class TestTeacherForced:
         from conftest import ar2_trajectory
         traj = ar2_trajectory(n_samples=3000, noise=0.0)
         ds = assemble(traj, 2)
-        basis = BasisSpec("linear")
+        basis = BasisSpec(degree=1)
         model = fit_lasso(expand(ds.inputs, basis), ds.targets, 0.0,
                           basis=basis, n_history=2)
         rep = teacher_forced_eval(model, traj, cfg=PC)
@@ -222,7 +222,7 @@ class TestTeacherForced:
         for tr in traces:
             truth = simulate(tr, PC)
             tf = teacher_forced_eval(small_model, truth, cfg=PC)
-            pred = rollout(small_model, tr, truth)
+            pred, _ = rollout(small_model, tr, truth)
             ro = error_windows(truth, pred, cfg=PC)
             if ro.max_thrust_err >= tf.max_thrust_err:
                 wins += 1
@@ -286,7 +286,7 @@ class TestErrorWindows:
 
     def test_steady_leq_transient_on_stair(self, small_model, stair_pair):
         trace, truth = stair_pair
-        pred = rollout(small_model, trace, truth)
+        pred, _ = rollout(small_model, trace, truth)
         rep = error_windows(truth, pred, cfg=PC)
         assert np.max(rep.max_err_steady[:4]) <= np.max(rep.max_err_transient[:4])
 
@@ -299,7 +299,7 @@ class TestErrorWindows:
 
     def test_windows_partition(self, small_model, stair_pair):
         trace, truth = stair_pair
-        rep = error_windows(truth, rollout(small_model, trace, truth), cfg=PC)
+        rep = error_windows(truth, rollout(small_model, trace, truth)[0], cfg=PC)
         assert rep.n_transient + rep.n_steady == rep.n_samples
 
     def test_json_roundtrip(self, tmp_path, stair_pair):
@@ -311,20 +311,20 @@ class TestErrorWindows:
 
 class TestDescent:
     def test_profile_shape(self):
-        prof = descent_profile()
+        prof = descent_profile(PC.dt)
         assert prof.duration == pytest.approx(1000.0)
         # braking phase uses all four engines, terminal only the 1/3 pair
         assert np.all(prof.status[2000] == 1.0)
         assert np.array_equal(prof.status[80000], [1, 0, 1, 0])
 
     def test_profile_within_envelope(self):
-        prof = descent_profile()
+        prof = descent_profile(PC.dt)
         on = prof.status > 0
         assert prof.commands[on].min() >= 240.0
         assert prof.commands[on].max() <= 800.0
 
     def test_plant_survives_profile(self):
-        prof = descent_profile()
+        prof = descent_profile(PC.dt)
         truth = simulate(prof, PC)
         remaining = PC.m_module0 - (truth.m_fuel[-1] + truth.m_ox[-1])
         assert remaining > 100.0
@@ -337,7 +337,7 @@ class TestDescent:
 
     def test_timeseries_csv(self, tmp_path, small_model, stair_pair):
         trace, truth = stair_pair
-        pred = rollout(small_model, trace, truth)
+        pred, _ = rollout(small_model, trace, truth)
         path = tmp_path / "ts.csv"
         timeseries_csv(truth, pred, path)
         lines = path.read_text().splitlines()

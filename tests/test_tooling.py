@@ -5,7 +5,8 @@ name, so renaming one of them breaks traced benchmark runs. Installing
 and uninstalling the tracer here catches such a rename in the test suite.
 Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind,
-and so is every name that a demo imports from the package.
+and so is every name that a demo imports from the package; every demo
+also runs to completion, which catches a changed call shape.
 A cold `import throttleid`, which the benchmark times, must not load
 `multiprocessing`, which only the fork map needs, nor `mmap`, which no
 module imports: fork-map tasks pass data back only as results. Artifact
@@ -19,15 +20,19 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import throttleid
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _bindings():
@@ -120,16 +125,25 @@ def test_exports_resolve():
 
 
 def test_demo_imports_resolve():
-    # the demos are not run here, so a deleted or renamed name they
-    # import would otherwise go unnoticed
-    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-    assert demos
-    for path in demos:
+    # names each missing import, which a failed demo run shows only in
+    # its traceback
+    assert DEMOS
+    for path in DEMOS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "throttleid":
                 mod = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(mod, a.name)]
                 assert not missing, (path.name, node.module, missing)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # a demo writes under its own directory, so a copy of it runs in tmp_path
+    script = shutil.copy(demo, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 def _json_callers(attr):
