@@ -27,9 +27,9 @@ ds = merge([assemble(t, n) for t in trajs])
 print(f"dataset: {len(ds)} rows x {ds.inputs.shape[1]} features "
       f"(11n+10 with n={n}), 7 targets")
 
-basis = BasisSpec()  # elementwise polynomial, degree 2
+basis = BasisSpec()  # a bias column and the powers 1 and 2 of each input
 Phi = expand(ds.inputs, basis)
-print(f"basis '{basis.kind}' degree {basis.degree}: {Phi.shape[1]} regressors\n")
+print(f"basis degree {basis.degree}: {Phi.shape[1]} regressors\n")
 
 print(f"{'mu':>8s} {'sparsity':>9s} {'thrust RMSE':>12s} {'mass RMSE':>10s} "
       f"{'steps':>6s} {'KKT':>8s}")

@@ -8,11 +8,32 @@ sweeps, and autoregressive rollout validation.
 
 Importing it sets the OpenBLAS, OpenMP and MKL thread counts to 1 where
 they are unset, so artifacts do not depend on the BLAS thread count; a
-count already set is kept, and numpy imported first keeps its own.
+count already set is kept. An OpenBLAS that numpy loaded first is set to
+one thread through its own setter; a BLAS without a known one keeps its count.
 """
 
 import os
+import sys
 
+
+def _pin_openblas_threads() -> None:
+    """Call the loaded OpenBLAS's thread-count setter with 1, if one is found."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for handle in map(ctypes.CDLL, libs):
+        for sym in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            if hasattr(handle, sym):
+                getattr(handle, sym)(1)
+                return
+
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" in sys.modules:
+    _pin_openblas_threads()   # numpy's OpenBLAS has read the environment already
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -322,8 +322,11 @@ class PlantTrajectory:
             if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
                 raise ValueError(f"{path}: not a trajectory CSV (the first line is not "
                                  f"{TRAJECTORY_CSV_HEADER!r})")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            start = fh.tell()
+            empty = not any(line.strip() for line in iter(fh.readline, ""))
+            fh.seek(start)
+            try:   # np.loadtxt warns on a file with no rows, so such a file is not parsed
+                data = np.empty((0, 0)) if empty else np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as err:   # a value that is no number, or a row of another length
                 raise ValueError(f"{path}: {err}") from None
         if not len(data) or data.shape[1] != width:

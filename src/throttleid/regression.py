@@ -68,46 +68,29 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class BasisSpec:
-    """Monomial basis descriptor.
+    """Monomial basis: a bias column, then the powers 1 .. degree of each
+    input, power-major ([1, x, x^2, ..., x^degree], no cross terms);
+    degree 1 is the linear basis [1, x]."""
 
-    kind:
-      - "elementwise-poly": [1, x, x^2, ..., x^degree] (no cross terms);
-        degree 1 is the linear basis [1, x]
-      - "full-quadratic": [1, x, x_i * x_j for i <= j]
-    """
-
-    kind: str = "elementwise-poly"
     degree: int = 2
-    include_bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("elementwise-poly", "full-quadratic"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
     def width(self, p: int) -> int:
-        bias = 1 if self.include_bias else 0
-        if self.kind == "elementwise-poly":
-            return self.degree * p + bias
-        return bias + p + p * (p + 1) // 2
+        return self.degree * p + 1
 
     def unexpanded_width(self, F: int) -> int:
         """Invert width(): the raw input width that expands to F columns."""
-        bias = 1 if self.include_bias else 0
-        if self.kind == "elementwise-poly":
-            p, rem = divmod(F - bias, self.degree)
-            if rem:
-                raise ValueError(f"width {F} is not a {self.kind} expansion")
-            return p
-        p = int(round((-3 + np.sqrt(9 + 8 * (F - bias))) / 2))
-        if self.width(p) != F:
-            raise ValueError(f"width {F} is not a {self.kind} expansion")
+        p, rem = divmod(F - 1, self.degree)
+        if rem:
+            raise ValueError(f"width {F} is not a degree-{self.degree} expansion")
         return p
 
 
 def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
-    """Deterministic ordered monomial expansion; bias first when enabled.
+    """Deterministic ordered monomial expansion, the bias column first.
 
     `x` is one row (p,) or a batch (N, p); the result is (width,) or
     (N, width) with width = basis.width(p).
@@ -115,29 +98,12 @@ def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     p = x.shape[-1]
     out = np.empty(x.shape[:-1] + (basis.width(p),))
-    O = out if out.ndim == 2 else out[None, :]
-    col = int(basis.include_bias)
-    if col:
-        O[:, 0] = 1.0
-    O[:, col:col + p] = x
-    _expand_linear(O, p, basis)
+    out[..., 0] = 1.0
+    X = out[..., 1:p + 1]
+    X[...] = x
+    for d in range(2, basis.degree + 1):   # X, not x: a row's powers sit beside it in memory
+        np.power(X, d, out=out[..., (d - 1) * p + 1:d * p + 1])
     return out
-
-
-def _expand_linear(O: np.ndarray, p: int, basis: BasisSpec) -> None:
-    """Write the nonlinear columns of the (N, width) expansion `O` from
-    its linear slot, the p columns after the bias, which must be filled."""
-    col = int(basis.include_bias)
-    X = O[:, col:col + p]
-    col += p
-    if basis.kind == "elementwise-poly":
-        for d in range(2, basis.degree + 1):
-            np.power(X, d, out=O[:, col:col + p])
-            col += p
-    elif basis.kind == "full-quadratic":  # lexicographic i <= j
-        for i in range(p):
-            np.multiply(X[:, i:i + 1], X[:, i:], out=O[:, col:col + p - i])
-            col += p - i
 
 
 def soft_threshold(z, a):

@@ -40,7 +40,7 @@ from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LA
                        TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
                        lambda_feature)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv, write_json
-from .regression import CoefficientModel, _expand_linear, predict, rmse
+from .regression import CoefficientModel, expand, predict, rmse
 
 
 class RolloutDivergenceError(RuntimeError):
@@ -96,15 +96,15 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     with one precomputed index (`_gather_index`) straight into the
     expansion row, applies `@ K.T` to it, and writes the clamped
     prediction (thrust >= 0, masses non-decreasing) and its squares back
-    as the newest history sample. With the default degree-2 elementwise
-    basis the gather, read at the value and at the square offsets, fills
-    the whole row: the squares are those `expand` computes
-    (`np.power(x, 2)` is `x * x` bitwise). With no basis or a degree-1
-    one the gather reads the values alone and fills the whole row as
-    well; other bases fill their nonlinear columns from the gathered
-    linear slot (`_expand_linear`). The expansion row is allocated once
-    per rollout and each prediction is written straight into its row of
-    the raw output, so a step allocates no array data.
+    as the newest history sample. With the default degree-2 basis the
+    gather, read at the value and at the square offsets, fills the whole
+    row: the squares are those `expand` computes (`np.power(x, 2)` is
+    `x * x` bitwise). With no basis or a degree-1 one the gather reads
+    the values alone and fills the whole row as well; a degree above 2
+    expands the gathered values again (`expand`). The expansion row is
+    allocated once per rollout and each prediction is written straight
+    into its row of the raw output, so up to degree 2 a step allocates
+    no array data.
     At the default n = 6 and degree-2 basis (76 inputs, 153 columns) a
     step costs a gather of 152 values and a product with the
     coefficients, plus the Python-level finiteness check, clamps and
@@ -166,14 +166,13 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     # into the slot after it; the bias column is written once. The
     # clamped sample and its lambda, each beside its square, go into the
     # buffer's adjacent output and lambda columns with one assignment.
-    p = index.size
-    lo = 0 if basis is None else int(basis.include_bias)
-    squares = basis is not None and basis.kind == "elementwise-poly" and basis.degree == 2
+    lo = 0 if basis is None else 1
+    squares = basis is not None and basis.degree == 2
     take = np.concatenate([2 * index, 2 * index + 1]) if squares else 2 * index
-    phi = np.empty((1, p if basis is None else basis.width(p)))
+    phi = np.empty((1, index.size if basis is None else basis.width(index.size)))
     phi[:, :lo] = 1.0
     row = phi[0, lo:lo + take.size]
-    expand_rest = phi.shape[1] > lo + take.size   # a basis with columns the gather leaves
+    expand_rest = phi.shape[1] > lo + take.size   # powers the gather leaves (degree > 2)
     raw_rows = raw.reshape(L, 1, 7)
     out_rows = pairs.reshape(L, 2 * _WIDTH)[:, 2 * _TO:2 * (_LAM + 1)]
     mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
@@ -181,7 +180,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         # "clip": the index is in range, and the default "raise" buffers `out`
         np.take(windows[t - n], take, out=row, mode="clip")
         if expand_rest:
-            _expand_linear(phi, p, basis)
+            phi[0] = expand(row, basis)
         y = raw_rows[t]
         np.matmul(phi, KT, out=y)
         if intercept is not None:

@@ -149,14 +149,14 @@ class SweepReport:
 def _moment_rmse(model: CoefficientModel, block: RawMoments) -> float:
     """The model's RMSE on the rows that `block` summarizes, each output's
     scaled by its training target std, then their root mean square. For
-    output j, SSE_j = k_j' Cxx k_j - 2 k_j' Cxy_j + Cyy_j
-    + n (k_j . mx + b_j - my_j)^2, floored at 0. Only this aggregate is
-    accurate from moments (to ~2e-8 relative): P, mf and mo leave
-    residuals ~1e-6 of their std, which the sum cancels, so their own
+    output j, SSE_j = k_j' Cxx k_j - 2 k_j' Cxy_j + Cyy_j + n (k_j . mx - my_j)^2,
+    floored at 0 (a sweep fit has a basis, whose bias column holds the offset).
+    Only this aggregate is accurate from moments (to ~2e-8 relative): P, mf and
+    mo leave residuals ~1e-6 of their std, which the sum cancels, so their own
     RMSE comes out up to 59% off on the mu path; they weigh ~1e-6 in it."""
-    K, b = model.K, 0.0 if model.intercept is None else model.intercept
+    K = model.K
     sse = (np.sum((K @ block.Cxx) * K, axis=1) - 2.0 * np.sum(K * block.Cxy.T, axis=1)
-           + block.Cyy + block.n_rows * (K @ block.mx + b - block.my) ** 2)
+           + block.Cyy + block.n_rows * (K @ block.mx - block.my) ** 2)
     per_output = np.sqrt(np.maximum(sse, 0.0) / block.n_rows) / model.standardization.y_scale
     return float(np.sqrt(np.mean(per_output ** 2)))
 

@@ -4,10 +4,10 @@ tasks in two processes."""
 
 import multiprocessing
 
-import throttleid.parallel  # first: its BLAS thread default must precede numpy's import
 import numpy as np
 import pytest
 
+import throttleid.parallel
 from throttleid.excitation import ExcitationConfig
 from throttleid.pipeline import PipelineConfig
 from throttleid.plant import PlantConfig, PlantTrajectory

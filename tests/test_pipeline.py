@@ -140,6 +140,7 @@ class TestTrain:
         cmd_train(cfg)
         assert (out / "model.json").read_bytes() == before
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("fault", ["short", "not-trajectory", "missing-row", "blank-line",
                                        "header-only", "few-columns", "short-row"])
@@ -148,6 +149,7 @@ class TestTrain:
         # serial run would meet later, so it must not be what is raised.
         # A blank line is no fault: np.loadtxt skips it and reads the
         # right rows, so the last trace's fault is what is raised then.
+        # Each fault raises its ValueError without a warning before it.
         src, cfg = run_dir
         out = tmp_path / "bad"
         for sub in ("corpus", "trajectories"):
@@ -317,7 +319,7 @@ class TestArtifactKeys:
         model = load(src / "model.json")
         assert model.keys() == self.MODEL
         assert model["standardization"].keys() == {"x_mean", "x_scale", "y_mean", "y_scale"}
-        assert model["basis"].keys() == {"kind", "degree", "include_bias"}
+        assert model["basis"].keys() == {"degree"}
 
 
 class TestReproducibility:
@@ -386,15 +388,15 @@ class TestConfigIO:
             "plant.droop_coeff", "plant.tau_rise", "plant.tau_fall", "plant.slew_limit",
             "plant.isp", "plant.mixture_ratio", "plant.m_module0", "plant.dt",
             "excitation.m_levels", "excitation.a_amp", "excitation.duration", "history",
-            "basis.kind", "basis.degree", "basis.include_bias", "sweep.n_grid",
-            "sweep.mu_grid", "sweep.k", "train_mu", "output_dir", "seed"}
+            "basis.degree", "sweep.n_grid", "sweep.mu_grid", "sweep.k", "train_mu",
+            "output_dir", "seed"}
 
     def test_key_set(self):
         def flat(d, prefix=""):
             return [key for k, v in d.items()
                     for key in (flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k])]
         keys = flat(asdict(PipelineConfig()))
-        assert len(keys) == len(self.KEYS) == 26
+        assert len(keys) == len(self.KEYS) == 24
         assert set(keys) == self.KEYS
 
     def test_removed_settings_rejected(self):
@@ -409,6 +411,11 @@ class TestConfigIO:
             PipelineConfig.from_json('{"plant": {"g0": 9.8}}')
         with pytest.raises(ValueError, match="config key 'history' must be an integer"):
             PipelineConfig.from_json('{"history": {"n": 6}}')
+        # a config written when the basis had a kind and an optional bias column
+        with pytest.raises(ValueError, match="unknown config keys: basis.kind$"):
+            PipelineConfig.from_json('{"basis": {"kind": "full-quadratic"}}')
+        with pytest.raises(ValueError, match="unknown config keys: basis.include_bias$"):
+            PipelineConfig.from_json('{"basis": {"include_bias": false}}')
         # a config written when these copied the plant's values and the top-level seed
         for key in ("excitation.dt", "excitation.e_min", "excitation.e_max",
                     "excitation.seed", "sweep.seed"):
@@ -429,7 +436,6 @@ class TestConfigIO:
         ('{"seed": "3"}', "config key 'seed' must be an integer"),
         ('{"train_mu": "x"}', "config key 'train_mu' must be a number"),
         ('{"output_dir": 5}', "config key 'output_dir' must be a string"),
-        ('{"basis": {"include_bias": "no"}}', "config key 'basis.include_bias' must be a boolean"),
         ('{"history": "5"}', "config key 'history' must be an integer"),
         ('{"sweep": {"k": "3"}}', "config key 'sweep.k' must be an integer"),
         ('{"plant": {"foo": 1}}', "unknown config keys: plant.foo"),
@@ -445,7 +451,7 @@ class TestConfigIO:
         ('{"plant": {"dt": 0}}', "config section 'plant': dt must be strictly positive"),
         ('{"basis": {"degree": 0}}', "config section 'basis': degree must be >= 1"),
     ], ids=["history-zero", "basis-null", "document-list", "seed-string",
-            "train-mu-string", "output-dir-number", "include-bias-string", "history-n-string",
+            "train-mu-string", "output-dir-number", "history-n-string",
             "sweep-k-string", "plant-unknown-key", "train-mu-negative", "history-n-bool",
             "n-grid-float", "n-grid-zero", "n-grid-repeated", "seed-negative", "path-as-str",
             "sweep-k-one", "plant-dt-zero", "basis-degree-zero"])
@@ -459,34 +465,41 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestCLI:
-    def run_cli(self, *args, env=None):
+    def run_cli(self, *args, env=None, entry=("-m", "throttleid.cli")):
         # the package's sources come first, so an uninstalled checkout runs too
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "throttleid.cli", *args],
+        return subprocess.run([sys.executable, *entry, *args],
                               capture_output=True, text=True, env=env)
 
     def test_artifacts_independent_of_blas_threads(self, tmp_path):
-        # the package defaults the BLAS thread count to one before numpy
-        # loads, so a run with the thread variables unset (OpenBLAS would
-        # start one thread per CPU) writes the same bytes as one at 1
+        # the package sets the BLAS thread count to one: before numpy loads
+        # through the environment, and after it through OpenBLAS's own
+        # setter. So a run with the thread variables unset (OpenBLAS would
+        # start one thread per CPU) writes the same bytes as one at 1,
+        # whether or not numpy was imported first
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs 2 usable CPUs for a multi-threaded BLAS")
+        module = ("-m", "throttleid.cli")
+        numpy_first = ("-c", "import sys, numpy\n"
+                             "from throttleid.cli import main\n"
+                             "sys.exit(main(sys.argv[1:]))")
         digests = []
-        for threads in (None, "1"):
-            cfg = tiny_config(str(tmp_path / f"threads-{threads}"))
-            cfg_path = tmp_path / f"threads-{threads}.json"
+        for name, threads, entry in (("unset", None, module), ("one", "1", module),
+                                     ("numpy-first", None, numpy_first)):
+            cfg = tiny_config(str(tmp_path / name))
+            cfg_path = tmp_path / f"{name}.json"
             cfg.to_json(cfg_path)
             env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
             if threads is not None:
                 env.update(dict.fromkeys(BLAS_THREADS, threads))
-            for stage in ("gen-data", "train"):
-                r = self.run_cli(stage, "--config", str(cfg_path), env=env)
+            for stage in ("gen-data", "train", "sweep"):
+                r = self.run_cli(stage, "--config", str(cfg_path), env=env, entry=entry)
                 assert r.returncode == 0, r.stderr
             digests.append(_hash_tree(Path(cfg.output_dir)))
-        assert "model.json" in digests[0] and "train_report.json" in digests[0]
-        assert digests[0] == digests[1]
+        assert {"model.json", "train_report.json", "sweep_mu.json"} <= digests[0].keys()
+        assert digests[0] == digests[1] == digests[2]
 
     def test_gen_train_validate_chain(self, tmp_path):
         # one config file for every stage: the config.json left behind is

@@ -27,55 +27,40 @@ class TestExpand:
             expand(np.array([3.0, 5.0]), BasisSpec(degree=1)), [1, 3, 5])
 
     def test_linear_kind_rejected(self):
-        # the linear basis is the degree-1 elementwise polynomial
-        with pytest.raises(ValueError, match="unknown basis kind 'linear'"):
+        # the basis has no kind: the linear basis is degree 1
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kind'"):
             BasisSpec(kind="linear")
 
     def test_elementwise_poly(self):
         np.testing.assert_array_equal(
-            expand(np.array([3.0, 5.0]), BasisSpec("elementwise-poly", 2)),
-            [1, 3, 5, 9, 25])
+            expand(np.array([3.0, 5.0]), BasisSpec(2)), [1, 3, 5, 9, 25])
 
-    def test_full_quadratic(self):
-        np.testing.assert_array_equal(
-            expand(np.array([3.0, 5.0]), BasisSpec("full-quadratic")),
-            [1, 3, 5, 9, 15, 25])
-
-    def test_no_bias(self):
-        np.testing.assert_array_equal(
-            expand(np.array([2.0]), BasisSpec(degree=1, include_bias=False)), [2])
-
-    @pytest.mark.parametrize("kind,degree", [pytest.param("elementwise-poly", 1, id="linear-1"),
-                                             ("elementwise-poly", 2),
-                                             ("elementwise-poly", 3), ("full-quadratic", 2)])
-    def test_width_formula(self, rng, kind, degree):
-        basis = BasisSpec(kind, degree)
+    @pytest.mark.parametrize("degree", [pytest.param(1, id="linear-1"),
+                                        pytest.param(2, id="elementwise-poly-2"),
+                                        pytest.param(3, id="elementwise-poly-3")])
+    def test_width_formula(self, rng, degree):
+        basis = BasisSpec(degree)
         for p in (1, 4, 11, 76):
             x = rng.standard_normal(p)
             assert expand(x, basis).shape[0] == basis.width(p)
+            assert basis.unexpanded_width(basis.width(p)) == p
 
     def test_batch_matches_single(self, rng):
-        basis = BasisSpec("full-quadratic")
+        basis = BasisSpec(degree=3)
         X = rng.standard_normal((6, 5))
         batch = expand(X, basis)
         for i in range(6):
             np.testing.assert_array_equal(batch[i], expand(X[i], basis))
 
-    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["elementwise-poly", "full-quadratic"])
-    def test_out_bitwise(self, rng, kind, degree, bias):
-        basis = BasisSpec(kind, degree, bias)
+    def test_out_bitwise(self, rng, degree):
+        basis = BasisSpec(degree)
         X = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-5, 6, (40, 7))
         X[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
         with np.errstate(invalid="ignore", over="ignore"):
             # the columns built one by one and concatenated
-            cols = [np.ones((40, 1))] if bias else []
-            if kind == "elementwise-poly":
-                cols += [X ** d for d in range(1, degree + 1)]
-            else:
-                cols += [X] + [X[:, i:i + 1] * X[:, i:] for i in range(7)]
-            ref = np.concatenate(cols, axis=1)
+            ref = np.concatenate([np.ones((40, 1))] + [X ** d for d in range(1, degree + 1)],
+                                 axis=1)
             assert expand(X, basis).tobytes() == ref.tobytes()
             assert expand(X[3], basis).tobytes() == ref[3].tobytes()
 
@@ -246,7 +231,7 @@ class TestPredict:
     def test_scale_equivariance(self, rng):
         # predicting with the de-standardized K equals predicting in
         # standardized coordinates and mapping back
-        basis = BasisSpec("elementwise-poly", 2)
+        basis = BasisSpec(2)
         X = rng.standard_normal((200, 6)) * np.array([1, 10, 100, 1e3, 1e4, 1e5])
         Y = rng.standard_normal((200, 3)) * np.array([1.0, 50.0, 2e4])
         Phi = expand(X, basis)
@@ -352,7 +337,7 @@ class TestRMSE:
 
 class TestPersistence:
     def test_json_roundtrip_bit_identical(self, rng, tmp_path):
-        basis = BasisSpec("elementwise-poly", 2)
+        basis = BasisSpec(2)
         X = rng.standard_normal((150, 8)) * 50
         Y = np.column_stack([X @ rng.standard_normal(8) for _ in range(7)])
         Phi = expand(X, basis)
@@ -399,26 +384,23 @@ class TestPersistence:
         "standardization-unknown": ("standardization.foo",
                                     lambda d: d["standardization"].update(foo=[1.0])),
         "basis-unknown": ("basis.foo",
-                          lambda d: d.update(basis={"kind": "elementwise-poly", "foo": 1})),
+                          lambda d: d.update(basis={"degree": 2, "foo": 1})),
         "n-zero": ("'n'", lambda d: d.update(n=0)),
         "n-negative": ("'n'", lambda d: d.update(n=-1)),
         "n-float": ("'n'", lambda d: d.update(n=6.0)),
         # values of the wrong JSON kind
         "mu-string": ("model key 'mu' must be a number", lambda d: d.update(mu="x")),
         "degree-float": ("model key 'basis.degree' must be an integer",
-                         lambda d: d.update(basis={"kind": "elementwise-poly", "degree": 2.0,
-                                                   "include_bias": True})),
+                         lambda d: d.update(basis={"degree": 2.0})),
         "degree-string": ("model key 'basis.degree' must be an integer",
-                          lambda d: d.update(basis={"kind": "elementwise-poly", "degree": "2",
-                                                    "include_bias": True})),
+                          lambda d: d.update(basis={"degree": "2"})),
         "n-outputs-float": ("model key 'n_outputs' must be an integer",
                             lambda d: d.update(n_outputs=2.0)),
         "penalty-scale-number": ("model key 'penalty_scale' must be a string",
                                  lambda d: d.update(penalty_scale=3)),
         # a section's own checks, triplets of the wrong length, negative sizes
         "degree-zero": ("model section 'basis': degree must be >= 1",
-                        lambda d: d.update(basis={"kind": "elementwise-poly", "degree": 0,
-                                                  "include_bias": True})),
+                        lambda d: d.update(basis={"degree": 0})),
         "triplet-two-items": ("model key 'K_triplets' holds [0, 0]",
                               lambda d: d["K_triplets"].append([0, 0])),
         "triplet-four-items": ("model key 'K_triplets' holds [0, 0, 1.0, 2.0]",
@@ -438,6 +420,19 @@ class TestPersistence:
         edit(d)
         with pytest.raises(ValueError, match=re.escape(field)):
             model_from_json(json.dumps(d))
+
+    def test_removed_basis_keys_rejected(self, tmp_path):
+        # a model file written when the basis had a kind and an optional
+        # bias column: retrain rather than load it
+        X = np.random.default_rng(1).standard_normal((100, 3))
+        path = tmp_path / "model.json"
+        model_to_json(fit_lasso(expand(X, BasisSpec()), X[:, :2], 0.1, basis=BasisSpec()), path)
+        d = json.loads(path.read_text())
+        d["basis"].update(kind="elementwise-poly", include_bias=True)
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown model keys: basis.include_bias, basis.kind")):
+            model_from_json(path)
 
     def test_file_without_ridge_loads(self):
         # a model file written before the ridge was recorded
@@ -466,9 +461,9 @@ class TestPersistence:
             model_from_json(str(tmp_path / "model.json"))
 
     def test_width_its_basis_cannot_produce_rejected(self, rng):
-        # 6 columns are no degree-2 elementwise expansion with a bias (2p + 1)
+        # 6 columns are no degree-2 expansion (2p + 1)
         X = rng.standard_normal((50, 6))
-        with pytest.raises(ValueError, match="width 6 is not a elementwise-poly expansion"):
+        with pytest.raises(ValueError, match="width 6 is not a degree-2 expansion"):
             fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec())
 
 

@@ -21,14 +21,12 @@ PC = PlantConfig()
 
 
 # Bases the rollout must expand exactly as `predict` does, each with the
-# history length of its small model: the separate-intercept path
-# (include_bias=False, or no basis at all) and the wide full-quadratic
-# expansion (at n = 1: 21 inputs, 253 columns) included.
+# history length of its small model: degree 1, whose row the gather fills
+# with values alone; degree 3, whose cubes are computed from the gathered
+# values; and no basis at all, the separate-intercept path.
 BASES = {
     "linear": (BasisSpec(degree=1), 4),
     "poly3": (BasisSpec(degree=3), 4),
-    "full-quadratic": (BasisSpec(kind="full-quadratic"), 1),
-    "no-bias": (BasisSpec(include_bias=False), 4),
     "none": (None, 4),
 }
 
@@ -139,7 +137,7 @@ class TestRollout:
         def no_expansion(*args):
             raise AssertionError("the rollout expanded a degree-2 row")
 
-        monkeypatch.setattr(importlib.import_module("throttleid.rollout"), "_expand_linear",
+        monkeypatch.setattr(importlib.import_module("throttleid.rollout"), "expand",
                             no_expansion)
         check_matches_reference(small_model, *stair_pair)
 

@@ -6,7 +6,8 @@ and uninstalling the tracer here catches such a rename in the test suite.
 Each module's `__all__` and the package's re-exports are checked the
 same way, so deleting a function cannot leave a stale export behind,
 and so is every name that a demo imports from the package; every demo
-also runs to completion, which catches a changed call shape.
+and the README's quick start also run to completion, which catches a
+changed call shape.
 A cold `import throttleid`, which the benchmark times, must not load
 `multiprocessing`, which only the fork map needs, nor `mmap`, which no
 module imports: fork-map tasks pass data back only as results. Artifact
@@ -20,6 +21,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -142,6 +144,15 @@ def test_demo_runs(demo, tmp_path):
     script = shutil.copy(demo, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's library example runs as written against the sources
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
 
