@@ -17,7 +17,7 @@ import numpy as np
 from .plant import CommandTrace, PlantConfig, write_json
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExcitationConfig:
     """The corpus design. Every trace is built at the step (dt) and within
     the thrust range (e_min, e_max) of the PlantConfig passed with it."""

@@ -23,8 +23,7 @@ from .parallel import fork_map
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
                     _from_document, read_json, simulate, write_json)
 from .regression import (BasisSpec, CoefficientModel, RawMoments, expand, fit_from_moments,
-                         model_from_json, model_to_json, predict, raw_moments,
-                         standardize_moments)
+                         model_from_json, model_to_json, predict, raw_moments)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
 from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
@@ -205,7 +204,7 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
                                   _trajectory_files(data_dir or out, cfg.plant.dt),
                                   key=lambda job: job[2]))
     moments = sum(blocks[1:], start=blocks[0])
-    model = fit_from_moments(standardize_moments(moments), cfg.train_mu, basis=cfg.basis,
+    model = fit_from_moments(moments, cfg.train_mu, basis=cfg.basis,
                              n_history=cfg.history, penalty_scale=PENALTY_SCALE)
     model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")

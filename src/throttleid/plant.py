@@ -179,7 +179,7 @@ class PropellantDepletedError(RuntimeError):
         return type(self), (self.t, self.sample)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantConfig:
     """Physical constants of the surrogate plant (SI units)."""
 

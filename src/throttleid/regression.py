@@ -20,10 +20,12 @@ mean reaches 31x its std on the corpus, so a Gram centered from raw sums
 would cancel and leave the fit's low digits to the summation order and
 the BLAS kernel; from centered blocks K agrees to ~1e-9 across both.
 
-By default the solver standardizes features and targets (zero mean,
-unit variance) before penalizing, so a single mu is comparable across
-outputs measured in newtons, pascals and kilograms; the returned
-coefficient matrix is always de-standardized back to original units.
+A fit with a basis (the pipeline's fit) standardizes features and
+targets (zero mean, unit variance) before penalizing, so a single mu is
+comparable across outputs measured in newtons, pascals and kilograms;
+the coefficient matrix it returns is de-standardized to original units,
+the centering offset in the basis's bias column. A fit without a basis
+solves the objective above exactly as written, every column penalized.
 The penalty weight can be scaled by the row count before solving:
 "none" applies mu exactly as written in the objective, "sqrt-rows"
 multiplies by sqrt(N) (a noise-calibrated convention that keeps a
@@ -66,7 +68,7 @@ class ConvergenceError(RuntimeError):
         return type(self), (self.sweeps, self.kkt_residual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisSpec:
     """Monomial basis: a bias column, then the powers 1 .. degree of each
     input, power-major ([1, x, x^2, ..., x^degree], no cross terms);
@@ -84,7 +86,7 @@ class BasisSpec:
     def unexpanded_width(self, F: int) -> int:
         """Invert width(): the raw input width that expands to F columns."""
         p, rem = divmod(F - 1, self.degree)
-        if rem:
+        if rem or p < 0:
             raise ValueError(f"width {F} is not a degree-{self.degree} expansion")
         return p
 
@@ -124,7 +126,7 @@ class Standardization:
 
 @dataclass
 class _Moments:
-    """Gram moments of the (possibly standardized) problem."""
+    """Gram moments of the problem that the solver sees."""
 
     G: np.ndarray        # (F, F)
     c: np.ndarray        # (F, m)
@@ -175,7 +177,10 @@ def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
     return RawMoments(len(X), mx, my, Xc.T @ Xc, Xc.T @ Yc, np.sum(Yc * Yc, axis=0))
 
 
-def standardize_moments(raw: RawMoments, standardize: bool = True) -> _Moments:
+def _standardize(raw: RawMoments, standardize: bool) -> _Moments:
+    """The solver's moments: in zero-mean/unit-variance coordinates, where
+    constant columns (a basis's bias column) carry no penalty, or, when
+    not `standardize`, those of the raw objective."""
     N, mx, my = raw.n_rows, raw.mx, raw.my
     if not standardize:
         G = raw.Cxx + N * np.outer(mx, mx)
@@ -292,7 +297,7 @@ def _objective_value(W: np.ndarray, m: _Moments, mu: float) -> float:
     return float(quad + mu * np.sum(np.abs(W)))
 
 
-def kkt_residual(W: np.ndarray, m: _Moments, mu: float) -> float:
+def _kkt_residual(W: np.ndarray, m: _Moments, mu: float) -> float:
     """Max violation of the subgradient conditions of the objective that
     `m` states (solver coords): |g_j| <= mu where W is zero, and
     g_j = -mu * sign(W_j) elsewhere, over the solvable coordinates."""
@@ -319,7 +324,6 @@ class CoefficientModel:
     objective: float
     ridge: float = 0.0                 # lambda_2 added to the Gram diagonal
     dt: float | None = None            # the step of the data it was fitted on, when known
-    intercept: np.ndarray | None = None  # only when no bias column exists
     W_std: np.ndarray | None = field(default=None, repr=False)  # solver-space solution
 
     def __post_init__(self):
@@ -342,18 +346,20 @@ def _scale_mu(mu: float, n_rows: int, penalty_scale: str) -> float:
     raise ValueError(f"unknown penalty_scale {penalty_scale!r}")
 
 
-def fit_from_moments(m: _Moments, mu: float, *,
+def fit_from_moments(raw: RawMoments, mu: float, *,
                      basis: BasisSpec | None = None,
                      n_history: int | None = None,
                      penalty_scale: str = "none",
                      w0: np.ndarray | None = None) -> CoefficientModel:
-    """Solve from precomputed Gram moments (as `cmd_train` and the sweeps do). The
-    model's `predict` takes raw inputs of the width that `basis` expands
-    to the moments' width; `n_history` is only recorded in the model."""
+    """Solve from the moments of the expanded features and the targets (as
+    `cmd_train` and the sweeps do), standardized when `basis` is given;
+    `w0` warm-starts the search in the solver's coordinates (a model's
+    `W_std`). The model's `predict` takes raw inputs of the width that
+    `basis` expands to the moments' width; `n_history` is only recorded."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
-    mu_eff = _scale_mu(mu, m.n_rows, penalty_scale)
-    m, ridge = _well_posed(m)
+    mu_eff = _scale_mu(mu, raw.n_rows, penalty_scale)
+    m, ridge = _well_posed(_standardize(raw, basis is not None))
     solvable = np.flatnonzero(np.diag(m.G) > 0.0)
     W = np.zeros(m.c.shape) if w0 is None else np.array(w0, dtype=float)
     sweeps = 0
@@ -362,36 +368,27 @@ def fit_from_moments(m: _Moments, mu: float, *,
             m.G, m.c[:, k], mu_eff, W[:, k], solvable, MAX_STEPS - sweeps)
         sweeps += steps
         if not converged:
-            raise ConvergenceError(sweeps, kkt_residual(W, m, mu_eff))
+            raise ConvergenceError(sweeps, _kkt_residual(W, m, mu_eff))
 
     penalized = ~m.const_cols
     sparsity = float(np.mean(W[penalized] == 0.0)) if penalized.any() else 0.0
 
-    # De-standardize: K acts on raw expanded features. The intercept
-    # produced by centering is folded into the first constant column (a
-    # basis's bias column) when its constant value, recorded in x_mean,
-    # is nonzero; unstandardized moments leave no intercept.
+    # De-standardize: K acts on raw expanded features, and the offset
+    # that centering leaves goes into the bias column, column 0.
     K = (W * m.std.y_scale[None, :] / m.std.x_scale[:, None]).T
     K[:, m.const_cols] = 0.0
-    intercept = None
-    offset = m.std.y_mean - K @ m.std.x_mean
-    if np.any(np.abs(offset) > 0.0):
-        const = np.flatnonzero(m.const_cols)
-        if const.size and m.std.x_mean[const[0]] != 0.0:
-            K[:, const[0]] += offset / m.std.x_mean[const[0]]
-        else:
-            intercept = offset
+    if basis is not None:
+        K[:, 0] += m.std.y_mean - K @ m.std.x_mean
 
     return CoefficientModel(
         K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
         penalty_scale=penalty_scale, n=n_history, sparsity=sparsity,
-        kkt=kkt_residual(W, m, mu_eff), sweeps=sweeps, objective=_objective_value(W, m, mu_eff),
-        ridge=ridge, intercept=intercept, W_std=W)
+        kkt=_kkt_residual(W, m, mu_eff), sweeps=sweeps, objective=_objective_value(W, m, mu_eff),
+        ridge=ridge, W_std=W)
 
 
 def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
               basis: BasisSpec | None = None, n_history: int | None = None,
-              standardize: bool = True,
               penalty_scale: str = "none") -> CoefficientModel:
     """Fit the sparse coefficient matrix by feature-sign search.
 
@@ -404,11 +401,11 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         L1 weight; applied as given, or scaled by sqrt(N) or N per
         penalty_scale ("none" | "sqrt-rows" | "rows").
     basis : BasisSpec, optional
-        Recorded in the model so `predict` can expand raw inputs.
-    standardize : bool
-        Solve in zero-mean/unit-variance coordinates (the production
-        path), where constant columns such as the bias carry no penalty.
-        Disable to solve the raw objective exactly as written, every
+        The basis that expanded `features`, recorded in the model so
+        `predict` can expand raw inputs. With a basis the fit is the
+        pipeline's: standardized, the constant columns such as the bias
+        unpenalized, the centering offset in the bias column. Without
+        one it solves the raw objective exactly as written, every
         column penalized.
 
     Raises
@@ -417,13 +414,13 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         The search needed more than MAX_STEPS steps. Carries the KKT
         residual of the point reached.
     """
-    m = standardize_moments(raw_moments(features, targets), standardize)
-    return fit_from_moments(m, mu, basis=basis, n_history=n_history,
-                            penalty_scale=penalty_scale)
+    return fit_from_moments(raw_moments(features, targets), mu, basis=basis,
+                            n_history=n_history, penalty_scale=penalty_scale)
 
 
 def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
-    """Apply the learned map: K @ phi(x) (+ intercept when separate).
+    """Apply the learned map K @ phi(x), phi the model's basis (the
+    identity when it has none).
 
     Accepts a single unexpanded feature vector (p,) or a batch (N, p).
     """
@@ -433,17 +430,8 @@ def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.n_inputs:   # the basis expands n_inputs columns to K's width
         raise ValueError(
             f"feature width {X.shape[1]} does not match model input width {model.n_inputs}")
-    Y = predict_expanded(model, X if model.basis is None else expand(X, model.basis))
+    Y = (X if model.basis is None else expand(X, model.basis)) @ model.K.T
     return Y[0] if single else Y
-
-
-def predict_expanded(model: CoefficientModel, phi: np.ndarray) -> np.ndarray:
-    """`predict` on a batch already expanded by the model's basis:
-    phi @ K.T (+ intercept when separate)."""
-    Y = phi @ model.K.T
-    if model.intercept is not None:
-        Y = Y + model.intercept
-    return Y
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
@@ -473,7 +461,6 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
         format=_FORMAT, basis=None if model.basis is None else asdict(model.basis),
         n_inputs=model.n_inputs, n_outputs=model.K.shape[0], n_coefficients=model.K.shape[1],
         standardization={k: v.tolist() for k, v in vars(model.standardization).items()},
-        intercept=None if model.intercept is None else model.intercept.tolist(),
         K_triplets=[[int(r), int(c), float(model.K[r, c])] for r, c in zip(rows, cols)])
     return write_json(payload, path)
 
@@ -483,8 +470,8 @@ def model_from_json(source: str | Path) -> CoefficientModel:
 
     ValueError, naming the key, when a key is missing (a file without `ridge`
     or `dt`, written before they were recorded, loads with 0.0 or null),
-    unknown or of the wrong JSON kind (`plant._from_document`; `basis`, `n`,
-    `dt` and `intercept` may be null),
+    unknown or of the wrong JSON kind (`plant._from_document`; `basis`, `n`
+    and `dt` may be null),
     `n_outputs` or `n_coefficients` is negative, a triplet is not three items or
     lies outside K, a vector does not match K's shape, `n` is below 1, or
     `n_inputs` is not the width that the basis expands to K's width."""
@@ -493,9 +480,9 @@ def model_from_json(source: str | Path) -> CoefficientModel:
         raise ValueError("not a throttleid model file")
     layout = dict(_SCALARS, format="", basis=BasisSpec(), n_inputs=0, n_outputs=0,
                   n_coefficients=0, standardization=Standardization(*[(0.0,)] * 4),
-                  intercept=(0.0,), K_triplets=((0.0,),))
+                  K_triplets=((0.0,),))
     d = {"ridge": 0.0, "dt": None, **d}
-    layout.update((k, None) for k in ("basis", "n", "dt", "intercept") if d.get(k, 0) is None)
+    layout.update((k, None) for k in ("basis", "n", "dt") if d.get(k, 0) is None)
     doc = _from_document(SimpleNamespace(**layout), d, "model", complete=True)
     if doc.n is not None and doc.n < 1:
         raise ValueError(f"model key 'n' must be null or an integer >= 1, got {doc.n!r}")
@@ -514,15 +501,13 @@ def model_from_json(source: str | Path) -> CoefficientModel:
                              f"{n_out} x {n_coef} coefficient matrix")
         K[r, c] = v
     std = Standardization(**{k: np.array(v) for k, v in vars(doc.standardization).items()})
-    intercept = None if doc.intercept is None else np.array(doc.intercept)
     for name, v, size in [("standardization.x_mean", std.x_mean, n_coef),
                           ("standardization.x_scale", std.x_scale, n_coef),
                           ("standardization.y_mean", std.y_mean, n_out),
-                          ("standardization.y_scale", std.y_scale, n_out),
-                          ("intercept", intercept, n_out)]:
-        if v is not None and v.shape != (size,):
+                          ("standardization.y_scale", std.y_scale, n_out)]:
+        if v.shape != (size,):
             raise ValueError(f"{name} must hold {size} numbers, got shape {v.shape}")
-    model = CoefficientModel(K=K, basis=doc.basis, standardization=std, intercept=intercept,
+    model = CoefficientModel(K=K, basis=doc.basis, standardization=std,
                              **{name: getattr(doc, name) for name in _SCALARS})
     if doc.n_inputs != model.n_inputs:
         raise ValueError(f"model key 'n_inputs' = {doc.n_inputs!r} differs from "
@@ -532,7 +517,7 @@ def model_from_json(source: str | Path) -> CoefficientModel:
 
 __all__ = [
     "BasisSpec", "Standardization", "CoefficientModel", "ConvergenceError",
-    "expand", "soft_threshold", "raw_moments", "kkt_residual",
-    "fit_from_moments", "fit_lasso", "predict", "predict_expanded", "rmse",
-    "model_to_json", "model_from_json", "RawMoments", "standardize_moments",
+    "expand", "soft_threshold", "raw_moments",
+    "fit_from_moments", "fit_lasso", "predict", "rmse",
+    "model_to_json", "model_from_json", "RawMoments",
 ]

@@ -158,7 +158,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     raw[:n] = buf[:n, _TO:_MO + 1]
 
     windows = _input_windows(pairs, n)
-    KT, intercept = model.K.T, model.intercept
+    KT = model.K.T
     # The expansion and each prediction are 2-D rows, so every product is
     # the same BLAS call as predict's; the prediction's row is its (1, 7)
     # row of `raw`. Each step gathers its input straight into the
@@ -183,8 +183,6 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
             phi[0] = expand(row, basis)
         y = raw_rows[t]
         np.matmul(phi, KT, out=y)
-        if intercept is not None:
-            y += intercept
         ys = y.tolist()[0]
         if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)

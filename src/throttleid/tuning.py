@@ -32,7 +32,7 @@ from .features import Dataset, assemble, kfold_indices, merge
 from .parallel import fork_map
 from .plant import PlantTrajectory, write_json
 from .regression import (BasisSpec, CoefficientModel, RawMoments, expand,
-                         fit_from_moments, raw_moments, standardize_moments)
+                         fit_from_moments, raw_moments)
 
 
 class SweepError(RuntimeError):
@@ -72,7 +72,7 @@ PENALTY_SCALE = "sqrt-rows"
 KKT_REL_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """What a sweep varies: the grids and the fold count. The fold seed is
     an argument of each sweep; every other sweep setting is one of the
@@ -94,7 +94,8 @@ class SweepConfig:
             raise ValueError("mu_grid must be strictly increasing and positive")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        self.n_grid, self.mu_grid = tuple(self.n_grid), tuple(self.mu_grid)
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        object.__setattr__(self, "mu_grid", tuple(self.mu_grid))
 
 
 @dataclass
@@ -191,11 +192,10 @@ def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float
     effective mu, raises SweepError(its grid value in `values`, fold)."""
     others = blocks[:fold] + blocks[fold + 1:]
     train = sum(others[1:], start=others[0])
-    moments = standardize_moments(train)
     w0, scores = None, []
     for value, mu in zip(values, mus):
         try:
-            model = fit_from_moments(moments, mu, basis=basis, n_history=n_history,
+            model = fit_from_moments(train, mu, basis=basis, n_history=n_history,
                                      penalty_scale=penalty_scale, w0=w0)
         except Exception as err:
             raise SweepError(value, fold, err) from err

@@ -71,7 +71,7 @@ class TestCriterion01:
         for _ in range(20):
             X = rng.standard_normal((200, 20))
             Y = rng.standard_normal((200, 7))
-            model = fit_lasso(X, Y, 0.0, standardize=False)
+            model = fit_lasso(X, Y, 0.0)
             oracle = np.linalg.solve(X.T @ X, X.T @ Y).T
             rel = np.max(np.abs(model.K - oracle)) / np.max(np.abs(oracle))
             worst = max(worst, rel)
@@ -91,7 +91,7 @@ class TestCriterion02:
                 X = rng.standard_normal((400, 30))
                 K = rng.standard_normal((30, 3)) * (rng.random((30, 3)) > 0.6)
                 Y = X @ K + 0.05 * rng.standard_normal((400, 3))
-                model = fit_lasso(X, Y, mu, standardize=False)
+                model = fit_lasso(X, Y, mu)
                 worst = max(worst, model.kkt)
         assert worst <= 1e-6
         ok(f"C2 PASS KKT subgradient conditions at mu in {{1e-4,1e-3,1e-2}}: "
@@ -106,7 +106,7 @@ class TestCriterion03:
             phi = rng.standard_normal((rng.integers(20, 200), 1))
             y = rng.standard_normal(phi.shape)
             mu = float(rng.uniform(0.0, 30.0))
-            model = fit_lasso(phi, y, mu, standardize=False)
+            model = fit_lasso(phi, y, mu)
             expected = soft_threshold(float(phi[:, 0] @ y[:, 0]), mu) \
                 / float(phi[:, 0] @ phi[:, 0])
             worst = max(worst, abs(model.K[0, 0] - expected))

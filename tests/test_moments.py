@@ -15,8 +15,7 @@ from conftest import reduced_pipeline_config, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices, merge
 from throttleid.pipeline import PipelineConfig, cmd_gen_data, load_trajectories
-from throttleid.regression import (expand, fit_from_moments, model_from_json, predict_expanded,
-                                   raw_moments, standardize_moments)
+from throttleid.regression import expand, fit_from_moments, model_from_json, predict, raw_moments
 from throttleid.tuning import PENALTY_SCALE, sweep_mu
 
 # the mu-path benchmark's sweep: two folds along six decades of mu
@@ -47,7 +46,7 @@ def test_trace_order_invariant(corpus):
 
     def fit(order):
         merged = sum((blocks[i] for i in order[1:]), start=blocks[order[0]])
-        return fit_from_moments(standardize_moments(merged), cfg.train_mu, basis=cfg.basis,
+        return fit_from_moments(merged, cfg.train_mu, basis=cfg.basis,
                                 penalty_scale=PENALTY_SCALE).K
 
     ref = fit(range(len(blocks)))
@@ -103,11 +102,10 @@ def test_scores_match_predictions_on_mu_path(corpus, monkeypatch):
     report = sweep_mu(ds, sweep, cfg.basis)
     mu_desc = sorted(sweep.mu_grid, reverse=True)
     assert len(models) == sweep.k * len(mu_desc)
-    phi = expand(ds.inputs, cfg.basis)
     folds = kfold_indices(len(ds), sweep.k, 0)
     for i, model in enumerate(models):
         fold, mu = i // len(mu_desc), mu_desc[i % len(mu_desc)]
         point = report.point(mu)
-        err = (predict_expanded(model, phi) - ds.targets) / model.standardization.y_scale
+        err = (predict(model, ds.inputs) - ds.targets) / model.standardization.y_scale
         for rows, got in zip(folds[fold], (point.train_rmse[fold], point.test_rmse[fold])):
             assert got == pytest.approx(float(np.sqrt(np.mean(err[rows] ** 2))), rel=1e-7)

@@ -7,7 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,6 @@ class TestTrain:
         cmd_train(cfg)
         assert (out / "model.json").read_bytes() == before
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("fault", ["short", "not-trajectory", "missing-row", "blank-line",
                                        "header-only", "few-columns", "short-row"])
@@ -296,7 +295,7 @@ class TestArtifactKeys:
              "sparsity", "kkt", "ridge", "sweeps"}
     MODEL = {"format", "basis", "mu", "mu_effective", "penalty_scale", "n", "n_inputs",
              "n_outputs", "n_coefficients", "sparsity", "kkt", "sweeps", "objective", "ridge",
-             "dt", "standardization", "intercept", "K_triplets"}
+             "dt", "standardization", "K_triplets"}
 
     def test_key_sets(self, run_dir, tmp_path):
         src, cfg = run_dir
@@ -378,6 +377,15 @@ class TestConfigIO:
         assert _load_config(argparse.Namespace(config=str(cfg_path), out=None)).output_dir \
             == str(tmp_path / "x")
         assert _load_config(argparse.Namespace(config=None, out=None)) == PipelineConfig()
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("plant", "dt", 0.02), ("excitation", "m_levels", 2), ("basis", "degree", 0),
+        ("sweep", "k", 1)])
+    def test_sections_frozen(self, section, field, value):
+        # a section's field is set only through its checks: a changed
+        # config is made with dataclasses.replace
+        with pytest.raises(FrozenInstanceError):
+            setattr(getattr(PipelineConfig(), section), field, value)
 
     def test_sweep_grids_default_when_absent(self):
         assert PipelineConfig.from_json('{"sweep": {}}').sweep == SweepConfig()

@@ -9,9 +9,8 @@ import pytest
 
 import throttleid.regression as regression_mod
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_from_moments,
-                                   fit_lasso, kkt_residual, model_from_json, model_to_json,
-                                   predict, raw_moments, rmse, soft_threshold,
-                                   standardize_moments)
+                                   fit_lasso, model_from_json, model_to_json, predict,
+                                   raw_moments, rmse, soft_threshold)
 
 
 @pytest.fixture
@@ -87,7 +86,7 @@ class TestFitLasso:
     def test_ols_limit_matches_normal_equations(self, rng):
         X = rng.standard_normal((200, 20))
         Y = rng.standard_normal((200, 7))
-        model = fit_lasso(X, Y, 0.0, standardize=False)
+        model = fit_lasso(X, Y, 0.0)
         oracle = np.linalg.solve(X.T @ X, X.T @ Y).T
         rel = np.max(np.abs(model.K - oracle)) / np.max(np.abs(oracle))
         assert rel < 1e-6
@@ -96,7 +95,7 @@ class TestFitLasso:
         X = rng.standard_normal((150, 10))
         y = X @ rng.standard_normal((10, 1)) + 0.01 * rng.standard_normal((150, 1))
         ols = np.linalg.solve(X.T @ X, X.T @ y).ravel()
-        near = fit_lasso(X, y, 1e-12, standardize=False).K.ravel()
+        near = fit_lasso(X, y, 1e-12).K.ravel()
         np.testing.assert_allclose(near, ols, rtol=1e-6, atol=1e-9)
 
     def test_null_solution_threshold(self, rng):
@@ -105,7 +104,7 @@ class TestFitLasso:
         y = rng.standard_normal((100, 1))
         y -= y.mean(axis=0)
         mu_max = np.max(np.abs(X.T @ y))
-        model = fit_lasso(X, y, mu_max * (1 + 1e-12), standardize=False)
+        model = fit_lasso(X, y, mu_max * (1 + 1e-12))
         assert np.count_nonzero(model.K) == 0
         assert model.sparsity == 1.0
 
@@ -114,7 +113,7 @@ class TestFitLasso:
             phi = rng.standard_normal((60, 1))
             y = rng.standard_normal((60, 1))
             mu = float(rng.uniform(0, 20))
-            model = fit_lasso(phi, y, mu, standardize=False)
+            model = fit_lasso(phi, y, mu)
             expected = soft_threshold(float(phi[:, 0] @ y[:, 0]), mu) \
                 / float(phi[:, 0] @ phi[:, 0])
             assert abs(model.K[0, 0] - expected) <= 1e-10 * max(1.0, abs(expected))
@@ -123,8 +122,14 @@ class TestFitLasso:
         X = rng.standard_normal((300, 25))
         Y = rng.standard_normal((300, 3))
         for mu in (1e-4, 1e-3, 1e-2, 1.0, 10.0):
-            model = fit_lasso(X, Y, mu, standardize=False)
+            model = fit_lasso(X, Y, mu)
             assert model.kkt <= 1e-6
+
+    def test_standardize_option_removed(self, rng):
+        # a fit standardizes exactly when it is given a basis
+        X = rng.standard_normal((10, 3))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'standardize'"):
+            fit_lasso(X, X[:, :1], 0.0, standardize=False)
 
     def test_nonfinite_rejected(self, rng):
         X = rng.standard_normal((10, 3))
@@ -143,7 +148,7 @@ class TestFitLasso:
         y = X @ np.ones((12, 1))
         monkeypatch.setattr(regression_mod, "MAX_STEPS", 2)
         with pytest.raises(ConvergenceError) as exc:
-            fit_lasso(X, y, 0.0, standardize=False)
+            fit_lasso(X, y, 0.0)
         assert exc.value.kkt_residual >= 0.0
 
     @pytest.mark.parametrize("rescale", [0.0, 1e-6])
@@ -190,7 +195,7 @@ class TestPredict:
     def test_zero_model(self, rng):
         X = rng.standard_normal((50, 4))
         y = np.zeros((50, 2))
-        model = fit_lasso(X, y, 1.0, standardize=False)
+        model = fit_lasso(X, y, 1.0)
         np.testing.assert_array_equal(predict(model, X[0]), [0.0, 0.0])
 
     def test_linear_system_recovery(self, rng):
@@ -207,7 +212,7 @@ class TestPredict:
     def test_training_rows_match_interpolating_fit(self, rng):
         X = rng.standard_normal((40, 10))
         Y = X @ rng.standard_normal((10, 3))
-        model = fit_lasso(X, Y, 0.0, standardize=False)
+        model = fit_lasso(X, Y, 0.0)
         np.testing.assert_allclose(predict(model, X), Y, atol=1e-8)
 
     def test_width_mismatch_rejected(self, rng):
@@ -224,7 +229,7 @@ class TestPredict:
         X = rng.standard_normal((120, 3))
         Y = np.column_stack([X[:, 0] - 0.5 * X[:, 1] ** 2, X[:, 2]])
         Phi = expand(X, basis)
-        model = fit_from_moments(standardize_moments(raw_moments(Phi, Y)), 1e-3, basis=basis)
+        model = fit_from_moments(raw_moments(Phi, Y), 1e-3, basis=basis)
         assert model.n_inputs == 3
         assert np.array_equal(predict(model, X), predict(fit_lasso(Phi, Y, 1e-3, basis=basis), X))
 
@@ -236,21 +241,23 @@ class TestPredict:
         Y = rng.standard_normal((200, 3)) * np.array([1.0, 50.0, 2e4])
         Phi = expand(X, basis)
         model = fit_lasso(Phi, Y, 0.05, basis=basis, penalty_scale="rows")
-        m = standardize_moments(raw_moments(Phi, Y))
-        phis = (Phi - m.std.x_mean) / m.std.x_scale
-        ys = phis @ model.W_std * m.std.y_scale + m.std.y_mean
+        std = model.standardization
+        phis = (Phi - std.x_mean) / std.x_scale
+        ys = phis @ model.W_std * std.y_scale + std.y_mean
         np.testing.assert_allclose(predict(model, X), ys, rtol=1e-10, atol=1e-8)
 
 
 class TestWarmStart:
     def test_warm_equals_cold(self, rng):
+        # as the sweeps warm-start: standardized, on a basis
+        basis = BasisSpec(1)
         X = rng.standard_normal((250, 18))
         y = X @ (rng.standard_normal((18, 2)) * (rng.random((18, 2)) > 0.5))
         y += 0.05 * rng.standard_normal(y.shape)
-        m = standardize_moments(raw_moments(X, y))
-        cold = fit_from_moments(m, 1e-2, penalty_scale="rows")
-        hot_seed = fit_from_moments(m, 3e-2, penalty_scale="rows")
-        warm = fit_from_moments(m, 1e-2, penalty_scale="rows", w0=hot_seed.W_std)
+        m = raw_moments(expand(X, basis), y)
+        cold = fit_from_moments(m, 1e-2, basis=basis, penalty_scale="rows")
+        hot_seed = fit_from_moments(m, 3e-2, basis=basis, penalty_scale="rows")
+        warm = fit_from_moments(m, 1e-2, basis=basis, penalty_scale="rows", w0=hot_seed.W_std)
         f_cold = cold.objective
         f_warm = warm.objective
         assert abs(f_cold - f_warm) <= 1e-8 * max(1.0, abs(f_cold))
@@ -267,27 +274,34 @@ def _collinear_lags(gen, rows=400, lags=6):
 
 class TestCollinearDesign:
     """Stair-hold lags with two exact duplicate columns appended, fitted
-    as the pipeline fits: the Gram matrix is singular, and the fit must
-    still be certified, unique and independent of the column order."""
+    as the pipeline fits (on a basis, standardized): the Gram matrix is
+    singular, and the fit must still be certified, unique and
+    independent of the column order."""
 
     MUS = (1e-1, 1e-2, 1e-3)
+    BASIS = BasisSpec(1)
 
     @staticmethod
     def design():
         X, Y = _collinear_lags(np.random.default_rng(5))
         return np.column_stack([X, X[:, :2]]), Y
 
+    def fit(self, X, Y, mu):
+        return fit_lasso(expand(X, self.BASIS), Y, mu, basis=self.BASIS,
+                         penalty_scale="sqrt-rows")
+
     @pytest.mark.parametrize("mu", MUS)
     def test_certified(self, mu):
         X, Y = self.design()
-        model = fit_lasso(X, Y, mu, penalty_scale="sqrt-rows")
+        model = self.fit(X, Y, mu)
         assert model.kkt <= 1e-6 * model.mu_effective
         assert 0.0 < model.sparsity < 1.0
 
     @pytest.mark.parametrize("mu", MUS)
     def test_column_order_invariant(self, mu):
-        # The optimum is unique, so a permutation of the columns permutes
-        # K. Its coefficients agree only to 1e-4: along each duplicate
+        # The optimum is unique, so a permutation of the inputs permutes
+        # K's input columns (all but the bias column 0). Its
+        # coefficients agree only to 1e-4: along each duplicate
         # direction the Gram eigenvalue is lambda_2 = RIDGE * N, so
         # rounding that breaks the pair's symmetry moves the split
         # between the two by up to ~6e-6 relative. The sum of a pair,
@@ -295,15 +309,15 @@ class TestCollinearDesign:
         X, Y = self.design()
         F = X.shape[1]
         perm = np.random.default_rng(1).permutation(F)
-        ref = fit_lasso(X, Y, mu, penalty_scale="sqrt-rows")
-        per = fit_lasso(X[:, perm], Y, mu, penalty_scale="sqrt-rows")
-        assert np.array_equal(per.K != 0.0, ref.K[:, perm] != 0.0)
-        np.testing.assert_allclose(per.K, ref.K[:, perm], rtol=1e-4, atol=0.0)
+        ref, per = self.fit(X, Y, mu), self.fit(X[:, perm], Y, mu)
+        K_ref, K_per = ref.K[:, 1:], per.K[:, 1:]
+        assert np.array_equal(K_per != 0.0, K_ref[:, perm] != 0.0)
+        np.testing.assert_allclose(K_per, K_ref[:, perm], rtol=1e-4, atol=0.0)
         np.testing.assert_allclose(predict(per, X[:, perm]), predict(ref, X), rtol=1e-9)
         np.testing.assert_allclose(per.objective, ref.objective, rtol=1e-9)
         assert (per.sparsity, per.ridge) == (ref.sparsity, ref.ridge) and ref.ridge > 0.0
         for a, b in ((0, F - 2), (1, F - 1)):  # each duplicate pair carries equal weights
-            np.testing.assert_allclose(ref.K[:, a], ref.K[:, b], rtol=1e-4, atol=0.0)
+            np.testing.assert_allclose(K_ref[:, a], K_ref[:, b], rtol=1e-4, atol=0.0)
 
 
 class TestRMSE:
@@ -365,8 +379,8 @@ class TestPersistence:
         with pytest.raises(ValueError):
             model_from_json(p)
 
-    # a 2-output model on 6 columns with a separate intercept, each field
-    # edited to lie outside K or to mismatch K's shape
+    # a 2-output model on 6 columns, each field edited to lie outside K
+    # or to mismatch K's shape
     MALFORMED = {
         "triplet-negative": ("K_triplets", lambda d: d["K_triplets"].append([-1, -1, 123.0])),
         "triplet-row": ("K_triplets", lambda d: d["K_triplets"].append([7, 0, 1.0])),
@@ -377,7 +391,6 @@ class TestPersistence:
                     lambda d: d["standardization"]["x_scale"].append(1.0)),
         "y-mean": ("standardization.y_mean", lambda d: d["standardization"]["y_mean"].pop()),
         "y-scale": ("standardization.y_scale", lambda d: d["standardization"]["y_scale"].pop()),
-        "intercept": ("intercept", lambda d: d["intercept"].append(0.0)),
         # keys missing, unknown or disagreeing with K
         "n-inputs": ("'n_inputs'", lambda d: d.update(n_inputs=5)),
         "mu-missing": ("missing model keys: mu", lambda d: d.pop("mu")),
@@ -409,6 +422,10 @@ class TestPersistence:
                                lambda d: d.update(n_outputs=-1)),
         "n-coefficients-negative": ("model key 'n_coefficients' must be >= 0",
                                     lambda d: d.update(n_coefficients=-1)),
+        # an empty K, whose width no input width expands to
+        "n-inputs-negative": ("width 0 is not a degree-1 expansion", lambda d: d.update(
+            basis={"degree": 1}, n_inputs=-1, n_coefficients=0, K_triplets=[],
+            standardization=dict(d["standardization"], x_mean=[], x_scale=[]))),
     }
 
     @pytest.mark.parametrize("field, edit", MALFORMED.values(), ids=MALFORMED.keys())
@@ -416,7 +433,7 @@ class TestPersistence:
         gen = np.random.default_rng(1)
         X = gen.standard_normal((100, 6))
         d = json.loads(model_to_json(fit_lasso(X, X[:, :2] + 1.0, 1.0)))
-        assert (d["n_outputs"], d["n_coefficients"]) == (2, 6) and d["intercept"] is not None
+        assert (d["n_outputs"], d["n_coefficients"]) == (2, 6)
         edit(d)
         with pytest.raises(ValueError, match=re.escape(field)):
             model_from_json(json.dumps(d))
@@ -432,6 +449,18 @@ class TestPersistence:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=re.escape(
                 "unknown model keys: basis.include_bias, basis.kind")):
+            model_from_json(path)
+
+    def test_removed_intercept_rejected(self, tmp_path):
+        # a model file written when a fit could keep its offset apart
+        # from K: retrain rather than load it
+        X = np.random.default_rng(1).standard_normal((100, 3))
+        path = tmp_path / "model.json"
+        model_to_json(fit_lasso(expand(X, BasisSpec()), X[:, :2], 0.1, basis=BasisSpec()), path)
+        d = json.loads(path.read_text())
+        d["intercept"] = None
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape("unknown model keys: intercept")):
             model_from_json(path)
 
     def test_file_without_ridge_loads(self):
@@ -498,7 +527,7 @@ class TestStandardization:
         # a constant target's centered sum of squares can be a rounding
         # residue (~1e-32 for 0.1 over 50 rows), which must not scale it
         Y = np.column_stack([rng.standard_normal(50), np.full(50, 0.1)])
-        m = standardize_moments(raw_moments(X, Y))
+        m = regression_mod._standardize(raw_moments(X, Y), True)
         assert m.std.x_scale[0] == 1.0 and m.std.x_scale[1] == 1.0
         assert m.const_cols[0] and m.const_cols[1] and not m.const_cols[2]
         assert m.std.y_scale[1] == 1.0 and m.yty[1] == 0.0
@@ -506,6 +535,6 @@ class TestStandardization:
     def test_kkt_residual_zero_for_exact_solution(self, rng):
         X = rng.standard_normal((100, 5))
         y = X @ np.ones((5, 1))
-        m = standardize_moments(raw_moments(X, y), standardize=False)
+        m = regression_mod._standardize(raw_moments(X, y), False)
         W = np.ones((5, 1))
-        assert kkt_residual(W, m, 0.0) < 1e-9
+        assert regression_mod._kkt_residual(W, m, 0.0) < 1e-9

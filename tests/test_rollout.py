@@ -23,7 +23,7 @@ PC = PlantConfig()
 # Bases the rollout must expand exactly as `predict` does, each with the
 # history length of its small model: degree 1, whose row the gather fills
 # with values alone; degree 3, whose cubes are computed from the gathered
-# values; and no basis at all, the separate-intercept path.
+# values; and no basis at all, an unstandardized model on the raw features.
 BASES = {
     "linear": (BasisSpec(degree=1), 4),
     "poly3": (BasisSpec(degree=3), 4),
@@ -189,7 +189,7 @@ class TestRollout:
 
     def test_divergence_detected(self, small_model, stair_pair):
         trace, truth = stair_pair
-        bad = fit_lasso(np.eye(3), np.zeros((3, 7)), 0.0, standardize=False)
+        bad = fit_lasso(np.eye(3), np.zeros((3, 7)), 0.0)
         bad.n = small_model.n
         bad.basis = small_model.basis
         bad.K = small_model.K * 0

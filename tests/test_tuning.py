@@ -176,7 +176,7 @@ class TestWorkers:
 
         def flaky(m, mu, **kw):
             fold = next(f for f, mean in enumerate(train_means)
-                        if np.allclose(m.std.y_mean, mean, rtol=1e-9, atol=0.0))
+                        if np.allclose(m.my, mean, rtol=1e-9, atol=0.0))
             if (fold, mu) in {(1, mu_desc[2]), (2, mu_desc[0])}:
                 raise ConvergenceError(fold, 1.0)
             return real_fit(m, mu, **kw)
@@ -204,7 +204,7 @@ class TestWorkers:
             def fit(m, mu_, **kw):
                 model = real_fit(m, mu_, **kw)
                 if kw["n_history"] == 2 and mu_ == mu and np.allclose(
-                        m.std.y_mean, train_means[fold], rtol=1e-9, atol=0.0):
+                        m.my, train_means[fold], rtol=1e-9, atol=0.0):
                     model = replace(model, kkt=2e-6 * model.mu_effective)
                 return model
             return fit
@@ -341,13 +341,13 @@ class TestFoldMoments:
         # bitwise those of its training rows; at k=3 two blocks merged,
         # equal to them up to rounding. On one CPU the folds run in order.
         usable_cpus(monkeypatch, 1)
-        real, seen = tuning_mod.standardize_moments, []
+        real, seen = tuning_mod.fit_from_moments, []
 
-        def recorded(train):
+        def recorded(train, mu, **kw):
             seen.append(train)
-            return real(train)
+            return real(train, mu, **kw)
 
-        monkeypatch.setattr(tuning_mod, "standardize_moments", recorded)
+        monkeypatch.setattr(tuning_mod, "fit_from_moments", recorded)
         sweep_mu(ds, small_cfg(k=k, mu_grid=(1e-3,)))
         phi = expand(ds.inputs, BasisSpec())
         assert len(seen) == k
