@@ -22,7 +22,7 @@ from .features import TARGET_NAMES, assemble, merge
 from .parallel import fork_map
 from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
                     _from_document, read_json, simulate, write_json)
-from .regression import (BasisSpec, CoefficientModel, RawMoments, expand, fit_from_moments,
+from .regression import (BasisSpec, CoefficientModel, RawMoments, fit_from_moments,
                          model_from_json, model_to_json, predict, raw_moments)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
                       rollout, timeseries_csv)
@@ -168,11 +168,11 @@ def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[Pla
 def _train_rows(n: int, basis: BasisSpec,
                 job: tuple[str, Path, int, float]) -> tuple[RawMoments, PlantTrajectory]:
     """One first-pass `cmd_train` task: read a trace's trajectory CSV, checked
-    against the manifest, assemble and expand it, and return the centered
-    moments of its rows with the trajectory."""
+    against the manifest, assemble it, and return the centered moments of
+    its rows on the basis with the trajectory."""
     traj = _read_trajectory(*job)
     ds = assemble(traj, n)
-    return raw_moments(expand(ds.inputs, basis), ds.targets), traj
+    return raw_moments(ds.inputs, ds.targets, basis), traj
 
 
 def _train_errors(model: CoefficientModel, traj: PlantTrajectory) -> np.ndarray:
@@ -188,15 +188,15 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     sweep scales it (PENALTY_SCALE).
 
     Two `fork_map` passes, one task per trace, claimed longest first. A
-    first-pass task reads, assembles and expands its trace and returns
-    the centered moments of its rows with the trajectory; the model is
+    first-pass task reads and assembles its trace and returns the
+    centered moments of its rows with the trajectory; the model is
     fitted from those blocks merged in corpus order. A second-pass task
     re-assembles one trajectory and returns each output's sum of squared
     errors under the model, which the caller adds in corpus order for
-    the report's train RMSE. No process holds the design matrix of more
-    than one trace. The error raised is that of the first failing trace
-    in corpus order. The model records the plant step, which `rollout`
-    checks.
+    the report's train RMSE. No process builds a design matrix: the
+    moments expand a few thousand rows at a time. The error raised is
+    that of the first failing trace in corpus order. The model records
+    the plant step, which `rollout` checks.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)

@@ -14,11 +14,12 @@ unique. The model records lambda_2 (0.0 when none was added) and, as
 `kkt`, the largest KKT violation left; running out of MAX_STEPS
 raises ConvergenceError.
 
-Moments are taken per block of rows (a trace, a CV fold) about the
-block's own column means and merged pairwise (`RawMoments`). A column's
-mean reaches 31x its std on the corpus, so a Gram centered from raw sums
-would cancel and leave the fit's low digits to the summation order and
-the BLAS kernel; from centered blocks K agrees to ~1e-9 across both.
+Moments are taken per chunk of rows about its own column means and
+merged pairwise (`RawMoments`) into a block (a trace, a CV fold), so no
+design matrix is built. A column's mean reaches 31x its std on the
+corpus, so a Gram centered from raw sums would cancel and leave the
+fit's low digits to the summation order and the BLAS kernel; from
+centered blocks K agrees to ~1e-9 across both.
 
 A fit with a basis (the pipeline's fit) standardizes features and
 targets (zero mean, unit variance) before penalizing, so a single mu is
@@ -162,19 +163,33 @@ class RawMoments:
                           self.Cyy + other.Cyy + f * dy ** 2)
 
 
-def raw_moments(features: np.ndarray, targets: np.ndarray) -> RawMoments:
-    """The centered block of (features, targets); ValueError on a non-finite value."""
-    X = np.asarray(features, dtype=float)
+_CHUNK_ROWS = 4096   # rows per chunk of `raw_moments`; 1024-8192 time the same
+
+
+def raw_moments(features: np.ndarray, targets: np.ndarray,
+                basis: BasisSpec | None = None) -> RawMoments:
+    """The centered block of (features, expanded by `basis` if given, targets): one product
+    Z^T Z per chunk Z = [phi | Y], merged in row order; ValueError on a non-finite Z."""
+    x = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
+    if x.ndim != 2 or x.shape[0] != Y.shape[0]:
         raise ValueError("features and targets must be 2-D with equal row counts")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("non-finite training data")
-    mx, my = (A.sum(axis=0) / max(len(A), 1) for A in (X, Y))
-    Xc, Yc = X - mx, Y - my
-    return RawMoments(len(X), mx, my, Xc.T @ Xc, Xc.T @ Yc, np.sum(Yc * Yc, axis=0))
+    N, F = len(x), x.shape[1] if basis is None else basis.width(x.shape[1])
+    Z, total = np.empty((min(N, _CHUNK_ROWS), F + Y.shape[1])), None
+    for start in range(0, max(N, 1), _CHUNK_ROWS):   # no rows: one empty chunk
+        z, rows = Z[:min(N - start, _CHUNK_ROWS)], slice(start, start + _CHUNK_ROWS)
+        z[:, :F] = x[rows] if basis is None else expand(x[rows], basis)
+        z[:, F:] = Y[rows]
+        if not np.isfinite(z).all():
+            raise ValueError("non-finite training data")
+        mean = z.sum(axis=0) / max(len(z), 1)
+        z -= mean
+        S = z.T @ z
+        block = RawMoments(len(z), mean[:F], mean[F:], S[:F, :F], S[:F, F:], np.diag(S)[F:])
+        total = block if total is None else total + block
+    return total
 
 
 def _standardize(raw: RawMoments, standardize: bool) -> _Moments:
@@ -355,9 +370,13 @@ def fit_from_moments(raw: RawMoments, mu: float, *,
     `cmd_train` and the sweeps do), standardized when `basis` is given;
     `w0` warm-starts the search in the solver's coordinates (a model's
     `W_std`). The model's `predict` takes raw inputs of the width that
-    `basis` expands to the moments' width; `n_history` is only recorded."""
+    `basis` expands to the moments' width (column 0 its bias column, of mean 1
+    and no spread); `n_history` is only recorded."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
+    if basis is not None and not (raw.mx[0] == 1.0 and raw.Cxx[0, 0] == 0.0):
+        basis.unexpanded_width(len(raw.mx))   # a width the basis cannot make is named first
+        raise ValueError("column 0 is not the basis's bias column of ones")
     mu_eff = _scale_mu(mu, raw.n_rows, penalty_scale)
     m, ridge = _well_posed(_standardize(raw, basis is not None))
     solvable = np.flatnonzero(np.diag(m.G) > 0.0)

@@ -13,9 +13,9 @@ Both sweeps run on `parallel.fork_map`, `sweep_history` one history
 length per task (assembling its rows there) and `sweep_mu` one fold per
 task, so a report does not depend on the number of usable CPUs and the
 error raised is that of the first failing (grid point, fold) in serial
-order. No design matrix is built whole: each fold's moments are taken
-once, as the centered block (`regression.RawMoments`) of its test rows,
-which the task that takes it expands. Every fold fit runs in one
+order. No design matrix is built: each fold's moments are taken once,
+as the centered block (`regression.RawMoments`) of its test rows, which
+`raw_moments` expands a chunk at a time. Every fold fit runs in one
 warm-started loop (`_fit_fold`) on the other folds' blocks merged, and
 is certified by its KKT residual and scored from moments (`_moment_rmse`).
 """
@@ -31,8 +31,7 @@ import numpy as np
 from .features import Dataset, assemble, kfold_indices, merge
 from .parallel import fork_map
 from .plant import PlantTrajectory, write_json
-from .regression import (BasisSpec, CoefficientModel, RawMoments, expand,
-                         fit_from_moments, raw_moments)
+from .regression import BasisSpec, CoefficientModel, RawMoments, fit_from_moments, raw_moments
 
 
 class SweepError(RuntimeError):
@@ -179,8 +178,8 @@ def _report(kind: str, points: list[GridPoint], cfg: SweepConfig, seed: int) -> 
 
 
 def _block(dataset: Dataset, basis: BasisSpec, rows: np.ndarray) -> RawMoments:
-    """The moments of the dataset's `rows`, expanded here."""
-    return raw_moments(expand(dataset.inputs[rows], basis), dataset.targets[rows])
+    """The moments of the dataset's `rows`, which `raw_moments` expands on `basis`."""
+    return raw_moments(dataset.inputs[rows], dataset.targets[rows], basis)
 
 
 def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float],

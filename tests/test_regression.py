@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,8 +496,74 @@ class TestPersistence:
         with pytest.raises(ValueError, match="width 6 is not a degree-2 expansion"):
             fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec())
 
+    def test_unexpanded_features_rejected(self, rng):
+        # 5 raw columns have a degree-2 width (2p + 1 at p = 2), but their
+        # column 0 is no bias column of ones: the basis did not expand them
+        X = rng.standard_normal((50, 5))
+        with pytest.raises(ValueError, match="column 0 is not the basis's bias column"):
+            fit_lasso(X, X[:, :2], 0.0, basis=BasisSpec(2))
+
+
+def one_pass_moments(X, Y):
+    """The moments of (X, Y) about the whole block's means, from one
+    product over all rows: the reference for the streamed kernel."""
+    mx, my = (A.sum(axis=0) / max(len(A), 1) for A in (X, Y))
+    Xc, Yc = X - mx, Y - my
+    return dict(n_rows=len(X), mx=mx, my=my, Cxx=Xc.T @ Xc, Cxy=Xc.T @ Yc,
+                Cyy=np.sum(Yc * Yc, axis=0))
+
 
 class TestRawMoments:
+    C = regression_mod._CHUNK_ROWS
+
+    @pytest.mark.parametrize("basis", [None, BasisSpec(2)], ids=["no-basis", "degree-2"])
+    @pytest.mark.parametrize("n_rows", [0, 1, C - 1, C, C + 1, 3 * C + 5],
+                             ids=["0", "1", "C-1", "C", "C+1", "3C+5"])
+    def test_streamed_matches_one_pass(self, rng, basis, n_rows):
+        # chunked, centered per chunk and merged, the moments equal those
+        # of one pass, whether the kernel or the caller expands the inputs
+        X = 30.0 + rng.standard_normal((n_rows, 5)) * [1.0, 1e-2, 5.0, 1.0, 0.0]
+        Y = X[:, :3] @ rng.standard_normal((3, 2)) + 100.0 + rng.standard_normal((n_rows, 2))
+        got = raw_moments(X, Y, basis)
+        want = one_pass_moments(X if basis is None else expand(X, basis), Y)
+        assert got.n_rows == want["n_rows"] == n_rows
+        for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
+            ref = want[name]
+            assert getattr(got, name).shape == ref.shape
+            np.testing.assert_allclose(getattr(got, name), ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref), initial=0.0))
+
+    def test_nonfinite_in_last_chunk_rejected(self, rng):
+        X = rng.standard_normal((2 * self.C + 5, 3))
+        X[-1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            raw_moments(X, X[:, :2], BasisSpec(2))
+
+    def test_overflowing_square_rejected(self, rng):
+        # 1e200 is finite, its square in the expansion is not
+        X = rng.standard_normal((10, 3))
+        X[4, 2] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            raw_moments(X, X[:, :2], BasisSpec(2))
+
+    @pytest.mark.parametrize("expanded", [True, False], ids=["expanded", "raw-inputs"])
+    def test_peak_memory_is_one_chunk(self, rng, expanded):
+        # the kernel holds a chunk of rows at a time, never a copy of the
+        # block: over 20 chunks its peak allocation stays below a quarter
+        # of the expanded matrix, whether it is given that matrix or the
+        # raw inputs and the basis
+        basis = BasisSpec(2)
+        X = rng.standard_normal((20 * self.C, 12))
+        Y = rng.standard_normal((20 * self.C, 3))
+        phi = expand(X, basis)
+        tracemalloc.start()
+        try:
+            raw_moments(*((phi, Y) if expanded else (X, Y, basis)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes / 4
+
     def test_merged_blocks_match_one_pass(self, rng):
         # columns whose means are far above their spread, cut into blocks
         # of uneven sizes, one of them empty, merged left to right

@@ -13,7 +13,9 @@ A cold `import throttleid`, which the benchmark times, must not load
 module imports: fork-map tasks pass data back only as results. Artifact
 JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
-`plant._fits` and `plant._from_document`, defined nowhere else.
+`plant._fits` and `plant._from_document`, defined nowhere else. No
+caller expands rows before taking their moments: `raw_moments` expands
+them a chunk at a time, so no design matrix is built whole.
 """
 
 import ast
@@ -187,3 +189,29 @@ def test_one_json_reader():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in ("_fits", "_from_document")}
     assert defined == {("plant", "_fits"), ("plant", "_from_document")}
+
+
+def _calls(node, name):
+    """Every call in `node` of a function named `name`, bare or as an attribute."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and name in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_no_expanded_rows_reach_raw_moments():
+    # an argument of raw_moments must not hold an expand(...) result, directly
+    # or through a name bound to one in the same function: the kernel takes
+    # the raw inputs and the basis, and expands one chunk of rows at a time
+    found = []
+    for path in sorted(Path(throttleid.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            expanded = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                        and _calls(n.value, "expand") for t in n.targets
+                        if isinstance(t, ast.Name)}
+            for call in _calls(fn, "raw_moments"):
+                for arg in call.args + [kw.value for kw in call.keywords]:
+                    if _calls(arg, "expand") or any(isinstance(n, ast.Name) and n.id in expanded
+                                                    for n in ast.walk(arg)):
+                        found.append((path.stem, fn.name, call.lineno))
+    assert found == []

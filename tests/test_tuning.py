@@ -303,10 +303,10 @@ class TestFoldMoments:
         usable_cpus(monkeypatch, cpus)
         real, rows = tuning_mod.raw_moments, multiprocessing.Value("q", 0)
 
-        def counted(features, targets):
+        def counted(features, targets, basis=None):
             with rows.get_lock():
                 rows.value += len(features)
-            return real(features, targets)
+            return real(features, targets, basis)
 
         monkeypatch.setattr(tuning_mod, "raw_moments", counted)
         sweep_mu(ds, small_cfg(k=3, mu_grid=(1e-3,)))
@@ -317,20 +317,21 @@ class TestFoldMoments:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_each_row_expanded_once(self, ds, monkeypatch, cpus):
-        # each fold's block task expands its own rows, counted in shared
-        # memory whichever process expands them; with workers, the caller
-        # expands none
+        # each fold's block task passes its own raw rows and the basis to
+        # raw_moments, which expands them, counted in shared memory
+        # whichever process takes them; with workers, the caller takes none
         usable_cpus(monkeypatch, cpus)
-        real, caller = tuning_mod.expand, os.getpid()
+        real, caller = tuning_mod.raw_moments, os.getpid()
         rows, in_caller = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
 
-        def counted(x, basis):
+        def counted(features, targets, basis=None):
+            assert basis == BasisSpec() and features.shape[1] == ds.inputs.shape[1]
             with rows.get_lock():
-                rows.value += len(x)
-                in_caller.value += len(x) if os.getpid() == caller else 0
-            return real(x, basis)
+                rows.value += len(features)
+                in_caller.value += len(features) if os.getpid() == caller else 0
+            return real(features, targets, basis)
 
-        monkeypatch.setattr(tuning_mod, "expand", counted)
+        monkeypatch.setattr(tuning_mod, "raw_moments", counted)
         sweep_mu(ds, small_cfg(k=3, mu_grid=(1e-3,)))
         assert rows.value == len(ds)
         assert in_caller.value == (len(ds) if cpus == 1 else 0)
