@@ -217,7 +217,7 @@ def build_corpus(cfg: ExcitationConfig, plant: PlantConfig, seed: int = 0) -> li
 def corpus_manifest(corpus: list[CommandTrace], cfg: ExcitationConfig,
                     plant: PlantConfig) -> dict:
     """JSON-ready manifest describing a corpus (segment kind, exact `thrust_levels`
-    bias, duration, and `file`, the CSV name that its trajectory is written under)."""
+    bias, duration, and `file`, the name of the command CSV that `save_corpus` writes)."""
     biases = {_excite_name(b): float(b) for b in thrust_levels(cfg, plant)}
     entries = []
     for i, trace in enumerate(corpus):

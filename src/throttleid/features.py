@@ -178,7 +178,7 @@ def assemble(traj: PlantTrajectory, n: int) -> Dataset:
         raise ValueError("history length must be >= 1")
     L = len(traj)
     if L <= n:
-        raise ValueError(f"trajectory of length {L} too short for history n={n}")
+        raise ValueError(f"trajectory {traj.name!r} of length {L} too short for history n={n}")
 
     buf = _buffer(traj)
     # A row index broadcast against the column index gathers straight

@@ -1,6 +1,6 @@
 """Batch pipeline: data generation, training, sweeps, validation.
 
-Each stage reads and writes plain CSV/JSON artifacts under an output
+Each stage reads and writes JSON, CSV and `.npy` artifacts under an output
 directory, and every stage writes its resolved configuration to
 config.json there, replacing the one before. So a run is reconstructible
 from its directory alone only when every stage was given the same
@@ -20,8 +20,8 @@ from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
 from .features import TARGET_NAMES, assemble, merge
 from .parallel import fork_map
-from .plant import (CommandTrace, PlantConfig, PlantTrajectory, PropellantDepletedError,
-                    _from_document, read_json, simulate, write_json)
+from .plant import (TRAJECTORY_CSV_HEADER, CommandTrace, PlantConfig, PlantTrajectory,
+                    PropellantDepletedError, _from_document, read_json, simulate, write_json)
 from .regression import (BasisSpec, CoefficientModel, RawMoments, fit_from_moments,
                          model_from_json, model_to_json, predict, raw_moments)
 from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
@@ -73,16 +73,21 @@ def _snapshot(cfg: PipelineConfig, out: Path) -> None:
     cfg.to_json(out / "config.json")
 
 
+_TRAJECTORY_DTYPE = np.dtype([(name, "<f8") for name in TRAJECTORY_CSV_HEADER.split(",")])
+
+
 def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace]):
-    """Simulate one corpus trace and write the response's CSV under the file
-    name given. Returns None, or the time at which the plant ran dry, in which
-    case no trajectory is written."""
+    """Simulate one corpus trace and `np.save` its response, one '<f8' field
+    per CSV column (the `.npy` header names them), under the file name given.
+    Returns None, or the time at which the plant ran dry (no file is written)."""
     fname, trace = job
     try:
         traj = simulate(trace, plant_cfg)
     except PropellantDepletedError as err:
         return err.t
-    traj.to_csv(out / "trajectories" / fname)
+    rows = np.column_stack([traj.t, traj.commands, traj.status, traj.thrusts,
+                            traj.pressures, traj.m_fuel, traj.m_ox])
+    np.save(out / "trajectories" / fname, rows.view(_TRAJECTORY_DTYPE)[:, 0])
     return None
 
 
@@ -91,16 +96,15 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
 
     Writes the manifest under corpus/, simulated plant responses under
     trajectories/ (each holds its trace's commands and status, one row
-    later, so no command CSV is written), and prints a corpus summary. A
-    trace that depletes the plant mid-run is recorded in the manifest and
-    excluded from the trajectory set.
+    later, so no command CSV is written) as the `.npy` arrays that the
+    manifest's `trajectory` names, and prints a corpus summary. A trace that
+    depletes the plant mid-run is recorded and has no trajectory.
 
-    Each trace is one `fork_map` task, which simulates it and writes its
-    response, formatting the file itself; only the depletion time comes
-    back. The summary's sample count and command range are taken from the
-    corpus: a response has one row more than its trace. The manifest and
-    the summary are written in corpus order, so every file is the same
-    whatever the CPU count.
+    Each trace is one `fork_map` task, which simulates it and saves its
+    response; only the depletion time comes back. The summary's sample
+    count and command range are taken from the corpus: a response has
+    one row more than its trace. The manifest and summary are written in
+    corpus order, so every file is the same whatever the CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -109,16 +113,15 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
     entries = manifest["segments"]
     for sub in ("corpus", "trajectories"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    jobs = [(entry["file"], trace) for entry, trace in zip(entries, corpus)]
+    jobs = [(f"{Path(entry['file']).stem}.npy", trace) for entry, trace in zip(entries, corpus)]
     n_samples = 0
     cmd_lo, cmd_hi = np.inf, -np.inf
-    for entry, trace, depleted_at in zip(
-            entries, corpus, fork_map(partial(_gen_trace, cfg.plant, out), jobs)):
+    for entry, (fname, trace), depleted_at in zip(
+            entries, jobs, fork_map(partial(_gen_trace, cfg.plant, out), jobs)):
+        entry["trajectory"] = fname if depleted_at is None else None
         if depleted_at is not None:
             entry["depleted_at"] = depleted_at
-            entry["trajectory"] = None
             continue
-        entry["trajectory"] = entry["file"]
         n_samples += len(trace) + 1
         on = trace.status > 0
         if on.any():
@@ -131,7 +134,7 @@ def cmd_gen_data(cfg: PipelineConfig) -> dict:
 
 
 def _trajectory_files(data_dir: str | Path, dt: float | None = None) -> list[tuple]:
-    """(name, trajectory CSV, rows, step) of every trace that the corpus
+    """(name, trajectory file, rows, step) of every trace that the corpus
     manifest under `data_dir` lists with a trajectory, in corpus order; a
     response has one row more than the `samples` of its trace. Raises
     FileNotFoundError when there is none, and ValueError when `dt` is
@@ -149,36 +152,40 @@ def _trajectory_files(data_dir: str | Path, dt: float | None = None) -> list[tup
 
 
 def _read_trajectory(name: str, path: Path, rows: int, dt: float) -> PlantTrajectory:
-    """A trajectory CSV written at step `dt`, parsed; ValueError naming the
-    file when it does not hold the `rows` rows that the manifest lists."""
-    traj = PlantTrajectory.from_csv(path, dt, name=name)
-    if len(traj) != rows:
-        raise ValueError(f"{path}: {len(traj)} rows parsed, the manifest lists {rows}")
-    return traj
+    """The trajectory file that `_gen_trace` saved at step `dt`, never
+    unpickled; ValueError naming the file when it is not a `.npy` array of
+    _TRAJECTORY_DTYPE with the `rows` rows that the manifest lists."""
+    try:   # the .npy format alone, unlike np.load: never a zip archive or a pickle
+        with open(path, "rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as err:   # empty, truncated, not .npy, or an object array
+        raise ValueError(f"{path}: not a trajectory .npy file ({err})") from None
+    if data.dtype != _TRAJECTORY_DTYPE or data.ndim != 1:
+        raise ValueError(f"{path}: not a trajectory (a 1-D array of dtype {_TRAJECTORY_DTYPE})")
+    if len(data) != rows:   # a manifest lists at least one row
+        raise ValueError(f"{path}: {len(data)} rows read, the manifest lists {rows}")
+    return PlantTrajectory._from_rows(path, data.view("<f8").reshape(rows, -1), dt, name)
 
 
 def load_trajectories(data_dir: str | Path, dt: float | None = None) -> list[PlantTrajectory]:
     """Every trajectory that the corpus manifest under `data_dir` lists,
     in corpus order, each checked against its manifest row count and
-    step (and that step against `dt`, when given). Each trace is read and
-    parsed in its own `fork_map` task, which sends the trajectory back."""
-    return list(fork_map(lambda job: _read_trajectory(*job), _trajectory_files(data_dir, dt)))
+    step (and that step against `dt`, when given). The caller reads them:
+    the 24 default traces load in ~18 ms, less than forking for them."""
+    return [_read_trajectory(*job) for job in _trajectory_files(data_dir, dt)]
 
 
-def _train_rows(n: int, basis: BasisSpec,
-                job: tuple[str, Path, int, float]) -> tuple[RawMoments, PlantTrajectory]:
-    """One first-pass `cmd_train` task: read a trace's trajectory CSV, checked
-    against the manifest, assemble it, and return the centered moments of
-    its rows on the basis with the trajectory."""
-    traj = _read_trajectory(*job)
-    ds = assemble(traj, n)
-    return raw_moments(ds.inputs, ds.targets, basis), traj
+def _train_rows(n: int, basis: BasisSpec, job: tuple[str, Path, int, float]) -> RawMoments:
+    """One first-pass `cmd_train` task: the centered moments, on the basis,
+    of the rows of a trace's trajectory file, checked against the manifest."""
+    ds = assemble(_read_trajectory(*job), n)
+    return raw_moments(ds.inputs, ds.targets, basis)
 
 
-def _train_errors(model: CoefficientModel, traj: PlantTrajectory) -> np.ndarray:
+def _train_errors(model: CoefficientModel, job: tuple[str, Path, int, float]) -> np.ndarray:
     """One second-pass `cmd_train` task: each output's sum of squared errors
-    of `predict` over a trajectory's rows, assembled at the model's n."""
-    ds = assemble(traj, model.n)
+    of `predict` over the rows, at the model's n, of a trace's trajectory file."""
+    ds = assemble(_read_trajectory(*job), model.n)
     return np.sum((predict(model, ds.inputs) - ds.targets) ** 2, axis=0)
 
 
@@ -187,28 +194,27 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     fit the coefficient model at the configured mu, scaled as the mu
     sweep scales it (PENALTY_SCALE).
 
-    Two `fork_map` passes, one task per trace, claimed longest first. A
-    first-pass task reads and assembles its trace and returns the
-    centered moments of its rows with the trajectory; the model is
-    fitted from those blocks merged in corpus order. A second-pass task
-    re-assembles one trajectory and returns each output's sum of squared
-    errors under the model, which the caller adds in corpus order for
-    the report's train RMSE. No process builds a design matrix: the
-    moments expand a few thousand rows at a time. The error raised is
-    that of the first failing trace in corpus order. The model records
-    the plant step, which `rollout` checks.
+    Two `fork_map` passes, one task per trajectory file, claimed longest
+    first. A first-pass task reads and assembles its trace and returns
+    the centered moments of its rows; the model is fitted from those
+    blocks merged in corpus order. A second-pass task reads and
+    assembles it again and returns each output's sum of squared errors
+    under the model, which the caller adds in corpus order for the
+    report's train RMSE. No trajectory crosses a pipe, and no process
+    expands more than a few thousand rows at a time. The error raised
+    is that of the first failing trace in corpus order. The model
+    records the plant step, which `rollout` checks.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
-    blocks, trajs = zip(*fork_map(partial(_train_rows, cfg.history, cfg.basis),
-                                  _trajectory_files(data_dir or out, cfg.plant.dt),
-                                  key=lambda job: job[2]))
+    files, by_rows = _trajectory_files(data_dir or out, cfg.plant.dt), lambda job: job[2]
+    blocks = list(fork_map(partial(_train_rows, cfg.history, cfg.basis), files, key=by_rows))
     moments = sum(blocks[1:], start=blocks[0])
     model = fit_from_moments(moments, cfg.train_mu, basis=cfg.basis,
                              n_history=cfg.history, penalty_scale=PENALTY_SCALE)
     model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")
-    sse = sum(fork_map(partial(_train_errors, model), trajs, key=len))
+    sse = sum(fork_map(partial(_train_errors, model), files, key=by_rows))
     per_output = np.sqrt(sse / moments.n_rows)
     aggregate = float(np.sqrt(np.mean(per_output ** 2)))
     report = {name: getattr(model, name)

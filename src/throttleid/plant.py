@@ -59,10 +59,9 @@ G0 = 9.80665
 # worker sends back. Small blocks bound memory on long traces and keep
 # each temporary and each message (12-100 KiB of text) below glibc's
 # mmap threshold: freeing a larger buffer raises that threshold, which
-# moves later mid-size temporaries onto the heap (converting whole
-# traces at once raised the training peak RSS by ~7%, and sending each
-# worker's whole share as one message raised it by ~7% too). Many small
-# tasks also keep the workers busy while the caller writes.
+# moves later mid-size temporaries onto the heap (whole-trace blocks and
+# whole-share messages each raised a peak RSS by ~7%). Many small tasks
+# also keep the workers busy while the caller writes.
 _BLOCK = 256
 
 TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
@@ -332,6 +331,11 @@ class PlantTrajectory:
         if not len(data) or data.shape[1] != width:
             raise ValueError(f"{path}: not a trajectory CSV (no rows of {width} values "
                              f"after the header)")
+        return cls._from_rows(path, data, dt, name)
+
+    @classmethod
+    def _from_rows(cls, path, data: np.ndarray, dt: float, name: str) -> "PlantTrajectory":
+        """Columns as views of the (L, 16) `data` of file `path`, whose `t` is checked."""
         if not np.array_equal(data[:, 0], np.arange(len(data)) * dt):
             raise ValueError(f"{path}: the t column does not step by {dt} s from 0")
         return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9],

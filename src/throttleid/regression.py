@@ -163,7 +163,7 @@ class RawMoments:
                           self.Cyy + other.Cyy + f * dy ** 2)
 
 
-_CHUNK_ROWS = 4096   # rows per chunk of `raw_moments`; 1024-8192 time the same
+_CHUNK_ROWS = 4096   # rows per chunk of `raw_moments` and `predict`; 1024-8192 time the same
 
 
 def raw_moments(features: np.ndarray, targets: np.ndarray,
@@ -441,7 +441,8 @@ def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
     """Apply the learned map K @ phi(x), phi the model's basis (the
     identity when it has none).
 
-    Accepts a single unexpanded feature vector (p,) or a batch (N, p).
+    Accepts a single unexpanded feature vector (p,) or a batch (N, p),
+    which is expanded `_CHUNK_ROWS` rows at a time, as `raw_moments` does.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -449,7 +450,9 @@ def predict(model: CoefficientModel, x: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.n_inputs:   # the basis expands n_inputs columns to K's width
         raise ValueError(
             f"feature width {X.shape[1]} does not match model input width {model.n_inputs}")
-    Y = (X if model.basis is None else expand(X, model.basis)) @ model.K.T
+    Y = np.empty((len(X), model.K.shape[0]))
+    for rows in (slice(lo, lo + _CHUNK_ROWS) for lo in range(0, len(X), _CHUNK_ROWS)):
+        Y[rows] = (X[rows] if model.basis is None else expand(X[rows], model.basis)) @ model.K.T
     return Y[0] if single else Y
 
 

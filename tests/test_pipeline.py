@@ -21,9 +21,71 @@ from throttleid.features import TARGET_NAMES, assemble, merge
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
-from throttleid.plant import PlantConfig, PlantTrajectory
+from throttleid.plant import TRAJECTORY_CSV_HEADER, PlantConfig, PlantTrajectory
 from throttleid.regression import BasisSpec, model_from_json, model_to_json, predict, rmse
 from throttleid.tuning import SweepConfig
+
+
+class Touch:
+    """An object whose unpickling creates the file `path`."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return Path.touch, (Path(self.path),)
+
+
+HEADER = TRAJECTORY_CSV_HEADER.split(",")
+
+# What the ValueError raised for each fault of a trajectory file says
+FAULTS = {
+    "short": "too short for history n=4",
+    "not-trajectory": r"not a trajectory \.npy file .*magic string is not correct",
+    "missing-row": "rows read, the manifest lists",
+    "header-only": "0 rows read, the manifest lists",
+    "few-columns": r"not a trajectory \(a 1-D array of dtype",
+    "truncated": r"not a trajectory \.npy file .*Failed to read all data",
+    "empty": r"not a trajectory \.npy file .*EOF",
+    "object-array": r"not a trajectory \.npy file .*Object arrays cannot be loaded",
+    "renamed-fields": r"not a trajectory \(a 1-D array of dtype",
+    "reordered-fields": r"not a trajectory \(a 1-D array of dtype",
+    "f4-fields": r"not a trajectory \(a 1-D array of dtype",
+    "two-d": r"not a trajectory \(a 1-D array of dtype",
+    "t-off-step": "the t column does not step by 0.01 s from 0",
+}
+
+
+def _fields(rows, names):
+    """The '<f8' fields `names` of `rows`, in that order, as an array of them alone."""
+    return np.array(rows[names].tolist(), dtype=[(name, "<f8") for name in names])
+
+
+def _write_fault(path: Path, kind: str, entry: dict, history: int, unpickled: Path) -> None:
+    """Give the trajectory file `path`, listed by the manifest `entry`, the fault `kind`."""
+    rows, raw = np.load(path, allow_pickle=False), path.read_bytes()
+    if kind == "short":   # a trace shorter than the history, as the manifest lists
+        np.save(path, rows[:history])
+        entry["samples"] = history - 1
+    elif kind == "not-trajectory":   # CSV text under the trajectory's file name
+        path.write_text(TRAJECTORY_CSV_HEADER + "\n" + "0.0,1.0\n" * 20)
+    elif kind in ("truncated", "empty"):
+        path.write_bytes(raw[:len(raw) // 2] if kind == "truncated" else b"")
+    elif kind == "object-array":
+        np.save(path, np.array([Touch(unpickled)], dtype=object), allow_pickle=True)
+    elif kind == "t-off-step":   # one time stamp off by 1e-12 s
+        rows["t"][5] += 1e-12
+        np.save(path, rows)
+    else:
+        np.save(path, {
+            "missing-row": lambda: rows[:-1],   # the manifest lists one row more
+            "header-only": lambda: rows[:0],
+            "few-columns": lambda: _fields(rows, HEADER[:13]),
+            "renamed-fields": lambda: rows.view([("time", "<f8")] + rows.dtype.descr[1:]),
+            "reordered-fields": lambda: _fields(rows, HEADER[1:] + HEADER[:1]),
+            "f4-fields": lambda: rows.astype([(name, "<f4") for name in HEADER]),
+            "two-d": lambda: rows[:, None],
+        }[kind]())
 
 
 def _hash_tree(root: Path) -> dict:
@@ -51,9 +113,12 @@ class TestGenData:
         manifest = json.loads((out / "corpus" / "manifest.json").read_text())
         # corpus/ holds only the manifest: a trajectory's columns hold its commands
         assert sorted(p.name for p in (out / "corpus").iterdir()) == ["manifest.json"]
+        # each trajectory is the .npy array named as its trace's command CSV
         for entry in manifest["segments"]:
-            assert entry["trajectory"] == entry["file"]
-            assert (out / "trajectories" / entry["trajectory"]).exists()
+            assert entry["file"].endswith(".csv")
+            assert entry["trajectory"] == entry["file"][:-len(".csv")] + ".npy"
+        assert sorted(p.name for p in (out / "trajectories").iterdir()) == \
+            sorted(e["trajectory"] for e in manifest["segments"])
         assert (out / "config.json").exists()
 
     def test_excitation_count(self, run_dir):
@@ -71,7 +136,8 @@ class TestGenData:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_load_trajectories(self, run_dir, monkeypatch, cpus):
-        # at 2 usable CPUs every trace is read in a forked worker
+        # every trace is read in the caller, whatever the CPU count, and
+        # each column is the field of the file that its CSV name names
         usable_cpus(monkeypatch, cpus)
         out, _ = run_dir
         trajs = load_trajectories(out)
@@ -81,10 +147,12 @@ class TestGenData:
         listed = [e for e in manifest["segments"] if e.get("trajectory")]
         assert [t.name for t in trajs] == [e["name"] for e in listed]
         for traj, entry in zip(trajs, listed):
-            again = PlantTrajectory.from_csv(out / "trajectories" / entry["trajectory"],
-                                             manifest["dt"])
-            assert traj.thrusts.tobytes() == again.thrusts.tobytes()
-            assert traj.m_ox.tobytes() == again.m_ox.tobytes()
+            saved = np.load(out / "trajectories" / entry["trajectory"], allow_pickle=False)
+            assert saved.dtype.names == tuple(HEADER)
+            assert traj.thrusts.tobytes() == \
+                np.column_stack([saved[f"To{j}"] for j in range(1, 5)]).tobytes()
+            assert traj.m_ox.tobytes() == saved["mo"].tobytes()
+            assert np.array_equal(saved["t"], traj.t)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_depleted_traces_left_out(self, tmp_path, monkeypatch, capsys, cpus):
@@ -99,7 +167,7 @@ class TestGenData:
         written = sorted(p.name for p in (tmp_path / "trajectories").iterdir())
         assert written == sorted(e["trajectory"] for e in manifest["segments"]
                                  if e["name"] not in depleted)
-        rows = sum(len(p.read_text().splitlines()) - 1 for p in (tmp_path / "trajectories").iterdir())
+        rows = sum(len(np.load(p, allow_pickle=False)) for p in (tmp_path / "trajectories").iterdir())
         assert f"{len(manifest['segments'])} traces, {rows} simulated samples" in capsys.readouterr().out
 
 
@@ -141,14 +209,12 @@ class TestTrain:
         assert (out / "model.json").read_bytes() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("fault", ["short", "not-trajectory", "missing-row", "blank-line",
-                                       "header-only", "few-columns", "short-row"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
     def test_bad_trajectory_raises(self, run_dir, tmp_path, monkeypatch, cpus, fault):
         # the second trace has the fault; the last one another, which a
         # serial run would meet later, so it must not be what is raised.
-        # A blank line is no fault: np.loadtxt skips it and reads the
-        # right rows, so the last trace's fault is what is raised then.
-        # Each fault raises its ValueError without a warning before it.
+        # Each fault raises its ValueError, naming the file, without a
+        # warning before it, and no file is ever unpickled.
         src, cfg = run_dir
         out = tmp_path / "bad"
         for sub in ("corpus", "trajectories"):
@@ -156,45 +222,26 @@ class TestTrain:
         manifest_path = out / "corpus" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         entries = [e for e in manifest["segments"] if e.get("trajectory")]
-        for entry, kind in ((entries[1], fault),
-                            (entries[-1], "short" if fault != "short" else "not-trajectory")):
-            path = out / "trajectories" / entry["trajectory"]
-            lines = path.read_text().splitlines(keepends=True)
-            if kind == "short":   # a trace shorter than the history, as the manifest lists
-                path.write_text("".join(lines[:cfg.history + 1]))
-                entry["samples"] = cfg.history - 1
-            elif kind == "missing-row":   # the manifest lists one row more
-                path.write_text("".join(lines[:-1]))
-            elif kind == "blank-line":
-                path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
-            elif kind == "header-only":
-                path.write_text(lines[0])
-            elif kind == "few-columns":   # every row cut to its first 13 values
-                path.write_text(lines[0] + "".join(",".join(line.split(",")[:13]) + "\n"
-                                                   for line in lines[1:]))
-            elif kind == "short-row":
-                path.write_text("".join(lines[:3] + ["0.02,1.0\n"] + lines[4:]))
-            else:   # a CSV with the trace's file name but not a trajectory's columns
-                path.write_text("t,Tr1\n" + "".join(f"{i},1.0\n" for i in range(20)))
+        later = "short" if fault != "short" else "not-trajectory"
+        unpickled = tmp_path / "unpickled"
+        for entry, kind in ((entries[1], fault), (entries[-1], later)):
+            _write_fault(out / "trajectories" / entry["trajectory"], kind, entry,
+                         cfg.history, unpickled)
         manifest_path.write_text(json.dumps(manifest))
         usable_cpus(monkeypatch, cpus)
-        match = {"short": "too short for history n=4", "not-trajectory": "not a trajectory CSV",
-                 "missing-row": "rows parsed, the manifest lists",
-                 "blank-line": "too short for history n=4",
-                 "header-only": "no rows of 16 values after the header",
-                 "few-columns": "no rows of 16 values after the header",
-                 "short-row": "number of columns changed from 16 to 2"}[fault]
-        with pytest.raises(ValueError, match=match) as caught:
+        with pytest.raises(ValueError, match=FAULTS[fault]) as caught:
             cmd_train(replace(cfg, output_dir=str(out)))
-        if fault == "blank-line":
-            assert load_trajectories(out)[1].thrusts.tobytes() == \
-                load_trajectories(src)[1].thrusts.tobytes()
-        elif fault != "short":
-            # load_trajectories checks each file as cmd_train does
-            with pytest.raises(ValueError, match=match) as loaded:
-                load_trajectories(out)
-            assert entries[1]["file"] in str(caught.value)
-            assert entries[1]["file"] in str(loaded.value)
+        # a trace too short for the history is named by its trace name
+        assert entries[1]["name" if fault == "short" else "trajectory"] in str(caught.value)
+        # load_trajectories checks each file as cmd_train does; a trace
+        # too short for the history is no fault of its file, so there the
+        # last trace's fault is the first one met
+        failing = entries[-1] if fault == "short" else entries[1]
+        with pytest.raises(ValueError, match=FAULTS[later if fault == "short" else fault]) \
+                as loaded:
+            load_trajectories(out)
+        assert failing["trajectory"] in str(loaded.value)
+        assert not unpickled.exists()
 
     def test_step_mismatch_raises(self, tmp_path):
         # a corpus sampled at 0.02 s is neither trained nor swept at 0.01 s
@@ -349,6 +396,30 @@ class TestReproducibility:
         assert any(k.startswith("trajectories/") for k in hashes[1])
         assert "model.json" in hashes[1] and "train_report.json" in hashes[1]
         assert hashes[1] == hashes[2] == hashes[3]
+
+
+class TestBinaryTrajectories:
+    def test_no_trajectory_goes_through_text(self, tmp_path, monkeypatch):
+        # gen-data saves each response as a .npy array, which train and
+        # sweep load: no trajectory is formatted or parsed as CSV text, and
+        # the files hold the same bytes at 1 and 2 usable CPUs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trajectory went through CSV text")
+
+        for owner, name in ((PlantTrajectory, "to_csv"), (PlantTrajectory, "from_csv"),
+                            (np, "loadtxt")):
+            monkeypatch.setattr(owner, name, refuse)
+        digests = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            cfg = tiny_config(str(tmp_path / f"cpus{cpus}"))
+            cmd_gen_data(cfg)
+            cmd_train(cfg)
+            cmd_sweep(cfg)
+            digests[cpus] = {k: v for k, v in _hash_tree(Path(cfg.output_dir)).items()
+                             if k.startswith("trajectories/")}
+        assert len(digests[1]) > 2 and all(k.endswith(".npy") for k in digests[1])
+        assert digests[1] == digests[2]
 
 
 class TestConfigIO:

@@ -247,6 +247,34 @@ class TestPredict:
         ys = phis @ model.W_std * std.y_scale + std.y_mean
         np.testing.assert_allclose(predict(model, X), ys, rtol=1e-10, atol=1e-8)
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5],
+                             ids=["0", "1", "C-1", "C", "C+1", "3C+5"])
+    def test_batch_matches_one_product(self, rng, n_rows):
+        # a batch expanded a chunk at a time predicts what one product
+        # over the whole expanded batch predicts
+        assert regression_mod._CHUNK_ROWS == 4096
+        basis = BasisSpec(2)
+        fit_rows = rng.standard_normal((300, 6))
+        model = fit_lasso(expand(fit_rows, basis), fit_rows[:, :3] ** 2, 1e-3, basis=basis)
+        X = rng.standard_normal((n_rows, 6))
+        got = predict(model, X)
+        assert got.shape == (n_rows, 3)
+        np.testing.assert_allclose(got, expand(X, basis) @ model.K.T, rtol=1e-12, atol=1e-12)
+
+    def test_peak_memory_is_one_chunk(self, rng):
+        # over 20 chunks the peak allocation stays below a quarter of the
+        # expanded batch: the output and one chunk's expansion
+        basis = BasisSpec(2)
+        X = rng.standard_normal((20 * regression_mod._CHUNK_ROWS, 12))
+        model = fit_lasso(expand(X[:500], basis), X[:500, :2], 1e-3, basis=basis)
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < expand(X, basis).nbytes / 4
+
 
 class TestWarmStart:
     def test_warm_equals_cold(self, rng):

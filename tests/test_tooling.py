@@ -10,7 +10,9 @@ and the README's quick start also run to completion, which catches a
 changed call shape.
 A cold `import throttleid`, which the benchmark times, must not load
 `multiprocessing`, which only the fork map needs, nor `mmap`, which no
-module imports: fork-map tasks pass data back only as results. Artifact
+module imports: fork-map tasks pass data back only as results. Every
+`.npy` read passes `allow_pickle=False`, so no trajectory file is ever
+unpickled. Artifact
 JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
 `plant._fits` and `plant._from_document`, defined nowhere else. No
@@ -62,6 +64,21 @@ def test_import_skips_process_and_mmap_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_npy_reads_never_unpickle():
+    # a trajectory file holds data only: every `np.load` or `read_array`
+    # call in the package passes allow_pickle=False, so no file it reads
+    # is ever unpickled
+    calls = [node for path in Path(throttleid.__file__).parent.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith(("np.load", "numpy.load", "read_array"))]
+    assert calls
+    for call in calls:
+        flags = [k.value for k in call.keywords if k.arg == "allow_pickle"]
+        assert len(flags) == 1 and isinstance(flags[0], ast.Constant) \
+            and flags[0].value is False, ast.unparse(call)
 
 
 def test_no_module_imports_mmap():
