@@ -28,8 +28,9 @@ The layout is written once. `build_row` gives the order of the slots,
 and `_gather_index` applies it to flat offsets into a time-major buffer
 holding every channel of a trajectory, one row per sample. `assemble`
 reads every row of a trajectory's buffer through that index, and the
-rollout reads each step's row from its own buffer through the same
-index, so training and rollout use the same offsets by construction.
+rollout scatters its coefficients through the same index onto the
+history window of its own buffer, so training and rollout use the same
+offsets by construction.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def _gather_index(n: int) -> np.ndarray:
 
 def _input_windows(buf: np.ndarray, n: int) -> np.ndarray:
     """(L-n, (n+1)*w) read-only view of a buffer of L rows of w values
-    each, whose row t-n spans its rows t-n .. t: the window
-    `_gather_index` reads from (w = _WIDTH, or 2 * _WIDTH for the
-    rollout's buffer, which carries each value's square after it)."""
+    each, whose row t-n spans its rows t-n .. t: the window that
+    `_gather_index` reads from (w = _WIDTH), or that the rollout's
+    coefficients act on (w is the width of the rollout's buffer, which
+    carries each value's powers and a constant one)."""
     w = buf[0].size
     return np.lib.stride_tricks.sliding_window_view(buf.reshape(-1), (n + 1) * w)[::w]
 

@@ -13,11 +13,13 @@ made non-decreasing outside the learned map; the pre-clamp predictions
 are kept so raw model error stays measurable.
 
 The input layout is written once, in `features`: the loop keeps every
-channel and its square in a time-major buffer and reads each step's
-input row through the gather index `assemble` uses. With the default
-degree-2 basis a step costs one gather, which reads the squares too,
-and one product with the coefficients, each written into a
-preallocated row (see `rollout` for what that takes per step).
+channel and its powers in a time-major buffer, and scatters the
+coefficients once through the gather index `assemble` uses, so they act
+on a step's history window as it lies in the buffer. A step is one
+product of those coefficients with the window, for every basis, with no
+gather and no expansion (see `rollout` for what that takes per step).
+The clamp counts of a rollout are taken after its loop, from the raw
+and the clamped predictions, so they cost a step nothing.
 
 Every `ValidationReport` comes out of one summary of (rows, 7) truth
 and prediction matrices: `error_windows` summarizes a rollout against
@@ -31,16 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 
 from .excitation import _segments_trace
-from .features import (_LAM, _MF, _MO, _P, _SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE,
-                       TARGET_NAMES, _gather_index, _input_windows, _outputs, assemble,
+from .features import (_SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES,
+                       _gather_index, _input_windows, _outputs, assemble, input_width,
                        lambda_feature)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv, write_json
-from .regression import CoefficientModel, expand, predict, rmse
+from .regression import CoefficientModel, predict, rmse
 
 
 class RolloutDivergenceError(RuntimeError):
@@ -74,6 +77,11 @@ class ValidationReport:
     module_mass_max_err: float
     sparsity: float | None = None
     raw_max_thrust_err: float | None = None
+    # engine-samples where the thrust floor changed the raw prediction, by
+    # that engine's status, and samples of either mass the clamp changed
+    thrust_floor_on: int | None = None
+    thrust_floor_off: int | None = None
+    mass_clamps: int | None = None
 
     def to_json(self, path: str | Path | None = None) -> str:
         """The report as artifact JSON: every field under its own name, the
@@ -87,29 +95,57 @@ class ValidationReport:
         return write_json(payload, path)
 
 
+# A rollout buffer row holds two groups of 8 `features` columns, each
+# with its powers 1..degree, power-major: the outputs and lambda (_TO ..
+# _LAM), which a step writes as one contiguous run, then the commands and
+# status; then a constant one, the bias's entry.
+_GROUPS = np.r_[_TO:_SE, _TR:_TO, _SE:_WIDTH].reshape(2, 8)
+
+
+def _slots(degree: int) -> np.ndarray:
+    """(_WIDTH, degree): the rollout buffer column of each `features`
+    column's powers 1..degree."""
+    group, place = np.divmod(np.argsort(_GROUPS.ravel()), 8)
+    return group[:, None] * 8 * degree + 8 * np.arange(degree) + place[:, None]
+
+
+def _window_coefficients(model: CoefficientModel, degree: int) -> np.ndarray:
+    """The (7, (n+1) * width) coefficients that act on a rollout buffer
+    window (rows t-n .. t, `width` columns each) as K acts on the
+    expansion of sample t's input row: K scattered through the gather
+    index, each power of an input to its slot and the bias to row t's
+    constant one. An offset that the index reads twice (P and P_m1 both
+    read P(t-1)) adds up its coefficients."""
+    n, K = model.n, model.K
+    slots, width = _slots(degree), _GROUPS.size * degree + 1
+    rows, cols = np.divmod(_gather_index(n), _WIDTH)
+    p, lo = rows.size, 0 if model.basis is None else 1
+    keff = np.zeros(((n + 1) * width, K.shape[0]))
+    for k in range(degree):
+        np.add.at(keff, rows * width + slots[cols, k], K[:, lo + k * p:lo + (k + 1) * p].T)
+    if lo:
+        keff[(n + 1) * width - 1] += K[:, 0]
+    return np.ascontiguousarray(keff.T)
+
+
 def rollout(model: CoefficientModel, trace: CommandTrace,
             warmup: PlantTrajectory) -> tuple[PlantTrajectory, np.ndarray]:
     """Multi-step prediction of a command trace.
 
-    All channels live in one time-major buffer that carries each value's
-    square beside it. Each step gathers its input row from the buffer
-    with one precomputed index (`_gather_index`) straight into the
-    expansion row, applies `@ K.T` to it, and writes the clamped
-    prediction (thrust >= 0, masses non-decreasing) and its squares back
-    as the newest history sample. With the default degree-2 basis the
-    gather, read at the value and at the square offsets, fills the whole
-    row: the squares are those `expand` computes (`np.power(x, 2)` is
-    `x * x` bitwise). With no basis or a degree-1 one the gather reads
-    the values alone and fills the whole row as well; a degree above 2
-    expands the gathered values again (`expand`). The expansion row is
-    allocated once per rollout and each prediction is written straight
-    into its row of the raw output, so up to degree 2 a step allocates
-    no array data.
-    At the default n = 6 and degree-2 basis (76 inputs, 153 columns) a
-    step costs a gather of 152 values and a product with the
-    coefficients, plus the Python-level finiteness check, clamps and
-    squares on scalars and one row write, nearly all of it per-call
-    overhead rather than arithmetic.
+    Every channel and its powers 1..degree live in one time-major buffer
+    (`_GROUPS`), whose rows t-n .. t are the window that sample t's
+    input row is gathered from. The gather and the expansion are folded
+    into the coefficients once per rollout (`_window_coefficients`), so
+    a step is one product of those coefficients with the window, a
+    read-only view of the buffer, written straight into its row of the
+    raw output. The clamped prediction (thrust >= 0, masses
+    non-decreasing), its lambda and their powers go back as the newest
+    history sample. Each prediction is `predict` on the `assemble` row
+    of the rollout's own output, up to reassociation of its sum.
+    A step allocates no array data. At the default n = 6 and degree-2
+    basis the product is (7, 231) by 231; the rest of a step is the
+    Python-level finiteness check, clamps and powers on scalars and one
+    row write, nearly all of it per-call overhead.
 
     Parameters
     ----------
@@ -138,52 +174,33 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         raise ValueError(f"trace too short ({L} rows) for history n={n}")
     if len(warmup) < n:
         raise ValueError(f"warm-up prefix has {len(warmup)} rows, needs {n}")
-    index = _gather_index(n)
-    predict(model, np.zeros((0, index.size)))   # the model's width checks, once
-    basis = model.basis
+    predict(model, np.zeros((0, input_width(n))))   # the model's width checks, once
+    degree = 1 if model.basis is None else model.basis.degree
 
-    # Each channel's square sits beside its value: [..., 0] the value,
-    # [..., 1] the square.
-    pairs = np.zeros((L, _WIDTH, 2))
-    buf = pairs[..., 0]
-    buf[1:, _TR:_TR + 4] = trace.commands
-    buf[1:, _SE:_SE + 4] = trace.status
-    buf[:n, _TO:_TO + 4] = warmup.thrusts[:n]
-    buf[:n, _P] = warmup.pressures[:n]
-    buf[:n, _MF] = warmup.m_fuel[:n]
-    buf[:n, _MO] = warmup.m_ox[:n]
-    buf[:n, _LAM] = lambda_feature(buf[:n, _MF], buf[:n, _MO])
-    np.power(buf, 2, out=pairs[..., 1])
+    buf = np.zeros((L, _GROUPS.size * degree + 1))
+    powers = buf[:, :-1].reshape(L, 2, degree, 8)   # [:, g, k - 1]: group g at power k
+    sample, inputs = powers[:, 0, 0], powers[:, 1, 0]
+    inputs[1:, :4] = trace.commands
+    inputs[1:, 4:] = trace.status
+    sample[:n, :4] = warmup.thrusts[:n]
+    sample[:n, 4] = warmup.pressures[:n]
+    sample[:n, 5] = warmup.m_fuel[:n]
+    sample[:n, 6] = warmup.m_ox[:n]
+    sample[:n, 7] = lambda_feature(sample[:n, 5], sample[:n, 6])
+    for k in range(1, degree):
+        np.multiply(powers[:, :, k - 1], powers[:, :, 0], out=powers[:, :, k])
+    buf[:, -1] = 1.0
     raw = np.zeros((L, 7))
-    raw[:n] = buf[:n, _TO:_MO + 1]
+    raw[:n] = sample[:n, :7]
 
-    windows = _input_windows(pairs, n)
-    KT = model.K.T
-    # The expansion and each prediction are 2-D rows, so every product is
-    # the same BLAS call as predict's; the prediction's row is its (1, 7)
-    # row of `raw`. Each step gathers its input straight into the
-    # expansion's linear slot, and with the default basis its squares
-    # into the slot after it; the bias column is written once. The
-    # clamped sample and its lambda, each beside its square, go into the
-    # buffer's adjacent output and lambda columns with one assignment.
-    lo = 0 if basis is None else 1
-    squares = basis is not None and basis.degree == 2
-    take = np.concatenate([2 * index, 2 * index + 1]) if squares else 2 * index
-    phi = np.empty((1, index.size if basis is None else basis.width(index.size)))
-    phi[:, :lo] = 1.0
-    row = phi[0, lo:lo + take.size]
-    expand_rest = phi.shape[1] > lo + take.size   # powers the gather leaves (degree > 2)
-    raw_rows = raw.reshape(L, 1, 7)
-    out_rows = pairs.reshape(L, 2 * _WIDTH)[:, 2 * _TO:2 * (_LAM + 1)]
-    mf_prev, mo_prev = float(buf[n - 1, _MF]), float(buf[n - 1, _MO])
-    for t in range(n, L):
-        # "clip": the index is in range, and the default "raise" buffers `out`
-        np.take(windows[t - n], take, out=row, mode="clip")
-        if expand_rest:
-            phi[0] = expand(row, basis)
-        y = raw_rows[t]
-        np.matmul(phi, KT, out=y)
-        ys = y.tolist()[0]
+    keff = _window_coefficients(model, degree)
+    windows = _input_windows(buf, n)
+    out_rows = buf[:, :8 * degree]
+    higher = range(1, degree)
+    mf_prev, mo_prev = float(sample[n - 1, 5]), float(sample[n - 1, 6])
+    for t, window, y in zip(range(n, L), windows, raw[n:]):
+        keff.dot(window, out=y)   # the method skips np.dot's dispatch
+        ys = y.tolist()
         if not all(map(math.isfinite, ys)):
             raise RolloutDivergenceError(t, t * trace.dt)
         t1, t2, t3, t4, pressure, mf, mo = ys
@@ -191,15 +208,18 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
                           t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0)
         mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
         lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
-        # a list converts faster than a tuple
-        out_rows[t] = [t1, t1 * t1, t2, t2 * t2, t3, t3 * t3, t4, t4 * t4,
-                       pressure, pressure * pressure, mf_prev, mf_prev * mf_prev,
-                       mo_prev, mo_prev * mo_prev, lam, lam * lam]
+        # powers by repeated products, as the fill above takes them; a
+        # product overflows to inf where `**` would raise
+        row = power = values = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
+        for _ in higher:
+            power = list(map(mul, power, values))
+            row = row + power
+        out_rows[t] = row
 
-    traj = PlantTrajectory(dt=trace.dt, commands=buf[:, _TR:_TR + 4].copy(),
-                           status=buf[:, _SE:_SE + 4].copy(),
-                           thrusts=buf[:, _TO:_TO + 4].copy(), pressures=buf[:, _P].copy(),
-                           m_fuel=buf[:, _MF].copy(), m_ox=buf[:, _MO].copy(),
+    traj = PlantTrajectory(dt=trace.dt, commands=inputs[:, :4].copy(),
+                           status=inputs[:, 4:].copy(), thrusts=sample[:, :4].copy(),
+                           pressures=sample[:, 4].copy(), m_fuel=sample[:, 5].copy(),
+                           m_ox=sample[:, 6].copy(),
                            name=(trace.name + "_pred") if trace.name else "pred")
     return traj, raw
 
@@ -225,14 +245,17 @@ def _windows(commands: np.ndarray, dt: float,
 
 def _summarize(true: np.ndarray, pred: np.ndarray, transient: np.ndarray, settle_n: int,
                m_module0: float, *, experiment: str, mode: str, sparsity: float | None,
-               raw: np.ndarray | None = None) -> ValidationReport:
+               raw: np.ndarray | None = None,
+               status: np.ndarray | None = None) -> ValidationReport:
     """The error summary of (rows, 7) truth and prediction matrices.
 
     Per-output RMSE, maximum errors over the transient and the steady
     rows, the thrust error overall, after the first settle_n rows and per
     engine, and the module mass error, with the module mass taken as
     m_module0 - (m_fuel + m_ox) on both sides. `raw` holds pre-clamp
-    predictions, whose maximum thrust error is reported beside.
+    predictions, whose maximum thrust error is reported beside, and the
+    clamp counts: each prediction the clamps changed, the thrusts split
+    by the (rows, 4) engine `status`.
     """
     per_rmse, aggregate = rmse(pred, true)
     abs_err = np.abs(pred - true)
@@ -241,7 +264,13 @@ def _summarize(true: np.ndarray, pred: np.ndarray, transient: np.ndarray, settle
     after = thrust_abs[settle_n:] if len(true) > settle_n else thrust_abs
     mass_err = np.abs((m_module0 - (true[:, 5] + true[:, 6]))
                       - (m_module0 - (pred[:, 5] + pred[:, 6])))
-    raw_max = None if raw is None else float(np.max(np.abs(raw[:, :4] - true[:, :4])))
+    clamps = {}
+    if raw is not None:
+        floored, on = pred[:, :4] != raw[:, :4], status > 0
+        clamps = dict(raw_max_thrust_err=float(np.max(np.abs(raw[:, :4] - true[:, :4]))),
+                      thrust_floor_on=int(np.count_nonzero(floored & on)),
+                      thrust_floor_off=int(np.count_nonzero(floored & ~on)),
+                      mass_clamps=int(np.count_nonzero(pred[:, 5:] != raw[:, 5:])))
     return ValidationReport(
         experiment=experiment, mode=mode, n_samples=len(true),
         n_transient=int(transient.sum()), n_steady=int(steady.sum()),
@@ -251,8 +280,7 @@ def _summarize(true: np.ndarray, pred: np.ndarray, transient: np.ndarray, settle
         max_thrust_err=float(thrust_abs.max()),
         max_thrust_err_after_settle=float(after.max()),
         max_thrust_err_per_engine=thrust_abs.max(axis=0),
-        module_mass_max_err=float(np.max(mass_err)), sparsity=sparsity,
-        raw_max_thrust_err=raw_max)
+        module_mass_max_err=float(np.max(mass_err)), sparsity=sparsity, **clamps)
 
 
 def error_windows(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
@@ -266,14 +294,14 @@ def error_windows(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
     every commanded step larger than 1 N; the rest is steady. The module
     mass is cfg.m_module0 - (m_fuel + m_ox), as `plant.module_mass`
     defines it. `raw`, the (L, 7) pre-clamp predictions that `rollout`
-    returns, adds the raw maximum thrust error.
+    returns, adds the raw maximum thrust error and the clamp counts.
     """
     if len(traj_true) != len(traj_pred):
         raise ValueError("trajectories are not aligned")
     transient, settle_n = _windows(traj_true.commands, traj_true.dt, settle_window)
     return _summarize(_outputs(traj_true), _outputs(traj_pred), transient, settle_n,
                       cfg.m_module0, experiment=experiment, mode="rollout",
-                      sparsity=sparsity, raw=raw)
+                      sparsity=sparsity, raw=raw, status=traj_pred.status)
 
 
 def teacher_forced_eval(model: CoefficientModel, traj: PlantTrajectory, *,

@@ -334,7 +334,8 @@ class TestArtifactKeys:
     REPORT = {"experiment", "mode", "n_samples", "n_transient", "n_steady", "rmse",
               "rmse_aggregate", "max_err_transient", "max_err_steady", "max_thrust_err",
               "max_thrust_err_after_settle", "max_thrust_err_per_engine",
-              "module_mass_max_err", "sparsity", "diverged_at", "raw_max_thrust_err"}
+              "module_mass_max_err", "sparsity", "diverged_at", "raw_max_thrust_err",
+              "thrust_floor_on", "thrust_floor_off", "mass_clamps"}
     SWEEP = {"kind", "k", "seed", "selected", "points"}
     POINT = {"value", "mean_train_rmse", "mean_test_rmse", "mean_sparsity", "train_rmse",
              "test_rmse", "sparsity"}

@@ -8,22 +8,23 @@ import pytest
 
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
-from throttleid.features import (TARGET_NAMES, _outputs, assemble, build_row, lambda_feature,
-                                 merge)
+from throttleid.features import (TARGET_NAMES, _buffer, _input_windows, _outputs, assemble,
+                                 build_row, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, expand, fit_lasso, predict
-from throttleid.rollout import (RolloutDivergenceError, ValidationReport,
-                                descent_profile, error_windows, rollout,
+from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _slots,
+                                _window_coefficients, descent_profile, error_windows, rollout,
                                 teacher_forced_eval, timeseries_csv)
 
 EX = ExcitationConfig(duration=10.0)
 PC = PlantConfig()
 
 
-# Bases the rollout must expand exactly as `predict` does, each with the
-# history length of its small model: degree 1, whose row the gather fills
-# with values alone; degree 3, whose cubes are computed from the gathered
-# values; and no basis at all, an unstandardized model on the raw features.
+# Bases whose coefficients the rollout must fold into its window as
+# `predict` applies them, each with the history length of its small
+# model: degree 1, whose buffer holds values alone; degree 3, whose
+# buffer holds cubes too; and no basis at all, an unstandardized model on
+# the raw features, with no bias entry.
 BASES = {
     "linear": (BasisSpec(degree=1), 4),
     "poly3": (BasisSpec(degree=3), 4),
@@ -44,13 +45,20 @@ def fit_small(corpus, basis, n):
 
 
 @pytest.fixture(scope="module")
-def small_model(corpus):
-    return fit_small(corpus, BasisSpec(), 4)
+def models(corpus):
+    """The small model of the default basis and of each of BASES, by name."""
+    return {"default": fit_small(corpus, BasisSpec(), 4),
+            **{name: fit_small(corpus, *spec) for name, spec in BASES.items()}}
+
+
+@pytest.fixture(scope="module")
+def small_model(models):
+    return models["default"]
 
 
 @pytest.fixture(scope="module", params=list(BASES))
-def basis_model(request, corpus):
-    return fit_small(corpus, *BASES[request.param])
+def basis_model(request, models):
+    return models[request.param]
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +70,7 @@ def stair_pair(small_model):
 
 def reference_rollout(model, trace, warmup):
     """The rollout written as a per-step build_row + predict loop, kept as
-    the reference the gather-based loop must match bit for bit."""
+    the reference the one-product loop must match up to reassociation."""
     n, L = model.n, len(trace) + 1
     cmd = np.vstack([np.zeros((1, 4)), trace.commands])
     st = np.vstack([np.zeros((1, 4)), trace.status])
@@ -81,17 +89,46 @@ def reference_rollout(model, trace, warmup):
     return out, raw
 
 
+def assert_close(actual, desired, rel):
+    """Agreement to `rel` of each output's largest magnitude: a sum taken
+    in another order differs by rounding relative to its terms, not to a
+    result that cancels to near zero."""
+    assert np.all(np.abs(actual - desired) <= rel * np.abs(desired).max(axis=0))
+
+
+def window_predictions(model, traj):
+    """The folded coefficients applied to every window of a rollout buffer
+    holding `traj` itself, laid out as `rollout` lays its own out."""
+    degree = 1 if model.basis is None else model.basis.degree
+    keff = _window_coefficients(model, degree)
+    buf = np.zeros((len(traj), keff.shape[1] // (model.n + 1)))
+    for k, slots in enumerate(_slots(degree).T):
+        buf[:, slots] = _buffer(traj) ** (k + 1)
+    buf[:, -1] = 1.0
+    return _input_windows(buf, model.n) @ keff.T
+
+
 def check_matches_reference(model, trace, truth):
-    """Each rollout step predicts from the row that `assemble` builds out
-    of the rollout's own output, so the gather index is its layout; and
-    the loop is bitwise the per-step build_row + predict one."""
-    pred, raw = rollout(model, trace, truth)
+    """The folded coefficients act on each window of a trajectory as K
+    on its `assemble` row; each rollout step predicts from the row that
+    `assemble` builds out of the rollout's own output; and the loop agrees
+    with the per-step build_row + predict one up to reassociation.
+
+    The two one-step checks hold to 1e-12. In the closed loop the
+    rounding of each step feeds the next: on the no-basis model the
+    pressure drifts by ~1e-15 of its scale per step, so over this 901-row
+    trace it ends ~1e-12 from the reference (an exactly rounded sum per
+    step ends 5e-13 away), and the loop gets ten times the one-step bound.
+    """
     n = model.n
-    np.testing.assert_allclose(predict(model, assemble(pred, n).inputs), raw[n:], rtol=1e-12)
+    expected = predict(model, assemble(truth, n).inputs)
+    np.testing.assert_allclose(window_predictions(model, truth), expected, rtol=1e-12)
+    pred, raw = rollout(model, trace, truth)
+    assert_close(raw[n:], predict(model, assemble(pred, n).inputs), 1e-12)
     out, ref_raw = reference_rollout(model, trace, truth)
-    assert raw.tobytes() == ref_raw.tobytes()
-    assert np.column_stack([pred.thrusts, pred.pressures, pred.m_fuel,
-                            pred.m_ox]).tobytes() == out.tobytes()
+    assert raw[:n].tobytes() == ref_raw[:n].tobytes()
+    assert_close(raw, ref_raw, 1e-11)
+    assert_close(_outputs(pred), out, 1e-11)
 
 
 class TestRollout:
@@ -131,15 +168,18 @@ class TestRollout:
     def test_step_input_is_assemble_row_across_bases(self, basis_model, stair_pair):
         check_matches_reference(basis_model, *stair_pair)
 
-    def test_default_basis_gathers_its_squares(self, monkeypatch, small_model, stair_pair):
-        # the degree-2 row comes whole from the buffer, which carries the
-        # squares, and still matches the per-step expand + predict loop
+    def test_no_basis_expands_a_row(self, monkeypatch, models, stair_pair):
+        # every basis is folded into the window's coefficients once, so a
+        # step expands no row; the 0-row width check expands nothing either
         def no_expansion(*args):
-            raise AssertionError("the rollout expanded a degree-2 row")
+            raise AssertionError("the rollout expanded a row")
 
-        monkeypatch.setattr(importlib.import_module("throttleid.rollout"), "expand",
-                            no_expansion)
-        check_matches_reference(small_model, *stair_pair)
+        for model in models.values():
+            with monkeypatch.context() as patch:
+                patch.setattr(importlib.import_module("throttleid.regression"), "expand",
+                              no_expansion)
+                _, raw = rollout(model, *stair_pair)
+            assert_close(raw, reference_rollout(model, *stair_pair)[1], 1e-11)
 
     def test_all_off_stays_near_zero(self, small_model):
         trace = CommandTrace(dt=PC.dt, commands=np.zeros((500, 4)),
@@ -188,14 +228,24 @@ class TestRollout:
         assert len(rollout(replace(small_model, dt=trace.dt), trace, truth)[0]) == len(truth)
 
     def test_divergence_detected(self, small_model, stair_pair):
+        # an infinite bias makes the first predicted sample non-finite
         trace, truth = stair_pair
-        bad = fit_lasso(np.eye(3), np.zeros((3, 7)), 0.0)
-        bad.n = small_model.n
-        bad.basis = small_model.basis
-        bad.K = small_model.K * 0
+        bad = replace(small_model, K=small_model.K * 0)
         bad.K[:, 0] = np.inf
-        with pytest.raises(RolloutDivergenceError):
+        with pytest.raises(RolloutDivergenceError) as err:
             rollout(bad, trace, truth)
+        assert err.value.sample == small_model.n
+
+    def test_overflowing_square_diverges_next_sample(self, small_model, stair_pair):
+        # a finite pressure whose square overflows is kept, and the next
+        # product, which reads that square, is non-finite
+        trace, truth = stair_pair
+        bad = replace(small_model, K=small_model.K * 0)
+        bad.K[4, 0] = 1e200
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(RolloutDivergenceError) as err:
+            rollout(bad, trace, truth)
+        assert err.value.sample == small_model.n + 1
 
 
 class TestTeacherForced:
@@ -305,6 +355,20 @@ class TestErrorWindows:
         rep = error_windows(truth, truth, experiment="id", cfg=PC)
         text = rep.to_json(tmp_path / "rep.json")
         assert '"experiment": "id"' in text
+
+    def test_clamp_counts(self, stair_pair):
+        # each prediction a clamp changed is counted once: a floored thrust
+        # by its engine's status (row 0 is the rest sample, every engine
+        # off; row 10 has every engine on), and a raw mass below the last
+        # one, which the clamp raised
+        _, truth = stair_pair
+        raw = _outputs(truth)
+        raw[0, 1], raw[10, 0], raw[10, 2], raw[20, 5] = -0.5, -1.0, -0.1, raw[19, 5] - 1e-3
+        pred = replace(truth, thrusts=truth.thrusts.copy())
+        pred.thrusts[0, 1] = pred.thrusts[10, 0] = pred.thrusts[10, 2] = 0.0
+        rep = error_windows(truth, pred, cfg=PC, raw=raw)
+        assert (rep.thrust_floor_on, rep.thrust_floor_off, rep.mass_clamps) == (2, 1, 1)
+        assert error_windows(truth, pred, cfg=PC).thrust_floor_on is None
 
 
 class TestDescent:

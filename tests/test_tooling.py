@@ -17,7 +17,9 @@ JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
 `plant._fits` and `plant._from_document`, defined nowhere else. No
 caller expands rows before taking their moments: `raw_moments` expands
-them a chunk at a time, so no design matrix is built whole.
+them a chunk at a time, so no design matrix is built whole. The rollout
+neither gathers nor expands a row: its coefficients act on the history
+window as it lies in the buffer.
 """
 
 import ast
@@ -231,4 +233,15 @@ def test_no_expanded_rows_reach_raw_moments():
                     if _calls(arg, "expand") or any(isinstance(n, ast.Name) and n.id in expanded
                                                     for n in ast.walk(arg)):
                         found.append((path.stem, fn.name, call.lineno))
+    assert found == []
+
+
+def test_rollout_neither_gathers_nor_expands():
+    # the rollout folds the gather index and the basis into its window
+    # coefficients once, so `rollout.py` calls no `take` and names no `expand`
+    tree = ast.parse((Path(throttleid.__file__).parent / "rollout.py").read_text())
+    names = lambda node: (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None))
+    found = [ast.unparse(node) for node in ast.walk(tree) if "expand" in names(node)
+             or isinstance(node, ast.Call) and "take" in names(node.func)]
     assert found == []
