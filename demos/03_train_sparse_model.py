@@ -13,7 +13,7 @@ import numpy as np
 from throttleid import (BasisSpec, ExcitationConfig, PlantConfig, assemble,
                         build_corpus, expand, fit_lasso, merge, model_to_json,
                         predict, rmse, simulate)
-from throttleid.features import feature_names
+from throttleid.features import feature_names, input_width
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -25,7 +25,7 @@ trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
 n = 6   # history length
 ds = merge([assemble(t, n) for t in trajs])
 print(f"dataset: {len(ds)} rows x {ds.inputs.shape[1]} features "
-      f"(11n+10 with n={n}), 7 targets")
+      f"(input_width({n}) = {input_width(n)}), 7 targets")
 
 basis = BasisSpec()  # a bias column and the powers 1 and 2 of each input
 Phi = expand(ds.inputs, basis)

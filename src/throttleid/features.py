@@ -1,36 +1,35 @@
 """History-extended supervised dataset construction.
 
 Each trajectory row t >= n becomes one training pair: the input stacks
-the current commands, per-engine command and thrust histories, a feed
-pressure value plus its history, ejected-mass histories, engine status,
-and the regularized inverse ejected mass; the target is the 7-vector of
-current outputs (4 thrusts, pressure, fuel mass, oxidizer mass).
+the current commands, per-engine command and thrust histories, pressure
+and ejected-mass histories, engine status, and the regularized inverse
+ejected mass; the target is the 7-vector of current outputs (4 thrusts,
+pressure, fuel mass, oxidizer mass).
 
-Input layout, in order (width 11n + 10):
+Input layout, in order (width 11n + 9):
 
-    Tr(4) | Tr hist (4n) | To hist (4n) | P(1) | P hist (n)
+    Tr(4) | Tr hist (4n) | To hist (4n) | P hist (n)
          | mf hist (n) | mo hist (n) | Se(4) | lambda(1)
 
 Histories are engine-major, lags 1..n ([x_{t-1}, ..., x_{t-n}] per
 channel) and never include the current sample.
 
-The standalone pressure and inverse-mass slots hold the latest value
-available when a prediction is made, which is the previous sample:
-multi-step rollout fills them with the model's own prior prediction,
-so training fills them with P(t-1) and lambda(m(t-1)). Filling them
-with the time-t values instead would teach an identity shortcut onto
-the pressure/mass targets that is exact in training yet one step stale
-in deployment, which wrecks multi-step prediction. Only the commanded
-thrust and engine status slots are truly current; those are exogenous
-inputs known ahead of time.
+The standalone inverse-mass slot holds the latest value available when
+a prediction is made, which is the previous sample: multi-step rollout
+fills it with the model's own prior prediction, so training fills it
+with lambda(m(t-1)). Filling it with the time-t value instead would
+teach a shortcut onto the mass targets that is exact in training yet one
+step stale in deployment. Only the commanded thrust and engine status
+slots are truly current; those are exogenous inputs known ahead of time.
 
 The layout is written once. `build_row` gives the order of the slots,
 and `_gather_index` applies it to flat offsets into a time-major buffer
 holding every channel of a trajectory, one row per sample. `assemble`
-reads every row of a trajectory's buffer through that index, and the
+reads every row of a trajectory's buffer through that index, the
 rollout scatters its coefficients through the same index onto the
-history window of its own buffer, so training and rollout use the same
-offsets by construction.
+history window of its own buffer, and `feature_names` names each slot
+by the buffer column and lag it reads, so training, rollout and names
+use the same offsets by construction.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ LAMBDA_EPS = 1.0    # regularizer [kg]; keeps lambda finite at zero ejected mass
 
 
 def input_width(n: int) -> int:
-    return 11 * n + 10
+    return 11 * n + 9
 
 
 def lambda_feature(m_f, m_o):
@@ -61,26 +60,12 @@ def lambda_feature(m_f, m_o):
     return LAMBDA_SCALE / (m_f + m_o + LAMBDA_EPS)
 
 
-def feature_names(n: int) -> list[str]:
-    names = [f"Tr{j}" for j in range(1, 5)]
-    names += [f"Tr{j}_m{h}" for j in range(1, 5) for h in range(1, n + 1)]
-    names += [f"To{j}_m{h}" for j in range(1, 5) for h in range(1, n + 1)]
-    names += ["P"]
-    names += [f"P_m{h}" for h in range(1, n + 1)]
-    names += [f"mf_m{h}" for h in range(1, n + 1)]
-    names += [f"mo_m{h}" for h in range(1, n + 1)]
-    names += [f"Se{j}" for j in range(1, 5)]
-    names += ["lam"]
-    assert len(names) == input_width(n)
-    return names
-
-
 @dataclass
 class Dataset:
     """Supervised pairs at history length n: one input row and one
     target row per sample."""
 
-    inputs: np.ndarray    # (N, 11n+10)
+    inputs: np.ndarray    # (N, 11n+9)
     targets: np.ndarray   # (N, 7)
     n: int
 
@@ -89,7 +74,7 @@ class Dataset:
             raise ValueError("inputs and targets must have equal row counts")
         if self.inputs.shape[1] != input_width(self.n):
             raise ValueError(
-                f"input width {self.inputs.shape[1]} != 11n+10 = {input_width(self.n)}")
+                f"input width {self.inputs.shape[1]} != 11n+9 = {input_width(self.n)}")
         if self.targets.ndim != 2 or self.targets.shape[1] != 7:
             raise ValueError("targets must have width 7")
         if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
@@ -100,12 +85,13 @@ class Dataset:
 
 
 # Columns of the time-major buffer that every input row is gathered
-# from, one row per sample: commanded thrust, the seven outputs
-# (delivered thrust, pressure, fuel and oxidizer mass), lambda of that
-# row's masses, and engine status. The outputs and lambda are adjacent,
-# so a rollout step writes its sample with one row assignment.
-_TR, _TO, _P, _MF, _MO, _LAM, _SE = 0, 4, 8, 9, 10, 11, 12
+# from, one row per sample: the seven outputs (delivered thrust,
+# pressure, fuel and oxidizer mass) and lambda of that row's masses, then
+# commanded thrust and engine status. The rollout keeps the same two
+# groups of 8, so a step writes its sample as one contiguous run.
+_TO, _P, _MF, _MO, _LAM, _TR, _SE = 0, 4, 5, 6, 7, 8, 12
 _WIDTH = 16
+_COLUMN_NAMES = [*TARGET_NAMES, "lam", *(f"{c}{j}" for c in ("Tr", "Se") for j in range(1, 5))]
 
 
 def _output_columns(traj: PlantTrajectory) -> list[np.ndarray]:
@@ -121,12 +107,12 @@ def _outputs(traj: PlantTrajectory) -> np.ndarray:
 
 def _buffer(traj: PlantTrajectory) -> np.ndarray:
     """The (L, _WIDTH) time-major buffer of a trajectory."""
-    return np.column_stack([traj.commands, *_output_columns(traj),
-                            lambda_feature(traj.m_fuel, traj.m_ox), traj.status])
+    return np.column_stack([*_output_columns(traj), lambda_feature(traj.m_fuel, traj.m_ox),
+                            traj.commands, traj.status])
 
 
-def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
-              se_cur, lam) -> np.ndarray:
+def build_row(tr_cur, tr_hist, to_hist, p_hist, mf_hist, mo_hist, se_cur,
+              lam) -> np.ndarray:
     """Assemble one input row from its blocks, in the input layout.
 
     tr_hist / to_hist are (n, 4) arrays ordered lag 1..n; histories are
@@ -137,7 +123,6 @@ def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
         np.asarray(tr_cur, dtype=float),
         np.asarray(tr_hist, dtype=float).T.ravel(),
         np.asarray(to_hist, dtype=float).T.ravel(),
-        [float(p_cur)],
         np.asarray(p_hist, dtype=float),
         np.asarray(mf_hist, dtype=float),
         np.asarray(mo_hist, dtype=float),
@@ -148,14 +133,21 @@ def build_row(tr_cur, tr_hist, to_hist, p_cur, p_hist, mf_hist, mo_hist,
 
 def _gather_index(n: int) -> np.ndarray:
     """Flat offsets into the buffer rows t-n .. t that read sample t's
-    input row, built by `build_row` itself. Pressure and lambda are read
-    from row t-1, the latest sample available at prediction time."""
+    input row, built by `build_row` itself. Lambda is read from row t-1,
+    the latest sample available at prediction time."""
     lag = (n - np.arange(1, n + 1)) * _WIDTH      # rows t-1 .. t-n
     cur = n * _WIDTH                                # row t
     eng = np.arange(4)
     return build_row(cur + _TR + eng, lag[:, None] + _TR + eng, lag[:, None] + _TO + eng,
-                     lag[0] + _P, lag + _P, lag + _MF, lag + _MO,
-                     cur + _SE + eng, lag[0] + _LAM).astype(np.intp)
+                     lag + _P, lag + _MF, lag + _MO, cur + _SE + eng,
+                     lag[0] + _LAM).astype(np.intp)
+
+
+def feature_names(n: int) -> list[str]:
+    """The name of each input slot: the buffer column it reads, with
+    `_m<lag>` for a sample before the current one (`To1_m1`, `lam_m1`)."""
+    rows, cols = np.divmod(_gather_index(n), _WIDTH)
+    return [_COLUMN_NAMES[c] + (f"_m{n - r}" if r < n else "") for r, c in zip(rows, cols)]
 
 
 def _input_windows(buf: np.ndarray, n: int) -> np.ndarray:

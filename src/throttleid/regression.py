@@ -48,9 +48,10 @@ from .plant import _from_document, read_json, write_json
 # Feature-sign steps allowed per fit, summed over the outputs.
 MAX_STEPS = 10000
 # lambda_2 as a fraction of the solvable Gram block's mean diagonal
-# (1e-8 * N on standardized moments). The exact duplicate columns (P and
-# P_m1, a status column and its square, engines switched in pairs) need
-# it, not the rounding floor (~1e-15 on centered moments). Its size is
+# (1e-8 * N on standardized moments). The duplicate columns (fuel and
+# oxidizer mass lags, equal to 1e-13; a status column and its square,
+# engines switched in pairs) need it, not the rounding floor (~1e-15 on
+# centered moments). Its size is
 # part of the model: at 1e-10 the default fit is sparser, and at 1e-12
 # the search runs out of MAX_STEPS.
 RIDGE = 1e-8

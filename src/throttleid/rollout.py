@@ -3,10 +3,10 @@
 `rollout` replays a command trace through a learned model, feeding the
 model's own thrust/pressure/mass predictions back into the history
 features. Histories are seeded from a true plant prefix (the first n
-samples). The standalone pressure and inverse-mass inputs hold the
-previous sample, in training and rollout alike; in rollout that is the
-model's own previous prediction, since the current outputs are what is
-being predicted.
+samples). The standalone inverse-mass input holds the previous sample,
+in training and rollout alike; in rollout that is the model's own
+previous prediction, since the current outputs are what is being
+predicted.
 
 Predicted thrusts are floored at zero and predicted cumulative masses
 made non-decreasing outside the learned map; the pre-clamp predictions
@@ -39,9 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .excitation import _segments_trace
-from .features import (_SE, _TO, _TR, _WIDTH, LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES,
-                       _gather_index, _input_windows, _outputs, assemble, input_width,
-                       lambda_feature)
+from .features import (_WIDTH, LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, _buffer,
+                       _gather_index, _input_windows, _outputs, assemble, input_width)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv, write_json
 from .regression import CoefficientModel, predict, rmse
 
@@ -95,53 +94,47 @@ class ValidationReport:
         return write_json(payload, path)
 
 
-# A rollout buffer row holds two groups of 8 `features` columns, each
-# with its powers 1..degree, power-major: the outputs and lambda (_TO ..
-# _LAM), which a step writes as one contiguous run, then the commands and
-# status; then a constant one, the bias's entry.
-_GROUPS = np.r_[_TO:_SE, _TR:_TO, _SE:_WIDTH].reshape(2, 8)
-
-
-def _slots(degree: int) -> np.ndarray:
-    """(_WIDTH, degree): the rollout buffer column of each `features`
-    column's powers 1..degree."""
-    group, place = np.divmod(np.argsort(_GROUPS.ravel()), 8)
-    return group[:, None] * 8 * degree + 8 * np.arange(degree) + place[:, None]
-
-
 def _window_coefficients(model: CoefficientModel, degree: int) -> np.ndarray:
     """The (7, (n+1) * width) coefficients that act on a rollout buffer
     window (rows t-n .. t, `width` columns each) as K acts on the
     expansion of sample t's input row: K scattered through the gather
     index, each power of an input to its slot and the bias to row t's
-    constant one. An offset that the index reads twice (P and P_m1 both
-    read P(t-1)) adds up its coefficients."""
+    constant one. The index reads no offset twice, so no two
+    coefficients share a slot.
+
+    A rollout buffer row holds the `features` buffer's two groups of 8
+    columns (the outputs and lambda, which a step writes as one run, then
+    the commands and status), each with its powers 1..degree, power-major,
+    then the constant one: power k of column c is at
+    c // 8 * 8 * degree + 8 * (k - 1) + c % 8."""
     n, K = model.n, model.K
-    slots, width = _slots(degree), _GROUPS.size * degree + 1
+    width = _WIDTH * degree + 1
     rows, cols = np.divmod(_gather_index(n), _WIDTH)
+    slots = rows * width + cols // 8 * 8 * degree + cols % 8
     p, lo = rows.size, 0 if model.basis is None else 1
-    keff = np.zeros(((n + 1) * width, K.shape[0]))
+    keff = np.zeros((K.shape[0], (n + 1) * width))
     for k in range(degree):
-        np.add.at(keff, rows * width + slots[cols, k], K[:, lo + k * p:lo + (k + 1) * p].T)
+        keff[:, slots + 8 * k] = K[:, lo + k * p:lo + (k + 1) * p]
     if lo:
-        keff[(n + 1) * width - 1] += K[:, 0]
-    return np.ascontiguousarray(keff.T)
+        keff[:, -1] = K[:, 0]
+    return keff
 
 
 def rollout(model: CoefficientModel, trace: CommandTrace,
             warmup: PlantTrajectory) -> tuple[PlantTrajectory, np.ndarray]:
     """Multi-step prediction of a command trace.
 
-    Every channel and its powers 1..degree live in one time-major buffer
-    (`_GROUPS`), whose rows t-n .. t are the window that sample t's
-    input row is gathered from. The gather and the expansion are folded
-    into the coefficients once per rollout (`_window_coefficients`), so
-    a step is one product of those coefficients with the window, a
-    read-only view of the buffer, written straight into its row of the
-    raw output. The clamped prediction (thrust >= 0, masses
-    non-decreasing), its lambda and their powers go back as the newest
-    history sample. Each prediction is `predict` on the `assemble` row
-    of the rollout's own output, up to reassociation of its sum.
+    Every channel and its powers 1..degree live in one time-major buffer,
+    the `features` buffer's powers plus a constant one, whose rows
+    t-n .. t are the window that sample t's input row is gathered from.
+    The gather and the expansion are folded into the coefficients once
+    per rollout (`_window_coefficients`), so a step is one product of
+    those coefficients with the window, a read-only view of the buffer,
+    written straight into its row of the raw output. The clamped
+    prediction (thrust >= 0, masses non-decreasing), its lambda and their
+    powers go back as the newest history sample. Each prediction is
+    `predict` on the `assemble` row of the rollout's own output, up to
+    reassociation of its sum.
     A step allocates no array data. At the default n = 6 and degree-2
     basis the product is (7, 231) by 231; the rest of a step is the
     Python-level finiteness check, clamps and powers on scalars and one
@@ -177,16 +170,12 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     predict(model, np.zeros((0, input_width(n))))   # the model's width checks, once
     degree = 1 if model.basis is None else model.basis.degree
 
-    buf = np.zeros((L, _GROUPS.size * degree + 1))
+    buf = np.zeros((L, _WIDTH * degree + 1))
     powers = buf[:, :-1].reshape(L, 2, degree, 8)   # [:, g, k - 1]: group g at power k
     sample, inputs = powers[:, 0, 0], powers[:, 1, 0]
     inputs[1:, :4] = trace.commands
     inputs[1:, 4:] = trace.status
-    sample[:n, :4] = warmup.thrusts[:n]
-    sample[:n, 4] = warmup.pressures[:n]
-    sample[:n, 5] = warmup.m_fuel[:n]
-    sample[:n, 6] = warmup.m_ox[:n]
-    sample[:n, 7] = lambda_feature(sample[:n, 5], sample[:n, 6])
+    sample[:n] = _buffer(warmup)[:n, :8]
     for k in range(1, degree):
         np.multiply(powers[:, :, k - 1], powers[:, :, 0], out=powers[:, :, k])
     buf[:, -1] = 1.0
@@ -198,23 +187,26 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     out_rows = buf[:, :8 * degree]
     higher = range(1, degree)
     mf_prev, mo_prev = float(sample[n - 1, 5]), float(sample[n - 1, 6])
-    for t, window, y in zip(range(n, L), windows, raw[n:]):
-        keff.dot(window, out=y)   # the method skips np.dot's dispatch
-        ys = y.tolist()
-        if not all(map(math.isfinite, ys)):
-            raise RolloutDivergenceError(t, t * trace.dt)
-        t1, t2, t3, t4, pressure, mf, mo = ys
-        t1, t2, t3, t4 = (t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
-                          t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0)
-        mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
-        lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
-        # powers by repeated products, as the fill above takes them; a
-        # product overflows to inf where `**` would raise
-        row = power = values = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
-        for _ in higher:
-            power = list(map(mul, power, values))
-            row = row + power
-        out_rows[t] = row
+    # A power that overflows to inf makes the next product non-finite,
+    # which the finiteness check reports as divergence, not as a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t, window, y in zip(range(n, L), windows, raw[n:]):
+            keff.dot(window, out=y)   # the method skips np.dot's dispatch
+            ys = y.tolist()
+            if not all(map(math.isfinite, ys)):
+                raise RolloutDivergenceError(t, t * trace.dt)
+            t1, t2, t3, t4, pressure, mf, mo = ys
+            t1, t2, t3, t4 = (t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
+                              t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0)
+            mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
+            lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
+            # powers by repeated products, as the fill above takes them; a
+            # product overflows to inf where `**` would raise
+            row = power = values = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
+            for _ in higher:
+                power = list(map(mul, power, values))
+                row = row + power
+            out_rows[t] = row
 
     traj = PlantTrajectory(dt=trace.dt, commands=inputs[:, :4].copy(),
                            status=inputs[:, 4:].copy(), thrusts=sample[:, :4].copy(),

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import ar2_trajectory, reduced_pipeline_config
 from throttleid.excitation import ExcitationConfig, build_corpus, excitation_segment
-from throttleid.features import (assemble, feature_names, input_width, kfold_indices,
-                                 lambda_feature, merge)
+from throttleid.features import (_gather_index, assemble, feature_names, input_width,
+                                 kfold_indices, lambda_feature, merge)
 from throttleid.pipeline import validation_traces
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 
@@ -33,7 +33,6 @@ def reference_assemble(traj, n):
     blocks = [traj.commands[n:]]
     blocks += [_history_block(traj.commands[:, j], n) for j in range(4)]
     blocks += [_history_block(traj.thrusts[:, j], n) for j in range(4)]
-    blocks += [traj.pressures[n - 1:L - 1, None]]   # latest available = t-1
     blocks += [_history_block(traj.pressures, n)]
     blocks += [_history_block(traj.m_fuel, n)]
     blocks += [_history_block(traj.m_ox, n)]
@@ -77,7 +76,7 @@ class TestAssemble:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_width_law(self, traj, n):
         ds = assemble(traj, n)
-        assert ds.inputs.shape == (len(traj) - n, 11 * n + 10)
+        assert ds.inputs.shape == (len(traj) - n, 11 * n + 9)
         assert ds.targets.shape == (len(traj) - n, 7)
         assert len(feature_names(n)) == input_width(n)
 
@@ -118,7 +117,7 @@ class TestAssemble:
         blocks = [ramp[:, j] for j in range(4)] + [ramp[:, j] + 1000.0 for j in range(4)]
         starts = [4 + j * n for j in range(8)]
         blocks += [series + 2000.0, series + 3000.0, series + 4000.0]
-        starts += [4 + 8 * n + 1, 4 + 9 * n + 1, 4 + 10 * n + 1]
+        starts += [4 + 8 * n, 4 + 9 * n, 4 + 10 * n]
         for col, x in zip(starts, blocks):
             np.testing.assert_array_equal(ds.inputs[:, col:col + n], x[lags])
 
@@ -128,7 +127,7 @@ class TestAssemble:
         to_h_start = 4 + 4 * n  # first entry of the thrust-history block
         np.testing.assert_array_equal(ds.inputs[1:, to_h_start], ds.targets[:-1, 0])
         # pressure history lag 1 against the pressure target
-        p_h_start = 4 + 8 * n + 1
+        p_h_start = 4 + 8 * n
         np.testing.assert_array_equal(ds.inputs[1:, p_h_start], ds.targets[:-1, 4])
 
     def test_no_leakage_impulse(self):
@@ -150,22 +149,12 @@ class TestAssemble:
         # it appears in that row's target instead
         assert ds.targets[t_imp - n, 0] == 123.0
 
-    def test_pressure_slot_holds_latest_available_sample(self, traj):
-        # the standalone P slot must match what rollout can actually
-        # supply: the previous sample (== history lag 1)
-        n = 3
-        ds = assemble(traj, n)
-        p_col = 4 + 8 * n
-        p_h1 = p_col + 1
-        np.testing.assert_array_equal(ds.inputs[:, p_col], ds.inputs[:, p_h1])
-        np.testing.assert_array_equal(ds.inputs[1:, p_col], ds.targets[:-1, 4])
-
     def test_lambda_slot_uses_previous_masses(self, traj):
         n = 3
         ds = assemble(traj, n)
         lam = ds.inputs[:, -1]
-        mf_h1 = ds.inputs[:, 4 + 8 * n + 1 + n]
-        mo_h1 = ds.inputs[:, 4 + 8 * n + 1 + 2 * n]
+        mf_h1 = ds.inputs[:, 4 + 9 * n]
+        mo_h1 = ds.inputs[:, 4 + 10 * n]
         np.testing.assert_allclose(lam, lambda_feature(mf_h1, mo_h1), rtol=1e-15)
 
 
@@ -178,6 +167,39 @@ class TestGather:
             assert ds.inputs.shape == inputs.shape and ds.targets.shape == targets.shape
             assert ds.inputs.tobytes() == inputs.tobytes(), (tr.name, n)
             assert ds.targets.tobytes() == targets.tobytes(), (tr.name, n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_each_offset_read_once(self, n):
+        # no input duplicates another, and the rollout scatters its
+        # coefficients through the index by assignment
+        index = _gather_index(n)
+        assert len(index) == input_width(n) == len(np.unique(index))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_names_match_gathered_cells(self, n):
+        # every channel sample holds 1000 * (channel + 1) + row, and lambda
+        # encodes its row through the masses, so each assembled value says
+        # which channel and lag it was read from
+        channels = ([f"Tr{j}" for j in range(1, 5)] + [f"To{j}" for j in range(1, 5)]
+                    + ["P", "mf", "mo"] + [f"Se{j}" for j in range(1, 5)])
+        L = 20
+        code = {name: 1000.0 * (k + 1) + np.arange(L) for k, name in enumerate(channels)}
+        block = lambda prefix: np.column_stack([code[f"{prefix}{j}"] for j in range(1, 5)])
+        traj0 = PlantTrajectory(dt=0.01, commands=block("Tr"), status=block("Se"),
+                                thrusts=block("To"), pressures=code["P"],
+                                m_fuel=code["mf"], m_ox=code["mo"])
+        ds = assemble(traj0, n)
+        t, names = np.arange(n, L), []
+        for v in ds.inputs.T:
+            if np.all(v < 1.0):   # lambda = 1 / (mf + mo + 1) of some row
+                channel = "lam"
+                row = np.rint((1.0 / v - 1.0 - code["mf"][0] - code["mo"][0]) / 2)
+            else:
+                channel, row = channels[int(v[0] // 1000) - 1], v % 1000
+            lags = t - row
+            assert np.all(lags == lags[0]) and np.all(v // 1000 == v[0] // 1000)
+            names.append(channel + (f"_m{int(lags[0])}" if lags[0] else ""))
+        assert feature_names(n) == names
 
     def test_negative_mass_in_last_row_rejected(self, traj):
         m_ox = traj.m_ox.copy()

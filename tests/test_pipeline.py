@@ -284,6 +284,21 @@ class TestValidate:
                                              "a trace at step 0.02 s"):
             cmd_validate(cfg, model_path=src / "model.json")
 
+    def test_old_layout_model_rejected(self, run_dir, tmp_path):
+        # a model file of the 11n + 10 layout (76 inputs at n = 6, with a
+        # standalone pressure slot) loads, but the suite refuses to roll
+        # it out on the 11n + 9 columns
+        src, _ = run_dir
+        model = model_from_json(src / "model.json")
+        std = model.standardization
+        old = replace(model, n=6, K=np.zeros((7, 153)),
+                      standardization=replace(std, x_mean=np.zeros(153), x_scale=np.ones(153)))
+        model_to_json(old, tmp_path / "old_layout.json")
+        cfg = tiny_config(str(tmp_path / "old"))
+        with pytest.raises(ValueError, match="feature width 75 does not match model input "
+                                             "width 76"):
+            cmd_validate(cfg, model_path=tmp_path / "old_layout.json")
+
     def test_divergence_recorded_and_suite_continues(self, run_dir, tmp_path):
         # an infinite coefficient makes the first predicted step non-finite
         out, _ = run_dir

@@ -12,9 +12,9 @@ from throttleid.features import (TARGET_NAMES, _buffer, _input_windows, _outputs
                                  build_row, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, expand, fit_lasso, predict
-from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _slots,
-                                _window_coefficients, descent_profile, error_windows, rollout,
-                                teacher_forced_eval, timeseries_csv)
+from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _window_coefficients,
+                                descent_profile, error_windows, rollout, teacher_forced_eval,
+                                timeseries_csv)
 
 EX = ExcitationConfig(duration=10.0)
 PC = PlantConfig()
@@ -80,8 +80,8 @@ def reference_rollout(model, trace, warmup):
     raw = out.copy()
     for t in range(n, L):
         hist = out[t - n:t][::-1]
-        x = build_row(cmd[t], cmd[t - n:t][::-1], hist[:, :4], out[t - 1, 4], hist[:, 4],
-                      hist[:, 5], hist[:, 6], st[t], lambda_feature(out[t - 1, 5], out[t - 1, 6]))
+        x = build_row(cmd[t], cmd[t - n:t][::-1], hist[:, :4], hist[:, 4], hist[:, 5],
+                      hist[:, 6], st[t], lambda_feature(out[t - 1, 5], out[t - 1, 6]))
         raw[t] = y = predict(model, x)
         out[t] = y
         out[t, :4] = np.maximum(y[:4], 0.0)
@@ -98,12 +98,15 @@ def assert_close(actual, desired, rel):
 
 def window_predictions(model, traj):
     """The folded coefficients applied to every window of a rollout buffer
-    holding `traj` itself, laid out as `rollout` lays its own out."""
+    holding `traj` itself, laid out as `rollout` lays its own out: the
+    `features` buffer's two groups of 8 columns, each with its powers
+    1..degree, then a constant one."""
     degree = 1 if model.basis is None else model.basis.degree
     keff = _window_coefficients(model, degree)
-    buf = np.zeros((len(traj), keff.shape[1] // (model.n + 1)))
-    for k, slots in enumerate(_slots(degree).T):
-        buf[:, slots] = _buffer(traj) ** (k + 1)
+    L = len(traj)
+    buf = np.zeros((L, keff.shape[1] // (model.n + 1)))
+    for k in range(degree):
+        buf[:, :-1].reshape(L, 2, degree, 8)[:, :, k] = (_buffer(traj) ** (k + 1)).reshape(L, 2, 8)
     buf[:, -1] = 1.0
     return _input_windows(buf, model.n) @ keff.T
 
@@ -238,14 +241,23 @@ class TestRollout:
 
     def test_overflowing_square_diverges_next_sample(self, small_model, stair_pair):
         # a finite pressure whose square overflows is kept, and the next
-        # product, which reads that square, is non-finite
+        # product, which reads that square, is non-finite: a divergence,
+        # with no numpy warning on the way
         trace, truth = stair_pair
         bad = replace(small_model, K=small_model.K * 0)
         bad.K[4, 0] = 1e200
-        with pytest.warns(RuntimeWarning, match="invalid value"), \
-                pytest.raises(RolloutDivergenceError) as err:
+        with pytest.raises(RolloutDivergenceError) as err:
             rollout(bad, trace, truth)
         assert err.value.sample == small_model.n + 1
+
+    def test_old_layout_rejected(self, small_model, stair_pair):
+        # a model of the 11n + 10 layout, with a standalone pressure slot,
+        # would read every later slot one column off; its width is refused
+        trace, truth = stair_pair
+        old = replace(small_model, n=6, K=np.zeros((7, 1 + 2 * 76)))
+        with pytest.raises(ValueError, match="feature width 75 does not match model input "
+                                             "width 76"):
+            rollout(old, trace, truth)
 
 
 class TestTeacherForced:
