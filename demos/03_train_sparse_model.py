@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from throttleid import (BasisSpec, ExcitationConfig, PlantConfig, assemble,
-                        build_corpus, expand, fit_lasso, merge, model_to_json,
+                        build_corpus, fit_lasso, merge, model_to_json,
                         predict, rmse, simulate)
 from throttleid.features import feature_names, input_width
 
@@ -28,14 +28,13 @@ print(f"dataset: {len(ds)} rows x {ds.inputs.shape[1]} features "
       f"(input_width({n}) = {input_width(n)}), 7 targets")
 
 basis = BasisSpec()  # a bias column and the powers 1 and 2 of each input
-Phi = expand(ds.inputs, basis)
-print(f"basis degree {basis.degree}: {Phi.shape[1]} regressors\n")
+print(f"basis degree {basis.degree}: {basis.width(input_width(n))} regressors\n")
 
 print(f"{'mu':>8s} {'sparsity':>9s} {'thrust RMSE':>12s} {'mass RMSE':>10s} "
       f"{'steps':>6s} {'KKT':>8s}")
 models = {}
 for mu in (0.0, 1e-5, 1e-4, 1e-3):
-    model = fit_lasso(Phi, ds.targets, mu, basis=basis, n_history=n,
+    model = fit_lasso(ds.inputs, ds.targets, mu, basis=basis, n_history=n,
                       penalty_scale="sqrt-rows")
     per, _ = rmse(predict(model, ds.inputs), ds.targets)
     print(f"{mu:8.0e} {model.sparsity:9.3f} {np.mean(per[:4]):10.3f} N "

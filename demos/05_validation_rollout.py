@@ -13,7 +13,7 @@ import numpy as np
 
 from throttleid import (BasisSpec, ExcitationConfig, PlantConfig, assemble,
                         build_corpus, error_windows, excitation_segment,
-                        expand, fit_lasso, merge, rollout, simulate,
+                        fit_lasso, merge, rollout, simulate,
                         step_stair_trace, teacher_forced_eval)
 from throttleid.rollout import timeseries_csv
 
@@ -26,7 +26,7 @@ print("simulating corpus and training...")
 trajs = [simulate(t, pc) for t in build_corpus(ex, pc)]
 ds = merge([assemble(t, 6) for t in trajs])
 basis = BasisSpec()
-model = fit_lasso(expand(ds.inputs, basis), ds.targets, 3e-5, basis=basis,
+model = fit_lasso(ds.inputs, ds.targets, 3e-5, basis=basis,
                   n_history=6, penalty_scale="sqrt-rows")
 print(f"model: n=6, {model.K.shape[1]} coefficients, sparsity {model.sparsity:.2f}, "
       f"{model.sweeps} feature-sign steps, KKT {model.kkt:.1e}")

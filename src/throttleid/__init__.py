@@ -47,7 +47,7 @@ from .pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep, cmd_train,
                        cmd_validate)
 from .regression import (BasisSpec, CoefficientModel, ConvergenceError,
                          Standardization, expand, fit_lasso, model_from_json,
-                         model_to_json, predict, rmse, soft_threshold)
+                         model_to_json, predict, rmse)
 from .rollout import (RolloutDivergenceError, ValidationReport, descent_profile,
                       error_windows, rollout, teacher_forced_eval)
 from .tuning import SweepConfig, SweepReport, pareto_table, sweep_history, sweep_mu

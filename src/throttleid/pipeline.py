@@ -210,8 +210,8 @@ def cmd_train(cfg: PipelineConfig, data_dir: str | Path | None = None):
     files, by_rows = _trajectory_files(data_dir or out, cfg.plant.dt), lambda job: job[2]
     blocks = list(fork_map(partial(_train_rows, cfg.history, cfg.basis), files, key=by_rows))
     moments = sum(blocks[1:], start=blocks[0])
-    model = fit_from_moments(moments, cfg.train_mu, basis=cfg.basis,
-                             n_history=cfg.history, penalty_scale=PENALTY_SCALE)
+    model = fit_from_moments(moments, cfg.train_mu, n_history=cfg.history,
+                             penalty_scale=PENALTY_SCALE)
     model.dt = cfg.plant.dt
     model_to_json(model, out / "model.json")
     sse = sum(fork_map(partial(_train_errors, model), files, key=by_rows))

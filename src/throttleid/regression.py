@@ -19,14 +19,15 @@ merged pairwise (`RawMoments`) into a block (a trace, a CV fold), so no
 design matrix is built. A column's mean reaches 31x its std on the
 corpus, so a Gram centered from raw sums would cancel and leave the
 fit's low digits to the summation order and the BLAS kernel; from
-centered blocks K agrees to ~1e-9 across both.
+centered blocks K agrees to ~1e-9 across both. A block records the basis
+that expanded its rows, and a fit takes its basis from its moments.
 
-A fit with a basis (the pipeline's fit) standardizes features and
-targets (zero mean, unit variance) before penalizing, so a single mu is
-comparable across outputs measured in newtons, pascals and kilograms;
-the coefficient matrix it returns is de-standardized to original units,
-the centering offset in the basis's bias column. A fit without a basis
-solves the objective above exactly as written, every column penalized.
+A fit on moments taken on a basis (the pipeline's fit) standardizes
+features and targets (zero mean, unit variance) before penalizing, so a
+single mu is comparable across outputs measured in newtons, pascals and
+kilograms; the coefficient matrix it returns is de-standardized to
+original units, the centering offset in the basis's bias column. Other
+fits solve the objective above exactly as written, every column penalized.
 The penalty weight can be scaled by the row count before solving:
 "none" applies mu exactly as written in the objective, "sqrt-rows"
 multiplies by sqrt(N) (a noise-calibrated convention that keeps a
@@ -110,12 +111,6 @@ def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
     return out
 
 
-def soft_threshold(z, a):
-    """Proximal operator of a*|.|: sign(z) * max(|z| - a, 0)."""
-    z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - a, 0.0)
-
-
 @dataclass
 class Standardization:
     """Per-column affine maps applied before the solve and inverted after."""
@@ -142,9 +137,10 @@ class _Moments:
 class RawMoments:
     """Sufficient statistics of a (features X, targets Y) block, not yet
     standardized: the row count, the column means and the cross-products
-    about them. `a + b` merges two blocks by the pairwise update of Chan,
-    Golub & LeVeque (1979): the same blocks merged in the same order give
-    the same bits, and an empty block merges exactly."""
+    about them, X the inputs as `basis` expanded them (if not None). `a + b`
+    merges two blocks on one basis by the pairwise update of Chan, Golub &
+    LeVeque (1979): the same blocks merged in the same order give the same
+    bits, and an empty block merges exactly."""
 
     n_rows: int
     mx: np.ndarray    # column means of X
@@ -152,8 +148,12 @@ class RawMoments:
     Cxx: np.ndarray   # (X - mx)^T (X - mx)
     Cxy: np.ndarray   # (X - mx)^T (Y - my)
     Cyy: np.ndarray   # column sums of (Y - my)^2
+    basis: BasisSpec | None
 
     def __add__(self, other: "RawMoments") -> "RawMoments":
+        if self.basis != other.basis:
+            raise ValueError(f"moments taken on {self.basis or 'no basis'} and on "
+                             f"{other.basis or 'no basis'} do not merge")
         n = self.n_rows + other.n_rows
         w = other.n_rows / max(n, 1)        # other's share of the rows
         f = self.n_rows * w                 # n_a * n_b / n
@@ -161,7 +161,7 @@ class RawMoments:
         return RawMoments(n, self.mx + w * dx, self.my + w * dy,
                           self.Cxx + other.Cxx + f * np.outer(dx, dx),
                           self.Cxy + other.Cxy + f * np.outer(dx, dy),
-                          self.Cyy + other.Cyy + f * dy ** 2)
+                          self.Cyy + other.Cyy + f * dy ** 2, self.basis)
 
 
 _CHUNK_ROWS = 4096   # rows per chunk of `raw_moments` and `predict`; 1024-8192 time the same
@@ -169,8 +169,8 @@ _CHUNK_ROWS = 4096   # rows per chunk of `raw_moments` and `predict`; 1024-8192 
 
 def raw_moments(features: np.ndarray, targets: np.ndarray,
                 basis: BasisSpec | None = None) -> RawMoments:
-    """The centered block of (features, expanded by `basis` if given, targets): one product
-    Z^T Z per chunk Z = [phi | Y], merged in row order; ValueError on a non-finite Z."""
+    """The centered block on `basis` of (features, expanded by it if given, targets): one
+    product Z^T Z per chunk Z = [phi | Y], merged in row order; ValueError on a non-finite Z."""
     x = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if Y.ndim == 1:
@@ -188,17 +188,17 @@ def raw_moments(features: np.ndarray, targets: np.ndarray,
         mean = z.sum(axis=0) / max(len(z), 1)
         z -= mean
         S = z.T @ z
-        block = RawMoments(len(z), mean[:F], mean[F:], S[:F, :F], S[:F, F:], np.diag(S)[F:])
+        block = RawMoments(len(z), mean[:F], mean[F:], S[:F, :F], S[:F, F:], np.diag(S)[F:], basis)
         total = block if total is None else total + block
     return total
 
 
-def _standardize(raw: RawMoments, standardize: bool) -> _Moments:
+def _standardize(raw: RawMoments) -> _Moments:
     """The solver's moments: in zero-mean/unit-variance coordinates, where
-    constant columns (a basis's bias column) carry no penalty, or, when
-    not `standardize`, those of the raw objective."""
+    constant columns (the basis's bias column) carry no penalty, or, for
+    moments taken without a basis, those of the raw objective."""
     N, mx, my = raw.n_rows, raw.mx, raw.my
-    if not standardize:
+    if raw.basis is None:
         G = raw.Cxx + N * np.outer(mx, mx)
         const = np.diag(G) <= 0.0  # all-zero columns carry nothing
         std = Standardization(np.zeros_like(mx), np.ones_like(mx), np.zeros_like(my),
@@ -363,23 +363,21 @@ def _scale_mu(mu: float, n_rows: int, penalty_scale: str) -> float:
 
 
 def fit_from_moments(raw: RawMoments, mu: float, *,
-                     basis: BasisSpec | None = None,
                      n_history: int | None = None,
                      penalty_scale: str = "none",
                      w0: np.ndarray | None = None) -> CoefficientModel:
-    """Solve from the moments of the expanded features and the targets (as
-    `cmd_train` and the sweeps do), standardized when `basis` is given;
-    `w0` warm-starts the search in the solver's coordinates (a model's
-    `W_std`). The model's `predict` takes raw inputs of the width that
-    `basis` expands to the moments' width (column 0 its bias column, of mean 1
-    and no spread); `n_history` is only recorded."""
+    """Solve from the moments of the inputs and the targets (as `cmd_train`
+    and the sweeps do), on the basis they were taken with, standardized
+    when they have one; `w0` warm-starts the search in the solver's
+    coordinates (a model's `W_std`). The model records `raw.basis`, and its
+    `predict` takes the raw inputs that `raw_moments` was given;
+    `n_history` is only recorded. ValueError on an empty block."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
-    if basis is not None and not (raw.mx[0] == 1.0 and raw.Cxx[0, 0] == 0.0):
-        basis.unexpanded_width(len(raw.mx))   # a width the basis cannot make is named first
-        raise ValueError("column 0 is not the basis's bias column of ones")
+    if raw.n_rows == 0:
+        raise ValueError("the moments are of an empty block: no rows to fit")
     mu_eff = _scale_mu(mu, raw.n_rows, penalty_scale)
-    m, ridge = _well_posed(_standardize(raw, basis is not None))
+    m, ridge = _well_posed(_standardize(raw))
     solvable = np.flatnonzero(np.diag(m.G) > 0.0)
     W = np.zeros(m.c.shape) if w0 is None else np.array(w0, dtype=float)
     sweeps = 0
@@ -397,11 +395,11 @@ def fit_from_moments(raw: RawMoments, mu: float, *,
     # that centering leaves goes into the bias column, column 0.
     K = (W * m.std.y_scale[None, :] / m.std.x_scale[:, None]).T
     K[:, m.const_cols] = 0.0
-    if basis is not None:
+    if raw.basis is not None:
         K[:, 0] += m.std.y_mean - K @ m.std.x_mean
 
     return CoefficientModel(
-        K=K, basis=basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
+        K=K, basis=raw.basis, standardization=m.std, mu=mu, mu_effective=mu_eff,
         penalty_scale=penalty_scale, n=n_history, sparsity=sparsity,
         kkt=_kkt_residual(W, m, mu_eff), sweeps=sweeps, objective=_objective_value(W, m, mu_eff),
         ridge=ridge, W_std=W)
@@ -410,23 +408,23 @@ def fit_from_moments(raw: RawMoments, mu: float, *,
 def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
               basis: BasisSpec | None = None, n_history: int | None = None,
               penalty_scale: str = "none") -> CoefficientModel:
-    """Fit the sparse coefficient matrix by feature-sign search.
+    """Fit the sparse coefficient matrix by feature-sign search:
+    `fit_from_moments(raw_moments(features, targets, basis), ...)`.
 
     Parameters
     ----------
-    features : (N, F) array
-        Expanded regressors (call `expand` first when using a basis).
+    features : (N, p) array
+        Raw inputs, as `predict` and `rollout` take them; not `expand`ed.
     targets : (N, m) array
     mu : float
         L1 weight; applied as given, or scaled by sqrt(N) or N per
         penalty_scale ("none" | "sqrt-rows" | "rows").
     basis : BasisSpec, optional
-        The basis that expanded `features`, recorded in the model so
-        `predict` can expand raw inputs. With a basis the fit is the
-        pipeline's: standardized, the constant columns such as the bias
-        unpenalized, the centering offset in the bias column. Without
-        one it solves the raw objective exactly as written, every
-        column penalized.
+        The basis that expands `features`, recorded in the model. With a
+        basis the fit is the pipeline's: standardized, the constant
+        columns such as the bias unpenalized, the centering offset in
+        the bias column. Without one it solves the raw objective
+        exactly as written, every column penalized.
 
     Raises
     ------
@@ -434,7 +432,7 @@ def fit_lasso(features: np.ndarray, targets: np.ndarray, mu: float, *,
         The search needed more than MAX_STEPS steps. Carries the KKT
         residual of the point reached.
     """
-    return fit_from_moments(raw_moments(features, targets), mu, basis=basis,
+    return fit_from_moments(raw_moments(features, targets, basis), mu,
                             n_history=n_history, penalty_scale=penalty_scale)
 
 
@@ -540,7 +538,7 @@ def model_from_json(source: str | Path) -> CoefficientModel:
 
 __all__ = [
     "BasisSpec", "Standardization", "CoefficientModel", "ConvergenceError",
-    "expand", "soft_threshold", "raw_moments",
+    "expand", "raw_moments",
     "fit_from_moments", "fit_lasso", "predict", "rmse",
     "model_to_json", "model_from_json", "RawMoments",
 ]

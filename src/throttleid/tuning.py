@@ -183,7 +183,7 @@ def _block(dataset: Dataset, basis: BasisSpec, rows: np.ndarray) -> RawMoments:
 
 
 def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float],
-              basis: BasisSpec, n_history: int, penalty_scale: str) -> list[tuple]:
+              n_history: int, penalty_scale: str) -> list[tuple]:
     """(train RMSE, test RMSE, sparsity) of `fold`'s fit at each mu of
     `mus`, descending, each warm-started from the last, on every other
     fold's block merged in fold order, scored on those and on its own block.
@@ -194,7 +194,7 @@ def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float
     w0, scores = None, []
     for value, mu in zip(values, mus):
         try:
-            model = fit_from_moments(train, mu, basis=basis, n_history=n_history,
+            model = fit_from_moments(train, mu, n_history=n_history,
                                      penalty_scale=penalty_scale, w0=w0)
         except Exception as err:
             raise SweepError(value, fold, err) from err
@@ -222,7 +222,7 @@ def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
         ds = merge([assemble(tr, n) for tr in trajectories])
         blocks = [_block(ds, basis, test) for _, test in kfold_indices(len(ds), cfg.k, seed)]
         return _grid_point(int(n), [
-            _fit_fold(blocks, fold, [n], [HISTORY_MU], basis, ds.n, HISTORY_PENALTY_SCALE)[0]
+            _fit_fold(blocks, fold, [n], [HISTORY_MU], ds.n, HISTORY_PENALTY_SCALE)[0]
             for fold in range(cfg.k)])
 
     return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg, seed)
@@ -242,8 +242,8 @@ def sweep_mu(dataset: Dataset, cfg: SweepConfig,
     mu_desc = sorted(cfg.mu_grid, reverse=True)
     tests = [test for _, test in kfold_indices(len(dataset), cfg.k, seed)]
     blocks = list(fork_map(partial(_block, dataset, basis), tests))
-    paths = list(fork_map(lambda fold: _fit_fold(blocks, fold, mu_desc, mu_desc, basis,
-                                                 dataset.n, PENALTY_SCALE), range(cfg.k)))
+    paths = list(fork_map(lambda fold: _fit_fold(blocks, fold, mu_desc, mu_desc, dataset.n,
+                                                 PENALTY_SCALE), range(cfg.k)))
     return _report("mu", [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
                           for mu in cfg.mu_grid], cfg, seed)
 

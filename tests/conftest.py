@@ -1,6 +1,6 @@
 """Shared test helpers: builders for synthetic and surrogate-plant data,
-a patch of the usable CPU count, and a wait that places two fork-map
-tasks in two processes."""
+a patch of the usable CPU count, a wait that places two fork-map tasks
+in two processes, and the soft-threshold operator of the LASSO oracles."""
 
 import multiprocessing
 
@@ -13,6 +13,13 @@ from throttleid.pipeline import PipelineConfig
 from throttleid.plant import PlantConfig, PlantTrajectory
 from throttleid.regression import BasisSpec
 from throttleid.tuning import SweepConfig
+
+
+def soft_threshold(z, a):
+    """Proximal operator of a*|.|: sign(z) * max(|z| - a, 0), the closed
+    form of the univariate LASSO that the solver oracles check against."""
+    z = np.asarray(z, dtype=float)
+    return np.sign(z) * np.maximum(np.abs(z) - a, 0.0)
 
 
 def usable_cpus(monkeypatch, count):

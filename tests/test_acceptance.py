@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar2_trajectory, reduced_pipeline_config
+from conftest import ar2_trajectory, reduced_pipeline_config, soft_threshold
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_basis, excitation_segment,
                                    step_stair_trace, thrust_levels)
 from throttleid.features import assemble, merge
 from throttleid.pipeline import cmd_gen_data, cmd_sweep, cmd_train, cmd_validate
 from throttleid.plant import PlantConfig, module_mass, simulate
-from throttleid.regression import (BasisSpec, expand, fit_lasso, soft_threshold)
+from throttleid.regression import BasisSpec, fit_lasso
 from throttleid.rollout import descent_profile, error_windows, rollout
 from throttleid.tuning import SweepConfig, sweep_history, sweep_mu
 
@@ -46,7 +46,7 @@ def corpus_trajs():
 @pytest.fixture(scope="module")
 def default_model(corpus_trajs):
     ds = merge([assemble(tr, 6) for tr in corpus_trajs])
-    return fit_lasso(expand(ds.inputs, BASIS), ds.targets, TRAIN_MU,
+    return fit_lasso(ds.inputs, ds.targets, TRAIN_MU,
                      basis=BASIS, n_history=6, penalty_scale="sqrt-rows")
 
 

@@ -15,7 +15,7 @@ from conftest import reduced_pipeline_config, usable_cpus
 import throttleid.tuning as tuning_mod
 from throttleid.features import assemble, kfold_indices, merge
 from throttleid.pipeline import PipelineConfig, cmd_gen_data, load_trajectories
-from throttleid.regression import expand, fit_from_moments, model_from_json, predict, raw_moments
+from throttleid.regression import fit_from_moments, model_from_json, predict, raw_moments
 from throttleid.tuning import PENALTY_SCALE, sweep_mu
 
 # the mu-path benchmark's sweep: two folds along six decades of mu
@@ -42,12 +42,11 @@ def test_trace_order_invariant(corpus):
     blocks = []
     for tr in trajs:
         ds = assemble(tr, cfg.history)
-        blocks.append(raw_moments(expand(ds.inputs, cfg.basis), ds.targets))
+        blocks.append(raw_moments(ds.inputs, ds.targets, cfg.basis))
 
     def fit(order):
         merged = sum((blocks[i] for i in order[1:]), start=blocks[order[0]])
-        return fit_from_moments(merged, cfg.train_mu, basis=cfg.basis,
-                                penalty_scale=PENALTY_SCALE).K
+        return fit_from_moments(merged, cfg.train_mu, penalty_scale=PENALTY_SCALE).K
 
     ref = fit(range(len(blocks)))
     rng = np.random.default_rng(5)

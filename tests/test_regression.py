@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import throttleid.regression as regression_mod
+from conftest import soft_threshold
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_from_moments,
                                    fit_lasso, model_from_json, model_to_json, predict,
-                                   raw_moments, rmse, soft_threshold)
+                                   raw_moments, rmse)
 
 
 @pytest.fixture
@@ -132,6 +133,33 @@ class TestFitLasso:
         with pytest.raises(TypeError, match="unexpected keyword argument 'standardize'"):
             fit_lasso(X, X[:, :1], 0.0, standardize=False)
 
+    def test_basis_option_removed(self, rng):
+        # a fit from moments takes its basis from them, so it cannot be
+        # handed a second one
+        X = rng.standard_normal((10, 3))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'basis'"):
+            fit_from_moments(raw_moments(X, X[:, :1]), 0.0, basis=BasisSpec())
+
+    @pytest.mark.parametrize("basis", [None, BasisSpec(2)], ids=["no-basis", "degree-2"])
+    def test_empty_block_rejected(self, rng, basis):
+        # no rows: nothing to standardize by, and no objective to solve
+        X = rng.standard_normal((0, 3))
+        with pytest.raises(ValueError, match="empty block"):
+            fit_from_moments(raw_moments(X, X[:, :2], basis), 0.1)
+
+    def test_basis_expands_raw_inputs(self, rng):
+        # fit_lasso expands the inputs it is given on its basis, as
+        # predict does; inputs expanded first are expanded again, so
+        # the model's input width is theirs and raw inputs are rejected
+        X4 = rng.standard_normal((200, 4))
+        Y = X4[:, :2] ** 2 + X4[:, 2:]
+        model = fit_lasso(X4, Y, 1e-3, basis=BasisSpec(1))
+        assert model.basis == BasisSpec(1) and model.n_inputs == 4 and model.K.shape == (2, 5)
+        twice = fit_lasso(expand(X4, BasisSpec(1)), Y, 1e-3, basis=BasisSpec(2))
+        assert twice.basis == BasisSpec(2) and twice.n_inputs == 5 and twice.K.shape == (2, 11)
+        with pytest.raises(ValueError, match="feature width 4 does not match model input width 5"):
+            predict(twice, X4)
+
     def test_nonfinite_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         Y = np.full((10, 1), np.nan)
@@ -205,7 +233,7 @@ class TestPredict:
         X = rng.standard_normal((300, 9))
         Y = X @ A.T
         basis = BasisSpec(degree=1)
-        model = fit_lasso(expand(X, basis), Y, 0.0, basis=basis)
+        model = fit_lasso(X, Y, 0.0, basis=basis)
         x_new = rng.standard_normal(9)
         np.testing.assert_allclose(predict(model, x_new), A @ x_new,
                                    rtol=1e-6, atol=1e-8)
@@ -219,8 +247,8 @@ class TestPredict:
     def test_width_mismatch_rejected(self, rng):
         basis = BasisSpec(degree=1)
         X = rng.standard_normal((30, 5))
-        model = fit_lasso(expand(X, basis), X[:, :2], 0.1, basis=basis)
-        with pytest.raises(ValueError):
+        model = fit_lasso(X, X[:, :2], 0.1, basis=basis)
+        with pytest.raises(ValueError, match="feature width 7 does not match model input width 5"):
             predict(model, rng.standard_normal(7))
 
     def test_moments_model_takes_raw_inputs(self, rng):
@@ -229,10 +257,9 @@ class TestPredict:
         basis = BasisSpec()
         X = rng.standard_normal((120, 3))
         Y = np.column_stack([X[:, 0] - 0.5 * X[:, 1] ** 2, X[:, 2]])
-        Phi = expand(X, basis)
-        model = fit_from_moments(raw_moments(Phi, Y), 1e-3, basis=basis)
-        assert model.n_inputs == 3
-        assert np.array_equal(predict(model, X), predict(fit_lasso(Phi, Y, 1e-3, basis=basis), X))
+        model = fit_from_moments(raw_moments(X, Y, basis), 1e-3)
+        assert model.basis == basis and model.n_inputs == 3
+        assert np.array_equal(predict(model, X), predict(fit_lasso(X, Y, 1e-3, basis=basis), X))
 
     def test_scale_equivariance(self, rng):
         # predicting with the de-standardized K equals predicting in
@@ -241,7 +268,7 @@ class TestPredict:
         X = rng.standard_normal((200, 6)) * np.array([1, 10, 100, 1e3, 1e4, 1e5])
         Y = rng.standard_normal((200, 3)) * np.array([1.0, 50.0, 2e4])
         Phi = expand(X, basis)
-        model = fit_lasso(Phi, Y, 0.05, basis=basis, penalty_scale="rows")
+        model = fit_lasso(X, Y, 0.05, basis=basis, penalty_scale="rows")
         std = model.standardization
         phis = (Phi - std.x_mean) / std.x_scale
         ys = phis @ model.W_std * std.y_scale + std.y_mean
@@ -255,7 +282,7 @@ class TestPredict:
         assert regression_mod._CHUNK_ROWS == 4096
         basis = BasisSpec(2)
         fit_rows = rng.standard_normal((300, 6))
-        model = fit_lasso(expand(fit_rows, basis), fit_rows[:, :3] ** 2, 1e-3, basis=basis)
+        model = fit_lasso(fit_rows, fit_rows[:, :3] ** 2, 1e-3, basis=basis)
         X = rng.standard_normal((n_rows, 6))
         got = predict(model, X)
         assert got.shape == (n_rows, 3)
@@ -266,7 +293,7 @@ class TestPredict:
         # expanded batch: the output and one chunk's expansion
         basis = BasisSpec(2)
         X = rng.standard_normal((20 * regression_mod._CHUNK_ROWS, 12))
-        model = fit_lasso(expand(X[:500], basis), X[:500, :2], 1e-3, basis=basis)
+        model = fit_lasso(X[:500], X[:500, :2], 1e-3, basis=basis)
         tracemalloc.start()
         try:
             predict(model, X)
@@ -283,10 +310,10 @@ class TestWarmStart:
         X = rng.standard_normal((250, 18))
         y = X @ (rng.standard_normal((18, 2)) * (rng.random((18, 2)) > 0.5))
         y += 0.05 * rng.standard_normal(y.shape)
-        m = raw_moments(expand(X, basis), y)
-        cold = fit_from_moments(m, 1e-2, basis=basis, penalty_scale="rows")
-        hot_seed = fit_from_moments(m, 3e-2, basis=basis, penalty_scale="rows")
-        warm = fit_from_moments(m, 1e-2, basis=basis, penalty_scale="rows", w0=hot_seed.W_std)
+        m = raw_moments(X, y, basis)
+        cold = fit_from_moments(m, 1e-2, penalty_scale="rows")
+        hot_seed = fit_from_moments(m, 3e-2, penalty_scale="rows")
+        warm = fit_from_moments(m, 1e-2, penalty_scale="rows", w0=hot_seed.W_std)
         f_cold = cold.objective
         f_warm = warm.objective
         assert abs(f_cold - f_warm) <= 1e-8 * max(1.0, abs(f_cold))
@@ -316,8 +343,7 @@ class TestCollinearDesign:
         return np.column_stack([X, X[:, :2]]), Y
 
     def fit(self, X, Y, mu):
-        return fit_lasso(expand(X, self.BASIS), Y, mu, basis=self.BASIS,
-                         penalty_scale="sqrt-rows")
+        return fit_lasso(X, Y, mu, basis=self.BASIS, penalty_scale="sqrt-rows")
 
     @pytest.mark.parametrize("mu", MUS)
     def test_certified(self, mu):
@@ -383,8 +409,7 @@ class TestPersistence:
         basis = BasisSpec(2)
         X = rng.standard_normal((150, 8)) * 50
         Y = np.column_stack([X @ rng.standard_normal(8) for _ in range(7)])
-        Phi = expand(X, basis)
-        model = fit_lasso(Phi, Y, 1e-3, basis=basis, n_history=None,
+        model = fit_lasso(X, Y, 1e-3, basis=basis, n_history=None,
                           penalty_scale="sqrt-rows")
         path = tmp_path / "model.json"
         model_to_json(model, path)
@@ -472,7 +497,7 @@ class TestPersistence:
         # bias column: retrain rather than load it
         X = np.random.default_rng(1).standard_normal((100, 3))
         path = tmp_path / "model.json"
-        model_to_json(fit_lasso(expand(X, BasisSpec()), X[:, :2], 0.1, basis=BasisSpec()), path)
+        model_to_json(fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec()), path)
         d = json.loads(path.read_text())
         d["basis"].update(kind="elementwise-poly", include_bias=True)
         path.write_text(json.dumps(d))
@@ -485,7 +510,7 @@ class TestPersistence:
         # from K: retrain rather than load it
         X = np.random.default_rng(1).standard_normal((100, 3))
         path = tmp_path / "model.json"
-        model_to_json(fit_lasso(expand(X, BasisSpec()), X[:, :2], 0.1, basis=BasisSpec()), path)
+        model_to_json(fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec()), path)
         d = json.loads(path.read_text())
         d["intercept"] = None
         path.write_text(json.dumps(d))
@@ -518,19 +543,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="a str is read as JSON text.*pass a file as a Path"):
             model_from_json(str(tmp_path / "model.json"))
 
-    def test_width_its_basis_cannot_produce_rejected(self, rng):
-        # 6 columns are no degree-2 expansion (2p + 1)
-        X = rng.standard_normal((50, 6))
-        with pytest.raises(ValueError, match="width 6 is not a degree-2 expansion"):
-            fit_lasso(X, X[:, :2], 0.1, basis=BasisSpec())
-
-    def test_unexpanded_features_rejected(self, rng):
-        # 5 raw columns have a degree-2 width (2p + 1 at p = 2), but their
-        # column 0 is no bias column of ones: the basis did not expand them
-        X = rng.standard_normal((50, 5))
-        with pytest.raises(ValueError, match="column 0 is not the basis's bias column"):
-            fit_lasso(X, X[:, :2], 0.0, basis=BasisSpec(2))
-
 
 def one_pass_moments(X, Y):
     """The moments of (X, Y) about the whole block's means, from one
@@ -560,6 +572,36 @@ class TestRawMoments:
             assert getattr(got, name).shape == ref.shape
             np.testing.assert_allclose(getattr(got, name), ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref), initial=0.0))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, C - 1, C, C + 1, 3 * C + 5],
+                             ids=["1", "C-1", "C", "C+1", "3C+5"])
+    def test_kernel_expansion_matches_callers(self, rng, degree, n_rows):
+        # the kernel expands each chunk with the `expand` a caller would
+        # have applied to all rows, so the moments are the same bits and a
+        # fit moves nothing when the expansion moves into it
+        basis = BasisSpec(degree)
+        X = 30.0 + rng.standard_normal((n_rows, 5)) * [1.0, 1e-2, 5.0, 1.0, 0.0]
+        Y = X[:, :3] @ rng.standard_normal((3, 2)) + rng.standard_normal((n_rows, 2))
+        got, want = raw_moments(X, Y, basis), raw_moments(expand(X, basis), Y)
+        assert (got.basis, want.basis, got.n_rows) == (basis, None, want.n_rows)
+        for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_merge_across_bases_rejected(self, rng):
+        # 5 columns are a degree-1 expansion of 4 inputs and a degree-2
+        # one of 2: blocks of equal width on different bases do not merge
+        X4, Y = rng.standard_normal((200, 4)), rng.standard_normal((200, 2))
+        a = raw_moments(X4[:100], Y[:100], BasisSpec(1))
+        b = raw_moments(X4[100:, :2], Y[100:], BasisSpec(2))
+        assert a.Cxx.shape == b.Cxx.shape == (5, 5)
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"moments taken on {left.basis} and on {right.basis} do not merge")):
+                left + right
+        with pytest.raises(ValueError, match=re.escape(
+                "moments taken on BasisSpec(degree=1) and on no basis do not merge")):
+            a + raw_moments(expand(X4[100:], BasisSpec(1)), Y[100:])
 
     def test_nonfinite_in_last_chunk_rejected(self, rng):
         X = rng.standard_normal((2 * self.C + 5, 3))
@@ -617,12 +659,12 @@ class TestRawMoments:
 
 class TestStandardization:
     def test_constant_columns_scale_one(self, rng):
-        X = np.column_stack([np.ones(50), np.full(50, 7.0),
-                             rng.standard_normal(50)])
+        # on the degree-1 basis: its bias column, a constant input and a varying one
+        X = np.column_stack([np.full(50, 7.0), rng.standard_normal(50)])
         # a constant target's centered sum of squares can be a rounding
         # residue (~1e-32 for 0.1 over 50 rows), which must not scale it
         Y = np.column_stack([rng.standard_normal(50), np.full(50, 0.1)])
-        m = regression_mod._standardize(raw_moments(X, Y), True)
+        m = regression_mod._standardize(raw_moments(X, Y, BasisSpec(1)))
         assert m.std.x_scale[0] == 1.0 and m.std.x_scale[1] == 1.0
         assert m.const_cols[0] and m.const_cols[1] and not m.const_cols[2]
         assert m.std.y_scale[1] == 1.0 and m.yty[1] == 0.0
@@ -630,6 +672,6 @@ class TestStandardization:
     def test_kkt_residual_zero_for_exact_solution(self, rng):
         X = rng.standard_normal((100, 5))
         y = X @ np.ones((5, 1))
-        m = regression_mod._standardize(raw_moments(X, y), False)
+        m = regression_mod._standardize(raw_moments(X, y))
         W = np.ones((5, 1))
         assert regression_mod._kkt_residual(W, m, 0.0) < 1e-9

@@ -11,7 +11,7 @@ from throttleid.excitation import (ExcitationConfig, build_corpus,
 from throttleid.features import (TARGET_NAMES, _buffer, _input_windows, _outputs, assemble,
                                  build_row, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
-from throttleid.regression import BasisSpec, expand, fit_lasso, predict
+from throttleid.regression import BasisSpec, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _window_coefficients,
                                 descent_profile, error_windows, rollout, teacher_forced_eval,
                                 timeseries_csv)
@@ -39,8 +39,7 @@ def corpus():
 
 def fit_small(corpus, basis, n):
     ds = merge([assemble(t, n) for t in corpus])
-    features = ds.inputs if basis is None else expand(ds.inputs, basis)
-    return fit_lasso(features, ds.targets, 3e-5, basis=basis, n_history=n,
+    return fit_lasso(ds.inputs, ds.targets, 3e-5, basis=basis, n_history=n,
                      penalty_scale="sqrt-rows")
 
 
@@ -268,8 +267,7 @@ class TestTeacherForced:
         traj = ar2_trajectory(n_samples=3000, noise=0.0)
         ds = assemble(traj, 2)
         basis = BasisSpec(degree=1)
-        model = fit_lasso(expand(ds.inputs, basis), ds.targets, 0.0,
-                          basis=basis, n_history=2)
+        model = fit_lasso(ds.inputs, ds.targets, 0.0, basis=basis, n_history=2)
         rep = teacher_forced_eval(model, traj, cfg=PC)
         assert rep.max_thrust_err < 1e-6
 

@@ -16,10 +16,10 @@ unpickled. Artifact
 JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
 `plant._fits` and `plant._from_document`, defined nowhere else. No
-caller expands rows before taking their moments: `raw_moments` expands
-them a chunk at a time, so no design matrix is built whole. The rollout
-neither gathers nor expands a row: its coefficients act on the history
-window as it lies in the buffer.
+caller, demo or quick start expands rows before taking their moments or
+fitting: `raw_moments` expands them a chunk at a time, so no design
+matrix is built whole. The rollout neither gathers nor expands a row:
+its coefficients act on the history window as it lies in the buffer.
 """
 
 import ast
@@ -41,6 +41,11 @@ import throttleid
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _quick_start() -> str:
+    """The README's library example, its first python block."""
+    return re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
 
 
 def _bindings():
@@ -171,9 +176,8 @@ def test_demo_runs(demo, tmp_path):
 
 def test_readme_quick_start_runs(tmp_path):
     # the README's library example runs as written against the sources
-    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+    r = subprocess.run([sys.executable, "-c", _quick_start()], cwd=tmp_path, env=env,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
 
@@ -217,22 +221,22 @@ def _calls(node, name):
 
 
 def test_no_expanded_rows_reach_raw_moments():
-    # an argument of raw_moments must not hold an expand(...) result, directly
-    # or through a name bound to one in the same function: the kernel takes
-    # the raw inputs and the basis, and expands one chunk of rows at a time
+    # an argument of raw_moments or fit_lasso must not hold an expand(...)
+    # result, directly or through a name bound to one in the same file, in
+    # the package, the demos or the README's quick start: both take the raw
+    # inputs and the basis, and the kernel expands one chunk of rows at a time
+    sources = [(path.name, path.read_text())
+               for path in sorted(Path(throttleid.__file__).parent.glob("*.py")) + DEMOS]
     found = []
-    for path in sorted(Path(throttleid.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            expanded = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
-                        and _calls(n.value, "expand") for t in n.targets
-                        if isinstance(t, ast.Name)}
-            for call in _calls(fn, "raw_moments"):
-                for arg in call.args + [kw.value for kw in call.keywords]:
-                    if _calls(arg, "expand") or any(isinstance(n, ast.Name) and n.id in expanded
-                                                    for n in ast.walk(arg)):
-                        found.append((path.stem, fn.name, call.lineno))
+    for name, text in sources + [("README.md", _quick_start())]:
+        tree = ast.parse(text)
+        expanded = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                    and _calls(n.value, "expand") for t in n.targets if isinstance(t, ast.Name)}
+        for call in _calls(tree, "raw_moments") + _calls(tree, "fit_lasso"):
+            for arg in call.args + [kw.value for kw in call.keywords]:
+                if _calls(arg, "expand") or any(isinstance(n, ast.Name) and n.id in expanded
+                                                for n in ast.walk(arg)):
+                    found.append((name, call.lineno))
     assert found == []
 
 
