@@ -194,8 +194,9 @@ def merge(datasets: list[Dataset]) -> Dataset:
                    targets=np.concatenate([ds.targets for ds in datasets], axis=0), n=n)
 
 
-def kfold_indices(n_rows: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic k-fold row partition as (train, test) index pairs.
+def kfold_indices(n_rows: int, k: int, seed: int) -> list[np.ndarray]:
+    """The k sorted test folds of a deterministic k-fold row partition; a
+    fold's training rows are all the others.
 
     The folds split a seeded permutation of the rows, so adjacent
     samples of one trace can land in both train and test.
@@ -205,13 +206,7 @@ def kfold_indices(n_rows: int, k: int, seed: int) -> list[tuple[np.ndarray, np.n
     if k > n_rows:
         raise ValueError(f"k={k} exceeds dataset size {n_rows}")
     order = np.random.default_rng(seed).permutation(n_rows)
-    folds = np.array_split(order, k)
-    pairs = []
-    for i in range(k):
-        test = np.sort(folds[i])
-        train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-        pairs.append((train, test))
-    return pairs
+    return [np.sort(fold) for fold in np.array_split(order, k)]
 
 
 __all__ = [

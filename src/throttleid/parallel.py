@@ -18,9 +18,10 @@ order. Which tasks the caller itself runs does not depend on timing:
 all of them with one worker, none with more.
 
 A forked child never forks: a fork map called inside a child's task
-runs its own tasks in that child. So a task that writes a CSV formats
-its blocks itself, while the other CPUs run other tasks. A task that
-the caller runs itself (a map of one task, or one usable CPU) may fork.
+runs its own tasks in that child. So a `sweep_history` task takes its
+folds' blocks and fits them itself, while the other CPUs run other
+history lengths. A task that the caller runs itself (a map of one task,
+or one usable CPU) may fork.
 """
 
 from __future__ import annotations

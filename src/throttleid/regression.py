@@ -128,7 +128,6 @@ class _Moments:
     G: np.ndarray        # (F, F)
     c: np.ndarray        # (F, m)
     yty: np.ndarray      # (m,)
-    n_rows: int
     std: Standardization
     const_cols: np.ndarray  # (F,) bool
 
@@ -138,9 +137,9 @@ class RawMoments:
     """Sufficient statistics of a (features X, targets Y) block, not yet
     standardized: the row count, the column means and the cross-products
     about them, X the inputs as `basis` expanded them (if not None). `a + b`
-    merges two blocks on one basis by the pairwise update of Chan, Golub &
-    LeVeque (1979): the same blocks merged in the same order give the same
-    bits, and an empty block merges exactly."""
+    merges two blocks of one shape on one basis by the pairwise update of
+    Chan, Golub & LeVeque (1979): the same blocks merged in the same order
+    give the same bits, and an empty block merges exactly."""
 
     n_rows: int
     mx: np.ndarray    # column means of X
@@ -154,6 +153,9 @@ class RawMoments:
         if self.basis != other.basis:
             raise ValueError(f"moments taken on {self.basis or 'no basis'} and on "
                              f"{other.basis or 'no basis'} do not merge")
+        if self.Cxy.shape != other.Cxy.shape:
+            raise ValueError(f"moments of (input, target) widths {self.Cxy.shape} and "
+                             f"{other.Cxy.shape} do not merge")
         n = self.n_rows + other.n_rows
         w = other.n_rows / max(n, 1)        # other's share of the rows
         f = self.n_rows * w                 # n_a * n_b / n
@@ -204,7 +206,7 @@ def _standardize(raw: RawMoments) -> _Moments:
         std = Standardization(np.zeros_like(mx), np.ones_like(mx), np.zeros_like(my),
                               np.ones_like(my))
         return _Moments(G=G, c=raw.Cxy + N * np.outer(mx, my), yty=raw.Cyy + N * my ** 2,
-                        n_rows=N, std=std, const_cols=const)
+                        std=std, const_cols=const)
     var = np.diag(raw.Cxx) / N
     const = var <= 1e-14 * np.maximum(mx ** 2, 1.0)
     sx = np.where(const, 1.0, np.sqrt(var))
@@ -217,8 +219,8 @@ def _standardize(raw: RawMoments) -> _Moments:
     Gs[:, const] = 0.0
     cs[const, :] = 0.0
     yty = np.where(yconst, 0.0, N * np.ones_like(my))
-    return _Moments(G=Gs, c=cs, yty=yty, n_rows=N,
-                    std=Standardization(mx, sx, my, sy), const_cols=const)
+    return _Moments(G=Gs, c=cs, yty=yty, std=Standardization(mx, sx, my, sy),
+                    const_cols=const)
 
 
 def _well_posed(m: _Moments) -> tuple[_Moments, float]:
@@ -489,10 +491,8 @@ def model_to_json(model: CoefficientModel, path: str | Path | None = None) -> st
 def model_from_json(source: str | Path) -> CoefficientModel:
     """Load a model from a JSON file (a Path) or from JSON text (a str).
 
-    ValueError, naming the key, when a key is missing (a file without `ridge`
-    or `dt`, written before they were recorded, loads with 0.0 or null),
-    unknown or of the wrong JSON kind (`plant._from_document`; `basis`, `n`
-    and `dt` may be null),
+    ValueError, naming the key, when a key is missing, unknown or of the
+    wrong JSON kind (`plant._from_document`; `basis`, `n` and `dt` may be null),
     `n_outputs` or `n_coefficients` is negative, a triplet is not three items or
     lies outside K, a vector does not match K's shape, `n` is below 1, or
     `n_inputs` is not the width that the basis expands to K's width."""
@@ -502,7 +502,6 @@ def model_from_json(source: str | Path) -> CoefficientModel:
     layout = dict(_SCALARS, format="", basis=BasisSpec(), n_inputs=0, n_outputs=0,
                   n_coefficients=0, standardization=Standardization(*[(0.0,)] * 4),
                   K_triplets=((0.0,),))
-    d = {"ridge": 0.0, "dt": None, **d}
     layout.update((k, None) for k in ("basis", "n", "dt") if d.get(k, 0) is None)
     doc = _from_document(SimpleNamespace(**layout), d, "model", complete=True)
     if doc.n is not None and doc.n < 1:

@@ -9,15 +9,18 @@ Selection treats grid points whose mean test RMSE lies within a small
 relative tolerance of the minimum as tied, then prefers the cheaper
 model: the smallest history length, or the largest (sparsest) mu.
 
-Both sweeps run on `parallel.fork_map`, `sweep_history` one history
-length per task (assembling its rows there) and `sweep_mu` one fold per
-task, so a report does not depend on the number of usable CPUs and the
-error raised is that of the first failing (grid point, fold) in serial
-order. No design matrix is built: each fold's moments are taken once,
-as the centered block (`regression.RawMoments`) of its test rows, which
-`raw_moments` expands a chunk at a time. Every fold fit runs in one
-warm-started loop (`_fit_fold`) on the other folds' blocks merged, and
-is certified by its KKT residual and scored from moments (`_moment_rmse`).
+Both sweeps cross-validate through one routine, `_cv_paths`: it draws
+the k test folds with the fold seed, takes their moments in one
+`parallel.fork_map` and runs their paths in a second. A fold's moments
+are the centered block (`regression.RawMoments`) of its test rows, which
+`raw_moments` expands a chunk at a time, so no design matrix is built;
+its path (`_fit_fold`) is one warm-started loop on the other folds'
+blocks merged, each fit certified by its KKT residual and scored from
+moments (`_moment_rmse`). `sweep_mu` calls it once; `sweep_history` once
+per history length, in a task that assembles that length's rows (and,
+if forked, runs its nested maps itself). So a report does not depend on
+the number of usable CPUs, and the error raised is that of the first
+failing (grid point, fold) in serial order.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _moment_rmse(model: CoefficientModel, block: RawMoments) -> float:
     """The model's RMSE on the rows that `block` summarizes, each output's
     scaled by its training target std, then their root mean square. For
     output j, SSE_j = k_j' Cxx k_j - 2 k_j' Cxy_j + Cyy_j + n (k_j . mx - my_j)^2,
-    floored at 0 (a sweep fit has a basis, whose bias column holds the offset).
+    floored at 0 (a fit's offset, if any, is in its basis's bias column).
     Only this aggregate is accurate from moments (to ~2e-8 relative): P, mf and
     mo leave residuals ~1e-6 of their std, which the sum cancels, so their own
     RMSE comes out up to 59% off on the mu path; they weigh ~1e-6 in it."""
@@ -207,8 +210,19 @@ def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float
     return scores
 
 
+def _cv_paths(dataset: Dataset, basis: BasisSpec | None, k: int, seed: int, values: list,
+              mus: list[float], penalty_scale: str) -> list[list[tuple]]:
+    """Each of the k folds' `_fit_fold` path along `mus` (grid values `values`),
+    the folds drawn with `seed`: one fork map takes the folds' blocks on `basis`,
+    the next runs their paths."""
+    tests = kfold_indices(len(dataset), k, seed)
+    blocks = list(fork_map(partial(_block, dataset, basis), tests))
+    return list(fork_map(lambda fold: _fit_fold(blocks, fold, values, mus, dataset.n,
+                                                penalty_scale), range(k)))
+
+
 def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
-                  basis: BasisSpec | None = None, seed: int = 0) -> SweepReport:
+                  basis: BasisSpec | None = BasisSpec(), seed: int = 0) -> SweepReport:
     """k-fold CV over history lengths at the fixed per-sample HISTORY_MU,
     the folds drawn with `seed`.
 
@@ -216,34 +230,25 @@ def sweep_history(trajectories: list[PlantTrajectory], cfg: SweepConfig,
     each assembles the trajectories' rows at its own length, so a
     process holds one length's dataset at a time.
     """
-    basis = basis or BasisSpec()
-
     def history_point(n) -> GridPoint:
         ds = merge([assemble(tr, n) for tr in trajectories])
-        blocks = [_block(ds, basis, test) for _, test in kfold_indices(len(ds), cfg.k, seed)]
-        return _grid_point(int(n), [
-            _fit_fold(blocks, fold, [n], [HISTORY_MU], ds.n, HISTORY_PENALTY_SCALE)[0]
-            for fold in range(cfg.k)])
+        paths = _cv_paths(ds, basis, cfg.k, seed, [n], [HISTORY_MU], HISTORY_PENALTY_SCALE)
+        return _grid_point(int(n), [path[0] for path in paths])
 
     return _report("history", list(fork_map(history_point, cfg.n_grid)), cfg, seed)
 
 
 def sweep_mu(dataset: Dataset, cfg: SweepConfig,
-             basis: BasisSpec | None = None, seed: int = 0) -> SweepReport:
+             basis: BasisSpec | None = BasisSpec(), seed: int = 0) -> SweepReport:
     """Warm-started k-fold CV along the mu grid at a fixed history length,
     the folds drawn with `seed`.
 
     Fits run from the largest mu down, warm-starting each from the
     previous solution; results are reported in grid order. The folds
-    are the units of work split across processes: one fork map takes
-    their blocks, the next runs their paths, each sequential.
+    are the units of work split across processes, each path sequential.
     """
-    basis = basis or BasisSpec()
     mu_desc = sorted(cfg.mu_grid, reverse=True)
-    tests = [test for _, test in kfold_indices(len(dataset), cfg.k, seed)]
-    blocks = list(fork_map(partial(_block, dataset, basis), tests))
-    paths = list(fork_map(lambda fold: _fit_fold(blocks, fold, mu_desc, mu_desc, dataset.n,
-                                                 PENALTY_SCALE), range(cfg.k)))
+    paths = _cv_paths(dataset, basis, cfg.k, seed, mu_desc, mu_desc, PENALTY_SCALE)
     return _report("mu", [_grid_point(float(mu), [path[mu_desc.index(mu)] for path in paths])
                           for mu in cfg.mu_grid], cfg, seed)
 

@@ -232,29 +232,30 @@ class TestMergeAndSplit:
             merge([assemble(traj, 3), assemble(traj, 4)])
 
     def test_kfold_partition(self):
-        pairs = kfold_indices(103, 5, seed=1)
-        assert len(pairs) == 5
-        sizes = [len(te) for _, te in pairs]
+        folds = kfold_indices(103, 5, seed=1)
+        assert len(folds) == 5
+        sizes = [len(te) for te in folds]
         assert max(sizes) - min(sizes) <= 1
-        # the test folds partition the rows; each train set is the rest
-        np.testing.assert_array_equal(np.sort(np.concatenate([te for _, te in pairs])),
-                                      np.arange(103))
-        for train, test in pairs:
+        # the sorted test folds partition the rows; each train set is the rest
+        np.testing.assert_array_equal(np.sort(np.concatenate(folds)), np.arange(103))
+        for test in folds:
+            assert np.all(np.diff(test) > 0)
+            train = np.delete(np.arange(103), test)
             np.testing.assert_array_equal(np.sort(np.concatenate([train, test])),
                                           np.arange(103))
 
     def test_kfold_small_exact(self):
-        pairs = kfold_indices(10, 5, seed=0)
-        assert all(len(te) == 2 and len(tr) == 8 for tr, te in pairs)
+        folds = kfold_indices(10, 5, seed=0)
+        assert all(len(te) == 2 and len(np.delete(np.arange(10), te)) == 8 for te in folds)
 
     def test_kfold_deterministic(self):
         a = kfold_indices(57, 4, seed=3)
         b = kfold_indices(57, 4, seed=3)
-        for (tra, tea), (trb, teb) in zip(a, b):
+        for tea, teb in zip(a, b):
             assert np.array_equal(tea, teb)
-            assert np.array_equal(tra, trb)
+            assert np.array_equal(np.delete(np.arange(57), tea), np.delete(np.arange(57), teb))
         assert any(not np.array_equal(tea, teb)
-                   for (_, tea), (_, teb) in zip(a, kfold_indices(57, 4, seed=4)))
+                   for tea, teb in zip(a, kfold_indices(57, 4, seed=4)))
 
     def test_kfold_too_many_folds(self):
         with pytest.raises(ValueError):

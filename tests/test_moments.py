@@ -106,5 +106,7 @@ def test_scores_match_predictions_on_mu_path(corpus, monkeypatch):
         fold, mu = i // len(mu_desc), mu_desc[i % len(mu_desc)]
         point = report.point(mu)
         err = (predict(model, ds.inputs) - ds.targets) / model.standardization.y_scale
-        for rows, got in zip(folds[fold], (point.train_rmse[fold], point.test_rmse[fold])):
+        test = folds[fold]
+        train = np.delete(np.arange(len(ds)), test)
+        for rows, got in zip((train, test), (point.train_rmse[fold], point.test_rmse[fold])):
             assert got == pytest.approx(float(np.sqrt(np.mean(err[rows] ** 2))), rel=1e-7)

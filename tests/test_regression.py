@@ -517,17 +517,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape("unknown model keys: intercept")):
             model_from_json(path)
 
-    def test_file_without_ridge_loads(self):
-        # a model file written before the ridge was recorded
+    def test_file_without_ridge_rejected(self):
+        # every file that the loader accepts records its ridge
         gen = np.random.default_rng(1)
         X = gen.standard_normal((100, 6))
         d = json.loads(model_to_json(fit_lasso(X, X[:, :2] + 1.0, 1.0)))
         del d["ridge"]
-        assert model_from_json(json.dumps(d)).ridge == 0.0
+        with pytest.raises(ValueError, match="missing model keys: ridge$"):
+            model_from_json(json.dumps(d))
 
     def test_step_recorded(self):
-        # a model file records the step of its data; one written before
-        # the step was recorded loads with none
+        # a model file records the step of its data, which may be null but
+        # not missing
         gen = np.random.default_rng(1)
         X = gen.standard_normal((100, 6))
         model = fit_lasso(X, X[:, :2] + 1.0, 1.0)
@@ -535,8 +536,11 @@ class TestPersistence:
         model.dt = 0.01
         d = json.loads(model_to_json(model))
         assert model_from_json(json.dumps(d)).dt == 0.01
-        del d["dt"]
+        d["dt"] = None
         assert model_from_json(json.dumps(d)).dt is None
+        del d["dt"]
+        with pytest.raises(ValueError, match="missing model keys: dt$"):
+            model_from_json(json.dumps(d))
 
     def test_path_given_as_str_explained(self, tmp_path):
         # a str is JSON text, so a file name passed as one is not read
@@ -602,6 +606,18 @@ class TestRawMoments:
         with pytest.raises(ValueError, match=re.escape(
                 "moments taken on BasisSpec(degree=1) and on no basis do not merge")):
             a + raw_moments(expand(X4[100:], BasisSpec(1)), Y[100:])
+
+    def test_merge_across_shapes_rejected(self, rng):
+        # a block of one target would broadcast into a two-target Cxy, and
+        # blocks of different input widths would fail only in numpy: both
+        # are refused with the two blocks' (input, target) widths
+        X, Y, b = rng.standard_normal((100, 4)), rng.standard_normal((100, 2)), BasisSpec(2)
+        whole = raw_moments(X, Y, b)
+        for other, widths in ((raw_moments(X, Y[:, :1], b), "(9, 2) and (9, 1)"),
+                              (raw_moments(X[:, :3], Y, b), "(9, 2) and (7, 2)")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"moments of (input, target) widths {widths} do not merge")):
+                whole + other
 
     def test_nonfinite_in_last_chunk_rejected(self, rng):
         X = rng.standard_normal((2 * self.C + 5, 3))

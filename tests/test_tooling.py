@@ -20,6 +20,8 @@ caller, demo or quick start expands rows before taking their moments or
 fitting: `raw_moments` expands them a chunk at a time, so no design
 matrix is built whole. The rollout neither gathers nor expands a row:
 its coefficients act on the history window as it lies in the buffer.
+Both sweeps cross-validate through `tuning._cv_paths`, the one place
+that draws test folds and takes their blocks.
 """
 
 import ast
@@ -182,20 +184,25 @@ def test_readme_quick_start_runs(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
-def _json_callers(attr):
-    """(module, enclosing function) of every `json.<attr>(...)` call in the package."""
-    def callers(node, where):
+def _enclosing(found):
+    """(module, enclosing function) of every node of the package that `found` accepts."""
+    def walk(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == attr and isinstance(node.func.value, ast.Name) \
-                and node.func.value.id == "json":
+        if found(node):
             yield where
         for child in ast.iter_child_nodes(node):
-            yield from callers(child, where)
+            yield from walk(child, where)
 
     return {(path.stem, where) for path in Path(throttleid.__file__).parent.glob("*.py")
-            for where in callers(ast.parse(path.read_text()), None)}
+            for where in walk(ast.parse(path.read_text()), None)}
+
+
+def _json_callers(attr):
+    """(module, enclosing function) of every `json.<attr>(...)` call in the package."""
+    return _enclosing(lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
 
 
 def test_one_json_writer():
@@ -212,6 +219,17 @@ def test_one_json_reader():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in ("_fits", "_from_document")}
     assert defined == {("plant", "_fits"), ("plant", "_from_document")}
+
+
+def test_one_cv_path():
+    # k-fold CV is written once: `tuning._cv_paths` alone draws the test
+    # folds and takes their blocks, so no sweep has a fold loop of its own.
+    # Every read of either name counts, a call or a function passed on
+    for name in ("kfold_indices", "_block"):
+        used = _enclosing(lambda node: isinstance(node, ast.Name) and node.id == name
+                          and isinstance(node.ctx, ast.Load)
+                          or isinstance(node, ast.Attribute) and node.attr == name)
+        assert used == {("tuning", "_cv_paths")}, name
 
 
 def _calls(node, name):

@@ -129,14 +129,14 @@ class TestSweepMu:
     def test_fold_integrity(self, ds):
         # sweep folds are the seeded permutation of the rows, split in k
         cfg = small_cfg()
-        pairs = kfold_indices(len(ds), cfg.k, 0)
+        tests = kfold_indices(len(ds), cfg.k, 0)
         order = np.random.default_rng(0).permutation(len(ds))
-        for (train, test), fold in zip(pairs, np.array_split(order, cfg.k)):
+        for test, fold in zip(tests, np.array_split(order, cfg.k)):
             np.testing.assert_array_equal(test, np.sort(fold))
+            train = np.delete(np.arange(len(ds)), test)
             assert np.intersect1d(train, test).size == 0
             assert len(train) + len(test) == len(ds)
-        np.testing.assert_array_equal(np.sort(np.concatenate([te for _, te in pairs])),
-                                      np.arange(len(ds)))
+        np.testing.assert_array_equal(np.sort(np.concatenate(tests)), np.arange(len(ds)))
 
     def test_deterministic(self, ds):
         cfg = small_cfg(mu_grid=(1e-4, 1e-2))
@@ -170,8 +170,8 @@ class TestWorkers:
         usable_cpus(monkeypatch, cpus)
         cfg = small_cfg(k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
-        train_means = [ds.targets[train].mean(axis=0)
-                       for train, _ in kfold_indices(len(ds), cfg.k, 0)]
+        train_means = [np.delete(ds.targets, test, axis=0).mean(axis=0)
+                       for test in kfold_indices(len(ds), cfg.k, 0)]
         real_fit = tuning_mod.fit_from_moments
 
         def flaky(m, mu, **kw):
@@ -196,8 +196,8 @@ class TestWorkers:
         usable_cpus(monkeypatch, cpus)
         cfg = small_cfg(n_grid=(1, 2, 3), k=3)
         mu_desc = sorted(cfg.mu_grid, reverse=True)
-        train_means = [ds.targets[train].mean(axis=0)
-                       for train, _ in kfold_indices(len(ds), cfg.k, 0)]
+        train_means = [np.delete(ds.targets, test, axis=0).mean(axis=0)
+                       for test in kfold_indices(len(ds), cfg.k, 0)]
         real_fit = tuning_mod.fit_from_moments
 
         def uncertified_at(fold, mu):
@@ -252,12 +252,15 @@ class TestWorkers:
             sweep_mu(ds, small_cfg(k=2, mu_grid=(1e-2,)))
 
     def test_reports_independent_of_worker_count(self, ar2_traj, ds, monkeypatch):
+        # a one-length history grid runs its task in the caller, whose fold
+        # maps fork; a longer grid forks its tasks, whose fold maps do not
         cfg = small_cfg(k=3)
         texts = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             texts.append((sweep_mu(ds, cfg).to_json(),
-                          sweep_history([ar2_traj], cfg).to_json()))
+                          sweep_history([ar2_traj], cfg).to_json(),
+                          sweep_history([ar2_traj], replace(cfg, n_grid=(2,))).to_json()))
         assert texts[0] == texts[1]
 
     def test_fork_with_live_blas_threads(self):
@@ -336,6 +339,24 @@ class TestFoldMoments:
         assert rows.value == len(ds)
         assert in_caller.value == (len(ds) if cpus == 1 else 0)
 
+    def test_no_basis_takes_raw_columns(self, ar2_traj, ds, monkeypatch):
+        # basis=None means no basis, as in raw_moments and fit_lasso: every
+        # fold's block of each sweep is taken on the raw columns. The fold
+        # paths are stubbed, since only the blocks are checked here
+        usable_cpus(monkeypatch, 1)
+        real, seen = tuning_mod.raw_moments, []
+
+        def recorded(features, targets, basis):
+            seen.append(basis)
+            return real(features, targets, basis)
+
+        monkeypatch.setattr(tuning_mod, "raw_moments", recorded)
+        monkeypatch.setattr(tuning_mod, "_fit_fold", lambda blocks, fold, values, mus, *_:
+                            [(1.0, 1.0, 0.0)] * len(mus))
+        sweep_mu(ds, small_cfg(k=3, mu_grid=(1e-3,)), None)
+        sweep_history([ar2_traj], small_cfg(n_grid=(2, 3), k=3), None)
+        assert seen == [None] * 9
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_training_moments_sum_other_folds(self, ds, monkeypatch, k):
         # at k=2 a fold's training moments are the other fold's block,
@@ -351,7 +372,8 @@ class TestFoldMoments:
         monkeypatch.setattr(tuning_mod, "fit_from_moments", recorded)
         sweep_mu(ds, small_cfg(k=k, mu_grid=(1e-3,)))
         assert len(seen) == k
-        for fold, (train, _) in enumerate(kfold_indices(len(ds), k, 0)):
+        for fold, test in enumerate(kfold_indices(len(ds), k, 0)):
+            train = np.delete(np.arange(len(ds)), test)
             want = raw_moments(ds.inputs[train], ds.targets[train], BasisSpec())
             assert seen[fold].n_rows == want.n_rows == len(train)
             for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
