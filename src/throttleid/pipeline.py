@@ -1,10 +1,10 @@
 """Batch pipeline: data generation, training, sweeps, validation.
 
-Each stage reads and writes JSON, CSV and `.npy` artifacts under an output
-directory, and every stage writes its resolved configuration to
-config.json there, replacing the one before. So a run is reconstructible
-from its directory alone only when every stage was given the same
-configuration. All stages are deterministic given (config, seed):
+Each stage reads and writes JSON, `.npy` and (for sweep tables) CSV
+artifacts under an output directory, and every stage writes its resolved
+configuration to config.json there, replacing the one before. So a run is
+reconstructible from its directory alone only when every stage was given
+the same configuration. All stages are deterministic given (config, seed):
 rerunning produces byte-identical files.
 """
 
@@ -21,11 +21,12 @@ from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
 from .features import TARGET_NAMES, assemble, merge
 from .parallel import fork_map
 from .plant import (TRAJECTORY_CSV_HEADER, CommandTrace, PlantConfig, PlantTrajectory,
-                    PropellantDepletedError, _from_document, read_json, simulate, write_json)
+                    PropellantDepletedError, _from_document, read_json, simulate, write_json,
+                    write_npy)
 from .regression import (BasisSpec, CoefficientModel, RawMoments, fit_from_moments,
                          model_from_json, model_to_json, predict, raw_moments)
-from .rollout import (RolloutDivergenceError, descent_profile, error_windows,
-                      rollout, timeseries_csv)
+from .rollout import (RolloutDivergenceError, _timeseries_columns, descent_profile,
+                      error_windows, rollout)
 from .tuning import (PENALTY_SCALE, SweepConfig, pareto_table, pareto_to_csv,
                      sweep_history, sweep_mu)
 
@@ -77,17 +78,15 @@ _TRAJECTORY_DTYPE = np.dtype([(name, "<f8") for name in TRAJECTORY_CSV_HEADER.sp
 
 
 def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace]):
-    """Simulate one corpus trace and `np.save` its response, one '<f8' field
-    per CSV column (the `.npy` header names them), under the file name given.
-    Returns None, or the time at which the plant ran dry (no file is written)."""
+    """Simulate one corpus trace and `write_npy` its response under the file name
+    given; returns None, or the time at which the plant ran dry (no file is written)."""
     fname, trace = job
     try:
         traj = simulate(trace, plant_cfg)
     except PropellantDepletedError as err:
         return err.t
-    rows = np.column_stack([traj.t, traj.commands, traj.status, traj.thrusts,
-                            traj.pressures, traj.m_fuel, traj.m_ox])
-    np.save(out / "trajectories" / fname, rows.view(_TRAJECTORY_DTYPE)[:, 0])
+    write_npy(out / "trajectories" / fname, _TRAJECTORY_DTYPE.names, [traj.t, traj.commands,
+              traj.status, traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox])
     return None
 
 
@@ -297,9 +296,9 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     tasks, the rollout first, claimed longest trace first: the descent's
     rollout, which sets the suite's wall time, and its plant response
     start at once on two CPUs while the other experiments fill in
-    beside them. Reports, time series and progress lines are written by
-    the caller, in suite order, so every file is the same whatever the
-    CPU count.
+    beside them. Reports, time series (`.npy`, with the columns of
+    `rollout.timeseries_csv` as fields) and progress lines are written by
+    the caller in suite order, so every file is the same at any CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -335,7 +334,7 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
             sparsity=None if model is None else model.sparsity,
             raw=raw, cfg=cfg.plant)
         report.to_json(val_dir / f"{trace.name}_report.json")
-        timeseries_csv(truth, pred, val_dir / f"{trace.name}_timeseries.csv")
+        write_npy(val_dir / f"{trace.name}_timeseries.npy", *_timeseries_columns(truth, pred))
         reports[trace.name] = report
         print(f"validate[{trace.name}]: max|dT|={report.max_thrust_err:.2f} N "
               f"(steady {float(np.max(report.max_err_steady[:4])):.2f} N), "

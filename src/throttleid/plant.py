@@ -63,6 +63,7 @@ G0 = 9.80665
 # whole-share messages each raised a peak RSS by ~7%). Many small tasks
 # also keep the workers busy while the caller writes.
 _BLOCK = 256
+_NPY_ROWS = 4096   # rows per slice that `write_npy` stacks and writes
 
 TRAJECTORY_CSV_HEADER = "t,Tr1,Tr2,Tr3,Tr4,Se1,Se2,Se3,Se4,To1,To2,To3,To4,P,mf,mo"
 
@@ -163,6 +164,20 @@ def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
         fh.write(header + "\n")
         for text in fork_map(partial(_csv_lines, columns), range(0, len(columns[0]), _BLOCK)):
             fh.write(text)
+
+
+def write_npy(path: str | Path, names: list[str], columns: list[np.ndarray]) -> None:
+    """The bytes of `np.save` of the column-stacked `columns` (1-D or 2-D) as a 1-D
+    array with one '<f8' field per name, stacked and written `_NPY_ROWS` rows at a time."""
+    rows, dtype = len(columns[0]), np.dtype([(name, "<f8") for name in names])
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {"descr": np.lib.format.dtype_to_descr(dtype),
+                                                  "fortran_order": False, "shape": (rows,)})
+        for lo in range(0, max(rows, 1), _NPY_ROWS):
+            block = np.column_stack([c[lo:lo + _NPY_ROWS] for c in columns])
+            if block.shape[1] != len(names):
+                raise ValueError(f"{path}: {block.shape[1]} columns for {len(names)} names")
+            block.astype("<f8", copy=False).tofile(fh)
 
 
 class PropellantDepletedError(RuntimeError):

@@ -346,15 +346,18 @@ def descent_profile(dt: float) -> CommandTrace:
     ], dt, "descent")
 
 
+def _timeseries_columns(traj_true: PlantTrajectory, traj_pred: PlantTrajectory):
+    """Time, then truth and prediction per output: `t, To1, To1_pred, ..., mo_pred`."""
+    names = ["t"] + [f"{label}{suffix}" for label in TARGET_NAMES for suffix in ("", "_pred")]
+    pairs = zip(_outputs(traj_true).T, _outputs(traj_pred).T)
+    return names, [traj_true.t, *(column for pair in pairs for column in pair)]
+
+
 def timeseries_csv(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
                    path: str | Path) -> None:
-    """Plot-ready flat CSV: time, then truth and prediction per output."""
-    cols = {"t": traj_true.t}
-    true_mat, pred_mat = _outputs(traj_true), _outputs(traj_pred)
-    for i, label in enumerate(TARGET_NAMES):
-        cols[label] = true_mat[:, i]
-        cols[f"{label}_pred"] = pred_mat[:, i]
-    write_csv(path, ",".join(cols), list(cols.values()))
+    """Plot-ready flat CSV, the text export of a `validate` time series."""
+    names, columns = _timeseries_columns(traj_true, traj_pred)
+    write_csv(path, ",".join(names), columns)
 
 
 __all__ = [

@@ -21,8 +21,9 @@ from throttleid.features import TARGET_NAMES, assemble, merge
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
-from throttleid.plant import TRAJECTORY_CSV_HEADER, PlantConfig, PlantTrajectory
+from throttleid.plant import TRAJECTORY_CSV_HEADER, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, model_from_json, model_to_json, predict, rmse
+from throttleid.rollout import rollout, timeseries_csv
 from throttleid.tuning import SweepConfig
 
 
@@ -264,15 +265,40 @@ class TestSweepCmd:
             assert (out / name).exists()
 
 
+def _read_series(path):
+    with open(path, "rb") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
 class TestValidate:
     def test_suite_runs_and_reports(self, run_dir):
         out, cfg = run_dir
         reports = cmd_validate(cfg)
         assert set(reports) == {"sine600", "stair", "fall", "descent"}
-        for name in reports:
-            report = json.loads((out / "validation" / f"{name}_report.json").read_text())
+        header = ["t"] + [f"{label}{suffix}" for label in TARGET_NAMES for suffix in ("", "_pred")]
+        for trace in validation_traces(cfg):
+            report = json.loads((out / "validation" / f"{trace.name}_report.json").read_text())
             assert report["diverged_at"] is None
-            assert (out / "validation" / f"{name}_timeseries.csv").exists()
+            series = _read_series(out / "validation" / f"{trace.name}_timeseries.npy")
+            assert list(series.dtype.names) == header and series.shape == (len(trace) + 1,)
+
+    def test_timeseries_holds_csv_values(self, tmp_path):
+        # for the default model, each experiment's .npy holds bitwise the
+        # values that the CSV export of the same truth and prediction holds
+        cfg = PipelineConfig(output_dir=str(tmp_path))
+        cmd_gen_data(cfg)
+        cmd_train(cfg)
+        cmd_validate(cfg)
+        model = model_from_json(tmp_path / "model.json")
+        for trace in validation_traces(cfg):
+            truth = simulate(trace, cfg.plant)
+            timeseries_csv(truth, rollout(model, trace, truth)[0], tmp_path / "export.csv")
+            header, *lines = (tmp_path / "export.csv").read_text().splitlines()
+            values = np.array([[float(v) for v in line.split(",")] for line in lines])
+            series = _read_series(tmp_path / "validation" / f"{trace.name}_timeseries.npy")
+            assert ",".join(series.dtype.names) == header
+            assert np.array_equal(series.view("<f8").reshape(len(series), -1).view(np.int64),
+                                  values.view(np.int64)), trace.name
 
     def test_model_step_checked(self, run_dir, tmp_path):
         # the model records the plant step it was trained at, and the

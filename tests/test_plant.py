@@ -9,7 +9,8 @@ import throttleid.plant as plant_mod
 from conftest import usable_cpus
 from throttleid.plant import (PROPELLANT_DENSITY, CommandTrace, PlantConfig, PlantState,
                               PlantTrajectory, PropellantDepletedError, initial_state,
-                              module_mass, simulate, steady_state_thrust, step, write_csv)
+                              module_mass, simulate, steady_state_thrust, step, write_csv,
+                              write_npy)
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +406,32 @@ class TestConfigAndIO:
         write_csv(tmp_path / "x.csv", "a,b,c,d,e,f,g,h", columns)
         assert (tmp_path / "x.csv").read_bytes() == \
             reference_csv_lines("a,b,c,d,e,f,g,h", columns).encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, plant_mod._NPY_ROWS - 1, plant_mod._NPY_ROWS,
+                                      plant_mod._NPY_ROWS + 1, 3 * plant_mod._NPY_ROWS + 7])
+    def test_npy_equals_np_save(self, tmp_path, rows):
+        # written a slice at a time, the file is byte for byte np.save of
+        # the whole stacked array, the special values and the field names
+        # included, and it reads back without unpickling
+        rng = np.random.default_rng(rows)
+        mat = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        mat.flat[:len(specials)] = specials[:mat.size]
+        mat[-1:] = mat[:1]   # NaN and both infinities in the last slice too
+        columns, names = [np.arange(rows) * 0.01, mat, rng.standard_normal(rows)], list("tabcd")
+        write_npy(tmp_path / "streamed.npy", names, columns)
+        dtype = np.dtype([(name, "<f8") for name in names])
+        np.save(tmp_path / "whole.npy", np.column_stack(columns).view(dtype)[:, 0])
+        assert (tmp_path / "streamed.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+        with open(tmp_path / "streamed.npy", "rb") as fh:
+            back = np.lib.format.read_array(fh, allow_pickle=False)
+        assert back.dtype.names == tuple(names) and back.shape == (rows,)
+        assert np.array_equal(back.view("<f8").reshape(rows, 5).view(np.int64),
+                              np.column_stack(columns).view(np.int64))
+
+    def test_npy_names_count_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="x.npy: 4 columns for 3 names"):
+            write_npy(tmp_path / "x.npy", ["t", "a", "b"], [np.zeros(5), np.zeros((5, 3))])
 
     def test_dead_csv_worker_reported(self, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, 2)

@@ -12,7 +12,8 @@ A cold `import throttleid`, which the benchmark times, must not load
 `multiprocessing`, which only the fork map needs, nor `mmap`, which no
 module imports: fork-map tasks pass data back only as results. Every
 `.npy` read passes `allow_pickle=False`, so no trajectory file is ever
-unpickled. Artifact
+unpickled, and every `.npy` file is written by one function,
+`plant.write_npy`. Artifact
 JSON has one writer, `plant.write_json`, and JSON has one reader,
 `plant.read_json`; configs and model files are checked by one rule,
 `plant._fits` and `plant._from_document`, defined nowhere else. No
@@ -209,6 +210,19 @@ def test_one_json_writer():
     # artifact JSON is formatted in one place, so every file keeps the
     # same sorted, indented layout; the CLI's error line is the exception
     assert _json_callers("dumps") == {("plant", "write_json"), ("cli", "main")}
+
+
+def test_one_npy_writer():
+    # every array file, trajectory or time series, is written by
+    # `plant.write_npy`, a slice at a time: no other call in the package
+    # saves or writes an array or an array header
+    savers = {"save", "savez", "savez_compressed", "savetxt", "tofile"}
+
+    def name(node):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None) or ""
+
+    assert _enclosing(lambda node: isinstance(node, ast.Call) and (
+        name(node) in savers or name(node).startswith("write_array"))) == {("plant", "write_npy")}
 
 
 def test_one_json_reader():
