@@ -100,6 +100,11 @@ def _output_columns(traj: PlantTrajectory) -> list[np.ndarray]:
     return [traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox]
 
 
+def _output_views(outputs: np.ndarray) -> list[np.ndarray]:
+    """Views of an (L, 7) output matrix, as `_output_columns` lists a trajectory's."""
+    return [outputs[:, :4], outputs[:, 4], outputs[:, 5], outputs[:, 6]]
+
+
 def _outputs(traj: PlantTrajectory) -> np.ndarray:
     """The (L, 7) output matrix of a trajectory."""
     return np.column_stack(_output_columns(traj))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
-from .features import TARGET_NAMES, assemble, merge
+from .features import TARGET_NAMES, _output_views, _outputs, assemble, merge
 from .parallel import fork_map
 from .plant import (TRAJECTORY_CSV_HEADER, CommandTrace, PlantConfig, PlantTrajectory,
                     PropellantDepletedError, _from_document, read_json, simulate, write_json,
@@ -263,9 +263,10 @@ def validation_traces(cfg: PipelineConfig) -> list[CommandTrace]:
 
 
 def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, CoefficientModel | None]):
-    """One validation job: with no model, the plant's response to the
-    trace; with a model, its rollout as (prediction, raw), or the
-    RolloutDivergenceError it raised.
+    """One validation job: with no model, the (L, 7) outputs of the
+    plant's response to the trace; with a model, those of its rollout and
+    its (L, 7) raw predictions, or the RolloutDivergenceError it raised.
+    The caller, which holds the trace, rebuilds the rest.
 
     The rollout is seeded from the plant's response to the trace's first
     n commands, whose rows are bitwise the first rows of the full
@@ -274,13 +275,14 @@ def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, Coefficient
     """
     trace, model = job
     if model is None:
-        return simulate(trace, plant_cfg)
+        return _outputs(simulate(trace, plant_cfg))
     head = CommandTrace(dt=trace.dt, commands=trace.commands[:model.n],
                         status=trace.status[:model.n])
     try:
-        return rollout(model, trace, simulate(head, plant_cfg))
+        pred, raw = rollout(model, trace, simulate(head, plant_cfg))
     except RolloutDivergenceError as err:
         return err
+    return _outputs(pred), raw
 
 
 def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
@@ -296,9 +298,11 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     tasks, the rollout first, claimed longest trace first: the descent's
     rollout, which sets the suite's wall time, and its plant response
     start at once on two CPUs while the other experiments fill in
-    beside them. Reports, time series (`.npy`, with the columns of
-    `rollout.timeseries_csv` as fields) and progress lines are written by
-    the caller in suite order, so every file is the same at any CPU count.
+    beside them. A task sends back output columns only, and the caller
+    rebuilds each trajectory from them and the trace. Reports, time
+    series (`.npy`, with the columns of `rollout.timeseries_csv` as
+    fields) and progress lines are written by the caller in suite order,
+    so every file is the same at any CPU count.
     """
     out = Path(cfg.output_dir)
     _snapshot(cfg, out)
@@ -319,16 +323,20 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     reports = {}
     for trace in traces:
         raw = None
+        inputs = np.zeros((len(trace) + 1, 8))   # row 0 zero, as a response records it
+        inputs[1:, :4], inputs[1:, 4:] = trace.commands, trace.status
+        response = lambda outputs, name: PlantTrajectory(
+            trace.dt, inputs[:, :4], inputs[:, 4:], *_output_views(outputs), name=name)
         if model is None:
-            truth = pred = next(results)
+            truth = pred = response(next(results), trace.name)
         else:
-            rolled, truth = next(results), next(results)
+            rolled, truth = next(results), response(next(results), trace.name)
             if isinstance(rolled, RolloutDivergenceError):
                 reports[trace.name] = {"experiment": trace.name, "diverged_at": rolled.t}
                 write_json(reports[trace.name], val_dir / f"{trace.name}_report.json")
                 print(f"validate[{trace.name}]: diverged at t={rolled.t:.2f} s")
                 continue
-            pred, raw = rolled
+            pred, raw = response(rolled[0], trace.name + "_pred"), rolled[1]
         report = error_windows(
             truth, pred, experiment=trace.name,
             sparsity=None if model is None else model.sparsity,

@@ -24,7 +24,7 @@ two ends of each step (so recorded mass increments are exactly
 consistent with recorded thrusts).
 
 `simulate` runs one scalar kernel over the whole command trace and
-writes each sample straight into the output arrays; `step` is a
+writes its samples into the output arrays a block at a time; `step` is a
 one-row run of the same kernel, so there is one implementation of the
 physics and a trajectory is bitwise the fold of `step`.
 
@@ -358,16 +358,6 @@ class PlantTrajectory:
                    m_fuel=data[:, 14], m_ox=data[:, 15], name=name)
 
 
-def _valve_targets(commands: np.ndarray, status: np.ndarray, cfg: PlantConfig):
-    """Per-row valve targets as lists of floats, converted `_BLOCK` rows at
-    a time: off engines track zero, on engines the clipped command."""
-    for lo in range(0, len(commands), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        yield from (np.where(status[block] > 0.0,
-                             np.clip(commands[block], cfg.e_min, cfg.e_max),
-                             0.0) / cfg.e_max).tolist()
-
-
 def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: PlantConfig,
          thrusts: np.ndarray, pressures: np.ndarray, m_fuel_out: np.ndarray,
          m_ox_out: np.ndarray) -> PlantState:
@@ -379,7 +369,9 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
     on Python floats, and its operation order is that of the equivalent
     4-vector numpy step (thrusts summed left to right, e_max * v * s as
     (e_max * v) * s, clips and floors with numpy's signed-zero results),
-    so it is bitwise that step.
+    so it is bitwise that step. A block of `_BLOCK` rows converts its
+    valve targets at once and gathers its outputs, 7 a row, in one flat
+    list written to the arrays at its end, so a step makes no numpy call.
 
     Raises ValueError("sample i: ...") at the first non-finite command
     row and at the first row whose feed pressure drops below zero (the
@@ -390,54 +382,61 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
     finite = np.isfinite(commands).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
 
-    dt, e_max, p_reg, droop = cfg.dt, cfg.e_max, cfg.p_reg, cfg.droop_coeff
+    dt, e_min, e_max, p_reg, droop = cfg.dt, cfg.e_min, cfg.e_max, cfg.p_reg, cfg.droop_coeff
     tau_rise, tau_fall, mr = cfg.tau_rise, cfg.tau_fall, cfg.mixture_ratio
+    m_module0, v_bottle, p_bottle0 = cfg.m_module0, cfg.v_bottle, cfg.p_bottle0
     exhaust = cfg.exhaust_velocity
     dmax = cfg.slew_limit * dt
     t, p_bottle, p_tank = state.t, state.p_bottle, state.p_tank
     m_fuel, m_ox = state.m_fuel_ejected, state.m_ox_ejected
     thrust = state.thrust.tolist()
     valve = state.valve_pos.tolist()
-    for i, target in enumerate(_valve_targets(commands[:n_ok], status[:n_ok], cfg)):
-        # Feed pressure for this interval, from the flow already established.
-        mdot_prev = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
-        p_tank = min(p_reg, p_bottle) - droop * mdot_prev
-        ratio = p_tank / p_reg
-        if not ratio >= 0.0:
-            raise ValueError(f"sample {i}: feed pressure {p_tank:.6g} Pa below zero "
-                             f"at t={t:.3f} s")
-        s = math.sqrt(ratio)
-        for j in range(4):
-            # Valve lag: opening uses tau_rise, closing tau_fall.
-            v = valve[j]
-            tau = tau_rise if target[j] >= v else tau_fall
-            v = v + (dt / tau) * (target[j] - v)
-            v = v if v > 0.0 else 0.0
-            valve[j] = v if v < 1.0 else 1.0
-            # Pressure-coupled thrust, slew-limited and floored at zero.
-            c = (e_max * valve[j]) * s
-            lo, hi = thrust[j] - dmax, thrust[j] + dmax
-            c = c if c > lo else lo
-            c = c if c < hi else hi
-            thrust[j] = c if c >= 0.0 else 0.0
+    for start in range(0, n_ok, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n_ok))
+        # valve targets: off engines track zero, on engines the clipped command
+        targets = (np.where(status[block] > 0.0, np.clip(commands[block], e_min, e_max),
+                            0.0) / e_max).tolist()
+        rows = []
+        for i, target in enumerate(targets, start):
+            # Feed pressure for this interval, from the flow already established.
+            mdot_prev = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
+            p_tank = min(p_reg, p_bottle) - droop * mdot_prev
+            ratio = p_tank / p_reg
+            if not ratio >= 0.0:
+                raise ValueError(f"sample {i}: feed pressure {p_tank:.6g} Pa below zero "
+                                 f"at t={t:.3f} s")
+            s = math.sqrt(ratio)
+            for j in range(4):
+                # Valve lag: opening uses tau_rise, closing tau_fall.
+                v = valve[j]
+                tau = tau_rise if target[j] >= v else tau_fall
+                v = v + (dt / tau) * (target[j] - v)
+                v = v if v > 0.0 else 0.0
+                valve[j] = v if v < 1.0 else 1.0
+                # Pressure-coupled thrust, slew-limited and floored at zero.
+                c = (e_max * valve[j]) * s
+                lo, hi = thrust[j] - dmax, thrust[j] + dmax
+                c = c if c > lo else lo
+                c = c if c < hi else hi
+                thrust[j] = c if c >= 0.0 else 0.0
 
-        # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
-        mdot_new = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
-        dm = 0.5 * (mdot_prev + mdot_new) * dt
-        m_fuel = m_fuel + dm / (1.0 + mr)
-        m_ox = m_ox + dm * mr / (1.0 + mr)
-        t = t + dt
-        if cfg.m_module0 - (m_fuel + m_ox) <= 0.0:
-            raise PropellantDepletedError(t, sample=i)
+            # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
+            mdot_new = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
+            dm = 0.5 * (mdot_prev + mdot_new) * dt
+            m_fuel = m_fuel + dm / (1.0 + mr)
+            m_ox = m_ox + dm * mr / (1.0 + mr)
+            t = t + dt
+            if m_module0 - (m_fuel + m_ox) <= 0.0:
+                raise PropellantDepletedError(t, sample=i)
 
-        # Isothermal blowdown: gas expands into the vacated propellant volume.
-        v_gas = cfg.v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
-        p_bottle = cfg.p_bottle0 * cfg.v_bottle / v_gas
-
-        thrusts[i] = thrust
-        pressures[i] = p_tank
-        m_fuel_out[i] = m_fuel
-        m_ox_out[i] = m_ox
+            # Isothermal blowdown: gas expands into the vacated propellant volume.
+            v_gas = v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
+            p_bottle = p_bottle0 * v_bottle / v_gas
+            rows += thrust
+            rows += p_tank, m_fuel, m_ox
+        out = np.array(rows).reshape(-1, 7)
+        thrusts[block], pressures[block], m_fuel_out[block], m_ox_out[block] = \
+            out[:, :4], out[:, 4], out[:, 5], out[:, 6]
 
     if n_ok < len(finite):
         raise ValueError(f"sample {n_ok}: non-finite command at t={t:.3f} s: "

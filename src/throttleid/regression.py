@@ -463,9 +463,14 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
+    return _rms(pred - truth)
+
+
+def _rms(err: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-column RMS of a (rows, outputs) error matrix, and their RMS."""
+    if err.size == 0:
         raise ValueError("empty input")
-    per_output = np.sqrt(np.mean((pred - truth) ** 2, axis=0))
+    per_output = np.sqrt(np.mean(err ** 2, axis=0))
     return per_output, float(np.sqrt(np.mean(per_output ** 2)))
 
 

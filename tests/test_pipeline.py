@@ -17,13 +17,13 @@ from conftest import reduced_pipeline_config as tiny_config
 from conftest import usable_cpus
 from throttleid.cli import _load_config, _parser
 from throttleid.excitation import ExcitationConfig
-from throttleid.features import TARGET_NAMES, assemble, merge
+from throttleid.features import TARGET_NAMES, assemble, feature_names, merge
 from throttleid.pipeline import (PipelineConfig, cmd_gen_data, cmd_sweep,
                                  cmd_train, cmd_validate, load_trajectories,
                                  validation_traces)
 from throttleid.plant import TRAJECTORY_CSV_HEADER, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, model_from_json, model_to_json, predict, rmse
-from throttleid.rollout import rollout, timeseries_csv
+from throttleid.rollout import ValidationReport, rollout, timeseries_csv
 from throttleid.tuning import SweepConfig
 
 
@@ -349,6 +349,62 @@ class TestValidate:
         # sends its divergence back as a value
         usable_cpus(monkeypatch, 3)
         self.test_divergence_recorded_and_suite_continues(run_dir, tmp_path)
+
+    # sha256 of each file that the suite writes for `_lagged_model`, as the
+    # jobs wrote them when they sent back whole trajectories (x86_64, numpy 2.4)
+    PINNED = {
+        "validation/descent_report.json":
+            "4631fe5c80dd14a2f03e3eb130fc8afe278a497698cfecfb3aac29147ab7b4ca",
+        "validation/fall_report.json":
+            "cf5d6671996c9a138fb164cf7db0353e67c6cd58b44ff0d9974e03a7adbeb5a9",
+        "validation/fall_timeseries.npy":
+            "5f3f678ff154fc179c8bb00acc06dd3a2c0f0eecaa22a160a9b780f7d074781d",
+        "validation/sine600_report.json":
+            "665447c0f8b5363e833352ef4280b06c656022f767f52ea9e77a7fe4f8751b52",
+        "validation/sine600_timeseries.npy":
+            "8d2ed02a6a23e7eac778b5c336f548d748f8ac2514ba7930e9d876ea387b4e75",
+        "validation/stair_report.json":
+            "d78556e994f73b71b4f257a3f7cff8aa338b26ce84e6ba4de3b0761160260b09",
+        "validation/stair_timeseries.npy":
+            "b100f7c38dbf7300eb076ab0840182909fef6aafe4552c5ab24f366a40474ce3",
+    }
+
+    @staticmethod
+    def _lagged_model(trained, path):
+        """A first-order lag per thrust that settles 300 N below its command
+        (floored below 300 N), a fuel mass that would fall each step (held
+        by the clamp), a rising oxidizer mass, and a pressure that grows 10%
+        a step: its square overflows after ~3,570 steps, so the descent
+        alone diverges."""
+        names = feature_names(trained.n)
+        K = np.zeros_like(trained.K)
+        for j in range(1, 5):
+            K[j - 1, 0] = -30.0
+            K[j - 1, 1 + names.index(f"To{j}_m1")] = 0.9
+            K[j - 1, 1 + names.index(f"Tr{j}")] = 0.1
+        K[4, 1 + names.index("P_m1")] = 1.1
+        K[5, 0], K[5, 1 + names.index("mf_m1")] = -1e-4, 1.0
+        K[6, 0], K[6, 1 + names.index("mo_m1")] = 2e-4, 1.0
+        model_to_json(replace(trained, K=K, sparsity=float(np.mean(K == 0.0))), path)
+
+    def test_files_pinned_and_independent_of_cpu_count(self, run_dir, tmp_path, monkeypatch):
+        # the jobs send back output columns only and the caller rebuilds
+        # each trajectory from its trace: every file, the descent's diverged
+        # record among them, is the same at 1 and 2 usable CPUs and is the
+        # file that the former jobs wrote
+        src, _ = run_dir
+        self._lagged_model(model_from_json(src / "model.json"), tmp_path / "lagged.json")
+        digests = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            cfg = tiny_config(str(tmp_path / f"cpus{cpus}"))
+            reports = cmd_validate(cfg, model_path=tmp_path / "lagged.json")
+            digests[cpus] = _hash_tree(tmp_path / f"cpus{cpus}")
+            assert reports["descent"] == {"experiment": "descent", "diverged_at": 35.77}
+            assert all(isinstance(reports[name], ValidationReport)
+                       for name in ("sine600", "stair", "fall"))
+        assert digests[1] == digests[2]
+        assert digests[1] == self.PINNED, digests[1]
 
     def test_oracle_passthrough_zero_error(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "oracle"))

@@ -131,6 +131,7 @@ class TestStep:
         # carried bottle state.
         cfg = PlantConfig(p_bottle0=1.85e6)
         n = 600
+        assert n > 2 * plant_mod._BLOCK + 1   # rows are written a block at a time
         cmd = np.zeros((n, 4))
         status = np.zeros((n, 4))
         cmd[:, 0] = cmd[:, 2] = np.linspace(300.0, 800.0, n)
@@ -172,6 +173,33 @@ class TestStep:
         for i in (k, k - 1):
             with pytest.raises(ValueError, match=f"sample {i}:"):
                 simulate(with_nan_at(i), small)
+
+    def test_errors_in_the_second_block(self):
+        # the kernel writes its outputs a block of _BLOCK rows at a time: a
+        # depletion and a non-finite command inside the second block raise
+        # at the sample where a fold of the numpy reference step does, and
+        # the rows before that sample are the fold's, none dropped or shifted
+        small = PlantConfig(m_module0=4.0)
+        trace = constant_trace(800.0, 10.0, small)
+        states = [initial_state(small)]
+        while small.m_module0 - (states[-1].m_fuel_ejected + states[-1].m_ox_ejected) > 0.0:
+            k = len(states) - 1
+            states.append(numpy_reference_step(states[-1], trace.commands[k], trace.status[k],
+                                               small))
+        assert plant_mod._BLOCK < k < 2 * plant_mod._BLOCK - 1
+        with pytest.raises(PropellantDepletedError) as info:
+            simulate(trace, small)
+        assert info.value.sample == k
+        cmd = trace.commands.copy()
+        cmd[k - 1, 1] = np.inf
+        with pytest.raises(ValueError, match=f"sample {k - 1}: non-finite command"):
+            simulate(CommandTrace(dt=small.dt, commands=cmd, status=trace.status), small)
+        head = simulate(CommandTrace(dt=small.dt, commands=trace.commands[:k],
+                                     status=trace.status[:k]), small)
+        assert head.thrusts.tobytes() == np.array([s.thrust for s in states[:-1]]).tobytes()
+        for column, attr in ((head.pressures, "p_tank"), (head.m_fuel, "m_fuel_ejected"),
+                             (head.m_ox, "m_ox_ejected")):
+            assert column.tobytes() == np.array([getattr(s, attr) for s in states[:-1]]).tobytes()
 
     def test_negative_feed_pressure_raises(self):
         # the droop of four engines at full thrust drives the feed

@@ -1,15 +1,17 @@
 """Autoregressive rollout: warm-up, clamps, windows, compounding."""
 
 import importlib
+import math
 from dataclasses import replace
+from operator import mul
 
 import numpy as np
 import pytest
 
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
-from throttleid.features import (TARGET_NAMES, _buffer, _input_windows, _outputs, assemble,
-                                 build_row, lambda_feature, merge)
+from throttleid.features import (LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, _buffer, _input_windows,
+                                 _outputs, assemble, build_row, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _window_coefficients,
@@ -86,6 +88,55 @@ def reference_rollout(model, trace, warmup):
         out[t, :4] = np.maximum(y[:4], 0.0)
         out[t, 5:] = np.maximum(y[5:], out[t - 1, 5:])
     return out, raw
+
+
+def frozen_step_loop(model, trace, warmup):
+    """The one-product rollout with its former step: `max` for the mass
+    clamp, conditional expressions for the thrust floor, every value
+    checked for finiteness, and the row assigned through numpy. Kept as
+    the reference that the leaner step must match bit for bit; returns
+    the (L, 7) clamped outputs and the raw predictions."""
+    n, L = model.n, len(trace) + 1
+    degree = 1 if model.basis is None else model.basis.degree
+    buf = np.zeros((L, 16 * degree + 1))
+    powers = buf[:, :-1].reshape(L, 2, degree, 8)
+    sample, inputs = powers[:, 0, 0], powers[:, 1, 0]
+    inputs[1:, :4] = trace.commands
+    inputs[1:, 4:] = trace.status
+    sample[:n] = _buffer(warmup)[:n, :8]
+    for k in range(1, degree):
+        np.multiply(powers[:, :, k - 1], powers[:, :, 0], out=powers[:, :, k])
+    buf[:, -1] = 1.0
+    raw = np.zeros((L, 7))
+    raw[:n] = sample[:n, :7]
+    keff = _window_coefficients(model, degree)
+    out_rows = buf[:, :8 * degree]
+    mf_prev, mo_prev = float(sample[n - 1, 5]), float(sample[n - 1, 6])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t, window, y in zip(range(n, L), _input_windows(buf, n), raw[n:]):
+            keff.dot(window, out=y)
+            ys = y.tolist()
+            if not all(map(math.isfinite, ys)):
+                raise RolloutDivergenceError(t, t * trace.dt)
+            t1, t2, t3, t4, pressure, mf, mo = ys
+            t1, t2, t3, t4 = (t1 if t1 >= 0.0 else 0.0, t2 if t2 >= 0.0 else 0.0,
+                              t3 if t3 >= 0.0 else 0.0, t4 if t4 >= 0.0 else 0.0)
+            mf_prev, mo_prev = max(mf, mf_prev), max(mo, mo_prev)
+            lam = LAMBDA_SCALE / (mf_prev + mo_prev + LAMBDA_EPS)
+            row = power = values = [t1, t2, t3, t4, pressure, mf_prev, mo_prev, lam]
+            for _ in range(1, degree):
+                power = list(map(mul, power, values))
+                row = row + power
+            out_rows[t] = row
+    return sample[:, :7].copy(), raw
+
+
+def check_matches_frozen_loop(model, trace, warmup):
+    """`rollout` is bitwise `frozen_step_loop`."""
+    expected = frozen_step_loop(model, trace, warmup)
+    pred, raw = rollout(model, trace, warmup)
+    assert _outputs(pred).tobytes() == expected[0].tobytes()
+    assert raw.tobytes() == expected[1].tobytes()
 
 
 def assert_close(actual, desired, rel):
@@ -169,6 +220,43 @@ class TestRollout:
 
     def test_step_input_is_assemble_row_across_bases(self, basis_model, stair_pair):
         check_matches_reference(basis_model, *stair_pair)
+
+    @pytest.mark.parametrize("name", ["default", *BASES])
+    def test_bitwise_frozen_step_loop(self, models, stair_pair, name):
+        # the lean step (sum-first finiteness check, no `max` call, a struct
+        # pack of the row) keeps every bit of the former one, on the stair
+        # and on the descent's first 5,000 steps
+        check_matches_frozen_loop(models[name], *stair_pair)
+        descent = descent_profile(PC.dt)
+        head = CommandTrace(dt=PC.dt, commands=descent.commands[:5000],
+                            status=descent.status[:5000], name="descent")
+        check_matches_frozen_loop(models[name], head, simulate(head, PC))
+
+    def test_mass_tie_keeps_the_prediction(self, models, stair_pair):
+        # max(m, m_prev) returns m on a tie: a 0.0 prediction after a -0.0
+        # mass is 0.0, a -0.0 after 0.0 stays -0.0. Every coefficient is 0,
+        # so every prediction is a signed zero that ties its predecessor
+        trace, truth = stair_pair
+        zero = replace(models["none"], K=np.zeros_like(models["none"].K))
+        for signs in ((-0.0, 0.0), (0.0, -0.0)):
+            warmup = replace(truth, m_fuel=np.full(len(truth), signs[0]),
+                             m_ox=np.full(len(truth), signs[1]))
+            check_matches_frozen_loop(zero, trace, warmup)
+            pred, raw = rollout(zero, trace, warmup)
+            n = zero.n
+            assert pred.m_fuel[n:].tobytes() == raw[n:, 5].tobytes()
+            assert pred.m_ox[n:].tobytes() == raw[n:, 6].tobytes()
+
+    def test_overflowing_sum_is_no_divergence(self, models, stair_pair):
+        # finite predictions whose sum overflows pass the finiteness check
+        # that the sum only screens: each value is then checked on its own
+        trace, truth = stair_pair
+        big = replace(models["linear"], K=np.zeros_like(models["linear"].K))
+        big.K[4:7, 0] = 1e308
+        check_matches_frozen_loop(big, trace, truth)
+        raw = rollout(big, trace, truth)[1]
+        assert np.isfinite(raw).all()
+        assert not any(map(math.isfinite, map(sum, raw[big.n:].tolist())))
 
     def test_no_basis_expands_a_row(self, monkeypatch, models, stair_pair):
         # every basis is folded into the window's coefficients once, so a
