@@ -24,8 +24,10 @@ slots are truly current; those are exogenous inputs known ahead of time.
 
 The layout is written once. `build_row` gives the order of the slots,
 and `_gather_index` applies it to flat offsets into a time-major buffer
-holding every channel of a trajectory, one row per sample. `assemble`
-reads every row of a trajectory's buffer through that index, the
+holding every channel of a trajectory, one row per sample: its (L, 7)
+outputs matrix, the lambda of each row's masses and its (L, 8) inputs
+matrix, each taken whole. `assemble` reads every row of a trajectory's
+buffer through that index, the
 rollout scatters its coefficients through the same index onto the
 history window of its own buffer, and `feature_names` names each slot
 by the buffer column and lag it reads, so training, rollout and names
@@ -85,35 +87,19 @@ class Dataset:
 
 
 # Columns of the time-major buffer that every input row is gathered
-# from, one row per sample: the seven outputs (delivered thrust,
-# pressure, fuel and oxidizer mass) and lambda of that row's masses, then
-# commanded thrust and engine status. The rollout keeps the same two
-# groups of 8, so a step writes its sample as one contiguous run.
+# from, one row per sample: a trajectory's seven outputs (delivered
+# thrust, pressure, fuel and oxidizer mass) and lambda of that row's
+# masses, then its eight inputs (commanded thrust and engine status).
+# The rollout keeps the same two groups of 8, so a step writes its
+# sample as one contiguous run.
 _TO, _P, _MF, _MO, _LAM, _TR, _SE = 0, 4, 5, 6, 7, 8, 12
 _WIDTH = 16
 _COLUMN_NAMES = [*TARGET_NAMES, "lam", *(f"{c}{j}" for c in ("Tr", "Se") for j in range(1, 5))]
 
 
-def _output_columns(traj: PlantTrajectory) -> list[np.ndarray]:
-    """A trajectory's outputs, in TARGET_NAMES order. `_buffer` stacks
-    them without first copying them into an (L, 7) matrix."""
-    return [traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox]
-
-
-def _output_views(outputs: np.ndarray) -> list[np.ndarray]:
-    """Views of an (L, 7) output matrix, as `_output_columns` lists a trajectory's."""
-    return [outputs[:, :4], outputs[:, 4], outputs[:, 5], outputs[:, 6]]
-
-
-def _outputs(traj: PlantTrajectory) -> np.ndarray:
-    """The (L, 7) output matrix of a trajectory."""
-    return np.column_stack(_output_columns(traj))
-
-
 def _buffer(traj: PlantTrajectory) -> np.ndarray:
     """The (L, _WIDTH) time-major buffer of a trajectory."""
-    return np.column_stack([*_output_columns(traj), lambda_feature(traj.m_fuel, traj.m_ox),
-                            traj.commands, traj.status])
+    return np.column_stack([traj.outputs, lambda_feature(traj.m_fuel, traj.m_ox), traj.inputs])
 
 
 def build_row(tr_cur, tr_hist, to_hist, p_hist, mf_hist, mo_hist, se_cur,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .excitation import (ExcitationConfig, build_corpus, corpus_manifest,
                          excitation_segment, step_stair_trace)
-from .features import TARGET_NAMES, _output_views, _outputs, assemble, merge
+from .features import TARGET_NAMES, assemble, merge
 from .parallel import fork_map
 from .plant import (TRAJECTORY_CSV_HEADER, CommandTrace, PlantConfig, PlantTrajectory,
                     PropellantDepletedError, _from_document, read_json, simulate, write_json,
@@ -85,8 +85,8 @@ def _gen_trace(plant_cfg: PlantConfig, out: Path, job: tuple[str, CommandTrace])
         traj = simulate(trace, plant_cfg)
     except PropellantDepletedError as err:
         return err.t
-    write_npy(out / "trajectories" / fname, _TRAJECTORY_DTYPE.names, [traj.t, traj.commands,
-              traj.status, traj.thrusts, traj.pressures, traj.m_fuel, traj.m_ox])
+    write_npy(out / "trajectories" / fname, _TRAJECTORY_DTYPE.names,
+              [traj.t, traj.inputs, traj.outputs])
     return None
 
 
@@ -263,10 +263,11 @@ def validation_traces(cfg: PipelineConfig) -> list[CommandTrace]:
 
 
 def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, CoefficientModel | None]):
-    """One validation job: with no model, the (L, 7) outputs of the
-    plant's response to the trace; with a model, those of its rollout and
-    its (L, 7) raw predictions, or the RolloutDivergenceError it raised.
-    The caller, which holds the trace, rebuilds the rest.
+    """One validation job: with no model, the (L, 7) `outputs` matrix of
+    the plant's response to the trace; with a model, that of its rollout
+    and its (L, 7) raw predictions, or the RolloutDivergenceError it
+    raised. Each goes back as it is, with no stacking; the caller, which
+    holds the trace, rebuilds the inputs.
 
     The rollout is seeded from the plant's response to the trace's first
     n commands, whose rows are bitwise the first rows of the full
@@ -275,14 +276,14 @@ def _validation_job(plant_cfg: PlantConfig, job: tuple[CommandTrace, Coefficient
     """
     trace, model = job
     if model is None:
-        return _outputs(simulate(trace, plant_cfg))
+        return simulate(trace, plant_cfg).outputs
     head = CommandTrace(dt=trace.dt, commands=trace.commands[:model.n],
                         status=trace.status[:model.n])
     try:
         pred, raw = rollout(model, trace, simulate(head, plant_cfg))
     except RolloutDivergenceError as err:
         return err
-    return _outputs(pred), raw
+    return pred.outputs, raw
 
 
 def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
@@ -298,8 +299,10 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
     tasks, the rollout first, claimed longest trace first: the descent's
     rollout, which sets the suite's wall time, and its plant response
     start at once on two CPUs while the other experiments fill in
-    beside them. A task sends back output columns only, and the caller
-    rebuilds each trajectory from them and the trace. Reports, time
+    beside them. A task sends back (L, 7) outputs matrices only. The
+    caller builds each experiment's (L, 8) inputs matrix once from the
+    trace, and its truth and prediction share it: each trajectory is
+    that matrix and the outputs received, neither copied. Reports, time
     series (`.npy`, with the columns of `rollout.timeseries_csv` as
     fields) and progress lines are written by the caller in suite order,
     so every file is the same at any CPU count.
@@ -325,8 +328,7 @@ def cmd_validate(cfg: PipelineConfig, model_path: str | Path | None = None,
         raw = None
         inputs = np.zeros((len(trace) + 1, 8))   # row 0 zero, as a response records it
         inputs[1:, :4], inputs[1:, 4:] = trace.commands, trace.status
-        response = lambda outputs, name: PlantTrajectory(
-            trace.dt, inputs[:, :4], inputs[:, 4:], *_output_views(outputs), name=name)
+        response = lambda outputs, name: PlantTrajectory(trace.dt, inputs, outputs, name)
         if model is None:
             truth = pred = response(next(results), trace.name)
         else:

@@ -38,12 +38,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, is_dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
-
-from .parallel import fork_map
 
 # Effective liquid propellant density used for the bottle blowdown
 # volume bookkeeping [kg/m^3]. Mass-weighted MMH/NTO estimate; only the
@@ -54,14 +51,11 @@ PROPELLANT_DENSITY = 1200.0
 # an exhaust velocity.
 G0 = 9.80665
 
-# Rows that the plant kernel and `write_csv` convert at a time. A block
-# is also `write_csv`'s unit of parallel work and of each message a
-# worker sends back. Small blocks bound memory on long traces and keep
-# each temporary and each message (12-100 KiB of text) below glibc's
-# mmap threshold: freeing a larger buffer raises that threshold, which
-# moves later mid-size temporaries onto the heap (whole-trace blocks and
-# whole-share messages each raised a peak RSS by ~7%). Many small tasks
-# also keep the workers busy while the caller writes.
+# Rows that the plant kernel converts at a time. Small blocks bound
+# memory on long traces and keep each temporary below glibc's mmap
+# threshold: freeing a larger buffer raises that threshold, which moves
+# later mid-size temporaries onto the heap (whole-trace blocks raised a
+# peak RSS by ~7%).
 _BLOCK = 256
 _NPY_ROWS = 4096   # rows per slice that `write_npy` stacks and writes
 
@@ -134,36 +128,16 @@ def _from_document(proto, d: dict, noun: str, complete: bool = False, prefix: st
         raise ValueError(f"{noun} section {prefix[:-1]!r}: {err}") from None
 
 
-def _csv_lines(columns: list[np.ndarray], lo: int) -> str:
-    """The CSV lines of rows lo .. lo + _BLOCK - 1 of `columns`.
-
-    Each distinct value of the block is formatted once. Values are keyed
-    by their bit pattern, so -0.0 and 0.0 stay apart. The patterns are
-    passed flat, whose inverse index is 1-D on every numpy version (for
-    a 2-D input its shape differs between versions), and the inverse is
-    reshaped to the block.
-    """
-    block = np.column_stack([c[lo:lo + _BLOCK] for c in columns]).astype(float, copy=False)
-    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    return "".join([",".join(row) + "\n"
-                    for row in text[inverse.reshape(block.shape)].tolist()])
-
-
 def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     """Numeric CSV: the header line, then one line per row of the
     column-stacked `columns` (1-D or 2-D arrays of equal length), each
-    value written as repr(float) so that reading it back is exact. Each
-    distinct bit pattern is formatted once per block.
-
-    Blocks of `_BLOCK` rows are formatted on every usable CPU
-    (`parallel.fork_map`; in a forked child, by that child) and written
-    in order, so the file does not depend on the CPU count.
-    """
+    value written as repr(float) so that reading it back is exact.
+    Rows are stacked and formatted `_BLOCK` at a time."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for text in fork_map(partial(_csv_lines, columns), range(0, len(columns[0]), _BLOCK)):
-            fh.write(text)
+        for lo in range(0, len(columns[0]), _BLOCK):
+            rows = np.column_stack([c[lo:lo + _BLOCK] for c in columns]).astype(float).tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def write_npy(path: str | Path, names: list[str], columns: list[np.ndarray]) -> None:
@@ -290,7 +264,13 @@ class CommandTrace:
 
 @dataclass
 class PlantTrajectory:
-    """Sampled record of a simulation.
+    """Sampled record of a simulation: two matrices of L rows.
+
+    `inputs` is (L, 8), the commanded thrusts Tr1..Tr4 then the engine
+    status Se1..Se4; `outputs` is (L, 7) in `features.TARGET_NAMES`
+    order, the delivered thrusts To1..To4, then the feed pressure P and
+    the cumulative ejected fuel and oxidizer masses mf and mo. The named
+    columns are views of them, so writing through one writes the matrix.
 
     Row 0 is the initial rest sample (zero command); row i >= 1
     corresponds to input sample i-1 of the driving trace. The pressure
@@ -299,30 +279,32 @@ class PlantTrajectory:
     """
 
     dt: float
-    commands: np.ndarray   # (N, 4)
-    status: np.ndarray     # (N, 4)
-    thrusts: np.ndarray    # (N, 4)
-    pressures: np.ndarray  # (N,)
-    m_fuel: np.ndarray     # (N,)
-    m_ox: np.ndarray       # (N,)
+    inputs: np.ndarray    # (L, 8): Tr1..Tr4, Se1..Se4
+    outputs: np.ndarray   # (L, 7): To1..To4, P, mf, mo
     name: str = ""
 
+    commands = property(lambda self: self.inputs[:, :4], doc="(L, 4) commanded thrust [N]")
+    status = property(lambda self: self.inputs[:, 4:], doc="(L, 4) engine on/off flags")
+    thrusts = property(lambda self: self.outputs[:, :4], doc="(L, 4) delivered thrust [N]")
+    pressures = property(lambda self: self.outputs[:, 4], doc="(L,) feed pressure [Pa]")
+    m_fuel = property(lambda self: self.outputs[:, 5], doc="(L,) ejected fuel mass [kg]")
+    m_ox = property(lambda self: self.outputs[:, 6], doc="(L,) ejected oxidizer mass [kg]")
+
     def __post_init__(self):
-        n = self.thrusts.shape[0]
-        for arr_name in ("commands", "status", "thrusts", "pressures", "m_fuel", "m_ox"):
-            if getattr(self, arr_name).shape[0] != n:
-                raise ValueError("all trajectory columns must have equal length")
+        L = len(self.inputs)
+        if self.inputs.shape != (L, 8) or self.outputs.shape != (L, 7):
+            raise ValueError(f"inputs of shape {self.inputs.shape} and outputs of shape "
+                             f"{self.outputs.shape}: need (L, 8) and (L, 7)")
 
     def __len__(self) -> int:
-        return self.thrusts.shape[0]
+        return self.outputs.shape[0]
 
     @property
     def t(self) -> np.ndarray:
         return np.arange(len(self)) * self.dt
 
     def to_csv(self, path: str | Path) -> None:
-        write_csv(path, TRAJECTORY_CSV_HEADER, [self.t, self.commands, self.status, self.thrusts,
-                                                self.pressures, self.m_fuel, self.m_ox])
+        write_csv(path, TRAJECTORY_CSV_HEADER, [self.t, self.inputs, self.outputs])
 
     @classmethod
     def from_csv(cls, path: str | Path, dt: float, name: str = "") -> "PlantTrajectory":
@@ -350,28 +332,27 @@ class PlantTrajectory:
 
     @classmethod
     def _from_rows(cls, path, data: np.ndarray, dt: float, name: str) -> "PlantTrajectory":
-        """Columns as views of the (L, 16) `data` of file `path`, whose `t` is checked."""
+        """Inputs and outputs as views of the (L, 16) `data` of file `path`,
+        whose `t` is checked."""
         if not np.array_equal(data[:, 0], np.arange(len(data)) * dt):
             raise ValueError(f"{path}: the t column does not step by {dt} s from 0")
-        return cls(dt=dt, commands=data[:, 1:5], status=data[:, 5:9],
-                   thrusts=data[:, 9:13], pressures=data[:, 13],
-                   m_fuel=data[:, 14], m_ox=data[:, 15], name=name)
+        return cls(dt=dt, inputs=data[:, 1:9], outputs=data[:, 9:], name=name)
 
 
 def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: PlantConfig,
-         thrusts: np.ndarray, pressures: np.ndarray, m_fuel_out: np.ndarray,
-         m_ox_out: np.ndarray) -> PlantState:
+         outputs: np.ndarray) -> PlantState:
     """The plant physics: one explicit step per row of `commands` / `status`.
 
-    Row i's delivered thrust, feed pressure and cumulative ejected
-    masses are written to thrusts[i], pressures[i], m_fuel_out[i] and
-    m_ox_out[i]; the state after the last row is returned. The loop runs
-    on Python floats, and its operation order is that of the equivalent
-    4-vector numpy step (thrusts summed left to right, e_max * v * s as
-    (e_max * v) * s, clips and floors with numpy's signed-zero results),
-    so it is bitwise that step. A block of `_BLOCK` rows converts its
-    valve targets at once and gathers its outputs, 7 a row, in one flat
-    list written to the arrays at its end, so a step makes no numpy call.
+    Row i's outputs, in `PlantTrajectory.outputs` order (delivered
+    thrusts, feed pressure, cumulative ejected fuel and oxidizer masses),
+    are written to outputs[i]; the state after the last row is returned.
+    The loop runs on Python floats, and its operation order is that of
+    the equivalent 4-vector numpy step (thrusts summed left to right,
+    e_max * v * s as (e_max * v) * s, clips and floors with numpy's
+    signed-zero results), so it is bitwise that step. A block of
+    `_BLOCK` rows converts its valve targets at once and gathers its
+    outputs, 7 a row, in one flat list written to `outputs` with one
+    assignment at its end, so a step makes no numpy call.
 
     Raises ValueError("sample i: ...") at the first non-finite command
     row and at the first row whose feed pressure drops below zero (the
@@ -434,9 +415,7 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
             p_bottle = p_bottle0 * v_bottle / v_gas
             rows += thrust
             rows += p_tank, m_fuel, m_ox
-        out = np.array(rows).reshape(-1, 7)
-        thrusts[block], pressures[block], m_fuel_out[block], m_ox_out[block] = \
-            out[:, :4], out[:, 4], out[:, 5], out[:, 6]
+        outputs[block] = np.reshape(rows, (-1, 7))
 
     if n_ok < len(finite):
         raise ValueError(f"sample {n_ok}: non-finite command at t={t:.3f} s: "
@@ -474,39 +453,29 @@ def step(state: PlantState, command: np.ndarray, status: np.ndarray,
     """
     commands = np.asarray(command, dtype=float).reshape(1, 4)
     status = np.asarray(status, dtype=float).reshape(1, 4)
-    out = np.zeros((1, 4)), np.zeros(1), np.zeros(1), np.zeros(1)
-    return _run(state, commands, status, cfg, *out)
+    return _run(state, commands, status, cfg, np.zeros((1, 7)))
 
 
 def simulate(trace: CommandTrace, cfg: PlantConfig) -> PlantTrajectory:
     """Run the plant over a command trace from the rest initial state.
 
-    The output has len(trace) + 1 rows; row 0 is the initial sample.
-    Row i + 1 is bitwise the state that i + 1 successive `step` calls
-    reach: both run the same kernel. ValueError when the trace is not
-    sampled at the plant's step.
+    The output has len(trace) + 1 rows; row 0 is the initial sample, with
+    zero inputs. Row i + 1 is bitwise the state that i + 1 successive
+    `step` calls reach: both run the same kernel, which writes the
+    outputs matrix in place. ValueError when the trace is not sampled at
+    the plant's step.
     """
     if trace.dt != cfg.dt:
         raise ValueError(f"trace step {trace.dt} s differs from plant step {cfg.dt} s")
     n = len(trace)
-    commands = np.zeros((n + 1, 4))
-    status = np.zeros((n + 1, 4))
-    thrusts = np.zeros((n + 1, 4))
-    pressures = np.zeros(n + 1)
-    m_fuel = np.zeros(n + 1)
-    m_ox = np.zeros(n + 1)
-
+    inputs = np.zeros((n + 1, 8))
+    outputs = np.zeros((n + 1, 7))
     state = initial_state(cfg)
-    pressures[0] = state.p_tank
+    outputs[0, 4] = state.p_tank
     if n:
-        commands[1:] = trace.commands
-        status[1:] = trace.status
-    _run(state, commands[1:], status[1:], cfg,
-         thrusts[1:], pressures[1:], m_fuel[1:], m_ox[1:])
-
-    return PlantTrajectory(dt=cfg.dt, commands=commands, status=status,
-                           thrusts=thrusts, pressures=pressures,
-                           m_fuel=m_fuel, m_ox=m_ox, name=trace.name)
+        inputs[1:, :4], inputs[1:, 4:] = trace.commands, trace.status
+    _run(state, inputs[1:, :4], inputs[1:, 4:], cfg, outputs[1:])
+    return PlantTrajectory(dt=cfg.dt, inputs=inputs, outputs=outputs, name=trace.name)
 
 
 def module_mass(traj: PlantTrajectory, cfg: PlantConfig) -> np.ndarray:

@@ -41,8 +41,7 @@ import numpy as np
 
 from .excitation import _segments_trace
 from .features import (_WIDTH, LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, _buffer,
-                       _gather_index, _input_windows, _output_columns, _output_views, assemble,
-                       input_width)
+                       _gather_index, _input_windows, assemble, input_width)
 from .plant import CommandTrace, PlantConfig, PlantTrajectory, write_csv, write_json
 from .regression import CoefficientModel, _rms, predict
 
@@ -157,8 +156,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
 
     Returns
     -------
-    (PlantTrajectory, raw): the clamped prediction, and the (L, 7)
-    pre-clamp predictions (warm-up rows are copied truth).
+    (PlantTrajectory, raw): the clamped prediction, whose two matrices
+    are copies that own their data (so the buffer is freed on return),
+    and the (L, 7) pre-clamp predictions (warm-up rows are copied truth).
     """
     n = model.n
     if n is None:
@@ -215,12 +215,8 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
                 row = row + power
             pack(rows, t * stride, *row)
 
-    traj = PlantTrajectory(dt=trace.dt, commands=inputs[:, :4].copy(),
-                           status=inputs[:, 4:].copy(), thrusts=sample[:, :4].copy(),
-                           pressures=sample[:, 4].copy(), m_fuel=sample[:, 5].copy(),
-                           m_ox=sample[:, 6].copy(),
-                           name=(trace.name + "_pred") if trace.name else "pred")
-    return traj, raw
+    name = (trace.name + "_pred") if trace.name else "pred"
+    return PlantTrajectory(trace.dt, inputs.copy(), sample[:, :7].copy(), name), raw
 
 
 def _windows(commands: np.ndarray, dt: float,
@@ -242,12 +238,12 @@ def _windows(commands: np.ndarray, dt: float,
     return mask, settle_n
 
 
-def _summarize(true: list[np.ndarray], pred: list[np.ndarray], transient: np.ndarray,
+def _summarize(true: np.ndarray, pred: np.ndarray, transient: np.ndarray,
                settle_n: int, m_module0: float, *, experiment: str, mode: str,
                sparsity: float | None, raw: np.ndarray | None = None,
                status: np.ndarray | None = None) -> ValidationReport:
-    """The error summary of truth and prediction, each as the four arrays
-    of `features._output_columns`: (rows, 4) thrusts, then P, mf and mo.
+    """The error summary of the (rows, 7) truth and prediction outputs,
+    in TARGET_NAMES order.
 
     Per-output RMSE, maximum errors over the transient and the steady
     rows, the thrust error overall, after the first settle_n rows and per
@@ -255,25 +251,25 @@ def _summarize(true: list[np.ndarray], pred: list[np.ndarray], transient: np.nda
     m_module0 - (m_fuel + m_ox) on both sides. `raw` holds (rows, 7)
     pre-clamp predictions, whose maximum thrust error is reported beside,
     and the clamp counts: each prediction the clamps changed, the thrusts
-    split by the (rows, 4) engine `status`. The errors go into one
-    (rows, 7) array, squared for the RMSE, then made absolute in place.
+    split by the (rows, 4) engine `status`. The errors pred - true go
+    into one (rows, 7) array, squared for the RMSE, then made absolute in
+    place.
     """
-    err = np.empty((len(true[0]), 7))
-    for out, p, q in zip(_output_views(err), pred, true):
-        np.subtract(p, q, out=out)
+    err = pred - true
     per_rmse, aggregate = _rms(err)
     abs_err = np.abs(err, out=err)
     steady = ~transient
     thrust_abs = abs_err[:, :4]
     after = thrust_abs[settle_n:] if len(abs_err) > settle_n else thrust_abs
-    mass_err = np.abs((m_module0 - (true[2] + true[3])) - (m_module0 - (pred[2] + pred[3])))
+    mass_err = np.abs((m_module0 - (true[:, 5] + true[:, 6]))
+                      - (m_module0 - (pred[:, 5] + pred[:, 6])))
     clamps = {}
     if raw is not None:
-        floored, on = pred[0] != raw[:, :4], status > 0
-        clamps = dict(raw_max_thrust_err=float(np.max(np.abs(raw[:, :4] - true[0]))),
+        floored, on = pred[:, :4] != raw[:, :4], status > 0
+        clamps = dict(raw_max_thrust_err=float(np.max(np.abs(raw[:, :4] - true[:, :4]))),
                       thrust_floor_on=int(np.count_nonzero(floored & on)),
                       thrust_floor_off=int(np.count_nonzero(floored & ~on)),
-                      mass_clamps=int(np.count_nonzero(np.column_stack(pred[2:]) != raw[:, 5:])))
+                      mass_clamps=int(np.count_nonzero(pred[:, 5:] != raw[:, 5:])))
     return ValidationReport(
         experiment=experiment, mode=mode, n_samples=len(abs_err),
         n_transient=int(transient.sum()), n_steady=int(steady.sum()),
@@ -298,12 +294,16 @@ def error_windows(traj_true: PlantTrajectory, traj_pred: PlantTrajectory,
     mass is cfg.m_module0 - (m_fuel + m_ox), as `plant.module_mass`
     defines it. `raw`, the (L, 7) pre-clamp predictions that `rollout`
     returns, adds the raw maximum thrust error and the clamp counts.
+    ValueError when the two differ in length or in step.
     """
     if len(traj_true) != len(traj_pred):
         raise ValueError("trajectories are not aligned")
+    if traj_true.dt != traj_pred.dt:
+        raise ValueError(f"true trajectory step {traj_true.dt} s differs from predicted "
+                         f"trajectory step {traj_pred.dt} s")
     transient, settle_n = _windows(traj_true.commands, traj_true.dt, settle_window)
-    return _summarize(_output_columns(traj_true), _output_columns(traj_pred), transient,
-                      settle_n, cfg.m_module0, experiment=experiment, mode="rollout",
+    return _summarize(traj_true.outputs, traj_pred.outputs, transient, settle_n,
+                      cfg.m_module0, experiment=experiment, mode="rollout",
                       sparsity=sparsity, raw=raw, status=traj_pred.status)
 
 
@@ -319,7 +319,7 @@ def teacher_forced_eval(model: CoefficientModel, traj: PlantTrajectory, *,
     """
     ds = assemble(traj, model.n)
     transient, settle_n = _windows(traj.commands, traj.dt, settle_window)
-    return _summarize(_output_views(ds.targets), _output_views(predict(model, ds.inputs)),
+    return _summarize(ds.targets, predict(model, ds.inputs),
                       transient[model.n:], max(settle_n - model.n, 0), cfg.m_module0,
                       experiment=experiment, mode="teacher_forced", sparsity=model.sparsity)
 
@@ -360,8 +360,7 @@ def descent_profile(dt: float) -> CommandTrace:
 def _timeseries_columns(traj_true: PlantTrajectory, traj_pred: PlantTrajectory):
     """Time, then truth and prediction per output: `t, To1, To1_pred, ..., mo_pred`."""
     names = ["t"] + [f"{label}{suffix}" for label in TARGET_NAMES for suffix in ("", "_pred")]
-    views = lambda traj: [*traj.thrusts.T, traj.pressures, traj.m_fuel, traj.m_ox]
-    pairs = zip(views(traj_true), views(traj_pred))
+    pairs = zip(traj_true.outputs.T, traj_pred.outputs.T)
     return names, [traj_true.t, *(column for pair in pairs for column in pair)]
 
 

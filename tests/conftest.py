@@ -69,11 +69,10 @@ def ar2_trajectory(n_samples=9000, seed=11, a1=1.2, a2=-0.5, noise=6.0,
     y[1] = 500.0 if n_samples else y[0]
     for t in range(2, n_samples + 1):
         y[t] = a1 * y[t - 1] + a2 * y[t - 2] + b * cmd_full[t] + eps[t]
-    return PlantTrajectory(
-        dt=dt, commands=cmd_full, status=np.ones((n_samples + 1, 4)),
-        thrusts=y, pressures=np.full(n_samples + 1, 1.8e6),
-        m_fuel=np.zeros(n_samples + 1), m_ox=np.zeros(n_samples + 1),
-        name="ar2")
+    outputs = np.zeros((n_samples + 1, 7))
+    outputs[:, :4], outputs[:, 4] = y, 1.8e6
+    return PlantTrajectory(dt=dt, inputs=np.column_stack([cmd_full, np.ones((n_samples + 1, 4))]),
+                           outputs=outputs, name="ar2")
 
 
 @pytest.fixture(scope="session")

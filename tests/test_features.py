@@ -109,9 +109,9 @@ class TestAssemble:
         L = 12
         series = np.arange(L, dtype=float)
         ramp = np.column_stack([series + 100.0 * j for j in range(4)])
-        traj0 = PlantTrajectory(dt=0.01, commands=ramp, status=np.ones((L, 4)),
-                                thrusts=ramp + 1000.0, pressures=series + 2000.0,
-                                m_fuel=series + 3000.0, m_ox=series + 4000.0)
+        traj0 = PlantTrajectory(dt=0.01, inputs=np.column_stack([ramp, np.ones((L, 4))]),
+                                outputs=np.column_stack([ramp + 1000.0, series + 2000.0,
+                                                         series + 3000.0, series + 4000.0]))
         ds = assemble(traj0, n)
         lags = np.arange(n, L)[:, None] - np.arange(1, n + 1)   # (rows, n): t-1 .. t-n
         blocks = [ramp[:, j] for j in range(4)] + [ramp[:, j] + 1000.0 for j in range(4)]
@@ -185,9 +185,9 @@ class TestGather:
         L = 20
         code = {name: 1000.0 * (k + 1) + np.arange(L) for k, name in enumerate(channels)}
         block = lambda prefix: np.column_stack([code[f"{prefix}{j}"] for j in range(1, 5)])
-        traj0 = PlantTrajectory(dt=0.01, commands=block("Tr"), status=block("Se"),
-                                thrusts=block("To"), pressures=code["P"],
-                                m_fuel=code["mf"], m_ox=code["mo"])
+        traj0 = PlantTrajectory(dt=0.01, inputs=np.column_stack([block("Tr"), block("Se")]),
+                                outputs=np.column_stack([block("To"), code["P"], code["mf"],
+                                                         code["mo"]]))
         ds = assemble(traj0, n)
         t, names = np.arange(n, L), []
         for v in ds.inputs.T:
@@ -202,10 +202,10 @@ class TestGather:
         assert feature_names(n) == names
 
     def test_negative_mass_in_last_row_rejected(self, traj):
-        m_ox = traj.m_ox.copy()
-        m_ox[-1] = -1.0
+        bad = dataclasses.replace(traj, outputs=traj.outputs.copy())
+        bad.m_ox[-1] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            assemble(dataclasses.replace(traj, m_ox=m_ox), 3)
+            assemble(bad, 3)
 
 
 class TestMergeAndSplit:

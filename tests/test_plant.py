@@ -1,7 +1,5 @@
 """Plant surrogate: documented examples, invariants, and persistence."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -29,8 +27,9 @@ def constant_trace(level, duration, cfg, engines=(0, 1, 2, 3)):
 
 
 def reference_csv_lines(header, columns):
-    """The CSV text written one repr per value, kept as the reference that
-    `write_csv`'s once-per-distinct-value formatter must match byte for byte."""
+    """The CSV text of the whole array written one repr per value, kept as
+    the reference that `write_csv`, which formats a block at a time, must
+    match byte for byte."""
     rows = np.column_stack(columns).astype(float).tolist()
     return "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows])
 
@@ -254,6 +253,32 @@ class TestSimulate:
             simulate(trace, cfg)
 
 
+class TestTrajectory:
+    def test_named_columns_are_views(self, cfg):
+        # each named column is a view of its matrix: a write through one
+        # shows in the matrix, which `outputs` orders as TARGET_NAMES does
+        traj = simulate(constant_trace(450.0, 0.5, cfg), cfg)
+        traj.thrusts[3, 2] = -7.0
+        traj.m_ox[4] = -8.0
+        traj.status[5, 1] = 0.5
+        assert (traj.outputs[3, 2], traj.outputs[4, 6], traj.inputs[5, 5]) == (-7.0, -8.0, 0.5)
+        for name, matrix, cols in (("commands", "inputs", slice(0, 4)),
+                                   ("status", "inputs", slice(4, 8)),
+                                   ("thrusts", "outputs", slice(0, 4)),
+                                   ("pressures", "outputs", 4), ("m_fuel", "outputs", 5),
+                                   ("m_ox", "outputs", 6)):
+            column = getattr(traj, name)
+            assert column.base is getattr(traj, matrix)
+            assert np.array_equal(column, getattr(traj, matrix)[:, cols])
+
+    @pytest.mark.parametrize("inputs, outputs", [((5, 8), (4, 7)), ((5, 8), (5, 6)),
+                                                 ((5, 4), (5, 7)), ((5,), (5, 7))])
+    def test_mismatched_shapes_rejected(self, inputs, outputs):
+        with pytest.raises(ValueError, match=rf"inputs of shape \({inputs[0]},.*"
+                                             rf"outputs of shape \({outputs[0]}, {outputs[1]}\)"):
+            PlantTrajectory(dt=0.01, inputs=np.zeros(inputs), outputs=np.zeros(outputs))
+
+
 class TestModuleMass:
     def test_all_off_constant_m0(self, cfg):
         traj = simulate(constant_trace(0.0, 5.0, cfg, engines=()), cfg)
@@ -460,16 +485,3 @@ class TestConfigAndIO:
     def test_npy_names_count_columns(self, tmp_path):
         with pytest.raises(ValueError, match="x.npy: 4 columns for 3 names"):
             write_npy(tmp_path / "x.npy", ["t", "a", "b"], [np.zeros(5), np.zeros((5, 3))])
-
-    def test_dead_csv_worker_reported(self, tmp_path, monkeypatch):
-        usable_cpus(monkeypatch, 2)
-        caller, real_lines = os.getpid(), plant_mod._csv_lines
-
-        def exit_in_child(columns, lo):
-            if os.getpid() != caller:
-                os._exit(3)
-            return real_lines(columns, lo)
-
-        monkeypatch.setattr(plant_mod, "_csv_lines", exit_in_child)
-        with pytest.raises(RuntimeError, match="exited with code 3"):
-            write_csv(tmp_path / "dead.csv", "x", [np.zeros(3 * plant_mod._BLOCK)])

@@ -11,7 +11,7 @@ import pytest
 from throttleid.excitation import (ExcitationConfig, build_corpus,
                                    excitation_segment, step_stair_trace)
 from throttleid.features import (LAMBDA_EPS, LAMBDA_SCALE, TARGET_NAMES, _buffer, _input_windows,
-                                 _outputs, assemble, build_row, lambda_feature, merge)
+                                 assemble, build_row, lambda_feature, merge)
 from throttleid.plant import CommandTrace, PlantConfig, PlantTrajectory, simulate
 from throttleid.regression import BasisSpec, fit_lasso, predict
 from throttleid.rollout import (RolloutDivergenceError, ValidationReport, _window_coefficients,
@@ -135,7 +135,7 @@ def check_matches_frozen_loop(model, trace, warmup):
     """`rollout` is bitwise `frozen_step_loop`."""
     expected = frozen_step_loop(model, trace, warmup)
     pred, raw = rollout(model, trace, warmup)
-    assert _outputs(pred).tobytes() == expected[0].tobytes()
+    assert pred.outputs.tobytes() == expected[0].tobytes()
     assert raw.tobytes() == expected[1].tobytes()
 
 
@@ -181,7 +181,7 @@ def check_matches_reference(model, trace, truth):
     out, ref_raw = reference_rollout(model, trace, truth)
     assert raw[:n].tobytes() == ref_raw[:n].tobytes()
     assert_close(raw, ref_raw, 1e-11)
-    assert_close(_outputs(pred), out, 1e-11)
+    assert_close(pred.outputs, out, 1e-11)
 
 
 class TestRollout:
@@ -206,6 +206,14 @@ class TestRollout:
         b, _ = rollout(small_model, trace, truth)
         assert np.array_equal(a.thrusts, b.thrusts)
         assert np.array_equal(a.pressures, b.pressures)
+
+    def test_prediction_owns_its_arrays(self, small_model, stair_pair):
+        # the prediction's two matrices are copies, not views of the
+        # rollout's buffer, so the buffer is freed when the rollout returns
+        trace, truth = stair_pair
+        pred, raw = rollout(small_model, trace, truth)
+        assert pred.inputs.base is None and pred.outputs.base is None and raw.base is None
+        assert np.array_equal(pred.inputs, truth.inputs)
 
     def test_collect_raw(self, small_model, stair_pair):
         trace, truth = stair_pair
@@ -239,8 +247,8 @@ class TestRollout:
         trace, truth = stair_pair
         zero = replace(models["none"], K=np.zeros_like(models["none"].K))
         for signs in ((-0.0, 0.0), (0.0, -0.0)):
-            warmup = replace(truth, m_fuel=np.full(len(truth), signs[0]),
-                             m_ox=np.full(len(truth), signs[1]))
+            warmup = replace(truth, outputs=truth.outputs.copy())
+            warmup.m_fuel[:], warmup.m_ox[:] = signs
             check_matches_frozen_loop(zero, trace, warmup)
             pred, raw = rollout(zero, trace, warmup)
             n = zero.n
@@ -381,13 +389,8 @@ class TestTeacherForced:
         _, truth = stair_pair
         n = small_model.n
         y = predict(small_model, assemble(truth, n).inputs)
-        head = lambda col: getattr(truth, col)[:n]
-        spliced = PlantTrajectory(
-            dt=truth.dt, commands=truth.commands, status=truth.status,
-            thrusts=np.vstack([head("thrusts"), y[:, :4]]),
-            pressures=np.concatenate([head("pressures"), y[:, 4]]),
-            m_fuel=np.concatenate([head("m_fuel"), y[:, 5]]),
-            m_ox=np.concatenate([head("m_ox"), y[:, 6]]))
+        spliced = PlantTrajectory(dt=truth.dt, inputs=truth.inputs,
+                                  outputs=np.vstack([truth.outputs[:n], y]))
         # the second window starts the after-settle error one sample
         # before the largest thrust error, so both modes must start it at
         # the same sample to report the same value
@@ -443,6 +446,15 @@ class TestErrorWindows:
         with pytest.raises(ValueError):
             error_windows(truth, short, cfg=PC)
 
+    def test_step_mismatch_rejected(self, stair_pair):
+        # two trajectories of equal length at different steps do not
+        # describe the same seconds
+        _, truth = stair_pair
+        coarse = replace(truth, dt=2 * truth.dt)
+        with pytest.raises(ValueError, match=f"step {truth.dt} s differs from .* step "
+                                             f"{2 * truth.dt} s"):
+            error_windows(truth, coarse, cfg=PC)
+
     def test_windows_partition(self, small_model, stair_pair):
         trace, truth = stair_pair
         rep = error_windows(truth, rollout(small_model, trace, truth)[0], cfg=PC)
@@ -460,9 +472,9 @@ class TestErrorWindows:
         # off; row 10 has every engine on), and a raw mass below the last
         # one, which the clamp raised
         _, truth = stair_pair
-        raw = _outputs(truth)
+        raw = truth.outputs.copy()
         raw[0, 1], raw[10, 0], raw[10, 2], raw[20, 5] = -0.5, -1.0, -0.1, raw[19, 5] - 1e-3
-        pred = replace(truth, thrusts=truth.thrusts.copy())
+        pred = replace(truth, outputs=truth.outputs.copy())
         pred.thrusts[0, 1] = pred.thrusts[10, 0] = pred.thrusts[10, 2] = 0.0
         rep = error_windows(truth, pred, cfg=PC, raw=raw)
         assert (rep.thrust_floor_on, rep.thrust_floor_off, rep.mass_clamps) == (2, 1, 1)
@@ -507,5 +519,5 @@ class TestDescent:
         assert len(header) == 1 + 2 * 7
         # no error columns: each error is recomputed bitwise from the file
         data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        true_mat, pred_mat = _outputs(truth), _outputs(pred)
-        assert (data[:, 2::2] - data[:, 1::2]).tobytes() == (pred_mat - true_mat).tobytes()
+        err = pred.outputs - truth.outputs
+        assert (data[:, 2::2] - data[:, 1::2]).tobytes() == err.tobytes()

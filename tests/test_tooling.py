@@ -22,7 +22,8 @@ fitting: `raw_moments` expands them a chunk at a time, so no design
 matrix is built whole. The rollout neither gathers nor expands a row:
 its coefficients act on the history window as it lies in the buffer.
 Both sweeps cross-validate through `tuning._cv_paths`, the one place
-that draws test folds and takes their blocks.
+that draws test folds and takes their blocks. A trajectory's outputs
+are one matrix, which no call restacks from its named columns.
 """
 
 import ast
@@ -280,4 +281,27 @@ def test_rollout_neither_gathers_nor_expands():
                           getattr(node, "name", None))
     found = [ast.unparse(node) for node in ast.walk(tree) if "expand" in names(node)
              or isinstance(node, ast.Call) and "take" in names(node.func)]
+    assert found == []
+
+
+def _column_view(node) -> bool:
+    """Whether `node` is a trajectory's named output column, or a slice,
+    transpose or unpacking of one (`traj.thrusts[:n]`, `*traj.thrusts.T`)."""
+    while isinstance(node, (ast.Starred, ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute) and node.attr in ("thrusts", "pressures",
+                                                             "m_fuel", "m_ox"):
+            return True
+        node = node.value
+    return False
+
+
+def test_outputs_matrix_taken_whole():
+    # a trajectory holds its seven outputs as one (L, 7) matrix, so no
+    # call in the package restacks them from their named column views
+    found = [(path.name, call.lineno)
+             for path in sorted(Path(throttleid.__file__).parent.glob("*.py"))
+             for name in ("column_stack", "stack", "vstack", "hstack")
+             for call in _calls(ast.parse(path.read_text()), name)
+             for arg in call.args
+             if any(map(_column_view, getattr(arg, "elts", [arg])))]
     assert found == []
