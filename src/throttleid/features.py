@@ -97,9 +97,11 @@ _WIDTH = 16
 _COLUMN_NAMES = [*TARGET_NAMES, "lam", *(f"{c}{j}" for c in ("Tr", "Se") for j in range(1, 5))]
 
 
-def _buffer(traj: PlantTrajectory) -> np.ndarray:
-    """The (L, _WIDTH) time-major buffer of a trajectory."""
-    return np.column_stack([traj.outputs, lambda_feature(traj.m_fuel, traj.m_ox), traj.inputs])
+def _buffer(traj: PlantTrajectory, rows: int | None = None) -> np.ndarray:
+    """The (L, _WIDTH) time-major buffer of a trajectory, or of its first `rows` rows."""
+    return np.column_stack([traj.outputs[:rows],
+                            lambda_feature(traj.m_fuel[:rows], traj.m_ox[:rows]),
+                            traj.inputs[:rows]])
 
 
 def build_row(tr_cur, tr_hist, to_hist, p_hist, mf_hist, mo_hist, se_cur,

@@ -346,13 +346,18 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
     Row i's outputs, in `PlantTrajectory.outputs` order (delivered
     thrusts, feed pressure, cumulative ejected fuel and oxidizer masses),
     are written to outputs[i]; the state after the last row is returned.
-    The loop runs on Python floats, and its operation order is that of
-    the equivalent 4-vector numpy step (thrusts summed left to right,
-    e_max * v * s as (e_max * v) * s, clips and floors with numpy's
-    signed-zero results), so it is bitwise that step. A block of
-    `_BLOCK` rows converts its valve targets at once and gathers its
-    outputs, 7 a row, in one flat list written to `outputs` with one
-    assignment at its end, so a step makes no numpy call.
+    The loop runs on Python floats, one straight-line step for the four
+    engines, each engine's valve and thrust held in locals. Its
+    operation order is that of the equivalent 4-vector numpy step
+    (thrusts summed left to right, e_max * v * s as (e_max * v) * s,
+    clips and floors with numpy's signed-zero results, `min`'s tie
+    rule), and the factors it hoists out of the loop (dt / tau,
+    1 + mixture ratio, p_bottle0 * v_bottle) and the mass flow it
+    carries from one row to the next are the floats the step computes,
+    so it is bitwise that step. A block of `_BLOCK` rows converts its
+    valve targets at once and gathers its outputs, 7 a row, in one flat
+    list written to `outputs` with one assignment at its end, so a step
+    makes no numpy call.
 
     Raises ValueError("sample i: ...") at the first non-finite command
     row and at the first row whose feed pressure drops below zero (the
@@ -364,64 +369,79 @@ def _run(state: PlantState, commands: np.ndarray, status: np.ndarray, cfg: Plant
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
 
     dt, e_min, e_max, p_reg, droop = cfg.dt, cfg.e_min, cfg.e_max, cfg.p_reg, cfg.droop_coeff
-    tau_rise, tau_fall, mr = cfg.tau_rise, cfg.tau_fall, cfg.mixture_ratio
-    m_module0, v_bottle, p_bottle0 = cfg.m_module0, cfg.v_bottle, cfg.p_bottle0
-    exhaust = cfg.exhaust_velocity
+    rise, fall = dt / cfg.tau_rise, dt / cfg.tau_fall   # valve rates, opening and closing
+    mr, mr1 = cfg.mixture_ratio, 1.0 + cfg.mixture_ratio
+    m_module0, v_bottle, pv0 = cfg.m_module0, cfg.v_bottle, cfg.p_bottle0 * cfg.v_bottle
+    exhaust, density, sqrt = cfg.exhaust_velocity, PROPELLANT_DENSITY, math.sqrt
     dmax = cfg.slew_limit * dt
     t, p_bottle, p_tank = state.t, state.p_bottle, state.p_tank
     m_fuel, m_ox = state.m_fuel_ejected, state.m_ox_ejected
-    thrust = state.thrust.tolist()
-    valve = state.valve_pos.tolist()
+    T1, T2, T3, T4 = state.thrust.tolist()
+    V1, V2, V3, V4 = state.valve_pos.tolist()
+    mdot = (((T1 + T2) + T3) + T4) / exhaust   # the flow established before each row
     for start in range(0, n_ok, _BLOCK):
         block = slice(start, min(start + _BLOCK, n_ok))
         # valve targets: off engines track zero, on engines the clipped command
         targets = (np.where(status[block] > 0.0, np.clip(commands[block], e_min, e_max),
                             0.0) / e_max).tolist()
         rows = []
-        for i, target in enumerate(targets, start):
+        for i, (a1, a2, a3, a4) in enumerate(targets, start):
             # Feed pressure for this interval, from the flow already established.
-            mdot_prev = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
-            p_tank = min(p_reg, p_bottle) - droop * mdot_prev
+            p_tank = (p_bottle if p_bottle < p_reg else p_reg) - droop * mdot
             ratio = p_tank / p_reg
             if not ratio >= 0.0:
                 raise ValueError(f"sample {i}: feed pressure {p_tank:.6g} Pa below zero "
                                  f"at t={t:.3f} s")
-            s = math.sqrt(ratio)
-            for j in range(4):
-                # Valve lag: opening uses tau_rise, closing tau_fall.
-                v = valve[j]
-                tau = tau_rise if target[j] >= v else tau_fall
-                v = v + (dt / tau) * (target[j] - v)
-                v = v if v > 0.0 else 0.0
-                valve[j] = v if v < 1.0 else 1.0
-                # Pressure-coupled thrust, slew-limited and floored at zero.
-                c = (e_max * valve[j]) * s
-                lo, hi = thrust[j] - dmax, thrust[j] + dmax
-                c = c if c > lo else lo
-                c = c if c < hi else hi
-                thrust[j] = c if c >= 0.0 else 0.0
+            s = sqrt(ratio)
+            # Per engine: the valve lags toward its target, faster opening
+            # than closing, clipped to [0, 1]; the pressure-coupled thrust
+            # is slew-limited and floored at zero.
+            v = V1 + (rise if a1 >= V1 else fall) * (a1 - V1)
+            V1 = (v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+            c, lo, hi = (e_max * V1) * s, T1 - dmax, T1 + dmax
+            c = c if c > lo else lo
+            c = c if c < hi else hi
+            T1 = c if c >= 0.0 else 0.0
+            v = V2 + (rise if a2 >= V2 else fall) * (a2 - V2)
+            V2 = (v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+            c, lo, hi = (e_max * V2) * s, T2 - dmax, T2 + dmax
+            c = c if c > lo else lo
+            c = c if c < hi else hi
+            T2 = c if c >= 0.0 else 0.0
+            v = V3 + (rise if a3 >= V3 else fall) * (a3 - V3)
+            V3 = (v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+            c, lo, hi = (e_max * V3) * s, T3 - dmax, T3 + dmax
+            c = c if c > lo else lo
+            c = c if c < hi else hi
+            T3 = c if c >= 0.0 else 0.0
+            v = V4 + (rise if a4 >= V4 else fall) * (a4 - V4)
+            V4 = (v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+            c, lo, hi = (e_max * V4) * s, T4 - dmax, T4 + dmax
+            c = c if c > lo else lo
+            c = c if c < hi else hi
+            T4 = c if c >= 0.0 else 0.0
 
             # Trapezoidal ejected-mass bookkeeping between the two thrust samples.
-            mdot_new = (((thrust[0] + thrust[1]) + thrust[2]) + thrust[3]) / exhaust
-            dm = 0.5 * (mdot_prev + mdot_new) * dt
-            m_fuel = m_fuel + dm / (1.0 + mr)
-            m_ox = m_ox + dm * mr / (1.0 + mr)
+            mdot_new = (((T1 + T2) + T3) + T4) / exhaust
+            dm = 0.5 * (mdot + mdot_new) * dt
+            m_fuel = m_fuel + dm / mr1
+            m_ox = m_ox + dm * mr / mr1
             t = t + dt
             if m_module0 - (m_fuel + m_ox) <= 0.0:
                 raise PropellantDepletedError(t, sample=i)
 
             # Isothermal blowdown: gas expands into the vacated propellant volume.
-            v_gas = v_bottle + (m_fuel + m_ox) / PROPELLANT_DENSITY
-            p_bottle = p_bottle0 * v_bottle / v_gas
-            rows += thrust
-            rows += p_tank, m_fuel, m_ox
+            p_bottle = pv0 / (v_bottle + (m_fuel + m_ox) / density)
+            mdot = mdot_new
+            rows += T1, T2, T3, T4, p_tank, m_fuel, m_ox
         outputs[block] = np.reshape(rows, (-1, 7))
 
     if n_ok < len(finite):
         raise ValueError(f"sample {n_ok}: non-finite command at t={t:.3f} s: "
                          f"{commands[n_ok]}")
-    return PlantState(t=t, p_bottle=p_bottle, p_tank=p_tank, thrust=np.array(thrust),
-                      m_fuel_ejected=m_fuel, m_ox_ejected=m_ox, valve_pos=np.array(valve))
+    return PlantState(t=t, p_bottle=p_bottle, p_tank=p_tank, thrust=np.array([T1, T2, T3, T4]),
+                      m_fuel_ejected=m_fuel, m_ox_ejected=m_ox,
+                      valve_pos=np.array([V1, V2, V3, V4]))
 
 
 def step(state: PlantState, command: np.ndarray, status: np.ndarray,

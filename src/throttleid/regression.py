@@ -43,6 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .parallel import fork_map
 from .plant import _from_document, read_json, write_json
 
 
@@ -94,15 +95,17 @@ class BasisSpec:
         return p
 
 
-def expand(x: np.ndarray, basis: BasisSpec) -> np.ndarray:
+def expand(x: np.ndarray, basis: BasisSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic ordered monomial expansion, the bias column first.
 
     `x` is one row (p,) or a batch (N, p); the result is (width,) or
-    (N, width) with width = basis.width(p).
+    (N, width) with width = basis.width(p), written into `out` when
+    given (an array of that shape, which is returned).
     """
     x = np.asarray(x, dtype=float)
     p = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (basis.width(p),))
+    if out is None:
+        out = np.empty(x.shape[:-1] + (basis.width(p),))
     out[..., 0] = 1.0
     X = out[..., 1:p + 1]
     X[...] = x
@@ -172,7 +175,8 @@ _CHUNK_ROWS = 4096   # rows per chunk of `raw_moments` and `predict`; 1024-8192 
 def raw_moments(features: np.ndarray, targets: np.ndarray,
                 basis: BasisSpec | None = None) -> RawMoments:
     """The centered block on `basis` of (features, expanded by it if given, targets): one
-    product Z^T Z per chunk Z = [phi | Y], merged in row order; ValueError on a non-finite Z."""
+    product Z^T Z per chunk Z = [phi | Y], merged in row order, each chunk expanded straight
+    into one reused Z; ValueError on a non-finite Z."""
     x = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if Y.ndim == 1:
@@ -183,7 +187,10 @@ def raw_moments(features: np.ndarray, targets: np.ndarray,
     Z, total = np.empty((min(N, _CHUNK_ROWS), F + Y.shape[1])), None
     for start in range(0, max(N, 1), _CHUNK_ROWS):   # no rows: one empty chunk
         z, rows = Z[:min(N - start, _CHUNK_ROWS)], slice(start, start + _CHUNK_ROWS)
-        z[:, :F] = x[rows] if basis is None else expand(x[rows], basis)
+        if basis is None:
+            z[:, :F] = x[rows]
+        else:
+            expand(x[rows], basis, out=z[:, :F])
         z[:, F:] = Y[rows]
         if not np.isfinite(z).all():
             raise ValueError("non-finite training data")
@@ -373,7 +380,16 @@ def fit_from_moments(raw: RawMoments, mu: float, *,
     when they have one; `w0` warm-starts the search in the solver's
     coordinates (a model's `W_std`). The model records `raw.basis`, and its
     `predict` takes the raw inputs that `raw_moments` was given;
-    `n_history` is only recorded. ValueError on an empty block."""
+    `n_history` is only recorded. ValueError on an empty block.
+
+    Each output's search is one `fork_map` task with the whole MAX_STEPS
+    budget, so the outputs are searched on the usable CPUs (one after
+    another inside a fork-map child, where the sweeps' fold fits run).
+    The caller takes the results in output order against the budget
+    that the outputs before each one left, and searches again, on that
+    budget, an output that overran it. So the model, and the
+    ConvergenceError raised with the later outputs at their starting
+    values, are bitwise those of searching the outputs one by one."""
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     if raw.n_rows == 0:
@@ -382,10 +398,16 @@ def fit_from_moments(raw: RawMoments, mu: float, *,
     m, ridge = _well_posed(_standardize(raw))
     solvable = np.flatnonzero(np.diag(m.G) > 0.0)
     W = np.zeros(m.c.shape) if w0 is None else np.array(w0, dtype=float)
+    search = lambda k, budget=MAX_STEPS: _feature_sign(m.G, m.c[:, k], mu_eff, W[:, k],
+                                                       solvable, budget)
     sweeps = 0
-    for k in range(W.shape[1]):
-        W[:, k], steps, converged = _feature_sign(
-            m.G, m.c[:, k], mu_eff, W[:, k], solvable, MAX_STEPS - sweeps)
+    for k, (w, steps, converged) in enumerate(fork_map(search, range(W.shape[1]))):
+        if steps > MAX_STEPS - sweeps:
+            # over the budget that the outputs before it left: search again
+            # on that budget, where a serial run stops it. (A search that ran
+            # out used all MAX_STEPS, so no output before it took a step.)
+            w, steps, converged = search(k, MAX_STEPS - sweeps)
+        W[:, k] = w
         sweeps += steps
         if not converged:
             raise ConvergenceError(sweeps, _kkt_residual(W, m, mu_eff))

@@ -151,8 +151,9 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
         Commands to replay; must be longer than n samples.
     warmup : PlantTrajectory
         True prefix of at least n samples (normally the plant's own
-        response to the same trace); seeds the history buffers and is
-        copied verbatim into the first n output samples.
+        response to the same trace); its first n rows, the only ones
+        read (and checked for a negative ejected mass), seed the history
+        buffers and are copied verbatim into the first n output samples.
 
     Returns
     -------
@@ -179,7 +180,7 @@ def rollout(model: CoefficientModel, trace: CommandTrace,
     sample, inputs = powers[:, 0, 0], powers[:, 1, 0]
     inputs[1:, :4] = trace.commands
     inputs[1:, 4:] = trace.status
-    sample[:n] = _buffer(warmup)[:n, :8]
+    sample[:n] = _buffer(warmup, n)[:, :8]
     for k in range(1, degree):
         np.multiply(powers[:, :, k - 1], powers[:, :, 0], out=powers[:, :, k])
     buf[:, -1] = 1.0

@@ -152,6 +152,42 @@ class TestStep:
         assert traj.pressures[-1] < cfg.p_reg - cfg.droop_coeff * traj.thrusts[-2].sum() \
             / cfg.exhaust_velocity   # bottle-limited by the end
 
+    def test_each_engine_stepped_on_its_own(self):
+        # The kernel holds each engine's valve and thrust in locals of its
+        # own, so no two engines may share a command here: each ramps from
+        # its own level, switches on, steps down and off at its own rows.
+        # Every output row and the final valves and thrusts are bitwise the
+        # fold of the numpy reference step, which a mix-up between any two
+        # engines' variables breaks.
+        cfg = PlantConfig(p_bottle0=1.85e6)
+        n = 600
+        assert n > 2 * plant_mod._BLOCK + 1   # rows are written a block at a time
+        cmd, status = np.zeros((n, 4)), np.zeros((n, 4))
+        for j, (on, peak, down, off, lo, hi) in enumerate([(0, 250, 330, 420, 300.0, 800.0),
+                                                           (40, 320, 400, 520, 450.0, 700.0),
+                                                           (90, 200, 280, 360, 260.0, 760.0),
+                                                           (150, 380, 470, 560, 600.0, 520.0)]):
+            cmd[on:peak, j] = np.linspace(lo, hi, peak - on)
+            cmd[peak:down, j] = hi
+            cmd[down:off, j] = lo
+            status[on:off, j] = 1.0
+        outputs = np.full((n, 7), np.nan)
+        final = plant_mod._run(initial_state(cfg), cmd, status, cfg, outputs)
+
+        states = [initial_state(cfg)]
+        for i in range(n):
+            states.append(numpy_reference_step(states[-1], cmd[i], status[i], cfg))
+        expected = np.array([[*s.thrust, s.p_tank, s.m_fuel_ejected, s.m_ox_ejected]
+                             for s in states[1:]])
+        assert outputs.tobytes() == expected.tobytes()
+        traj = simulate(CommandTrace(dt=cfg.dt, commands=cmd, status=status), cfg)
+        assert traj.outputs[1:].tobytes() == expected.tobytes()
+        assert final.valve_pos.tobytes() == states[-1].valve_pos.tobytes()
+        assert final.thrust.tobytes() == states[-1].thrust.tobytes()
+        # every engine's record is its own, and every valve is still closing at the end
+        assert len({traj.thrusts[:, j].tobytes() for j in range(4)}) == 4
+        assert len(set(final.valve_pos.tolist())) == 4 and np.all(final.valve_pos > 0.0)
+
     def test_first_error_in_time_is_raised(self):
         small = PlantConfig(m_module0=1.0)
         trace = constant_trace(800.0, 10.0, small)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import re
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import throttleid.regression as regression_mod
-from conftest import soft_threshold
+from conftest import soft_threshold, usable_cpus
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_from_moments,
                                    fit_lasso, model_from_json, model_to_json, predict,
                                    raw_moments, rmse)
@@ -64,6 +65,10 @@ class TestExpand:
                                  axis=1)
             assert expand(X, basis).tobytes() == ref.tobytes()
             assert expand(X[3], basis).tobytes() == ref[3].tobytes()
+            # into the leading columns of a wider array, as `raw_moments` expands a chunk
+            Z = np.full((40, basis.width(7) + 2), 5.0)
+            assert expand(X, basis, out=Z[:, :-2]).base is Z
+            assert Z[:, :-2].tobytes() == ref.tobytes() and np.all(Z[:, -2:] == 5.0)
 
 
 class TestSoftThreshold:
@@ -317,6 +322,75 @@ class TestWarmStart:
         f_cold = cold.objective
         f_warm = warm.objective
         assert abs(f_cold - f_warm) <= 1e-8 * max(1.0, abs(f_cold))
+
+
+def serial_search(raw, mu, penalty_scale):
+    """The outputs searched one by one, each on the steps that the outputs
+    before it left: (W, sweeps, steps per output, KKT residual of the
+    point reached when the budget ran out, else None)."""
+    m, _ = regression_mod._well_posed(regression_mod._standardize(raw))
+    mu_eff = regression_mod._scale_mu(mu, raw.n_rows, penalty_scale)
+    solvable = np.flatnonzero(np.diag(m.G) > 0.0)
+    W, sweeps, per_output = np.zeros(m.c.shape), 0, []
+    for k in range(W.shape[1]):
+        W[:, k], steps, converged = regression_mod._feature_sign(
+            m.G, m.c[:, k], mu_eff, W[:, k], solvable, regression_mod.MAX_STEPS - sweeps)
+        sweeps += steps
+        per_output.append(steps)
+        if not converged:
+            return W, sweeps, per_output, regression_mod._kkt_residual(W, m, mu_eff)
+    return W, sweeps, per_output, None
+
+
+class TestParallelFit:
+    """The outputs' searches run as fork-map tasks, each on the whole step
+    budget, and the caller charges them to one budget in output order."""
+
+    MU = 1e-2
+
+    @pytest.fixture(scope="class")
+    def moments(self):
+        gen = np.random.default_rng(7)
+        X = gen.standard_normal((600, 12))
+        Y = X @ (gen.standard_normal((12, 7)) * (gen.random((12, 7)) < 0.5))
+        return raw_moments(X, Y + 0.1 * gen.standard_normal(Y.shape), BasisSpec(2))
+
+    @staticmethod
+    def bits(*values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    def test_same_fit_on_one_and_two_cpus(self, moments, monkeypatch):
+        W, sweeps, per_output, _ = serial_search(moments, self.MU, "sqrt-rows")
+        assert len(per_output) == 7 and min(per_output) > 1
+        fits = []
+        for count in (1, 2):
+            usable_cpus(monkeypatch, count)
+            fits.append(fit_from_moments(moments, self.MU, penalty_scale="sqrt-rows"))
+        one, two = fits
+        assert one.sweeps == two.sweeps == sweeps
+        assert self.bits(one.W_std, one.K, one.kkt, one.objective) == \
+            self.bits(two.W_std, two.K, two.kkt, two.objective)
+        assert one.W_std.tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize("cut", ["third-output-overruns", "searches-run-out"])
+    def test_budget_runs_out_as_in_series(self, moments, monkeypatch, cut):
+        # output 0 converges and a later one runs out of the steps left:
+        # its task, on the whole budget, converges ("third-output-overruns")
+        # or runs out itself, as a later task does ("searches-run-out")
+        per_output = serial_search(moments, self.MU, "sqrt-rows")[2]
+        budget = sum(per_output[:3]) - 1 if cut == "third-output-overruns" else per_output[0] + 1
+        if cut == "searches-run-out":
+            assert max(per_output) > budget
+        monkeypatch.setattr(regression_mod, "MAX_STEPS", budget)
+        _, sweeps, steps, kkt = serial_search(moments, self.MU, "sqrt-rows")
+        assert kkt is not None and steps[0] == per_output[0] and len(steps) > 1
+        for count in (1, 2):
+            usable_cpus(monkeypatch, count)
+            with pytest.raises(ConvergenceError) as exc:
+                fit_from_moments(moments, self.MU, penalty_scale="sqrt-rows")
+            assert exc.value.sweeps == sweeps == budget
+            assert self.bits(exc.value.kkt_residual) == self.bits(kkt)
+            assert multiprocessing.active_children() == []
 
 
 def _collinear_lags(gen, rows=400, lags=6):

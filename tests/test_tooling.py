@@ -23,7 +23,9 @@ matrix is built whole. The rollout neither gathers nor expands a row:
 its coefficients act on the history window as it lies in the buffer.
 Both sweeps cross-validate through `tuning._cv_paths`, the one place
 that draws test folds and takes their blocks. A trajectory's outputs
-are one matrix, which no call restacks from its named columns.
+are one matrix, which no call restacks from its named columns. The
+plant kernel's per-row loop is one straight-line step of the four
+engines, with no numpy call and no loop inside it.
 """
 
 import ast
@@ -304,4 +306,21 @@ def test_outputs_matrix_taken_whole():
              for call in _calls(ast.parse(path.read_text()), name)
              for arg in call.args
              if any(map(_column_view, getattr(arg, "elts", [arg])))]
+    assert found == []
+
+
+def test_plant_row_loop_is_straight_line():
+    # `plant._run` steps the four engines on Python floats, each engine's
+    # valve and thrust in locals of its own: its per-row loop, the one
+    # over `enumerate`, calls no numpy function and holds no loop
+    tree = ast.parse((Path(throttleid.__file__).parent / "plant.py").read_text())
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    rows = [node for node in ast.walk(run)
+            if isinstance(node, ast.For) and _calls(node.iter, "enumerate")]
+    assert len(rows) == 1
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [ast.unparse(node) for stmt in rows[0].body for node in ast.walk(stmt)
+             if isinstance(node, loops) or isinstance(node, ast.Call)
+             and ast.unparse(node.func).startswith(("np.", "numpy."))]
     assert found == []
