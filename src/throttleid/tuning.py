@@ -13,8 +13,9 @@ Both sweeps cross-validate through one routine, `_cv_paths`: it draws
 the k test folds with the fold seed, takes their moments in one
 `parallel.fork_map` and runs their paths in a second. A fold's moments
 are the centered block (`regression.RawMoments`) of its test rows, which
-`raw_moments` expands a chunk at a time, so no design matrix is built;
-its path (`_fit_fold`) is one warm-started loop on the other folds'
+`_block` gathers and `raw_moments` expands a chunk at a time, merging the
+chunks in order, so neither a design matrix nor a copy of the fold is
+built; its path (`_fit_fold`) is one warm-started loop on the other folds'
 blocks merged, each fit certified by its KKT residual and scored from
 moments (`_moment_rmse`). `sweep_mu` calls it once; `sweep_history` once
 per history length, in a task that assembles that length's rows (and,
@@ -34,7 +35,8 @@ import numpy as np
 from .features import Dataset, assemble, kfold_indices, merge
 from .parallel import fork_map
 from .plant import PlantTrajectory, write_json
-from .regression import BasisSpec, CoefficientModel, RawMoments, fit_from_moments, raw_moments
+from .regression import (_CHUNK_ROWS, BasisSpec, CoefficientModel, RawMoments, fit_from_moments,
+                         raw_moments)
 
 
 class SweepError(RuntimeError):
@@ -181,8 +183,16 @@ def _report(kind: str, points: list[GridPoint], cfg: SweepConfig, seed: int) -> 
 
 
 def _block(dataset: Dataset, basis: BasisSpec, rows: np.ndarray) -> RawMoments:
-    """The moments of the dataset's `rows`, which `raw_moments` expands on `basis`."""
-    return raw_moments(dataset.inputs[rows], dataset.targets[rows], basis)
+    """The moments of the dataset's `rows`, which `raw_moments` expands on `basis`,
+    gathered and taken `_CHUNK_ROWS` rows at a time and merged in order: each call is
+    one chunk of `raw_moments` on the whole gathered fold, so the block is bitwise
+    that one, and no copy of the fold is held."""
+    total = None
+    for lo in range(0, max(len(rows), 1), _CHUNK_ROWS):   # no rows: one empty chunk
+        chunk = rows[lo:lo + _CHUNK_ROWS]
+        block = raw_moments(dataset.inputs[chunk], dataset.targets[chunk], basis)
+        total = block if total is None else total + block
+    return total
 
 
 def _fit_fold(blocks: list[RawMoments], fold: int, values: list, mus: list[float],

@@ -11,6 +11,9 @@ import pytest
 
 import throttleid.regression as regression_mod
 from conftest import soft_threshold, usable_cpus
+from throttleid.excitation import ExcitationConfig, build_corpus
+from throttleid.features import assemble, merge
+from throttleid.plant import PlantConfig, simulate
 from throttleid.regression import (BasisSpec, ConvergenceError, expand, fit_from_moments,
                                    fit_lasso, model_from_json, model_to_json, predict,
                                    raw_moments, rmse)
@@ -176,6 +179,25 @@ class TestFitLasso:
         with pytest.raises(ValueError):
             fit_lasso(X, X[:, :1], -1.0)
 
+    def test_nan_mu_rejected(self, rng):
+        # NaN compares false both ways: it must not pass as a penalty
+        X = rng.standard_normal((10, 3))
+        with pytest.raises(ValueError, match="mu must be >= 0, got nan"):
+            fit_lasso(X, X[:, :1], math.nan)
+
+    @pytest.mark.parametrize("w0", [
+        np.zeros((8, 3)), np.zeros((9, 2)), np.zeros((9, 4)), np.zeros(9),
+        np.ones((9, 3)), np.full((9, 3), np.inf)],
+        ids=["short", "narrow", "wide", "vector", "nonzero-bias", "non-finite"])
+    def test_bad_warm_start_rejected(self, rng, w0):
+        # a 9-coefficient, 3-output fit: a w0 of another shape, a non-finite
+        # one, or one nonzero on the constant bias column is named, not left
+        # to fail inside numpy or to meet a singular active block
+        X = rng.standard_normal((50, 4))
+        m = raw_moments(X, rng.standard_normal((50, 3)), BasisSpec(2))
+        with pytest.raises(ValueError, match=re.escape("w0 must be a finite array of shape (9, 3)")):
+            fit_from_moments(m, 1e-2, w0=w0)
+
     def test_nonconvergence_raises(self, rng, monkeypatch):
         X = rng.standard_normal((80, 12))
         X[:, 1] = X[:, 0] + 1e-9 * rng.standard_normal(80)  # near-duplicate column
@@ -324,13 +346,19 @@ class TestWarmStart:
         assert abs(f_cold - f_warm) <= 1e-8 * max(1.0, abs(f_cold))
 
 
+def search_inputs(raw, mu, penalty_scale):
+    """(moments, effective mu, solvable columns) as `fit_from_moments`
+    hands them to each output's search."""
+    m, _ = regression_mod._well_posed(regression_mod._standardize(raw))
+    return (m, regression_mod._scale_mu(mu, raw.n_rows, penalty_scale),
+            np.flatnonzero(np.diag(m.G) > 0.0))
+
+
 def serial_search(raw, mu, penalty_scale):
     """The outputs searched one by one, each on the steps that the outputs
     before it left: (W, sweeps, steps per output, KKT residual of the
     point reached when the budget ran out, else None)."""
-    m, _ = regression_mod._well_posed(regression_mod._standardize(raw))
-    mu_eff = regression_mod._scale_mu(mu, raw.n_rows, penalty_scale)
-    solvable = np.flatnonzero(np.diag(m.G) > 0.0)
+    m, mu_eff, solvable = search_inputs(raw, mu, penalty_scale)
     W, sweeps, per_output = np.zeros(m.c.shape), 0, []
     for k in range(W.shape[1]):
         W[:, k], steps, converged = regression_mod._feature_sign(
@@ -447,6 +475,131 @@ class TestCollinearDesign:
         assert (per.sparsity, per.ridge) == (ref.sparsity, ref.ridge) and ref.ridge > 0.0
         for a, b in ((0, F - 2), (1, F - 1)):  # each duplicate pair carries equal weights
             np.testing.assert_allclose(K_ref[:, a], K_ref[:, b], rtol=1e-4, atol=0.0)
+
+
+def frozen_feature_sign(G, c, mu, w, solvable, budget):
+    """Feature-sign search with its former step: `np.ix_` to gather the
+    active block, `np.append` to extend the active set, its signs and the
+    candidate stops, the crossing slots zeroed whether or not there are
+    any, and `np.array_equal` to test the landed signs. Kept as the
+    reference that the leaner step must match bit for bit."""
+    w = w.copy()
+    steps = 0
+    settled = not w.any()
+    while True:
+        A = np.flatnonzero(w)
+        theta = np.sign(w[A])
+        entering = settled
+        if entering:
+            g = G @ w - c
+            g_free = np.abs(g[solvable]) * (w[solvable] == 0.0)
+            if g_free.size == 0 or g_free.max() <= mu:
+                return w, steps, True
+            j = solvable[np.argmax(g_free)]
+            A = np.append(A, j)
+            theta = np.append(theta, -np.sign(g[j]))
+        if steps == budget:
+            return w, steps, False
+        steps += 1
+        G_AA = G[np.ix_(A, A)]
+        x_new = np.linalg.solve(G_AA, c[A] - mu * theta)
+        x = w[A]
+        d = x_new - x
+        # candidate stops: the zero crossings of nonzero coordinates, then x_new
+        t = np.divide(x, x - x_new, out=np.full_like(x, np.inf), where=x * x_new < 0.0)
+        crossing = np.flatnonzero(t < 1.0)
+        ts = np.append(t[crossing], 1.0)
+        points = x + ts[:, None] * d
+        points[np.arange(crossing.size), crossing] = 0.0
+        # Objective change from x: x_new minimizes the fixed-sign
+        # objective, which therefore falls by curve * t * (2 - t), and a
+        # coordinate against its sign in theta adds 2 * mu * |value|.
+        curve = 0.5 * (d @ (G_AA @ d))
+        f = 2.0 * mu * np.sum(np.abs(points) * (points * theta < 0.0), axis=1) \
+            - curve * ts * (2.0 - ts)
+        best = int(np.argmin(f))
+        if not f[best] < 0.0:
+            # No stop lowers the objective in floating point, so the
+            # active coordinates are optimal to working precision, and
+            # an entering coordinate's violation is rounding noise.
+            if entering:
+                return w, steps, True
+            settled = True
+            continue
+        w[A] = points[best]
+        settled = best == crossing.size and np.array_equal(np.sign(w[A]), theta)
+
+
+class TestFrozenFeatureSign:
+    """`_feature_sign` is bitwise `frozen_feature_sign`: the same w, step
+    count and verdict, output by output, from cold and warm starts, on
+    cut budgets, on a ridged Gram matrix and with nothing to solve."""
+
+    MU = 3e-5
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        """Degree-2 moments of the plant's seven outputs on two lags of a
+        reduced corpus (two bias levels, 6 s segments). Its lag columns are
+        nearly collinear, as in the pipeline's fits, so a third of a cold
+        search's steps meet zero crossings, some land against their signs,
+        and at MU one step finds no stop that lowers the objective."""
+        plant = PlantConfig()
+        traces = build_corpus(ExcitationConfig(m_levels=2, duration=6.0), plant, seed=0)
+        ds = merge([assemble(simulate(trace, plant), 2) for trace in traces])
+        return raw_moments(ds.inputs, ds.targets, BasisSpec())
+
+    @staticmethod
+    def solver_moments(raw, mu):
+        """(G, c, mu_eff, solvable) of a pipeline fit's searches."""
+        m, mu_eff, solvable = search_inputs(raw, mu, "sqrt-rows")
+        return m.G, m.c, mu_eff, solvable
+
+    @staticmethod
+    def check(G, c, mu, W, solvable, budget=regression_mod.MAX_STEPS):
+        """Compare the searches of every output (column of c and W); their step counts."""
+        counts = []
+        for k in range(c.shape[1]):
+            got = regression_mod._feature_sign(G, c[:, k], mu, W[:, k], solvable, budget)
+            want = frozen_feature_sign(G, c[:, k], mu, W[:, k], solvable, budget)
+            assert (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:]), k
+            counts.append(want[1])
+        return counts
+
+    def test_cold_start(self, engine):
+        G, c, mu, solvable = self.solver_moments(engine, self.MU)
+        assert sum(self.check(G, c, mu, np.zeros(c.shape), solvable)) > 200
+
+    def test_warm_start_with_negative_zeros(self, engine):
+        # from another mu's solution, as the sweeps warm-start, with -0.0
+        # in half of the solvable zero slots, which then enter the search
+        G, c, mu, solvable = self.solver_moments(engine, self.MU)
+        W = fit_from_moments(engine, 10 * self.MU, penalty_scale="sqrt-rows").W_std
+        zeros = np.argwhere(W[solvable] == 0.0)[::2]
+        W[solvable[zeros[:, 0]], zeros[:, 1]] = -0.0
+        assert np.signbit(W[W == 0.0]).sum() == len(zeros) > 0
+        assert sum(self.check(G, c, mu, W, solvable)) > 100
+
+    def test_cut_budgets(self, engine):
+        # no step, one step, and one step short of convergence
+        G, c, mu, solvable = self.solver_moments(engine, self.MU)
+        steps = frozen_feature_sign(G, c[:, 0], mu, np.zeros(len(G)), solvable,
+                                    regression_mod.MAX_STEPS)[1]
+        for budget in (0, 1, steps - 1):
+            assert self.check(G, c[:, :1], mu, np.zeros((len(G), 1)), solvable,
+                              budget) == [budget]
+
+    @pytest.mark.parametrize("mu", TestCollinearDesign.MUS)
+    def test_ridged_duplicate_columns(self, mu):
+        X, Y = TestCollinearDesign.design()
+        raw = raw_moments(X, Y, TestCollinearDesign.BASIS)
+        assert regression_mod._well_posed(regression_mod._standardize(raw))[1] > 0.0
+        G, c, mu_eff, solvable = self.solver_moments(raw, mu)
+        self.check(G, c, mu_eff, np.zeros(c.shape), solvable)
+
+    def test_empty_solvable(self, engine):
+        G, c, mu, _ = self.solver_moments(engine, self.MU)
+        assert self.check(G, c, mu, np.zeros(c.shape), np.array([], dtype=np.intp)) == [0] * 7
 
 
 class TestRMSE:

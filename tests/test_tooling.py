@@ -25,7 +25,8 @@ Both sweeps cross-validate through `tuning._cv_paths`, the one place
 that draws test folds and takes their blocks. A trajectory's outputs
 are one matrix, which no call restacks from its named columns. The
 plant kernel's per-row loop is one straight-line step of the four
-engines, with no numpy call and no loop inside it.
+engines, with no numpy call and no loop inside it. The feature-sign
+step calls no `np.append`, `np.ix_` or `np.array_equal`.
 """
 
 import ast
@@ -323,4 +324,19 @@ def test_plant_row_loop_is_straight_line():
     found = [ast.unparse(node) for stmt in rows[0].body for node in ast.walk(stmt)
              if isinstance(node, loops) or isinstance(node, ast.Call)
              and ast.unparse(node.func).startswith(("np.", "numpy."))]
+    assert found == []
+
+
+def test_feature_sign_step_builds_no_needless_arrays():
+    # a feature-sign step costs ~40 small numpy calls beside its solve, so
+    # its loop gathers the active block with a broadcast index, extends the
+    # active set by concatenation and compares signs elementwise: no
+    # `np.append`, `np.ix_` or `np.array_equal`, each a call or two more
+    tree = ast.parse((Path(throttleid.__file__).parent / "regression.py").read_text())
+    search = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_feature_sign")
+    loops = [node for node in ast.walk(search) if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    found = [ast.unparse(node) for node in ast.walk(loops[0]) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("np.append", "np.ix_", "np.array_equal")]
     assert found == []

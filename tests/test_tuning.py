@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 
 from conftest import ar2_trajectory, usable_cpus
 import throttleid.tuning as tuning_mod
-from throttleid.features import assemble, kfold_indices
-from throttleid.regression import BasisSpec, ConvergenceError, raw_moments
+from throttleid.features import Dataset, assemble, input_width, kfold_indices
+from throttleid.regression import _CHUNK_ROWS, BasisSpec, ConvergenceError, raw_moments
 from throttleid.tuning import (GridPoint, SweepConfig, SweepError, SweepReport,
                                pareto_table, pareto_to_csv, sweep_history, sweep_mu)
 
@@ -383,6 +384,43 @@ class TestFoldMoments:
                 else:
                     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                                atol=1e-12 * np.abs(ref).max())
+
+
+class TestChunkedFoldBlock:
+    """`_block` gathers a fold and takes its moments a chunk of rows at a
+    time: bitwise the block of the whole gathered fold, never a copy of it."""
+
+    C = _CHUNK_ROWS
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # 20 chunks of history-1 rows, columns far from zero at unequal spreads
+        gen = np.random.default_rng(3)
+        width = input_width(1)
+        inputs = 50.0 + gen.standard_normal((20 * self.C, width)) * gen.uniform(0.01, 5.0, width)
+        return Dataset(inputs, 10.0 + gen.standard_normal((20 * self.C, 7)), 1)
+
+    @pytest.mark.parametrize("size", [1, C - 1, C, C + 1, 3 * C + 5],
+                             ids=["1", "C-1", "C", "C+1", "3C+5"])
+    def test_whole_fold_block_bitwise(self, wide, size):
+        rows = np.sort(np.random.default_rng(size).permutation(len(wide))[:size])
+        got = tuning_mod._block(wide, BasisSpec(), rows)
+        want = raw_moments(wide.inputs[rows], wide.targets[rows], BasisSpec())
+        assert got.n_rows == want.n_rows == size and got.basis == want.basis
+        for name in ("mx", "my", "Cxx", "Cxy", "Cyy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_peak_memory_is_one_chunk(self, wide):
+        # over 20 chunks the peak allocation stays below a quarter of the
+        # gathered fold: one chunk's rows and their expansion
+        rows = np.arange(len(wide))
+        tracemalloc.start()
+        try:
+            tuning_mod._block(wide, BasisSpec(), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (wide.inputs.nbytes + wide.targets.nbytes) / 4
 
 
 class TestPareto:
